@@ -17,13 +17,13 @@ disjoint union whose complement is the surviving (Cantor) parameter set.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectrum import FrequencySystem, omega, omega_derivative
+from .spectral import _fmt
+from .spectrum import FrequencySystem, _bracket, _lattice, omega, omega_derivative
 
 __all__ = [
     "DiophantineSpec",
@@ -213,12 +213,6 @@ class ExcludedReport:
     flags: list = field(default_factory=list)
 
 
-def _lattice(d: int, Lmax: int):
-    for l in itertools.product(range(-Lmax, Lmax + 1), repeat=d):
-        if sum(abs(x) for x in l) <= Lmax:
-            yield l
-
-
 def _half_lattice(d: int, Lmax: int):
     """One representative of each +-l pair (zero excluded)."""
     for l in _lattice(d, Lmax):
@@ -228,10 +222,6 @@ def _half_lattice(d: int, Lmax: int):
                 break
             if x < 0:
                 break
-
-
-def _bracket(l) -> int:
-    return max(1, sum(abs(x) for x in l))
 
 
 def _tail_bound(d: int, Lmax: int, tau: float, q0: int, C: float = 1.0):
@@ -445,7 +435,7 @@ def excluded_to_csv(report: ExcludedReport) -> str:
     for l, j, j0, left, right, length in report.rows:
         lines.append(
             f"\"{' '.join(str(x) for x in l)}\",{j},{'' if j0 is None else j0},"
-            f"{format(left, '.16e')},{format(right, '.16e')},{format(length, '.16e')}"
+            f"{_fmt(left)},{_fmt(right)},{_fmt(length)}"
         )
     return "\n".join(lines) + "\n"
 

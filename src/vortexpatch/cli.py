@@ -7,27 +7,31 @@ uses 17-significant-digit scientific notation; JSON is emitted with sorted
 keys, so identical configuration and seed reproduce byte-identical artifacts
 (the manifest additionally records the wall time and is excluded from
 byte-level comparisons).
+
+Each subcommand is declared by one parameter table; every value resolves as
+flag > config file > default and is checked before any work starts.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 import platform
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from importlib import metadata
 
 import click
 import numpy as np
 
 from .cantor import (
+    KINDS,
     DiophantineSpec,
     excluded_measure,
     excluded_summary_json,
     excluded_to_csv,
-    measure_curve,
 )
 from .dynamics import (
     EvolutionConfig,
@@ -36,7 +40,7 @@ from .dynamics import (
     trajectory_summary,
     trajectory_to_csv,
 )
-from .geometry import BoundaryContactError, DegeneratePatchError, PatchState
+from .geometry import BoundaryContactError, DegeneratePatchError
 from .kam import (
     NonReducibleError,
     ReductionState,
@@ -49,8 +53,8 @@ from .kam import (
     synthetic_reversible_remainder,
     transport_history_csv,
 )
-from .linearized import linearize, matrix_to_csv, spectrum_to_csv
-from .spectral import PeriodicField, theta_grid
+from .linearized import assemble, matrix_to_csv, spectrum_to_csv
+from .spectral import PeriodicField, _fmt, theta_grid
 from .spectrum import (
     FrequencySystem,
     omega,
@@ -68,9 +72,118 @@ class InvariantViolation(RuntimeError):
     """A numerical invariant failed during a run (exit code 2)."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".16e")
+# ---------------------------------------------------------------------------
+# value types of the parameter tables: each converts a flag string or a
+# config-file value and raises on bad input
+# ---------------------------------------------------------------------------
 
+_UNIT = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
+_POSITIVE = click.IntRange(min=1)
+
+
+def _list_of(kind):
+    """Converter of a comma list: '1,2' -> (1, 2); '' -> ()."""
+    def convert(value):
+        try:
+            return tuple(kind(x) for x in str(value).split(",")) if value != "" else ()
+        except ValueError:
+            raise click.ClickException(
+                f"bad {kind.__name__} list {value!r}; expected e.g. 1,2")
+    return convert
+
+
+def _amplitudes(value) -> dict:
+    """'2:1e-3,5:2e-4' or {"2": 1e-3, "5": 2e-4} -> {2: 1e-3, 5: 2e-4}; '' -> {}."""
+    if isinstance(value, dict):
+        pairs = value.items()
+    else:
+        pairs = [part.split(":") for part in str(value).split(",")] if value != "" else []
+    try:
+        return {int(j): float(a) for j, a in pairs}
+    except (TypeError, ValueError):
+        raise click.ClickException(f"bad amplitudes {value!r}; expected mode:value pairs")
+
+
+# ---------------------------------------------------------------------------
+# parameter tables: (flag, config key, type, default, help); the config key
+# also names the resolved value in the manifest
+# ---------------------------------------------------------------------------
+
+SIMULATE = [
+    ("--b", "b", _UNIT, 0.5, "patch radius parameter"),
+    ("--amplitudes", "amplitudes", _amplitudes, "",
+     "initial deformation, e.g. '2:1e-3,5:2e-4' (empty = flat)"),
+    ("--grid", "grid", click.INT, 64, "theta grid size"),
+    ("--dt", "dt", click.FLOAT, 1e-3, None),
+    ("--t", "T", click.FLOAT, 1.0, "final time"),
+    ("--stride", "stride", click.INT, 100, "record stride"),
+    ("--track", "track", _list_of(int), "", "comma list of modes to track"),
+]
+
+LINEARIZE = [
+    ("--b", "b", _UNIT, 0.5, None),
+    ("--amplitudes", "amplitudes", _amplitudes, "",
+     "deformation at which to linearize (empty = equilibrium)"),
+    ("--grid", "grid", click.INT, 256, None),
+    ("--n", "N", click.INT, 16, "matrix truncation"),
+]
+
+SPECTRUM = [
+    ("--b", "b", _UNIT, 0.5, None),
+    ("--jmax", "jmax", _POSITIVE, 10, None),
+    ("--scan/--no-scan", "scan", click.BOOL, False,
+     "also run the transversality scan over [b0, b1]"),
+    ("--sites", "sites", _list_of(int), "1,2", "tangential set, e.g. 1,2"),
+    ("--b0", "b0", _UNIT, 0.1, None),
+    ("--b1", "b1", _UNIT, 0.9, None),
+    ("--lmax", "lmax", _POSITIVE, 5, None),
+    ("--grid", "grid", click.IntRange(min=2), 2000, None),
+    ("--eps-hat", "eps_hat", click.FLOAT, None,
+     "also run the perturbed scan at this offset size"),
+    ("--seed", "seed", click.INT, None, "seed for the perturbed scan samples"),
+]
+
+CANTOR = [
+    ("--gamma", "gamma", click.FLOAT, 1e-3, None),
+    ("--tau1", "tau1", click.FLOAT, 3.0, None),
+    ("--tau2", "tau2", click.FLOAT, 13.0, None),
+    ("--upsilon", "upsilon", click.FLOAT, 0.5, None),
+    ("--lmax", "lmax", click.INT, 5, None),
+    ("--sites", "sites", _list_of(int), "1,2", "tangential set, e.g. 1,2"),
+    ("--kind", "kind", click.Choice(KINDS), "first-order-Melnikov", None),
+    ("--b0", "b0", _UNIT, 0.1, None),
+    ("--b1", "b1", _UNIT, 0.9, None),
+    ("--curve", "curve", _list_of(float), "", "comma list of gammas for a measure curve"),
+    ("--jobs", "jobs", _POSITIVE, 1,
+     "parallel workers for the measure curve (at most one per CPU and gamma)"),
+]
+
+KAM_TRANSPORT = [
+    ("--amp", "amp", click.FLOAT, 0.1, "f0 = amp cos(theta) perturbation of V0 = 1/2"),
+    ("--v0", "V0", click.FLOAT, 0.5, None),
+    ("--k", "K", click.INT, 16, "phi grid size"),
+    ("--grid", "grid", click.INT, 64, "theta grid size"),
+    ("--steps", "steps", click.INT, 8, None),
+    ("--gamma", "gamma", click.FLOAT, 1e-3, None),
+    ("--upsilon", "upsilon", click.FLOAT, 0.5, None),
+    ("--tau1", "tau1", click.FLOAT, 3.0, None),
+]
+
+KAM_REMAINDER = [
+    ("--n", "N", click.INT, 8, "mode truncation"),
+    ("--l", "L", click.INT, 8, "band truncation"),
+    ("--delta0", "delta0", click.FLOAT, 1e-3, None),
+    ("--seed", "seed", click.INT, None, "seed for the synthetic remainder (required)"),
+    ("--steps", "steps", click.INT, 3, None),
+    ("--b", "b", _UNIT, 0.5, "equilibrium parameter for the diagonal frequencies"),
+    ("--gamma", "gamma", click.FLOAT, 1e-2, None),
+    ("--tau2", "tau2", click.FLOAT, 2.5, None),
+]
+
+
+# ---------------------------------------------------------------------------
+# resolution, artifacts and the manifest
+# ---------------------------------------------------------------------------
 
 def _load_config(path):
     if path is None:
@@ -87,70 +200,21 @@ def _load_config(path):
 
 def _resolve(cfg: dict, key: str, flag, default):
     """Flag value if given, else config-file value, else default."""
-    if flag is not None:
-        return flag
-    return cfg.get(key, default)
+    return flag if flag is not None else cfg.get(key, default)
 
 
-def _outdir(cfg: dict, flag):
-    out = _resolve(cfg, "output_dir", flag, None)
-    if out is None:
-        out = os.environ.get(OUTPUT_DIR_ENV, ".")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write(outdir: str, name: str, text: str):
-    path = os.path.join(outdir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
-
-
-def _write_json(outdir: str, name: str, obj):
-    return _write(outdir, name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _versions():
     vers = {"python": platform.python_version(), "numpy": np.__version__}
-    for pkg in ("sympy", "click", "artifact"):
+    for pkg in ("click", "artifact"):
         try:
             vers[pkg] = metadata.version(pkg)
         except metadata.PackageNotFoundError:
             pass
     return vers
-
-
-def _manifest(outdir: str, subcommand: str, params: dict, t0: float):
-    _write_json(outdir, f"{subcommand}_manifest.json", {
-        "subcommand": subcommand,
-        "config": params,
-        "versions": _versions(),
-        "wall_time_s": time.time() - t0,
-    })
-
-
-def _parse_amplitudes(text: str) -> dict:
-    """\"2:1e-3,5:2e-4\" -> {2: 1e-3, 5: 2e-4}; empty string -> {}."""
-    out = {}
-    if not text:
-        return out
-    for part in text.split(","):
-        try:
-            j, a = part.split(":")
-            out[int(j)] = float(a)
-        except ValueError:
-            raise click.ClickException(
-                f"bad amplitude entry {part!r}; expected mode:value")
-    return out
-
-
-def _parse_sites(text: str) -> tuple:
-    try:
-        sites = tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise click.ClickException(f"bad site list {text!r}; expected e.g. 1,2")
-    return sites
 
 
 @click.group()
@@ -159,348 +223,191 @@ def cli():
     measure estimates, and finite-truncation reduction engines."""
 
 
-# ---------------------------------------------------------------------------
-# simulate
-# ---------------------------------------------------------------------------
+def _command(name: str, table: list):
+    """Register ``fn(p, emit)`` as subcommand ``name``: one option per table
+    row plus --config and --output-dir.
 
-@cli.command()
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="JSON config file; flags override its values.")
-@click.option("--b", type=float, default=None, help="patch radius parameter")
-@click.option("--amplitudes", default=None,
-              help="initial deformation, e.g. '2:1e-3,5:2e-4' (empty = flat)")
-@click.option("--grid", "m_grid", type=int, default=None, help="theta grid size")
-@click.option("--dt", type=float, default=None)
-@click.option("--t", "t_final", type=float, default=None, help="final time")
-@click.option("--stride", type=int, default=None, help="record stride")
-@click.option("--track", default=None, help="comma list of modes to track")
-@click.option("--output-dir", default=None)
-def simulate(config_path, b, amplitudes, m_grid, dt, t_final, stride, track,
-             output_dir):
-    """Nonlinear contour-dynamics run; writes trajectory CSV and summary."""
-    t0 = time.time()
-    cfg = _load_config(config_path)
-    b = float(_resolve(cfg, "b", b, 0.5))
-    amps_text = _resolve(cfg, "amplitudes", amplitudes, "")
-    amps = amps_text if isinstance(amps_text, dict) else _parse_amplitudes(amps_text)
-    amps = {int(j): float(a) for j, a in amps.items()}
-    M = int(_resolve(cfg, "grid", m_grid, 64))
-    dt = float(_resolve(cfg, "dt", dt, 1e-3))
-    T = float(_resolve(cfg, "T", t_final, 1.0))
-    stride = int(_resolve(cfg, "stride", stride, 100))
-    track_text = _resolve(cfg, "track", track, "")
-    modes = tuple(int(s) for s in track_text.split(",")) if track_text else ()
-    outdir = _outdir(cfg, output_dir)
+    ``p`` maps each config key to its resolved, converted value before ``fn``
+    runs, and is what the manifest records.  ``emit(artifacts)`` writes
+    {file name: CSV text or JSON object} and the manifest into the output
+    directory and returns its path.
+    """
+    def register(fn):
+        def run(config_path, output_dir, **flags):
+            t0 = time.time()
+            cfg = _load_config(config_path)
+            p = {}
+            for _, key, kind, default, _ in table:
+                value = _resolve(cfg, key, flags[key], default)
+                p[key] = None if value is None else kind(value)
+            outdir = _resolve(cfg, "output_dir", output_dir, None)
+            if outdir is None:
+                outdir = os.environ.get(OUTPUT_DIR_ENV, ".")
+            try:
+                os.makedirs(outdir, exist_ok=True)
+            except OSError as exc:
+                raise click.ClickException(f"cannot create the output directory: {exc}")
 
+            def emit(artifacts: dict) -> str:
+                manifest = {"subcommand": name, "config": p, "versions": _versions(),
+                            "wall_time_s": time.time() - t0}
+                for fname, data in {**artifacts, f"{name}_manifest.json": manifest}.items():
+                    with open(os.path.join(outdir, fname), "w") as fh:
+                        fh.write(data if isinstance(data, str) else _json(data))
+                return outdir
+
+            fn(p, emit)
+
+        run.__doc__ = fn.__doc__
+        run = click.option("--output-dir", "output_dir", default=None)(run)
+        for flag, key, kind, _, help_ in reversed(table):
+            ctype = kind if isinstance(kind, click.ParamType) else click.STRING
+            run = click.option(flag, key, type=ctype, default=None, help=help_)(run)
+        run = click.option("--config", "config_path", type=click.Path(), default=None,
+                           help="JSON config file; flags override its values.")(run)
+        return cli.command(name)(run)
+    return register
+
+
+def _seed_state(p: dict):
     try:
-        state = quasi_periodic_seed(b, amps, M=M)
+        return quasi_periodic_seed(p["b"], p["amplitudes"], M=p["grid"])
     except DegeneratePatchError as exc:
         raise click.ClickException(str(exc))
-    traj = run_simulation(state, EvolutionConfig(dt=dt, T=T, record_stride=stride,
-                                                 track_modes=modes))
-    _write(outdir, "simulate_trajectory.csv", trajectory_to_csv(traj))
-    _write_json(outdir, "simulate_summary.json", trajectory_summary(traj))
-    params = {"b": b, "amplitudes": {str(j): a for j, a in sorted(amps.items())},
-              "grid": M, "dt": dt, "T": T, "stride": stride,
-              "track": sorted(modes)}
-    _manifest(outdir, "simulate", params, t0)
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+@_command("simulate", SIMULATE)
+def simulate(p, emit):
+    """Nonlinear contour-dynamics run; writes trajectory CSV and summary."""
+    state = _seed_state(p)
+    config = EvolutionConfig(dt=p["dt"], T=p["T"], record_stride=p["stride"],
+                             track_modes=p["track"])
+    traj = run_simulation(state, config)
+    outdir = emit({"simulate_trajectory.csv": trajectory_to_csv(traj),
+                   "simulate_summary.json": trajectory_summary(traj)})
     if traj.aborted:
         raise InvariantViolation(f"simulation aborted: {traj.abort_reason}")
     click.echo(f"simulate: {len(traj.snapshots)} snapshots written to {outdir}")
 
 
-# ---------------------------------------------------------------------------
-# linearize
-# ---------------------------------------------------------------------------
-
-@cli.command("linearize")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--b", type=float, default=None)
-@click.option("--amplitudes", default=None,
-              help="deformation at which to linearize (empty = equilibrium)")
-@click.option("--grid", "m_grid", type=int, default=None)
-@click.option("--n", "n_modes", type=int, default=None, help="matrix truncation")
-@click.option("--output-dir", default=None)
-def linearize_cmd(config_path, b, amplitudes, m_grid, n_modes, output_dir):
+@_command("linearize", LINEARIZE)
+def linearize_cmd(p, emit):
     """Assemble the linearized generator; writes matrix and eigenvalue CSVs."""
-    t0 = time.time()
-    cfg = _load_config(config_path)
-    b = float(_resolve(cfg, "b", b, 0.5))
-    amps_text = _resolve(cfg, "amplitudes", amplitudes, "")
-    amps = amps_text if isinstance(amps_text, dict) else _parse_amplitudes(amps_text)
-    amps = {int(j): float(a) for j, a in amps.items()}
-    M = int(_resolve(cfg, "grid", m_grid, 256))
-    N = int(_resolve(cfg, "N", n_modes, 16))
-    outdir = _outdir(cfg, output_dir)
-
-    try:
-        state = quasi_periodic_seed(b, amps, M=M)
-    except DegeneratePatchError as exc:
-        raise click.ClickException(str(exc))
-    pieces = linearize(state, N)
-    _write(outdir, "linearize_matrix.csv", matrix_to_csv(pieces.assembled))
-    _write(outdir, "linearize_spectrum.csv", spectrum_to_csv(pieces.assembled))
-    params = {"b": b, "amplitudes": {str(j): a for j, a in sorted(amps.items())},
-              "grid": M, "N": N}
-    _manifest(outdir, "linearize", params, t0)
+    op = assemble(_seed_state(p), p["N"])
+    outdir = emit({"linearize_matrix.csv": matrix_to_csv(op),
+                   "linearize_spectrum.csv": spectrum_to_csv(op)})
     click.echo(f"linearize: matrix and spectrum written to {outdir}")
 
 
-# ---------------------------------------------------------------------------
-# spectrum
-# ---------------------------------------------------------------------------
-
-@cli.command()
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--b", type=float, default=None)
-@click.option("--jmax", type=int, default=None)
-@click.option("--scan/--no-scan", "do_scan", default=None,
-              help="also run the transversality scan over [b0, b1]")
-@click.option("--sites", default=None, help="tangential set, e.g. 1,2")
-@click.option("--b0", type=float, default=None)
-@click.option("--b1", type=float, default=None)
-@click.option("--lmax", type=int, default=None)
-@click.option("--grid", "scan_grid", type=int, default=None)
-@click.option("--eps-hat", type=float, default=None,
-              help="also run the perturbed scan at this offset size")
-@click.option("--seed", type=int, default=None,
-              help="seed for the perturbed scan samples")
-@click.option("--output-dir", default=None)
-def spectrum(config_path, b, jmax, do_scan, sites, b0, b1, lmax, scan_grid,
-             eps_hat, seed, output_dir):
+@_command("spectrum", SPECTRUM)
+def spectrum(p, emit):
     """Equilibrium frequency table; optional transversality scan."""
-    t0 = time.time()
-    cfg = _load_config(config_path)
-    b = float(_resolve(cfg, "b", b, 0.5))
-    jmax = int(_resolve(cfg, "jmax", jmax, 10))
-    if not 0.0 < b < 1.0:
-        raise click.ClickException("b must lie in (0, 1)")
-    if jmax < 1:
-        raise click.ClickException("jmax must be >= 1")
-    outdir = _outdir(cfg, output_dir)
+    perturbed = p["scan"] and p["eps_hat"] is not None
+    if perturbed and p["seed"] is None:
+        raise click.ClickException("--seed is required for the perturbed scan")
+    sysf = FrequencySystem(p["sites"], p["b0"], p["b1"]) if p["scan"] else None
 
+    b = p["b"]
     lines = ["j,omega"]
-    for j in range(1, jmax + 1):
+    for j in range(1, p["jmax"] + 1):
         val = float(omega(b, j))
         lines.append(f"{j},{_fmt(val)}")
         click.echo(f"Omega_{j}({b}) = {val:.17g}")
-    _write(outdir, "spectrum_omega.csv", "\n".join(lines) + "\n")
-
-    do_scan = bool(_resolve(cfg, "scan", do_scan, False))
-    params = {"b": b, "jmax": jmax, "scan": do_scan}
-    if do_scan:
-        sites_t = _parse_sites(_resolve(cfg, "sites", sites, "1,2"))
-        b0 = float(_resolve(cfg, "b0", b0, 0.1))
-        b1 = float(_resolve(cfg, "b1", b1, 0.9))
-        lmax_v = int(_resolve(cfg, "lmax", lmax, 5))
-        grid = int(_resolve(cfg, "grid", scan_grid, 2000))
-        sysf = FrequencySystem(sites_t, b0, b1)
-        rep = transversality_scan(sysf, Lmax=lmax_v, grid_size=grid)
-        _write_json(outdir, "spectrum_scan.json", scan_report_json(rep))
-        _write(outdir, "spectrum_scan.csv", scan_report_csv(rep))
+    artifacts = {"spectrum_omega.csv": "\n".join(lines) + "\n"}
+    if sysf is not None:
+        rep = transversality_scan(sysf, Lmax=p["lmax"], grid_size=p["grid"])
+        artifacts["spectrum_scan.json"] = scan_report_json(rep)
+        artifacts["spectrum_scan.csv"] = scan_report_csv(rep)
         click.echo(f"transversality: rho0_hat = {rep.rho0_hat:.6g} "
                    f"(case {rep.case})")
-        eps = _resolve(cfg, "eps_hat", eps_hat, None)
-        if eps is not None:
-            seed_v = _resolve(cfg, "seed", seed, None)
-            if seed_v is None:
-                raise click.ClickException(
-                    "--seed is required for the perturbed scan")
-            out = perturbed_transversality(sysf, eps_hat=float(eps),
-                                           Lmax=lmax_v, grid_size=grid,
-                                           seed=int(seed_v), baseline=rep)
-            _write_json(outdir, "spectrum_scan_perturbed.json", out)
+        if perturbed:
+            out = perturbed_transversality(sysf, eps_hat=p["eps_hat"], Lmax=p["lmax"],
+                                           grid_size=p["grid"], seed=p["seed"],
+                                           baseline=rep)
+            artifacts["spectrum_scan_perturbed.json"] = out
             click.echo(f"perturbed: rho0_hat = {out['rho0_hat_perturbed']:.6g}, "
                        f"retains_half = {out['retains_half']}")
-            params.update({"eps_hat": float(eps), "seed": int(seed_v)})
-        params.update({"sites": list(sites_t), "b0": b0, "b1": b1,
-                       "lmax": lmax_v, "grid": grid})
-    _manifest(outdir, "spectrum", params, t0)
+    emit(artifacts)
 
 
-# ---------------------------------------------------------------------------
-# cantor
-# ---------------------------------------------------------------------------
-
-def _curve_point(args):
-    """Excluded measure for one gamma (picklable --jobs work item)."""
-    sites, b0, b1, gamma, kwargs = args
-    sysf = FrequencySystem(sites, b0, b1)
-    rep = excluded_measure(sysf, DiophantineSpec(gamma=gamma, **kwargs))
-    return rep.total
+def _curve_point(item):
+    """Excluded measure for one (system, spec) pair (picklable --jobs work item)."""
+    sysf, spec = item
+    return excluded_measure(sysf, spec).total
 
 
-@cli.command()
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--tau1", type=float, default=None)
-@click.option("--tau2", type=float, default=None)
-@click.option("--upsilon", type=float, default=None)
-@click.option("--lmax", type=int, default=None)
-@click.option("--sites", default=None, help="tangential set, e.g. 1,2")
-@click.option("--kind", default=None,
-              type=click.Choice(["transport", "first-order-Melnikov",
-                                 "second-order-Melnikov"]))
-@click.option("--b0", type=float, default=None)
-@click.option("--b1", type=float, default=None)
-@click.option("--curve", default=None,
-              help="comma list of gammas for a measure curve")
-@click.option("--jobs", type=int, default=None,
-              help="parallel workers for the measure curve")
-@click.option("--output-dir", default=None)
-def cantor(config_path, gamma, tau1, tau2, upsilon, lmax, sites, kind, b0, b1,
-           curve, jobs, output_dir):
+@_command("cantor", CANTOR)
+def cantor(p, emit):
     """Diophantine exclusion intervals, measure totals, Russmann checks."""
-    t0 = time.time()
-    cfg = _load_config(config_path)
-    gamma = float(_resolve(cfg, "gamma", gamma, 1e-3))
-    tau1 = float(_resolve(cfg, "tau1", tau1, 3.0))
-    tau2 = float(_resolve(cfg, "tau2", tau2, 13.0))
-    upsilon = float(_resolve(cfg, "upsilon", upsilon, 0.5))
-    lmax = int(_resolve(cfg, "lmax", lmax, 5))
-    sites_t = _parse_sites(_resolve(cfg, "sites", sites, "1,2"))
-    kind = _resolve(cfg, "kind", kind, "first-order-Melnikov")
-    b0 = float(_resolve(cfg, "b0", b0, 0.1))
-    b1 = float(_resolve(cfg, "b1", b1, 0.9))
-    outdir = _outdir(cfg, output_dir)
+    sysf = FrequencySystem(p["sites"], p["b0"], p["b1"])
+    spec = DiophantineSpec(gamma=p["gamma"], tau1=p["tau1"], tau2=p["tau2"],
+                           upsilon=p["upsilon"], Lmax=p["lmax"], kind=p["kind"])
+    curve = [replace(spec, gamma=g) for g in p["curve"]]
+    p["jobs"] = min(p["jobs"], os.cpu_count() or 1, max(len(curve), 1))
 
-    sysf = FrequencySystem(sites_t, b0, b1)
-    spec = DiophantineSpec(gamma=gamma, tau1=tau1, tau2=tau2, upsilon=upsilon,
-                           Lmax=lmax, kind=kind)
     rep = excluded_measure(sysf, spec)
-    _write(outdir, "cantor_intervals.csv", excluded_to_csv(rep))
-    _write_json(outdir, "cantor_summary.json", excluded_summary_json(rep))
+    artifacts = {"cantor_intervals.csv": excluded_to_csv(rep),
+                 "cantor_summary.json": excluded_summary_json(rep)}
     if rep.russmann_violations:
+        emit(artifacts)
         raise InvariantViolation(
             f"Russmann interval bound violated on "
             f"{rep.russmann_violations} excluded intervals")
     click.echo(f"cantor: excluded measure {rep.total:.17g} "
                f"({len(rep.rows)} intervals, 0 Russmann violations)")
 
-    params = {"gamma": gamma, "tau1": tau1, "tau2": tau2, "upsilon": upsilon,
-              "lmax": lmax, "sites": list(sites_t), "kind": kind,
-              "b0": b0, "b1": b1}
-    curve_text = _resolve(cfg, "curve", curve, "")
-    if curve_text:
-        gammas = [float(g) for g in str(curve_text).split(",")]
-        jobs_v = int(_resolve(cfg, "jobs", jobs, 1))
-        kwargs = dict(tau1=tau1, tau2=tau2, upsilon=upsilon, Lmax=lmax,
-                      kind=kind)
-        items = [(sites_t, b0, b1, g, kwargs) for g in gammas]
-        if jobs_v > 1:
-            with concurrent.futures.ProcessPoolExecutor(jobs_v) as pool:
+    if curve:
+        items = [(sysf, s) for s in curve]
+        if p["jobs"] > 1:
+            with ProcessPoolExecutor(max_workers=p["jobs"]) as pool:
                 totals = list(pool.map(_curve_point, items))
         else:
             totals = [_curve_point(it) for it in items]
         # canonical ordering: by input index, independent of worker order
         lines = ["gamma,excluded_measure"]
-        for g, m in zip(gammas, totals):
-            lines.append(f"{_fmt(g)},{_fmt(m)}")
-        _write(outdir, "cantor_curve.csv", "\n".join(lines) + "\n")
-        params.update({"curve": gammas, "jobs": jobs_v})
-    _manifest(outdir, "cantor", params, t0)
+        lines += [f"{_fmt(s.gamma)},{_fmt(m)}" for s, m in zip(curve, totals)]
+        artifacts["cantor_curve.csv"] = "\n".join(lines) + "\n"
+    emit(artifacts)
 
 
-# ---------------------------------------------------------------------------
-# kam-transport
-# ---------------------------------------------------------------------------
-
-@cli.command("kam-transport")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--amp", type=float, default=None,
-              help="f0 = amp cos(theta) perturbation of V0 = 1/2")
-@click.option("--v0", type=float, default=None)
-@click.option("--k", "k_grid", type=int, default=None, help="phi grid size")
-@click.option("--grid", "m_grid", type=int, default=None, help="theta grid size")
-@click.option("--steps", type=int, default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--upsilon", type=float, default=None)
-@click.option("--tau1", type=float, default=None)
-@click.option("--output-dir", default=None)
-def kam_transport(config_path, amp, v0, k_grid, m_grid, steps, gamma, upsilon,
-                  tau1, output_dir):
+@_command("kam-transport", KAM_TRANSPORT)
+def kam_transport(p, emit):
     """Straighten omega . d_phi + (V0 + amp cos theta) d_theta."""
-    t0 = time.time()
-    cfg = _load_config(config_path)
-    amp = float(_resolve(cfg, "amp", amp, 0.1))
-    v0 = float(_resolve(cfg, "V0", v0, 0.5))
-    K = int(_resolve(cfg, "K", k_grid, 16))
-    M = int(_resolve(cfg, "grid", m_grid, 64))
-    steps = int(_resolve(cfg, "steps", steps, 8))
-    gamma = float(_resolve(cfg, "gamma", gamma, 1e-3))
-    upsilon = float(_resolve(cfg, "upsilon", upsilon, 0.5))
-    tau1 = float(_resolve(cfg, "tau1", tau1, 3.0))
-    outdir = _outdir(cfg, output_dir)
-
-    th = theta_grid(M)
-    f0 = PeriodicField(np.broadcast_to(amp * np.cos(th), (K, M)).copy())
-    prob = TransportProblem(golden_frequency(1), f0, V0=v0, gamma=gamma,
-                            upsilon=upsilon, tau1=tau1)
-    res = straighten_transport(prob, steps=steps)
-    _write(outdir, "kam_transport_history.csv", transport_history_csv(res))
-    _write_json(outdir, "kam_transport_result.json", {
-        "V_infty": res.V_infty,
-        "reducible": res.reducible,
-        "steps": len(res.history),
-    })
-    params = {"amp": amp, "V0": v0, "K": K, "grid": M, "steps": steps,
-              "gamma": gamma, "upsilon": upsilon, "tau1": tau1}
-    _manifest(outdir, "kam-transport", params, t0)
+    th = theta_grid(p["grid"])
+    f0 = PeriodicField(np.broadcast_to(p["amp"] * np.cos(th), (p["K"], p["grid"])).copy())
+    prob = TransportProblem(golden_frequency(1), f0, V0=p["V0"], gamma=p["gamma"],
+                            upsilon=p["upsilon"], tau1=p["tau1"])
+    res = straighten_transport(prob, steps=p["steps"])
+    emit({"kam_transport_history.csv": transport_history_csv(res),
+          "kam_transport_result.json": {"V_infty": res.V_infty,
+                                        "reducible": res.reducible,
+                                        "steps": len(res.history)}})
     click.echo(f"kam-transport: V_infty = {res.V_infty:.12f}, "
                f"reducible = {res.reducible}")
 
 
-# ---------------------------------------------------------------------------
-# kam-remainder
-# ---------------------------------------------------------------------------
-
-@cli.command("kam-remainder")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--n", "n_modes", type=int, default=None, help="mode truncation")
-@click.option("--l", "l_bands", type=int, default=None, help="band truncation")
-@click.option("--delta0", type=float, default=None)
-@click.option("--seed", type=int, default=None,
-              help="seed for the synthetic remainder (required)")
-@click.option("--steps", type=int, default=None)
-@click.option("--b", type=float, default=None,
-              help="equilibrium parameter for the diagonal frequencies")
-@click.option("--gamma", type=float, default=None)
-@click.option("--tau2", type=float, default=None)
-@click.option("--output-dir", default=None)
-def kam_remainder(config_path, n_modes, l_bands, delta0, seed, steps, b,
-                  gamma, tau2, output_dir):
+@_command("kam-remainder", KAM_REMAINDER)
+def kam_remainder(p, emit):
     """Reduce a synthetic reversible remainder around diag(i Omega_j(b))."""
-    t0 = time.time()
-    cfg = _load_config(config_path)
-    N = int(_resolve(cfg, "N", n_modes, 8))
-    L = int(_resolve(cfg, "L", l_bands, 8))
-    delta0 = float(_resolve(cfg, "delta0", delta0, 1e-3))
-    seed = _resolve(cfg, "seed", seed, None)
-    if seed is None:
-        raise click.ClickException(
-            "--seed is mandatory for randomized synthetic input")
-    steps = int(_resolve(cfg, "steps", steps, 3))
-    b = float(_resolve(cfg, "b", b, 0.5))
-    gamma = float(_resolve(cfg, "gamma", gamma, 1e-2))
-    tau2 = float(_resolve(cfg, "tau2", tau2, 2.5))
-    outdir = _outdir(cfg, output_dir)
-
-    R = synthetic_reversible_remainder(N, L, delta0, seed=int(seed))
+    if p["seed"] is None:
+        raise click.ClickException("--seed is mandatory for randomized synthetic input")
+    N, b = p["N"], p["b"]
+    R = synthetic_reversible_remainder(N, p["L"], p["delta0"], seed=p["seed"])
     jm = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
     mu = np.array([float(omega(b, int(j))) for j in jm])
     state = ReductionState(omega=golden_frequency(1), mu=mu, R=R)
     try:
-        res = run_remainder_kam(state, steps=steps, gamma=gamma, tau2=tau2)
+        res = run_remainder_kam(state, steps=p["steps"], gamma=p["gamma"], tau2=p["tau2"])
     except AssertionError as exc:
         raise InvariantViolation(str(exc))
-    _write(outdir, "kam_remainder_history.csv", remainder_history_csv(res))
-    _write_json(outdir, "kam_remainder_spectrum.json",
-                spectrum_table_json(res, b=b, V_infty=0.5))
-    params = {"N": N, "L": L, "delta0": delta0, "seed": int(seed),
-              "steps": steps, "b": b, "gamma": gamma, "tau2": tau2}
-    _manifest(outdir, "kam-remainder", params, t0)
+    emit({"kam_remainder_history.csv": remainder_history_csv(res),
+          "kam_remainder_spectrum.json": spectrum_table_json(res, b=b, V_infty=0.5)})
     final = res.history[-1][1]
-    click.echo(f"kam-remainder: delta after {steps} steps = {final:.6e}")
+    click.echo(f"kam-remainder: delta after {p['steps']} steps = {final:.6e}")
 
 
 def main(argv=None):

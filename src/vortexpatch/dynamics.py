@@ -44,6 +44,7 @@ from .geometry import (
 )
 from .spectral import (
     PeriodicField,
+    _fmt,
     k1_multiplier_coeffs,
     k2_multiplier_coeffs,
     shifted_kernel_integral,
@@ -94,7 +95,7 @@ def velocity_functional(state: PatchState) -> PeriodicField:
 
     # F1 with the mixed derivative of R(theta) R(eta) sin(eta - theta)
     D = dRt * dRe * sd + dRt * Re_ * cd - Rt * dRe * cd + Rt * Re_ * sd
-    lv = log_v1(state).values
+    lv = log_v1(state)
     F1 = (
         shifted_kernel_integral(D, k1_multiplier_coeffs(M))
         + np.log(2.0 * b) * D.mean(axis=1)
@@ -103,7 +104,7 @@ def velocity_functional(state: PatchState) -> PeriodicField:
 
     # F2 with the mixed derivative of (R(eta)/R(theta)) sin(eta - theta)
     D2 = (-dRe * cd + Re_ * sd) / Rt - (dRe * sd + Re_ * cd) * dRt / Rt ** 2
-    kr = log_one_plus_P_half(state).values
+    kr = log_one_plus_P_half(state)
     F2 = shifted_kernel_integral(D2, k2_multiplier_coeffs(M, b)) + (kr * D2).mean(axis=1)
 
     return PeriodicField(-F0 - F1 + F2)
@@ -266,13 +267,8 @@ def _alias_tail_sum(M: int) -> float:
     return head + tail
 
 
-def energy(state: PatchState, radial_quad_points: int | None = None) -> float:
-    """Kinetic energy E(r).
-
-    ``radial_quad_points`` is accepted for interface compatibility and
-    ignored: the radial integrals are evaluated in closed form, which is
-    strictly more accurate than any fixed Gauss rule here.
-    """
+def energy(state: PatchState) -> float:
+    """Kinetic energy E(r); the radial integrals are evaluated in closed form."""
     state.require_inside_disc()
     R = state.R
     delta = pair_trig(state.M)[0]
@@ -354,16 +350,19 @@ def _rhs(b: float, values: np.ndarray) -> np.ndarray:
     return -dealias(velocity_functional(st).values)
 
 
-def step(state: PatchState, dt: float) -> PatchState:
-    """One classical RK4 step of d_t r = -F_b[r], then 2/3 dealiasing."""
-    b = state.b
-    r = state.r.values
+def _rk4_increment(b: float, r: np.ndarray, dt: float) -> np.ndarray:
+    """The classical RK4 increment (dt/6)(k1 + 2 k2 + 2 k3 + k4) of d_t r = -F_b[r]."""
     k1 = _rhs(b, r)
     k2 = _rhs(b, r + 0.5 * dt * k1)
     k3 = _rhs(b, r + 0.5 * dt * k2)
     k4 = _rhs(b, r + dt * k3)
-    rn = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return PatchState(b, PeriodicField(dealias(rn)))
+    return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def step(state: PatchState, dt: float) -> PatchState:
+    """One classical RK4 step of d_t r = -F_b[r], then 2/3 dealiasing."""
+    rn = state.r.values + _rk4_increment(state.b, state.r.values, dt)
+    return PatchState(state.b, PeriodicField(dealias(rn)))
 
 
 def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
@@ -388,7 +387,7 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
         for j in config.track_modes:
             series[j].append(complex(np.mean(st.r.values * probes[j])))
 
-    # The loop repeats step()'s RK4 arithmetic with two refinements that only
+    # The loop takes step()'s RK4 increment with two refinements that only
     # matter for long drift diagnostics: compensated (Kahan) accumulation of
     # the state update, and no per-step re-projection — the right-hand side is
     # already projected, so with band-limited initial data the post-step 2/3
@@ -402,12 +401,7 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
     track(0.0, current)
     for n in range(1, nsteps + 1):
         try:
-            k1 = _rhs(b, r)
-            k2 = _rhs(b, r + 0.5 * dt * k1)
-            k3 = _rhs(b, r + 0.5 * dt * k2)
-            k4 = _rhs(b, r + dt * k3)
-            inc = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            y = inc - comp
+            y = _rk4_increment(b, r, dt) - comp
             rn = r + y
             comp = (rn - r) - y
             r = rn
@@ -444,11 +438,6 @@ def quasi_periodic_seed(b: float, amplitudes: dict, M: int = 128) -> PatchState:
 # ---------------------------------------------------------------------------
 # trajectory export
 # ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    """Full-precision scientific notation (17 significant digits)."""
-    return format(float(x), ".16e")
-
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Diagnostics table: time, mean, hamiltonian, h_s_norm, then one pair of

@@ -29,7 +29,6 @@ __all__ = [
     "DegeneratePatchError",
     "BoundaryContactError",
     "PatchState",
-    "KernelTable",
     "kernel_A",
     "kernel_B",
     "kernel_P",
@@ -90,18 +89,6 @@ class PatchState:
             raise BoundaryContactError("patch touches the unit circle: max R > 1 - 1e-6")
 
 
-class KernelTable:
-    """Dense M x M samples of a two-point kernel k(theta, eta)."""
-
-    def __init__(self, values: np.ndarray, symmetric: bool = False):
-        self.values = np.asarray(values)
-        self.symmetric = symmetric
-
-    @property
-    def M(self) -> int:
-        return self.values.shape[0]
-
-
 @functools.lru_cache(maxsize=32)
 def pair_trig(M: int):
     """Cached (delta, sin delta, cos delta, sin(delta/2)) tables with
@@ -119,27 +106,26 @@ def _pair_grids(state: PatchState):
     return Rt, Re, delta
 
 
-def kernel_A(state: PatchState) -> KernelTable:
+def kernel_A(state: PatchState) -> np.ndarray:
     """A_r via the stable form ((R(theta)-R(eta))^2 + 4 R R sin^2((eta-theta)/2))^{1/2}."""
     Rt, Re, _ = _pair_grids(state)
     sh = pair_trig(state.M)[3]
     diff2 = (Rt - Re) ** 2
     vals = np.sqrt(diff2 + 4.0 * Rt * Re * sh * sh)
     np.fill_diagonal(vals, 0.0)
-    return KernelTable(vals, symmetric=True)
+    return vals
 
 
-def kernel_B(state: PatchState) -> KernelTable:
+def kernel_B(state: PatchState) -> np.ndarray:
     """B_r = |1 - R(theta) R(eta) e^{i(eta-theta)}| (smooth, bounded below)."""
     state.require_inside_disc()
     Rt, Re, _ = _pair_grids(state)
     cs = pair_trig(state.M)[2]
     prod = Rt * Re
-    vals = np.sqrt(prod * prod - 2.0 * prod * cs + 1.0)
-    return KernelTable(vals, symmetric=True)
+    return np.sqrt(prod * prod - 2.0 * prod * cs + 1.0)
 
 
-def kernel_P(state: PatchState) -> KernelTable:
+def kernel_P(state: PatchState) -> np.ndarray:
     """P_r with B_r^2 = B_0^2 (1 + P_r); P_0 = 0.
 
     P_r = ((R R)^2 - b^4 - 2 (R R - b^2) cos) / (1 + b^4 - 2 b^2 cos).
@@ -151,10 +137,10 @@ def kernel_P(state: PatchState) -> KernelTable:
     cs = pair_trig(state.M)[2]
     B0sq = 1.0 + b2 * b2 - 2.0 * b2 * cs
     num = (prod * prod - b2 * b2) - 2.0 * (prod - b2) * cs
-    return KernelTable(num / B0sq, symmetric=True)
+    return num / B0sq
 
 
-def diagonal_difference_quotient(f: PeriodicField) -> KernelTable:
+def diagonal_difference_quotient(f: PeriodicField) -> np.ndarray:
     """g(theta, eta) = (f(eta) - f(theta))/sin((eta-theta)/2), g(theta,theta) = 2 f'(theta)."""
     vals = f.values
     M = len(vals)
@@ -162,31 +148,27 @@ def diagonal_difference_quotient(f: PeriodicField) -> KernelTable:
     np.fill_diagonal(s, 1.0)  # placeholder, diagonal overwritten below
     g = (vals[None, :] - vals[:, None]) / s
     np.fill_diagonal(g, 2.0 * spectral_derivative(vals))
-    # (f(eta)-f(theta)) and sin((eta-theta)/2) both flip sign under swap
-    return KernelTable(g, symmetric=True)
+    return g
 
 
-def smooth_factor_v1(state: PatchState) -> KernelTable:
+def smooth_factor_v1(state: PatchState) -> np.ndarray:
     """The smooth factor v1 with A_r = 2 b |sin((eta-theta)/2)| v1.
 
     v1 = sqrt((g/(2b))^2 + R(theta) R(eta)/b^2) where g is the difference
     quotient of R; on the diagonal this is sqrt(R'^2 + R^2)/b.
     """
     Rfield = PeriodicField(state.R)
-    g = diagonal_difference_quotient(Rfield).values
+    g = diagonal_difference_quotient(Rfield)
     Rt, Re, _ = _pair_grids(state)
     b = state.b
-    vals = np.sqrt((g / (2.0 * b)) ** 2 + Rt * Re / (b * b))
-    return KernelTable(vals, symmetric=True)
+    return np.sqrt((g / (2.0 * b)) ** 2 + Rt * Re / (b * b))
 
 
-def log_v1(state: PatchState) -> KernelTable:
+def log_v1(state: PatchState) -> np.ndarray:
     """log v1: the smooth part of log A_r = log(2b) + K1(eta-theta) + log v1."""
-    v = smooth_factor_v1(state).values
-    return KernelTable(np.log(v), symmetric=True)
+    return np.log(smooth_factor_v1(state))
 
 
-def log_one_plus_P_half(state: PatchState) -> KernelTable:
+def log_one_plus_P_half(state: PatchState) -> np.ndarray:
     """(1/2) log(1 + P_r): the smooth part of log B_r = K2(eta-theta) + (1/2)log(1+P_r)."""
-    P = kernel_P(state).values
-    return KernelTable(0.5 * np.log1p(P), symmetric=True)
+    return 0.5 * np.log1p(kernel_P(state))

@@ -17,7 +17,6 @@ asserted after every step.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,11 +25,12 @@ import numpy as np
 from .spectral import (
     LinearOperatorMatrix,
     PeriodicField,
+    _fmt,
     _mode_numbers,
     offdiag_norm,
     theta_grid,
 )
-from .spectrum import omega as omega_eq
+from .spectrum import _lattice, omega as omega_eq
 
 __all__ = [
     "smooth_cutoff",
@@ -293,8 +293,7 @@ def straighten_transport(prob: TransportProblem, steps: int = 8,
 def transport_history_csv(result: TransportResult) -> str:
     lines = ["m,delta_s0,delta_sh,cut_fraction,V_m"]
     for m, d0, dh, frac, V in result.history:
-        lines.append(f"{m},{format(d0, '.16e')},{format(dh, '.16e')},"
-                     f"{format(frac, '.16e')},{format(V, '.16e')}")
+        lines.append(f"{m},{_fmt(d0)},{_fmt(dh)},{_fmt(frac)},{_fmt(V)}")
     return "\n".join(lines) + "\n"
 
 
@@ -338,14 +337,8 @@ def _structure_project(op: LinearOperatorMatrix) -> LinearOperatorMatrix:
     the 1e-16 level; the projection restores it exactly and is the identity
     in exact arithmetic.
     """
-    a = op.entries.imag.copy()
-    mirrored = np.zeros_like(a)
-    bpos = {tuple(int(x) for x in m): i for i, m in enumerate(op.bands)}
-    for bi, m in enumerate(op.bands):
-        mi = bpos.get(tuple(int(-x) for x in m))
-        if mi is not None:
-            mirrored[bi] = a[mi][::-1, ::-1]
-    return LinearOperatorMatrix(op.N, 1j * 0.5 * (a - mirrored), op.bands)
+    a = op.entries.imag
+    return LinearOperatorMatrix(op.N, 1j * 0.5 * (a - op._mirrored(a)), op.bands)
 
 
 def synthetic_reversible_remainder(N: int, L: int, delta0: float,
@@ -359,33 +352,29 @@ def synthetic_reversible_remainder(N: int, L: int, delta0: float,
     """
     rng = np.random.default_rng(seed)
     jm = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
-    bands = np.array([m for m in itertools.product(range(-L, L + 1), repeat=d)
-                      if sum(abs(x) for x in m) <= L], dtype=int)
+    bands = np.array(list(_lattice(d, L)), dtype=int)
     a = rng.uniform(-1.0, 1.0, (len(bands), 2 * N, 2 * N))
     dj = np.maximum(1, np.abs(jm[:, None] - jm[None, :]))
     mj = np.maximum(np.abs(jm[:, None]), np.abs(jm[None, :]))
-    bpos = {tuple(int(x) for x in m): i for i, m in enumerate(bands)}
     for bi, m in enumerate(bands):
         labs = int(np.sum(np.abs(m)))
         a[bi] *= delta0 * np.exp(-0.5 * labs) / (dj ** 2 * mj)
-    # exact odd mirror: a(-l,-j,-j0) = -a(l,j,j0); pair each band with its
-    # negation once (lexicographically positive representative)
-    for bi, m in enumerate(bands):
-        key = tuple(int(x) for x in m)
-        neg = tuple(-x for x in key)
-        if key > neg:
-            a[bi] = -a[bpos[neg]][::-1, ::-1]
-        elif key == neg:
-            a[bi] = 0.5 * (a[bi] - a[bi][::-1, ::-1])
+    # exact odd mirror a(-l,-j,-j0) = -a(l,j,j0): the lattice lists -l at the
+    # reversed position of l, so the bands after l = 0 become the negated
+    # mirrors of the bands before it, and the l = 0 band is antisymmetrised
+    mirrored = a[::-1, ::-1, ::-1]
+    zero = len(bands) // 2
+    a[zero + 1:] = -mirrored[zero + 1:]
+    a[zero] = 0.5 * (a[zero] - mirrored[zero])
     return LinearOperatorMatrix(N, 1j * a, bands)
 
 
 def _normal_part(op: LinearOperatorMatrix) -> np.ndarray:
     """The l = 0 diagonal entries (complex, length 2N)."""
-    bpos = op._bpos.get((0,) * max(op.d, 1)) if op.d else 0
-    if op.d and bpos is None:
+    zi = op._bpos.get((0,) * op.d)
+    if zi is None:
         return np.zeros(2 * op.N, dtype=complex)
-    return np.diag(op.entries[bpos if op.d else 0]).copy()
+    return np.diag(op.entries[zi]).copy()
 
 
 def solve_remainder_homological(state: ReductionState, gamma: float, tau2: float,
@@ -433,14 +422,8 @@ def solve_remainder_homological(state: ReductionState, gamma: float, tau2: float
 def _structure_project_preserving(op: LinearOperatorMatrix) -> LinearOperatorMatrix:
     """Exact projection onto real reversibility-preserving operators
     (real entries, even under the full mirror)."""
-    a = op.entries.real.copy()
-    mirrored = np.zeros_like(a)
-    bpos = {tuple(int(x) for x in m): i for i, m in enumerate(op.bands)}
-    for bi, m in enumerate(op.bands):
-        mi = bpos.get(tuple(int(-x) for x in m))
-        if mi is not None:
-            mirrored[bi] = a[mi][::-1, ::-1]
-    return LinearOperatorMatrix(op.N, 0.5 * (a + mirrored), op.bands)
+    a = op.entries.real
+    return LinearOperatorMatrix(op.N, 0.5 * (a + op._mirrored(a)), op.bands)
 
 
 def neumann_inverse(psi: LinearOperatorMatrix, tail: float = 1e-14):
@@ -483,10 +466,7 @@ def kam_step(state: ReductionState, gamma: float = 1e-2, tau2: float = 2.5,
     # unsolved part of R (outside P_N, behind the cutoff, or normal-form diagonal,
     # minus the diagonal correction that moved into mu)
     leftover_entries = R.entries - resolved
-    bpos = {tuple(int(x) for x in m): i for i, m in enumerate(R.bands)}
-    zi = bpos.get((0,) * R.d if R.d else ())
-    if zi is None and not R.d:
-        zi = 0
+    zi = R._bpos.get((0,) * R.d)
     if zi is not None:
         np.fill_diagonal(leftover_entries[zi],
                          np.diag(leftover_entries[zi]) - 1j * r)
@@ -535,10 +515,7 @@ def _truncate_bands(op: LinearOperatorMatrix, window: float) -> LinearOperatorMa
 
 def _offnormal(R: LinearOperatorMatrix) -> LinearOperatorMatrix:
     entries = R.entries.copy()
-    bpos = {tuple(int(x) for x in m): i for i, m in enumerate(R.bands)}
-    zi = bpos.get((0,) * R.d if R.d else ())
-    if zi is None and not R.d:
-        zi = 0
+    zi = R._bpos.get((0,) * R.d)
     if zi is not None:
         np.fill_diagonal(entries[zi], 0.0)
     return LinearOperatorMatrix(R.N, entries, R.bands)
@@ -547,7 +524,7 @@ def _offnormal(R: LinearOperatorMatrix) -> LinearOperatorMatrix:
 def remainder_history_csv(state: ReductionState) -> str:
     lines = ["m,delta_s0,delta_sh"]
     for m, d0, dh in state.history:
-        lines.append(f"{m},{format(d0, '.16e')},{format(dh, '.16e')}")
+        lines.append(f"{m},{_fmt(d0)},{_fmt(dh)}")
     return "\n".join(lines) + "\n"
 
 

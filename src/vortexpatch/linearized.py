@@ -17,35 +17,26 @@ with Omega_j(b) = sgn(j)(|j| - 1 + b^(2|j|))/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .geometry import (
-    KernelTable,
-    PatchState,
-    kernel_A,
-    log_one_plus_P_half,
-    log_v1,
-    pair_trig,
-)
+from .geometry import PatchState, log_one_plus_P_half, log_v1, pair_trig
 from .spectral import (
     LinearOperatorMatrix,
     PeriodicField,
+    _fmt,
     k1_multiplier_coeffs,
     k2_multiplier_coeffs,
     shifted_kernel_integral,
     spectral_derivative,
     theta_grid,
 )
+from .spectrum import omega
 
 __all__ = [
-    "LinearizedPieces",
     "transport_coefficient",
     "nonlocal_L",
     "smoothing_S",
     "assemble",
-    "linearize",
     "equilibrium_multiplier",
     "operator_spectrum",
     "matrix_to_csv",
@@ -66,7 +57,7 @@ def _log_A_integral(state: PatchState, table: np.ndarray) -> np.ndarray:
     return (
         shifted_kernel_integral(table, k1_multiplier_coeffs(M))
         + np.log(2.0 * state.b) * table.mean(axis=1)
-        + (log_v1(state).values * table).mean(axis=1)
+        + (log_v1(state) * table).mean(axis=1)
     )
 
 
@@ -75,7 +66,7 @@ def _log_B_integral(state: PatchState, table: np.ndarray) -> np.ndarray:
     M = state.M
     return (
         shifted_kernel_integral(table, k2_multiplier_coeffs(M, state.b))
-        + (log_one_plus_P_half(state).values * table).mean(axis=1)
+        + (log_one_plus_P_half(state) * table).mean(axis=1)
     )
 
 
@@ -123,9 +114,7 @@ def equilibrium_multiplier(b: float, j: int) -> complex:
         raise ValueError("the mean channel is outside the phase space (j != 0)")
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
-    aj = abs(j)
-    omega = np.sign(j) * 0.5 * (aj - 1.0 + b ** (2 * aj))
-    return complex(-1j * omega)
+    return complex(-1j * omega(b, j))
 
 
 def _apply_generator(state: PatchState, rho_values: np.ndarray) -> np.ndarray:
@@ -158,32 +147,6 @@ def assemble(state: PatchState, N: int) -> LinearOperatorMatrix:
     return LinearOperatorMatrix(N, entries)
 
 
-@dataclass
-class LinearizedPieces:
-    V: PeriodicField
-    L_kernel: KernelTable
-    S_kernel: KernelTable
-    assembled: LinearOperatorMatrix
-
-
-def linearize(state: PatchState, N: int) -> LinearizedPieces:
-    """All pieces of the linearized operator at the given state."""
-    state.require_inside_disc()
-    A = kernel_A(state).values
-    logA = np.full_like(A, -np.inf)
-    off = A > 0.0
-    logA[off] = np.log(A[off])
-    th = state.theta
-    u = th[None, :] - th[:, None]
-    logB = np.log(np.abs(1.0 - state.b ** 2 * np.exp(1j * u))) + log_one_plus_P_half(state).values
-    return LinearizedPieces(
-        V=transport_coefficient(state),
-        L_kernel=KernelTable(logA, symmetric=True),
-        S_kernel=KernelTable(logB, symmetric=True),
-        assembled=assemble(state, N),
-    )
-
-
 def operator_spectrum(op: LinearOperatorMatrix):
     """Eigenvalues of the assembled generator, labeled by the dominant mode.
 
@@ -212,9 +175,7 @@ def matrix_to_csv(op: LinearOperatorMatrix) -> str:
     for a, j in enumerate(op.jmodes):
         for c, j0 in enumerate(op.jmodes):
             v = op.entries[0, a, c]
-            lines.append(
-                f"{int(j)},{int(j0)},{format(v.real, '.16e')},{format(v.imag, '.16e')}"
-            )
+            lines.append(f"{int(j)},{int(j0)},{_fmt(v.real)},{_fmt(v.imag)}")
     return "\n".join(lines) + "\n"
 
 
@@ -222,5 +183,5 @@ def spectrum_to_csv(op: LinearOperatorMatrix) -> str:
     """Eigenvalues (j, re lambda, im lambda)."""
     lines = ["j,re_lambda,im_lambda"]
     for j, lam in operator_spectrum(op):
-        lines.append(f"{j},{format(lam.real, '.16e')},{format(lam.imag, '.16e')}")
+        lines.append(f"{j},{_fmt(lam.real)},{_fmt(lam.imag)}")
     return "\n".join(lines) + "\n"

@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 
+def _fmt(x: float) -> str:
+    """The one CSV float format: scientific notation, 17 significant digits."""
+    return format(float(x), ".16e")
+
+
 @functools.lru_cache(maxsize=64)
 def theta_grid(M: int) -> np.ndarray:
     """Uniform grid of M points on [0, 2pi). Cached; treat as read-only."""
@@ -319,16 +324,21 @@ class LinearOperatorMatrix:
             return 0.0
         return complex(self.entries[bi, self._jpos[j], self._jpos[j0]])
 
-    def _mirror_deviation(self, sign: float, conjugate: bool) -> float:
-        """sup |T^{-l,-j}_{-l0,-j0} - sign * (conj)T^{l,j}_{l0,j0}|."""
-        rev = self.entries[:, ::-1, ::-1]  # jmodes list is symmetric under j -> -j reversal
-        dev = 0.0
+    def _mirrored(self, a: np.ndarray) -> np.ndarray:
+        """The full mirror of a band-stacked array: out[b] = a[band -l] with
+        both mode axes reversed (the jmodes list is symmetric under j -> -j),
+        zero where the band -l is absent."""
+        out = np.zeros_like(a)
         for bi, m in enumerate(self.bands):
             mi = self._bpos.get(tuple(int(-x) for x in m))
-            mirrored = rev[mi] if mi is not None else np.zeros_like(rev[0])
-            ref = np.conj(self.entries[bi]) if conjugate else self.entries[bi]
-            dev = max(dev, float(np.max(np.abs(mirrored - sign * ref))))
-        return dev
+            if mi is not None:
+                out[bi] = a[mi][::-1, ::-1]
+        return out
+
+    def _mirror_deviation(self, sign: float, conjugate: bool) -> float:
+        """sup |T^{-l,-j}_{-l0,-j0} - sign * (conj)T^{l,j}_{l0,j0}|."""
+        ref = np.conj(self.entries) if conjugate else self.entries
+        return float(np.max(np.abs(self._mirrored(self.entries) - sign * ref), initial=0.0))
 
     def real_deviation(self) -> float:
         return self._mirror_deviation(1.0, conjugate=True)

@@ -13,9 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
-import sympy
+
+from .spectral import _fmt
 
 __all__ = [
     "FrequencySystem",
@@ -141,26 +143,39 @@ def nondegeneracy_test(sys: FrequencySystem, polys=None) -> bool:
         polys = [{0: j - 1, 2 * j: 1} for j in sys.sites]  # 2 Omega_j
         polys = polys + [{0: 2}]  # the constant function (doubled)
     degrees = sorted({d for p in polys for d in p})
-    mat = sympy.Matrix([[sympy.Integer(p.get(d, 0)) for p in polys] for d in degrees])
-    return mat.rank() == len(polys)
+    return _rank([[p.get(d, 0) for p in polys] for d in degrees]) == len(polys)
+
+
+def _rank(rows) -> int:
+    """Rank of an integer matrix by exact Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------
 # transversality scan
 # ---------------------------------------------------------------------------
 
-def _lattice(d: int, Lmax: int, include_zero: bool):
-    out = []
+def _lattice(d: int, Lmax: int):
+    """The Fourier sites l in Z^d with |l|_1 <= Lmax, in lexicographic order
+    (so -l sits at the reversed position of l)."""
     for l in itertools.product(range(-Lmax, Lmax + 1), repeat=d):
-        if sum(abs(x) for x in l) > Lmax:
-            continue
-        if not include_zero and all(x == 0 for x in l):
-            continue
-        out.append(l)
-    return out
+        if sum(abs(x) for x in l) <= Lmax:
+            yield l
 
 
 def _bracket(l) -> int:
+    """<l> = max(1, |l|_1)."""
     return max(1, sum(abs(x) for x in l))
 
 
@@ -246,7 +261,7 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
             np.maximum(acc, np.abs(ch), out=acc)
         return np.min(acc, axis=1)
 
-    for l in _lattice(sys.d, Lmax, include_zero=True):
+    for l in _lattice(sys.d, Lmax):
         lv = np.array(l, dtype=float)
         lz = all(x == 0 for x in l)
         br = _bracket(l)
@@ -406,5 +421,5 @@ def scan_report_json(report: ScanReport) -> dict:
 def scan_report_csv(report: ScanReport) -> str:
     lines = ["l,min_score"]
     for l, v in report.per_l:
-        lines.append(f"\"{' '.join(str(x) for x in l)}\",{format(v, '.16e')}")
+        lines.append(f"\"{' '.join(str(x) for x in l)}\",{_fmt(v)}")
     return "\n".join(lines) + "\n"

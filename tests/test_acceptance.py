@@ -239,9 +239,9 @@ def test_criterion_08_kress_oracle():
     W += -np.cos((M // 2) * u) / M  # half-weight Nyquist band
     KW = W / M
 
-    v1 = smooth_factor_v1(st).values
+    v1 = smooth_factor_v1(st)
     log_smooth_A = np.log(b * v1)
-    logB = np.log(kernel_B(st).values)
+    logB = np.log(kernel_B(st))
     dR = st.dR()
     D1 = dR[None, :] * np.sin(u) + st.R[None, :] * np.cos(u)
     V = (

@@ -3,6 +3,8 @@ deterministic artifacts."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,15 +161,51 @@ class TestKamCommands:
         assert code == 2
 
 
+def _read_json(d, name):
+    return json.loads((d / name).read_text())
+
+
+def _csv_rows(d, name):
+    return len((d / name).read_text().strip().splitlines()) - 1
+
+
+# subcommand, fixed flags, config key, config value, flag, flag value, the
+# resolved value, and how an artifact shows the value that was used
+PRECEDENCE = [
+    ("simulate", ["--dt", "1e-2", "--t", "0.04", "--grid", "32"],
+     "stride", 2, "--stride", "1", 1,
+     lambda d: _read_json(d, "simulate_summary.json")["config"]["record_stride"]),
+    ("linearize", ["--grid", "32"], "N", 3, "--n", "2", 2,
+     lambda d: _csv_rows(d, "linearize_spectrum.csv") // 2),
+    ("spectrum", [], "jmax", 5, "--jmax", "2", 2,
+     lambda d: _csv_rows(d, "spectrum_omega.csv")),
+    ("cantor", ["--lmax", "2"], "gamma", 1e-2, "--gamma", "1e-3", 1e-3,
+     lambda d: _read_json(d, "cantor_summary.json")["gamma"]),
+    ("kam-transport", ["--k", "8", "--grid", "16"], "steps", 3, "--steps", "2", 2,
+     lambda d: _read_json(d, "kam_transport_result.json")["steps"]),
+    ("kam-remainder", ["--seed", "1", "--n", "3", "--l", "2"], "steps", 2,
+     "--steps", "1", 1,
+     lambda d: _csv_rows(d, "kam_remainder_history.csv") - 1),
+]
+
+
 class TestConfigHandling:
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "cmd,fixed,key,cfg_value,flag,flag_value,resolved,observe", PRECEDENCE,
+        ids=[row[0] for row in PRECEDENCE])
+    def test_config_file_with_flag_override(self, tmp_path, cmd, fixed, key, cfg_value,
+                                            flag, flag_value, resolved, observe):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"b": 0.5, "jmax": 5}))
-        code = run_cli(["spectrum", "--config", str(cfg), "--jmax", "2",
-                        "--output-dir", str(tmp_path)])
-        assert code == 0
-        csv = (tmp_path / "spectrum_omega.csv").read_text()
-        assert len(csv.strip().splitlines()) == 3  # header + 2 rows (override)
+        cfg.write_text(json.dumps({key: cfg_value}))
+        for name, extra, expected in (("config", [], cfg_value),
+                                      ("flag", [flag, flag_value], resolved)):
+            d = tmp_path / name
+            code = run_cli([cmd, "--config", str(cfg), *fixed, *extra,
+                            "--output-dir", str(d)])
+            assert code == 0
+            assert observe(d) == expected
+            manifest = _read_json(d, f"{cmd}_manifest.json")
+            assert manifest["config"][key] == expected
 
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -182,3 +220,74 @@ class TestConfigHandling:
         code = run_cli(["spectrum", "--b", "0.5", "--jmax", "2"])
         assert code == 0
         assert (d / "spectrum_omega.csv").exists()
+
+
+class TestValidateBeforeWork:
+    """Bad input exits 1 before any computation or file write."""
+
+    @pytest.mark.parametrize("args", [
+        ["cantor", "--lmax", "2", "--curve", "1e-2,abc"],
+        ["cantor", "--lmax", "2", "--curve", "1e-2,2.0"],
+        ["cantor", "--lmax", "2", "--curve", "1e-2,1e-3", "--jobs", "0"],
+        ["spectrum", "--scan", "--lmax", "2", "--grid", "200", "--eps-hat", "1e-4"],
+    ], ids=["curve-not-a-number", "curve-gamma-out-of-range", "jobs-zero",
+            "perturbed-scan-without-seed"])
+    def test_exit_1_and_nothing_written(self, tmp_path, args):
+        d = tmp_path / "out"
+        d.mkdir()
+        assert run_cli(args + ["--output-dir", str(d)]) == 1
+        assert list(d.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["", "a_file"], ids=["empty", "existing-file"])
+    def test_output_dir_that_cannot_be_created(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a_file").write_text("")
+        assert run_cli(["spectrum", "--jmax", "1", "--output-dir", name]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: runs serially, records max_workers."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestJobsBound:
+    @pytest.mark.parametrize("jobs,cpus,workers", [
+        (8, 64, 3),   # capped by the number of gammas
+        (8, 2, 2),    # capped by the CPU count
+        (2, 64, 2),   # as requested
+        (4, 1, 1),    # one CPU: serial, no pool
+    ])
+    def test_worker_count(self, tmp_path, monkeypatch, jobs, cpus, workers):
+        from vortexpatch import cli
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(_RecordingExecutor, "started", [])
+        code = run_cli(["cantor", "--gamma", "1e-2", "--lmax", "2",
+                        "--curve", "1e-2,1e-3,1e-4", "--jobs", str(jobs),
+                        "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert _RecordingExecutor.started == ([workers] if workers > 1 else [])
+        assert _read_json(tmp_path, "cantor_manifest.json")["config"]["jobs"] == workers
+        assert _csv_rows(tmp_path, "cantor_curve.csv") == 3
+
+
+def test_cli_import_does_not_load_sympy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, "-c", "import vortexpatch.cli, sys; assert 'sympy' not in sys.modules"],
+        env=env, check=True)

@@ -67,13 +67,13 @@ class TestKernelA:
     def test_equilibrium_formula(self):
         for b in (0.25, 0.5, 0.75):
             st = PatchState(b, PeriodicField(np.zeros(64)))
-            A = kernel_A(st).values
+            A = kernel_A(st)
             th = st.theta
             ref = 2.0 * b * np.abs(np.sin(0.5 * (th[None, :] - th[:, None])))
             assert np.max(np.abs(A - ref)) < 1e-14
 
     def test_symmetry(self):
-        A = kernel_A(random_small_state()).values
+        A = kernel_A(random_small_state())
         assert np.max(np.abs(A - A.T)) == 0.0
 
     def test_direct_complex_modulus_oracle(self):
@@ -81,25 +81,25 @@ class TestKernelA:
         th = st.theta
         z = st.R * np.exp(1j * th)
         ref = np.abs(z[:, None] - z[None, :])
-        A = kernel_A(st).values
+        A = kernel_A(st)
         assert np.max(np.abs(A - ref)) < 1e-14
 
     def test_zero_diagonal(self):
-        A = kernel_A(random_small_state()).values
+        A = kernel_A(random_small_state())
         assert np.max(np.abs(np.diag(A))) == 0.0
 
 
 class TestSmoothFactorV1:
     def test_equilibrium_is_one(self):
         st = PatchState(0.5, PeriodicField(np.zeros(64)))
-        v = smooth_factor_v1(st).values
+        v = smooth_factor_v1(st)
         assert np.max(np.abs(v - 1.0)) < 1e-13
 
     def test_offdiagonal_identity(self):
         st = random_small_state()
         th = st.theta
-        A = kernel_A(st).values
-        v = smooth_factor_v1(st).values
+        A = kernel_A(st)
+        v = smooth_factor_v1(st)
         sin_half = np.abs(np.sin(0.5 * (th[None, :] - th[:, None])))
         mask = ~np.eye(st.M, dtype=bool)
         lhs = A[mask]
@@ -108,7 +108,7 @@ class TestSmoothFactorV1:
 
     def test_diagonal_formula(self):
         st = make_state(amp=1e-3, mode=2)
-        v = np.diag(smooth_factor_v1(st).values)
+        v = np.diag(smooth_factor_v1(st))
         expected = np.sqrt(st.dR() ** 2 + st.R ** 2) / st.b
         assert np.max(np.abs(v - expected)) < 1e-13
 
@@ -131,30 +131,30 @@ class TestSmoothFactorV1:
         # two Richardson stages on the full (odd+even powers) h-expansion
         r1a, r1b = 2.0 * f2 - f1, 2.0 * f3 - f2
         extrap = (4.0 * r1b - r1a) / 3.0
-        diag = smooth_factor_v1(st).values[i, i]
+        diag = smooth_factor_v1(st)[i, i]
         assert abs(diag - extrap) < 1e-8
 
 
 class TestDifferenceQuotient:
     def test_cosine_diagonal(self):
         th = theta_grid(64)
-        g = diagonal_difference_quotient(PeriodicField(np.cos(th))).values
+        g = diagonal_difference_quotient(PeriodicField(np.cos(th)))
         assert np.max(np.abs(np.diag(g) + 2.0 * np.sin(th))) < 1e-13
 
     def test_constant(self):
-        g = diagonal_difference_quotient(PeriodicField(np.full(64, 4.2))).values
+        g = diagonal_difference_quotient(PeriodicField(np.full(64, 4.2)))
         assert np.max(np.abs(g)) < 1e-13
 
     def test_hand_value(self):
         # f = sin 3theta: g(0, pi/2) = sin(3 pi/2)/sin(pi/4) = -sqrt(2)
         M = 64
         th = theta_grid(M)
-        g = diagonal_difference_quotient(PeriodicField(np.sin(3 * th))).values
+        g = diagonal_difference_quotient(PeriodicField(np.sin(3 * th)))
         assert abs(g[0, M // 4] + np.sqrt(2.0)) < 1e-13
 
     def test_swap_symmetry(self):
         f = PeriodicField(RNG.standard_normal(64))
-        g = diagonal_difference_quotient(f).values
+        g = diagonal_difference_quotient(f)
         assert np.max(np.abs(g - g.T)) < 1e-12
 
 
@@ -162,21 +162,21 @@ class TestKernelB:
     def test_equilibrium_formula(self):
         for b in (0.25, 0.5, 0.75):
             st = PatchState(b, PeriodicField(np.zeros(64)))
-            B = kernel_B(st).values
+            B = kernel_B(st)
             th = st.theta
             ref = np.abs(1.0 - b * b * np.exp(1j * (th[None, :] - th[:, None])))
             assert np.max(np.abs(B - ref)) < 1e-14
 
     def test_lower_bound(self):
         st = random_small_state(b=0.8, scale=5e-3)
-        B = kernel_B(st).values
+        B = kernel_B(st)
         assert B.min() >= 1.0 - np.max(st.R) ** 2 - 1e-14
 
     def test_direct_oracle(self):
         st = make_state(amp=1e-3, mode=2)
         th = st.theta
         ref = np.abs(1.0 - st.R[:, None] * st.R[None, :] * np.exp(1j * (th[None, :] - th[:, None])))
-        B = kernel_B(st).values
+        B = kernel_B(st)
         assert np.max(np.abs(B - ref)) < 1e-14
 
     def test_boundary_contact_rejected(self):
@@ -188,14 +188,14 @@ class TestKernelB:
 class TestKernelP:
     def test_equilibrium_zero(self):
         st = PatchState(0.5, PeriodicField(np.zeros(64)))
-        assert np.max(np.abs(kernel_P(st).values)) < 1e-14
+        assert np.max(np.abs(kernel_P(st))) < 1e-14
 
     def test_defining_identity(self):
         st = random_small_state(scale=5e-3)
         st0 = PatchState(st.b, PeriodicField(np.zeros(st.M)))
-        B = kernel_B(st).values
-        B0 = kernel_B(st0).values
-        P = kernel_P(st).values
+        B = kernel_B(st)
+        B0 = kernel_B(st0)
+        P = kernel_P(st)
         assert np.max(np.abs(B ** 2 - B0 ** 2 * (1.0 + P))) < 1e-13
 
     def test_linear_scaling(self):
@@ -204,7 +204,7 @@ class TestKernelP:
         ratios = []
         for amp in (1e-2, 1e-3, 1e-4):
             st = make_state(b=b, amp=amp, mode=2)
-            P = kernel_P(st).values
+            P = kernel_P(st)
             ratios.append(np.max(np.abs(P)) / amp)
         ratios = np.array(ratios)
         assert np.all(ratios < 100.0)
@@ -217,7 +217,7 @@ class TestKernelInvariants:
         st = random_small_state(even=True)
         M = st.M
         idx = (-np.arange(M)) % M
-        for table in (kernel_A(st).values, kernel_B(st).values):
+        for table in (kernel_A(st), kernel_B(st)):
             reflected = table[np.ix_(idx, idx)]
             assert np.max(np.abs(reflected - table)) < 1e-13
 
@@ -225,8 +225,8 @@ class TestKernelInvariants:
         # log A_r = log(2b) + K1(eta-theta) + log v1 off-diagonal
         st = random_small_state()
         th = st.theta
-        A = kernel_A(st).values
-        lv = log_v1(st).values
+        A = kernel_A(st)
+        lv = log_v1(st)
         u = th[None, :] - th[:, None]
         K1 = 0.5 * np.log(np.sin(0.5 * u) ** 2, where=~np.eye(st.M, dtype=bool),
                           out=np.zeros((st.M, st.M)))
@@ -239,8 +239,8 @@ class TestKernelInvariants:
         # log B_r = K2(eta-theta) + (1/2) log(1+P_r)
         st = random_small_state()
         th = st.theta
-        B = kernel_B(st).values
+        B = kernel_B(st)
         u = th[None, :] - th[:, None]
         K2 = np.log(np.abs(1.0 - st.b ** 2 * np.exp(1j * u)))
-        rhs = K2 + log_one_plus_P_half(st).values
+        rhs = K2 + log_one_plus_P_half(st)
         assert np.max(np.abs(np.log(B) - rhs)) < 1e-12

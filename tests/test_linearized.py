@@ -8,7 +8,6 @@ from vortexpatch.geometry import PatchState, kernel_B, smooth_factor_v1
 from vortexpatch.linearized import (
     assemble,
     equilibrium_multiplier,
-    linearize,
     matrix_to_csv,
     nonlocal_L,
     operator_spectrum,
@@ -240,18 +239,6 @@ class TestAssemble:
         for a, j in enumerate(G.jmodes):
             assert abs(chat[int(j) % 64] - G.entry((), int(j), 3)) < 1e-12
 
-    def test_linearize_bundle(self):
-        st = cos_state(amp=1e-3)
-        pieces = linearize(st, 8)
-        assert np.max(np.abs(pieces.V.values - transport_coefficient(st).values)) == 0.0
-        assert pieces.assembled.N == 8
-        # S kernel is the full log B table
-        assert np.max(np.abs(pieces.S_kernel.values - np.log(kernel_B(st).values))) < 1e-12
-        # L kernel diagonal is -inf (true limit), off-diagonal finite
-        assert np.all(np.isneginf(np.diag(pieces.L_kernel.values)))
-        off = pieces.L_kernel.values[~np.eye(st.M, dtype=bool)]
-        assert np.all(np.isfinite(off))
-
 
 class TestKressOracle:
     def test_brute_force_assembly_agreement(self):
@@ -268,9 +255,9 @@ class TestKressOracle:
         W += -np.cos((M // 2) * u) / M  # half-weight Nyquist band
         KW = W / M
 
-        v1 = smooth_factor_v1(st).values
+        v1 = smooth_factor_v1(st)
         log_smooth_A = np.log(b * v1)
-        logB = np.log(kernel_B(st).values)
+        logB = np.log(kernel_B(st))
         dR = st.dR()
         D1 = dR[None, :] * np.sin(u) + st.R[None, :] * np.cos(u)
         V = (

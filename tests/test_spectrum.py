@@ -131,6 +131,29 @@ class TestNondegeneracy:
         polys = [{0: 4}, {0: 1, 4: 1}, {0: 2}]
         assert not nondegeneracy_test(SYS, polys=polys)
 
+    def test_exact_rank_against_sympy(self):
+        # seeded small integer matrices, full rank and rank-deficient (a
+        # product through a narrower inner dimension), plus the two synthetic
+        # column sets above; rows are monomial degrees, columns are polys
+        rng = np.random.default_rng(2024)
+        mats = []
+        for _ in range(40):
+            rows, cols = (int(n) for n in rng.integers(1, 6, size=2))
+            full = rng.integers(-4, 5, size=(rows, cols))
+            inner = int(rng.integers(1, max(1, min(rows, cols) - 1) + 1))
+            thin = rng.integers(-3, 4, size=(rows, inner)) @ rng.integers(-3, 4, size=(inner, cols))
+            mats += [full, thin]
+        cases = [[{d: int(a[d, c]) for d in range(a.shape[0])} for c in range(a.shape[1])]
+                 for a in mats]
+        cases += [[{0: 0, 2: 1}, {0: 0, 2: 1}, {0: 2}], [{0: 4}, {0: 1, 4: 1}, {0: 2}]]
+        verdicts = set()
+        for polys in cases:
+            degrees = sorted({d for p in polys for d in p})
+            exact = sympy.Matrix([[p.get(d, 0) for p in polys] for d in degrees]).rank()
+            verdicts.add(exact == len(polys))
+            assert nondegeneracy_test(SYS, polys=polys) == (exact == len(polys))
+        assert verdicts == {True, False}
+
 
 class TestTransversalityScan:
     def test_positive_and_complete(self):
