@@ -7,10 +7,11 @@ d_t r + F_b[r] = 0 with F_b = -F0 - F1 + F2:
     F1 = int_T log(A_r) d2/(dtheta deta)[R(theta) R(eta) sin(eta-theta)] deta
     F2 = int_T log(B_r) d2/(dtheta deta)[(R(eta)/R(theta)) sin(eta-theta)] deta
 
-The log-singular kernel is never quadratured pointwise: log A_r splits as
-log(2b) + K1(eta-theta) + log v1 and the K1 part is contracted against exact
-Fourier multiplier coefficients in the shifted variable u = eta - theta
-(same split for log B_r with K2 and (1/2)log(1+P_r)).
+Both mixed derivatives are rank 2: with p = R' sin + R cos, q = R sin - R' cos
+they are -q(theta) p(eta) + p(theta) q(eta) and b_p(theta) p(eta) + b_q(theta) q(eta),
+b_p = -(R sin + R' cos)/R^2, b_q = (R cos - R' sin)/R^2.  So F1 and F2 need only
+log A_r and log B_r integrated against p and q (``log_kernel_integrals``), where
+the singular K1 and the image kernel K2 act as exact Fourier multipliers.
 
 The kinetic energy
 
@@ -38,16 +39,13 @@ from .geometry import (
     BoundaryContactError,
     DegeneratePatchError,
     PatchState,
-    log_one_plus_P_half,
-    log_v1,
+    eta_factors,
+    log_kernel_integrals,
     pair_trig,
 )
 from .spectral import (
     PeriodicField,
     _fmt,
-    k1_multiplier_coeffs,
-    k2_multiplier_coeffs,
-    shifted_kernel_integral,
     sobolev_norm,
     spectral_derivative,
     theta_grid,
@@ -75,37 +73,21 @@ __all__ = [
 # velocity functional
 # ---------------------------------------------------------------------------
 
-def _pairwise(state: PatchState):
-    R = state.R
-    dR = state.dR()
-    _, sd, cd, _ = pair_trig(state.M)
-    return R[:, None], R[None, :], dR[:, None], dR[None, :], sd, cd
-
-
 def velocity_functional(state: PatchState) -> PeriodicField:
     """F_b[r] on the state's grid."""
     state.require_inside_disc()
-    M = state.M
-    b = state.b
-    Rt, Re_, dRt, dRe, sd, cd = _pairwise(state)
-
-    # F0: (1/2) r'(theta) mean(R^2) / R^2(theta)
+    R = state.R
     drdth = spectral_derivative(state.r.values)
-    F0 = 0.5 * drdth * np.mean(state.R ** 2) / state.R ** 2
+    dR = drdth / R
+    F0 = 0.5 * drdth * np.mean(R ** 2) / R ** 2
 
-    # F1 with the mixed derivative of R(theta) R(eta) sin(eta - theta)
-    D = dRt * dRe * sd + dRt * Re_ * cd - Rt * dRe * cd + Rt * Re_ * sd
-    lv = log_v1(state)
-    F1 = (
-        shifted_kernel_integral(D, k1_multiplier_coeffs(M))
-        + np.log(2.0 * b) * D.mean(axis=1)
-        + (lv * D).mean(axis=1)
-    )
-
-    # F2 with the mixed derivative of (R(eta)/R(theta)) sin(eta - theta)
-    D2 = (-dRe * cd + Re_ * sd) / Rt - (dRe * sd + Re_ * cd) * dRt / Rt ** 2
-    kr = log_one_plus_P_half(state)
-    F2 = shifted_kernel_integral(D2, k2_multiplier_coeffs(M, b)) + (kr * D2).mean(axis=1)
+    pq = eta_factors(state, dR)
+    log_A, log_B = log_kernel_integrals(state, pq)
+    p, q = pq.T
+    th = state.theta
+    c, s = np.cos(th), np.sin(th)
+    F1 = -q * log_A[:, 0] + p * log_A[:, 1]
+    F2 = (-(R * s + dR * c) * log_B[:, 0] + (R * c - dR * s) * log_B[:, 1]) / R ** 2
 
     return PeriodicField(-F0 - F1 + F2)
 

@@ -23,7 +23,14 @@ import functools
 
 import numpy as np
 
-from .spectral import PeriodicField, spectral_derivative, theta_grid
+from .spectral import (
+    PeriodicField,
+    _read_only,
+    k1_multiplier_coeffs,
+    k2_multiplier_coeffs,
+    spectral_derivative,
+    theta_grid,
+)
 
 __all__ = [
     "DegeneratePatchError",
@@ -36,6 +43,8 @@ __all__ = [
     "diagonal_difference_quotient",
     "log_v1",
     "log_one_plus_P_half",
+    "eta_factors",
+    "log_kernel_integrals",
 ]
 
 #: patches must stay strictly inside the unit disc by this margin
@@ -88,14 +97,20 @@ class PatchState:
         if float(np.max(self.R)) > 1.0 - DISC_MARGIN:
             raise BoundaryContactError("patch touches the unit circle: max R > 1 - 1e-6")
 
+    @functools.cached_property
+    def log_tables(self):
+        """(log v1, (1/2) log(1 + P_r)): the smooth M x M parts of log A_r and
+        log B_r, built once per state and shared by every integral over it."""
+        return log_v1(self), log_one_plus_P_half(self)
+
 
 @functools.lru_cache(maxsize=32)
 def pair_trig(M: int):
     """Cached (delta, sin delta, cos delta, sin(delta/2)) tables with
-    delta[i, k] = theta_k - theta_i (eta minus theta). Treat as read-only."""
+    delta[i, k] = theta_k - theta_i (eta minus theta); read-only."""
     th = theta_grid(M)
     delta = th[None, :] - th[:, None]
-    return delta, np.sin(delta), np.cos(delta), np.sin(0.5 * delta)
+    return tuple(_read_only(t) for t in (delta, np.sin(delta), np.cos(delta), np.sin(0.5 * delta)))
 
 
 def _pair_grids(state: PatchState):
@@ -172,3 +187,35 @@ def log_v1(state: PatchState) -> np.ndarray:
 def log_one_plus_P_half(state: PatchState) -> np.ndarray:
     """(1/2) log(1 + P_r): the smooth part of log B_r = K2(eta-theta) + (1/2)log(1+P_r)."""
     return 0.5 * np.log1p(kernel_P(state))
+
+
+def eta_factors(state: PatchState, dR: np.ndarray) -> np.ndarray:
+    """The M x 2 block [p, q], p = R' sin + R cos, q = R sin - R' cos (``dR`` = R').
+
+    Expanding sin/cos(eta - theta) splits every two-point factor of F_b and
+    V_r into a(theta) p(eta) + c(theta) q(eta).
+    """
+    th = state.theta
+    c, s = np.cos(th), np.sin(th)
+    R = state.R
+    return np.column_stack([dR * s + R * c, R * s - dR * c])
+
+
+def log_kernel_integrals(state: PatchState, C: np.ndarray):
+    """int log A_r(., eta) c(eta) deta and int log B_r(., eta) c(eta) deta for
+    every column c of the M x k block C (real or complex).
+
+    log A_r = log(2b) + K1(eta - theta) + log v1, log B_r = K2(eta - theta) +
+    (1/2) log(1 + P_r): K1/K2 act as exact multipliers on one FFT of C, the
+    smooth parts as matrix products.
+    """
+    M = state.M
+    lv, lp = state.log_tables
+    chat = np.fft.fft(C, axis=0, norm="forward")
+    K1C = np.fft.ifft(chat * k1_multiplier_coeffs(M)[:, None], axis=0, norm="forward")
+    K2C = np.fft.ifft(chat * k2_multiplier_coeffs(M, state.b)[:, None], axis=0, norm="forward")
+    if np.isrealobj(C):
+        K1C, K2C = K1C.real, K2C.real
+    log_A = K1C + np.log(2.0 * state.b) * C.mean(axis=0) + (lv @ C) / M
+    log_B = K2C + (lp @ C) / M
+    return log_A, log_B

@@ -6,10 +6,12 @@ The linearization of d_t r = -F_b[r] at r is the time-dependent system
 
 with a variable transport coefficient V_r, the order-zero nonlocal operator
 L_r rho = int rho(eta) log A_r(., eta) deta, and the smoothing operator
-S_r rho = int rho(eta) log B_r(., eta) deta.  All log-singular integrals go
-through the same multiplier split as the nonlinear functional: exact Fourier
-coefficients for the difference kernels K1/K2, plain quadrature for the
-smooth factors.
+S_r rho = int rho(eta) log B_r(., eta) deta.  All three go through
+``geometry.log_kernel_integrals`` (K1/K2 as exact Fourier multipliers, the
+smooth factors as matrix products); V_r integrates against the rank-2 factor
+d/deta [R(eta) sin(eta - theta)] = cos(theta) p(eta) + sin(theta) q(eta).
+Since K * e_j = khat(j) e_j, ``assemble`` needs one V_r, one build of each log
+table and one M x M @ M x 2N product for the whole matrix.
 
 At r = 0 the generator is the Fourier multiplier e_j -> -i Omega_j(b) e_j
 with Omega_j(b) = sgn(j)(|j| - 1 + b^(2|j|))/2.
@@ -19,15 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import PatchState, log_one_plus_P_half, log_v1, pair_trig
+from .geometry import PatchState, eta_factors, log_kernel_integrals
 from .spectral import (
     LinearOperatorMatrix,
     PeriodicField,
     _fmt,
     k1_multiplier_coeffs,
     k2_multiplier_coeffs,
-    shifted_kernel_integral,
-    spectral_derivative,
     theta_grid,
 )
 from .spectrum import omega
@@ -44,32 +44,6 @@ __all__ = [
 ]
 
 
-def _eta_derivative_factor(state: PatchState) -> np.ndarray:
-    """d/deta [R(eta) sin(eta - theta)] = R'(eta) sin(eta-theta) + R(eta) cos(eta-theta)."""
-    _, sd, cd, _ = pair_trig(state.M)
-    dR = state.dR()
-    return dR[None, :] * sd + state.R[None, :] * cd
-
-
-def _log_A_integral(state: PatchState, table: np.ndarray) -> np.ndarray:
-    """int log(A_r(theta, eta)) w(theta, eta) deta via the K1 multiplier split."""
-    M = state.M
-    return (
-        shifted_kernel_integral(table, k1_multiplier_coeffs(M))
-        + np.log(2.0 * state.b) * table.mean(axis=1)
-        + (log_v1(state) * table).mean(axis=1)
-    )
-
-
-def _log_B_integral(state: PatchState, table: np.ndarray) -> np.ndarray:
-    """int log(B_r(theta, eta)) w(theta, eta) deta via the K2 multiplier split."""
-    M = state.M
-    return (
-        shifted_kernel_integral(table, k2_multiplier_coeffs(M, state.b))
-        + (log_one_plus_P_half(state) * table).mean(axis=1)
-    )
-
-
 def transport_coefficient(state: PatchState) -> PeriodicField:
     """V_r(theta): the variable coefficient of the transport part.
 
@@ -79,10 +53,12 @@ def transport_coefficient(state: PatchState) -> PeriodicField:
     """
     state.require_inside_disc()
     R = state.R
-    D1 = _eta_derivative_factor(state)
+    log_A, log_B = log_kernel_integrals(state, eta_factors(state, state.dR()))
+    th = state.theta
+    c, s = np.cos(th), np.sin(th)
     V0 = -0.5 * np.mean(R ** 2) / R ** 2
-    V1 = -_log_A_integral(state, D1) / R
-    V2 = -_log_B_integral(state, D1) / R ** 3
+    V1 = -(c * log_A[:, 0] + s * log_A[:, 1]) / R
+    V2 = -(c * log_B[:, 0] + s * log_B[:, 1]) / R ** 3
     return PeriodicField(V0 + V1 + V2)
 
 
@@ -93,19 +69,13 @@ def nonlocal_L(state: PatchState, rho: PeriodicField) -> PeriodicField:
     with the explicit log(2b) of the kernel split.
     """
     state.require_inside_disc()
-    M = state.M
-    vals = np.broadcast_to(rho.values[None, :], (M, M))
-    out = _log_A_integral(state, np.ascontiguousarray(vals))
-    return PeriodicField(out)
+    return PeriodicField(log_kernel_integrals(state, rho.values[:, None])[0][:, 0])
 
 
 def smoothing_S(state: PatchState, rho: PeriodicField) -> PeriodicField:
     """S_r(rho)(theta) = int rho(eta) log B_r(theta, eta) deta."""
     state.require_inside_disc()
-    M = state.M
-    vals = np.broadcast_to(rho.values[None, :], (M, M))
-    out = _log_B_integral(state, np.ascontiguousarray(vals))
-    return PeriodicField(out)
+    return PeriodicField(log_kernel_integrals(state, rho.values[:, None])[1][:, 0])
 
 
 def equilibrium_multiplier(b: float, j: int) -> complex:
@@ -117,34 +87,28 @@ def equilibrium_multiplier(b: float, j: int) -> complex:
     return complex(-1j * omega(b, j))
 
 
-def _apply_generator(state: PatchState, rho_values: np.ndarray) -> np.ndarray:
-    """G_r rho = -d_theta (V_r rho + L_r rho - S_r rho) on (possibly complex) samples."""
-    M = state.M
-    V = transport_coefficient(state).values
-    table = np.ascontiguousarray(np.broadcast_to(rho_values[None, :], (M, M)))
-    Lr = _log_A_integral(state, table)
-    Sr = _log_B_integral(state, table)
-    total = V * rho_values + Lr - Sr
-    return -spectral_derivative(total)
-
-
 def assemble(state: PatchState, N: int) -> LinearOperatorMatrix:
-    """Matrix of the generator on zero-mean modes |j| <= N, column by column."""
+    """Matrix of the generator G_r = -d_theta (V_r + L_r - S_r) on the
+    zero-mean modes |j| <= N; entry [a, c] is the e_{j_a} coefficient of G_r e_{j_c}.
+
+    On e_j the mean vanishes and K1, K2 are the multipliers khat(j), so
+    (L_r - S_r) e_j = (k1hat(j) - k2hat(j)) e_j + ((log v1 - (1/2) log(1+P_r)) @ e_j)/M.
+    """
     state.require_inside_disc()
     M = state.M
     if N < 1:
         raise ValueError("truncation must be >= 1")
     if N > M // 3:
         raise ValueError(f"truncation N={N} too large for grid M={M} (need N <= M/3)")
-    th = theta_grid(M)
     jmodes = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
-    entries = np.zeros((2 * N, 2 * N), dtype=complex)
-    for c, j0 in enumerate(jmodes):
-        col = _apply_generator(state, np.exp(1j * j0 * th))
-        chat = np.fft.fft(col, norm="forward")
-        for a, j in enumerate(jmodes):
-            entries[a, c] = chat[j % M]
-    return LinearOperatorMatrix(N, entries)
+    rows = jmodes % M
+    E = np.exp(1j * np.outer(theta_grid(M), jmodes))
+    V = transport_coefficient(state).values
+    lv, lp = state.log_tables
+    khat = k1_multiplier_coeffs(M)[rows] - k2_multiplier_coeffs(M, state.b)[rows]
+    total = (V[:, None] + khat) * E + ((lv - lp) @ E) / M
+    chat = np.fft.fft(total, axis=0, norm="forward")[rows]
+    return LinearOperatorMatrix(N, -1j * jmodes[:, None] * chat)
 
 
 def operator_spectrum(op: LinearOperatorMatrix):

@@ -31,7 +31,6 @@ __all__ = [
     "k1_multiplier_coeffs",
     "k2_multiplier_coeffs",
     "convolve_multiplier",
-    "shifted_kernel_integral",
     "spectral_derivative",
 ]
 
@@ -41,16 +40,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Freeze a cached table: every caller shares it, so one write would
+    corrupt every later call at that size."""
+    a.setflags(write=False)
+    return a
+
+
 @functools.lru_cache(maxsize=64)
 def theta_grid(M: int) -> np.ndarray:
-    """Uniform grid of M points on [0, 2pi). Cached; treat as read-only."""
-    return 2.0 * np.pi * np.arange(M) / M
+    """Uniform grid of M points on [0, 2pi). Cached, hence read-only."""
+    return _read_only(2.0 * np.pi * np.arange(M) / M)
 
 
 @functools.lru_cache(maxsize=64)
 def _mode_numbers(n: int) -> np.ndarray:
-    """Integer Fourier mode numbers in FFT storage order. Cached; read-only."""
-    return np.fft.fftfreq(n, 1.0 / n).astype(int)
+    """Integer Fourier mode numbers in FFT storage order. Cached, hence read-only."""
+    return _read_only(np.fft.fftfreq(n, 1.0 / n).astype(int))
 
 
 class PeriodicField:
@@ -213,13 +219,13 @@ def symplectic_pairing(r: PeriodicField, h: PeriodicField) -> float:
 def k1_multiplier_coeffs(M: int) -> np.ndarray:
     """Fourier coefficients of K1(u) = (1/2) log(sin^2(u/2)).
 
-    Mode m != 0 carries -1/(2|m|); the mean is -log 2.
+    Mode m != 0 carries -1/(2|m|); the mean is -log 2. Cached, hence read-only.
     """
     m = _mode_numbers(M)
     out = np.empty(M)
     out[0] = -np.log(2.0)
     out[1:] = -0.5 / np.abs(m[1:])
-    return out
+    return _read_only(out)
 
 
 @functools.lru_cache(maxsize=256)
@@ -230,7 +236,7 @@ def k2_multiplier_coeffs(M: int, b: float) -> np.ndarray:
     out[0] = 0.0
     am = np.abs(m[1:])
     out[1:] = -(b ** (2.0 * am)) / (2.0 * am)
-    return out
+    return _read_only(out)
 
 
 def convolve_multiplier(values: np.ndarray, khat: np.ndarray) -> np.ndarray:
@@ -238,29 +244,6 @@ def convolve_multiplier(values: np.ndarray, khat: np.ndarray) -> np.ndarray:
     hat = np.fft.fft(values, norm="forward") * khat
     out = np.fft.ifft(hat, norm="forward")
     return out.real if np.isrealobj(values) else out
-
-
-@functools.lru_cache(maxsize=64)
-def _shift_index(M: int):
-    rows = np.arange(M)[:, None]
-    idx = (rows + np.arange(M)[None, :]) % M
-    return rows, idx
-
-
-def shifted_kernel_integral(table: np.ndarray, khat: np.ndarray) -> np.ndarray:
-    """Per-theta integrals int_T K(eta - theta_i) w(theta_i, eta) deta.
-
-    ``table[i, k] = w(theta_i, theta_k)`` with theta_k the eta node. The
-    integral is computed exactly on band-limited factors by shifting to
-    u = eta - theta_i and contracting the u-Fourier coefficients of
-    w(theta_i, theta_i + u) against the known multiplier coefficients.
-    """
-    M = table.shape[0]
-    rows, idx = _shift_index(M)
-    shifted = table[rows, idx]
-    what = np.fft.fft(shifted, axis=1, norm="forward")
-    out = np.sum(what * khat[None, :], axis=1)
-    return out.real if np.isrealobj(table) else out
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from dense_reference import shifted_kernel_integral
+from vortexpatch.geometry import pair_trig
 from vortexpatch.spectral import (
     LinearOperatorMatrix,
     PeriodicField,
+    _mode_numbers,
     antiderivative,
     apply_operator,
     convolve_multiplier,
@@ -16,7 +19,6 @@ from vortexpatch.spectral import (
     k2_multiplier_coeffs,
     offdiag_norm,
     project,
-    shifted_kernel_integral,
     sobolev_norm,
     spectral_derivative,
     symplectic_pairing,
@@ -242,6 +244,22 @@ class TestMultiplierKernels:
         out = shifted_kernel_integral(table, khat)
         expected = khat[1]  # (khat_1 + khat_{-1})/2 with symmetric khat
         assert np.max(np.abs(out - expected)) < 1e-13
+
+
+class TestCachedTables:
+    @pytest.mark.parametrize("table", [
+        lambda: theta_grid(16),
+        lambda: _mode_numbers(16),
+        lambda: k1_multiplier_coeffs(16),
+        lambda: k2_multiplier_coeffs(16, 0.5),
+        *[lambda k=k: pair_trig(16)[k] for k in range(4)],
+    ], ids=["theta_grid", "mode_numbers", "k1", "k2", "delta", "sin", "cos", "sin_half"])
+    def test_write_raises(self, table):
+        # the tables are shared by every caller at that size
+        with pytest.raises(ValueError):
+            table()[1] = 0.0
+        with pytest.raises(ValueError):
+            table()[...] *= 2.0
 
 
 # ---------------------------------------------------------------------------
