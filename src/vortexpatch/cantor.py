@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 KINDS = ("transport", "first-order-Melnikov", "second-order-Melnikov")
+_SCREEN_GRID = 512  # nodes of the Lipschitz screen
+_FINE_GRID = 2 ** 14  # cells of the measurement grid (filter and bisection)
 
 
 @dataclass(frozen=True)
@@ -235,9 +237,7 @@ def _tail_bound(d: int, Lmax: int, tau: float, q0: int, C: float = 1.0):
     return float(total), False
 
 
-def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec,
-                     screen_grid: int = 512, fine_grid: int = 2 ** 14,
-                     check_russmann: bool = True) -> ExcludedReport:
+def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedReport:
     """All excluded parameter intervals of the given small-divisor family.
 
     Every candidate tuple is first screened on a coarse grid with a Lipschitz
@@ -248,7 +248,7 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec,
     if spec.tau1 <= sys.d:
         raise ValueError("need tau1 > d for the lattice sums")
     b0, b1, q0 = sys.b0, sys.b1, sys.q0
-    xs = np.linspace(b0, b1, screen_grid)
+    xs = np.linspace(b0, b1, _SCREEN_GRID)
     dx = xs[1] - xs[0]
     C0 = 2.0 * (sys.omega_sup() + 1.0) + 1.0
     Jneed = max(int(np.ceil(C0 * spec.Lmax)) + spec.Jmax + 2, max(sys.sites) + 2)
@@ -330,7 +330,7 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec,
     # exact filter on the measurement grid: sublevel detection needs a node
     # with |f| <= threshold, so dropping tuples whose fine-grid minimum
     # exceeds the threshold loses nothing relative to the instrument.
-    xs_f = np.linspace(b0, b1, fine_grid + 1)
+    xs_f = np.linspace(b0, b1, _FINE_GRID + 1)
     Otf = np.stack([omega(xs_f, j) for j in range(1, Jneed + 1)])
     filtered = []
     cur_l, base_f = None, None
@@ -370,15 +370,14 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec,
 
     for l, j, j0, thr in tuples:
         f = f_callable(l, j, j0)
-        res = sublevel_measure(f, thr, b0, b1, grid=fine_grid)
+        res = sublevel_measure(f, thr, b0, b1, grid=_FINE_GRID)
         flags.extend(f"{fl}@{l},{j},{j0}" for fl in res.flags)
         if not res.intervals:
             continue
-        if check_russmann:
-            bound = russmann_bound(lambda x, q: f(x, q), thr, q0, b0, b1)
-            for left, right in res.intervals:
-                if right - left > bound:
-                    violations += 1
+        bound = russmann_bound(lambda x, q: f(x, q), thr, q0, b0, b1)
+        for left, right in res.intervals:
+            if right - left > bound:
+                violations += 1
         for left, right in res.intervals:
             rows.append((l, j, j0, left, right, right - left))
 
@@ -400,23 +399,22 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec,
 
 
 def linear_cantor_measure(sys: FrequencySystem, gamma: float, tau: float,
-                          Lmax: int = 20, **kwargs) -> float:
+                          Lmax: int = 20) -> float:
     """Surviving measure (b1 - b0) - |excluded| of the linearized conditions."""
     if gamma == 0.0:
         return sys.b1 - sys.b0
     spec = DiophantineSpec(gamma=gamma, tau1=tau, tau2=max(tau + 10.0, 13.0),
                            Lmax=Lmax, kind="first-order-Melnikov")
-    rep = excluded_measure(sys, spec, **kwargs)
+    rep = excluded_measure(sys, spec)
     return (sys.b1 - sys.b0) - rep.total
 
 
-def measure_curve(sys: FrequencySystem, spec: DiophantineSpec, gammas,
-                  **kwargs) -> dict:
+def measure_curve(sys: FrequencySystem, spec: DiophantineSpec, gammas) -> dict:
     """Excluded measure as a function of gamma, with a fitted power law."""
     measures = []
     reports = []
     for g in gammas:
-        rep = excluded_measure(sys, replace(spec, gamma=float(g)), **kwargs)
+        rep = excluded_measure(sys, replace(spec, gamma=float(g)))
         reports.append(rep)
         measures.append(rep.total)
     gs = np.asarray(list(gammas), dtype=float)

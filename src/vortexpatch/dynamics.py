@@ -46,6 +46,7 @@ from .geometry import (
 from .spectral import (
     PeriodicField,
     _fmt,
+    _mode_numbers,
     sobolev_norm,
     spectral_derivative,
     theta_grid,
@@ -285,8 +286,7 @@ def dealias(values: np.ndarray) -> np.ndarray:
     """2/3-rule truncation of a theta-only sample vector."""
     M = len(values)
     c = np.fft.fft(values, norm="forward")
-    k = np.abs(np.fft.fftfreq(M, 1.0 / M).astype(int))
-    c[k > M // 3] = 0.0
+    c[np.abs(_mode_numbers(M)) > M // 3] = 0.0
     return np.fft.ifft(c, norm="forward").real
 
 

@@ -28,6 +28,7 @@ from .spectral import (
     _fmt,
     _mode_numbers,
     offdiag_norm,
+    spectral_derivative,
     theta_grid,
 )
 from .spectrum import _lattice, omega as omega_eq
@@ -100,14 +101,6 @@ def analytic_norm(f: PeriodicField, s: float) -> float:
 # changes of variables theta -> theta + beta(phi, theta)
 # ---------------------------------------------------------------------------
 
-def _dtheta(values: np.ndarray) -> np.ndarray:
-    n = values.shape[-1]
-    k = _mode_numbers(n)
-    hat = np.fft.fft(values, axis=-1) * (1j * k)
-    out = np.fft.ifft(hat, axis=-1)
-    return out.real if np.isrealobj(values) else out
-
-
 def evaluate_shifted(f: PeriodicField, shift: np.ndarray) -> np.ndarray:
     """Samples of f(phi, theta + shift(phi, theta)) by trigonometric evaluation."""
     vals = f.values
@@ -128,7 +121,7 @@ class ChangeOfVariables:
     beta_hat: PeriodicField = field(init=False)
 
     def __post_init__(self):
-        db = _dtheta(self.beta.values)
+        db = spectral_derivative(self.beta.values)
         if np.max(np.abs(db)) >= 1.0:
             raise ValueError("the change of variables must satisfy |d_theta beta| < 1")
         # fixed point beta_hat = -beta(phi, theta + beta_hat): a contraction
@@ -164,7 +157,7 @@ def compose_with(f: PeriodicField, cov: ChangeOfVariables, weighted: bool = Fals
     shift = cov.beta_hat if inverse else cov.beta
     out = evaluate_shifted(f, shift.values)
     if weighted:
-        out = (1.0 + _dtheta(shift.values)) * out
+        out = (1.0 + spectral_derivative(shift.values)) * out
     return PeriodicField(out)
 
 
@@ -274,15 +267,9 @@ def straighten_transport(prob: TransportProblem, steps: int = 8,
         if frac > 0.5:
             return TransportResult(V, False, history, covs, f)
         cov = ChangeOfVariables(beta)
-        db = _dtheta(beta.values)
-        u = (V + f.values) * (1.0 + db)
+        u = (V + f.values) * (1.0 + spectral_derivative(beta.values))
         for k in range(len(omega)):
-            n = beta.values.shape[k]
-            kmodes = _mode_numbers(n)
-            sh = [1] * beta.values.ndim
-            sh[k] = n
-            hat = np.fft.fft(beta.values, axis=k) * (1j * kmodes.reshape(sh))
-            u = u + omega[k] * np.fft.ifft(hat, axis=k).real
+            u = u + omega[k] * spectral_derivative(beta.values, axis=k)
         f_next = evaluate_shifted(PeriodicField(u), cov.beta_hat.values) - V_next
         covs.append(cov)
         V = V_next

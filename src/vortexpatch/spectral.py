@@ -262,7 +262,7 @@ class LinearOperatorMatrix:
     a single zero band) covers the operators of the linearized-patch module.
     """
 
-    def __init__(self, N: int, entries: np.ndarray, bands=None, toeplitz_in_time: bool = True):
+    def __init__(self, N: int, entries: np.ndarray, bands=None):
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim == 2:
             entries = entries[None, :, :]
@@ -280,7 +280,6 @@ class LinearOperatorMatrix:
         self.bands = bands
         self.d = bands.shape[1]
         self.entries = entries
-        self.toeplitz_in_time = toeplitz_in_time
         self._jpos = {int(j): a for a, j in enumerate(self.jmodes)}
         self._bpos = {tuple(int(x) for x in m): i for i, m in enumerate(bands)}
 
@@ -386,8 +385,6 @@ class LinearOperatorMatrix:
 
 def offdiag_norm(op: LinearOperatorMatrix, s: float) -> float:
     """Off-diagonal (Toeplitz) norm: (sum_{l,m} <l,m>^{2s} sup_{j-k=m} |T^j_k(l)|^2)^{1/2}."""
-    if not op.toeplitz_in_time:
-        raise ValueError("off-diagonal norm requires a Toeplitz-in-time operator")
     total = 0.0
     n = 2 * op.N
     jm = op.jmodes

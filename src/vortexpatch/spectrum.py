@@ -188,26 +188,79 @@ class ScanReport:
     per_l: list = field(default_factory=list)
 
 
-def _derivative_table(sys: FrequencySystem, Jmax: int, bs: np.ndarray) -> np.ndarray:
-    """D[q, j-1, g] = d^q Omega_j (b_g) for 1 <= j <= Jmax, 0 <= q <= q0."""
-    q0 = sys.q0
-    D = np.zeros((q0 + 1, Jmax, len(bs)))
-    for j in range(1, Jmax + 1):
-        for q in range(q0 + 1):
-            D[q, j - 1, :] = omega_derivative(bs, j, q)
-    return D
+_COARSE_POINTS = 64  # coarse knots: the per-l scores and the cells of the bound
+_SLACK = 1e-12  # relative guard of the cell bounds against rounding
+_BATCH = 256  # tuples, or (tuple, cell) pairs, evaluated at once
 
 
-def _score_tensor(F: np.ndarray) -> np.ndarray:
-    """min over the grid axis of max over the derivative axis of |F|."""
-    return np.min(np.max(np.abs(F), axis=0), axis=-1)
+def _derivative_table(Jmax: int, bs: np.ndarray, orders: int) -> np.ndarray:
+    """D[q, j-1, g] = d^q Omega_j (b_g) for 1 <= j <= Jmax, 0 <= q < orders."""
+    return np.array([[omega_derivative(bs, j, q) for j in range(1, Jmax + 1)]
+                     for q in range(orders)])
+
+
+def _block_rows(nj: np.ndarray, jcut: int, lz: bool, Jmax: int, half: float) -> dict:
+    """The tuples of one l as columns, in generation order (cases i to iv,
+    sigma = +1 before -1, case iv pairs j > j' in row-major order).  ``ia``
+    and ``is`` index the signed table [0, D_1..D_Jmax, -D_1..-D_Jmax]."""
+    hi, lo = np.tril_indices(len(nj), -1)
+    hi, lo = nj[hi], nj[lo]
+    segs = [] if lz else [(0, 0, np.zeros(1, int), 0, 0, 0, 0.0)]
+    for sigma in (1, -1):
+        segs.append((1, sigma, nj, 0, 0, 0, sigma * nj * half))
+    for sigma in (1, -1):
+        segs.append((2, sigma, nj, 0, nj + (sigma < 0) * Jmax, 0, 0.0))
+    for sigma in (1, -1):
+        keep = hi + sigma * lo <= jcut + 2
+        segs.append((3, sigma, hi[keep], lo[keep], hi[keep], lo[keep] + (sigma < 0) * Jmax, 0.0))
+    names = ("case", "sigma", "j", "j0", "ia", "is", "const")
+    return {n: np.concatenate([np.broadcast_to(seg[k], seg[2].shape) for seg in segs])
+            for k, n in enumerate(names)}
+
+
+def _knot_values(E, base, rows):
+    """|F_q| = |((base_q + const) + E_q[ia]) + E_q[is]| at the knots, shape
+    (q0+1, tuples, knots); const only at q = 0.  The order of operations is
+    that of ``_fine_values``, so equal inputs give equal bits."""
+    A = np.empty((len(base), len(rows["ia"]), E.shape[2]))
+    for q, F in enumerate(A):
+        np.take(E[q], rows["ia"], axis=0, out=F)
+        F += base[0] + rows["const"][:, None] if q == 0 else base[q]
+        F += E[q][rows["is"]]
+        np.abs(F, out=F)
+    return A
+
+
+def _cell_bounds(A, HE, hubase, rows, thr):
+    """Doubled cell bounds max_q |F_q(c_k)| + |F_q(c_k+1)| - h_k U_{q+1}(c_k+1)
+    of the tuples whose smallest one can still be <= ``thr``; U_{q+1} has
+    absolute coefficients (l-part ``hubase``, table ``HE``, both times h_k)."""
+    alive = np.arange(A.shape[1])
+    for q, a in enumerate(A):
+        a = a[alive]
+        hU = (hubase[q] + HE[q][rows["ia"][alive]]) + HE[q][rows["is"][alive]]
+        lq = (a[:, :-1] + a[:, 1:]) - hU
+        lb = lq if q == 0 else np.maximum(lb, lq, out=lq)
+        keep = np.min(lb, axis=1) <= thr[alive]
+        alive, lb = alive[keep], lb[keep]
+    return alive, lb
+
+
+def _fine_values(base, D, ia, is_, const, pts):
+    """|F_q| at the grid points ``pts`` (a row per tuple), shape (q0+1, tuples,
+    points), from the unsigned table D and the signed indices."""
+    Jmax = D.shape[1]
+    F = base[:, pts]
+    F[0] += const[:, None]
+    for s in (ia, is_):
+        sign = np.where(s == 0, 0.0, np.where(s > Jmax, -1.0, 1.0))
+        F += sign[:, None] * D[:, (s[:, None] - 1) % Jmax, pts]
+    return np.abs(F, out=F)
 
 
 def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
-                        coarse_points: int = 64, refine_factor: float = 30.0,
                         delta: np.ndarray | None = None,
-                        delta_prime: float = 0.0,
-                        max_refine: int = 20000) -> ScanReport:
+                        delta_prime: float = 0.0) -> ScanReport:
     """Minimum of min_b max_{q<=q0} |d_b^q f(b)| / <l> over the four families.
 
     (i)   f = omega_Eq . l                               (l != 0)
@@ -222,159 +275,120 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
     way since Omega_j + Omega_j' >= (j + j' - 2)/2 and
     |Omega_j - Omega_j' - (j - j')/2| <= 1/2.
 
-    Two-stage evaluation: every tuple is scored on a coarse subgrid of
-    ``coarse_points`` samples (a subset of the full grid, so the coarse score
-    upper-bounds nothing and lower-bounds nothing per point but its min is >=
-    the full-grid min); all tuples within ``refine_factor`` of the coarse
-    minimum (at most ``max_refine`` of them) are rescored on the full grid.
-    ``delta``/``delta_prime`` add constant frequency offsets (perturbed-scan
-    mode).
+    The result is the exact minimum over the grid, overall and per case;
+    ties go to the smaller coarse score, then to the earlier tuple.  Tuples
+    are scored on about 64 coarse knots (``per_l``); with b1 added, the knots
+    cut [b0, b1] into cells.  The monomial derivatives of Omega_j are >= 0
+    and nondecreasing for b > 0, so on a cell [c, c'] of length h the
+    absolute-coefficient combination U_{q+1}(c') bounds |f^(q+1)| and
+    |f^(q)| >= (|f^(q)(c)| + |f^(q)(c')| - h U_{q+1}(c')) / 2.  The maximum
+    over q, over <l> and less a relative 1e-12 for rounding, is a lower bound
+    on the grid score in the cell.  Per case, tuples whose bound is below the
+    best coarse score are rescored on the full grid, an l at a time in
+    ascending order of its lowest bound, on the cells whose bound does not
+    exceed the best score so far.  ``delta``/``delta_prime`` add constant
+    frequency offsets (perturbed-scan mode).
     """
     if Lmax < 1:
         raise ValueError("Lmax must be >= 1")
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
     bs = np.linspace(sys.b0, sys.b1, grid_size)
-    step = max(1, grid_size // coarse_points)
-    coarse_idx = np.arange(0, grid_size, step)
+    step = max(1, grid_size // _COARSE_POINTS)
+    knots = np.arange(0, grid_size, step)
+    Pc = len(knots)  # the coarse subgrid; a tail cell may end at b1
+    if knots[-1] != grid_size - 1:
+        knots = np.append(knots, grid_size - 1)
+    h = np.diff(bs[knots])
+    cellpts = np.minimum(knots[:-1, None] + np.arange(step + 1), knots[1:, None])
     q0 = sys.q0
     C0 = 2.0 * (sys.omega_sup() + 1.0) + 1.0
     Jmax = max(int(np.ceil(C0 * Lmax)), max(sys.sites) + 2)
-    D = _derivative_table(sys, Jmax, bs)
-    Dc = np.ascontiguousarray(D[:, :, coarse_idx])
-    if delta is None:
-        delta = np.zeros(sys.d)
-    delta = np.asarray(delta, dtype=float)
+    D = _derivative_table(Jmax, bs, q0 + 1)
+    Dk = np.concatenate([D[:, :, knots], _derivative_table(Jmax, bs[knots], q0 + 2)[q0 + 1:]])
+    E = np.concatenate([np.zeros((q0 + 2, 1, len(knots))), Dk, -Dk], axis=1)
+    HE = np.abs(E[1:, :, 1:]) * h
+    delta = np.zeros(sys.d) if delta is None else np.asarray(delta, dtype=float)
     site_idx = [j - 1 for j in sys.sites]
+    ksites, lsites = Dk[:, site_idx, :], D[:, site_idx, :]
     nonsites = np.array([j for j in range(1, Jmax + 1) if j not in sys.sites])
+    lattice = list(_lattice(sys.d, Lmax))
 
-    batches = []  # (case, l, sigma, jarr, jparr, scores)
-    per_l_coarse = {}
-    coarse_min = np.inf
-
-    def _batch_score(base, jarr, jsign, jparr, sigma, base0_shift):
-        """max over q of |base + jsign D_j (+ sigma D_j')|, then min over the grid."""
-        acc = np.abs(base[0][None, :] + base0_shift + jsign * Dc[0, jarr - 1, :]
-                     + (sigma * Dc[0, jparr - 1, :] if jparr is not None else 0.0))
-        for q in range(1, q0 + 1):
-            ch = base[q][None, :] + jsign * Dc[q, jarr - 1, :]
-            if jparr is not None:
-                ch = ch + sigma * Dc[q, jparr - 1, :]
-            np.maximum(acc, np.abs(ch), out=acc)
-        return np.min(acc, axis=1)
-
-    for l in _lattice(sys.d, Lmax):
+    per_l, kept, gen0 = [], [], 0
+    cap = np.full(4, np.inf)  # smallest coarse score per case, plus slack
+    for li, l in enumerate(lattice):
         lv = np.array(l, dtype=float)
-        lz = all(x == 0 for x in l)
         br = _bracket(l)
         jcut = max(int(np.ceil(C0 * br)), max(sys.sites) + 2)
-        base = np.tensordot(lv, Dc[:, site_idx, :], axes=([0], [1]))  # (q0+1, Gc)
-        base0_shift = float(np.dot(delta, lv))
+        base = np.tensordot(lv, ksites[:q0 + 1], axes=([0], [1]))
+        # coarse columns from a coarse-only product, so per_l keeps its bits
+        base[:, :Pc] = np.tensordot(lv, ksites[:q0 + 1, :, :Pc], axes=([0], [1]))
+        base[0] = base[0] + float(np.dot(delta, lv))
+        hubase = np.tensordot(np.abs(lv), ksites[1:, :, 1:], axes=([0], [1])) * h
+        rows = _block_rows(nonsites[nonsites <= jcut], jcut, not any(l), Jmax,
+                           0.5 + delta_prime)
         lmin = np.inf
+        for s in range(0, len(rows["case"]), _BATCH):
+            sub = {n: v[s:s + _BATCH] for n, v in rows.items()}
+            A = _knot_values(E, base, sub)
+            coarse = np.min(np.max(A[:, :, :Pc], axis=0), axis=1) / br
+            lmin = min(lmin, float(np.min(coarse)))
+            np.minimum.at(cap, sub["case"], coarse * (1.0 + _SLACK))
+            alive, lb = _cell_bounds(A, HE, hubase, sub,
+                                     cap[sub["case"]] * (2.0 * br / (1.0 - _SLACK)))
+            cells = lb * ((1.0 - _SLACK) / (2.0 * br))
+            kept.append({"bound": np.min(cells, axis=1), "cells": cells,
+                         "gen": gen0 + s + alive, "coarse": coarse[alive],
+                         "l": np.full(len(alive), li), **{n: v[alive] for n, v in sub.items()}})
+        per_l.append((list(l), lmin))
+        gen0 += len(rows["case"])
+    kept = {n: np.concatenate([b[n] for b in kept]) for n in kept[0]}
 
-        def record(case, sigma, jarr, jparr, scores):
-            nonlocal coarse_min, lmin
-            batches.append((case, l, sigma, jarr, jparr, scores))
-            m = float(np.min(scores))
-            coarse_min = min(coarse_min, m)
-            lmin = min(lmin, m)
-
-        # case (i)
-        if not lz:
-            s = float(np.min(np.max(np.abs(base + np.array(
-                [base0_shift] + [0.0] * q0)[:, None]), axis=0))) / br
-            record("i", None, None, None, np.array([s]))
-
-        nj = nonsites[nonsites <= jcut]
-        if nj.size:
-            # case (ii): sigma j (1/2 + delta') is constant in b
-            derivmax = np.max(np.abs(base[1:]), axis=0)
-            for sigma in (1, -1):
-                consts = base[0] + base0_shift + sigma * nj[:, None] * (0.5 + delta_prime)
-                s = np.min(np.maximum(np.abs(consts), derivmax[None, :]), axis=1) / br
-                record("ii", sigma, nj.copy(), None, s)
-
-            # case (iii)
-            for sigma in (1, -1):
-                s = _batch_score(base, nj, sigma, None, 1, base0_shift)
-                record("iii", sigma, nj.copy(), None, s / br)
-
-            # case (iv)
-            for sigma in (1, -1):
-                pj, pjp = [], []
-                for a in range(len(nj)):
-                    for c in range(a):
-                        hi, lo = int(nj[a]), int(nj[c])
-                        combo = hi + lo if sigma == 1 else hi - lo
-                        if combo <= jcut + 2:
-                            pj.append(hi)
-                            pjp.append(lo)
-                if pj:
-                    pj = np.array(pj)
-                    pjp = np.array(pjp)
-                    s = _batch_score(base, pj, 1, pjp, sigma, base0_shift) / br
-                    record("iv", sigma, pj, pjp, s)
-
-        per_l_coarse[tuple(l)] = float(lmin)
-
-    threshold = refine_factor * coarse_min
-
-    refine = []  # (coarse_score, case, l, sigma, j, jp)
-    case_best = {}
-    for case, l, sigma, jarr, jparr, scores in batches:
-        kbest = int(np.argmin(scores))
-        entry = (float(scores[kbest]), case, l, sigma,
-                 None if jarr is None else int(jarr[kbest]),
-                 None if jparr is None else int(jparr[kbest]))
-        if case not in case_best or entry[0] < case_best[case][0]:
-            case_best[case] = entry
-        idx = np.nonzero(scores <= threshold)[0]
-        for k in idx:
-            refine.append((float(scores[k]), case, l, sigma,
-                           None if jarr is None else int(jarr[k]),
-                           None if jparr is None else int(jparr[k])))
-    refine.sort(key=lambda t: t[0])
-    refine = refine[:max_refine]
-    # always refine each case's best tuple so per-case results exist
-    seen = {t[1:] for t in refine}
-    for entry in case_best.values():
-        if entry[1:] not in seen:
-            refine.append(entry)
-
-    def fine_score(case, l, sigma, j, jp):
-        lv = np.array(l, dtype=float)
-        base = np.tensordot(lv, D[:, site_idx, :], axes=([0], [1]))
+    def fine_base(li):
+        lv = np.array(lattice[li], dtype=float)
+        base = np.tensordot(lv, lsites, axes=([0], [1]))
         base[0] += float(np.dot(delta, lv))
-        if case == "i":
-            F = base
-        elif case == "ii":
-            F = base.copy()
-            F[0] = base[0] + sigma * j * (0.5 + delta_prime)
-        elif case == "iii":
-            F = base + sigma * D[:, j - 1, :]
-        else:
-            F = base + D[:, j - 1, :] + sigma * D[:, jp - 1, :]
-        A = np.abs(F)
-        g = int(np.argmin(np.max(A, axis=0)))
-        q = int(np.argmax(A[:, g]))
-        return float(A[q, g]) / _bracket(l), float(bs[g]), q
+        return base
 
-    best = None
     per_case = {}
-    for _, case, l, sigma, j, jp in refine:
-        fs, bwit, qwit = fine_score(case, l, sigma, j, jp)
-        entry = (fs, case, {"b": bwit, "l": list(l), "j": j, "j0": jp,
-                            "q": qwit, "sigma": sigma})
-        if best is None or fs < best[0]:
-            best = entry
-        if case not in per_case or fs < per_case[case][0]:
-            per_case[case] = entry
-    assert best is not None
-    per_l = sorted((list(k), v) for k, v in per_l_coarse.items())
+    for c, name in enumerate(("i", "ii", "iii", "iv")):
+        cand = {n: v[(kept["case"] == c) & (kept["bound"] <= cap[c])] for n, v in kept.items()}
+        best = (cap[c], np.inf)  # (score, coarse score, generation, candidate)
+        ls = np.unique(cand["l"])
+        lows = [np.min(cand["bound"][cand["l"] == li]) for li in ls]
+        for li in ls[np.argsort(lows, kind="stable")]:
+            rs = np.flatnonzero((cand["l"] == li) & (cand["bound"] <= best[0]))
+            if not len(rs):
+                continue
+            base = fine_base(li)
+            rr, kk = np.nonzero(cand["cells"][rs] <= best[0])
+            pair = np.empty(len(rr))
+            for s in range(0, len(rr), _BATCH):
+                p = rs[rr[s:s + _BATCH]]
+                A = _fine_values(base, D, cand["ia"][p], cand["is"][p], cand["const"][p],
+                                 cellpts[kk[s:s + _BATCH]])
+                pair[s:s + _BATCH] = np.min(np.max(A, axis=0), axis=1)
+            starts = np.flatnonzero(np.r_[True, rr[1:] != rr[:-1]])
+            fs = np.minimum.reduceat(pair, starts) / _bracket(lattice[li])
+            rs = rs[rr[starts]]
+            k = np.lexsort((cand["gen"][rs], cand["coarse"][rs], fs))[0]
+            best = min(best, (float(fs[k]), float(cand["coarse"][rs[k]]),
+                              int(cand["gen"][rs[k]]), rs[k]))
+        r = best[3]
+        A = _fine_values(fine_base(cand["l"][r]), D, cand["ia"][[r]], cand["is"][[r]],
+                         cand["const"][[r]], np.arange(grid_size)[None, :])[:, 0]
+        g = int(np.argmin(np.max(A, axis=0)))
+        sigma, j, j0 = (int(cand[n][r]) for n in ("sigma", "j", "j0"))
+        witness = {"b": float(bs[g]), "l": list(lattice[cand["l"][r]]), "j": j or None,
+                   "j0": j0 or None, "q": int(np.argmax(A[:, g])), "sigma": sigma or None}
+        per_case[name] = (best[:3], witness)
+    case = min(per_case, key=lambda c: per_case[c][0])
     return ScanReport(
-        rho0_hat=best[0],
-        case=best[1],
-        witness=best[2],
-        per_case={c: {"rho0_hat": e[0], "witness": e[2]} for c, e in per_case.items()},
-        per_l=per_l,
+        rho0_hat=per_case[case][0][0],
+        case=case,
+        witness=per_case[case][1],
+        per_case={c: {"rho0_hat": k[0], "witness": w} for c, (k, w) in per_case.items()},
+        per_l=sorted(per_l),
     )
 
 

@@ -141,11 +141,11 @@ class TestChangeOfVariables:
         # plain composition, for both the forward and the inverse shift
         cov = self._cov(amp=0.02, K=4, M=512)
         f = _field_2d(4, 512, lambda p, t: np.cos(t) + 0.5 * np.sin(2 * t))
-        from vortexpatch.kam import _dtheta
+        from vortexpatch.spectral import spectral_derivative
         for inverse in (False, True):
-            lhs = compose_with(PeriodicField(_dtheta(f.values)), cov,
+            lhs = compose_with(PeriodicField(spectral_derivative(f.values)), cov,
                                weighted=True, inverse=inverse).values
-            rhs = _dtheta(compose_with(f, cov, inverse=inverse).values)
+            rhs = spectral_derivative(compose_with(f, cov, inverse=inverse).values)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 

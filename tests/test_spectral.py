@@ -305,12 +305,6 @@ class TestOperatorMatrix:
         for s in (0.0, 2.0):
             assert abs(offdiag_norm(op, s) - sup) < 1e-13
 
-    def test_non_toeplitz_rejected(self):
-        op = LinearOperatorMatrix.identity(4)
-        op.toeplitz_in_time = False
-        with pytest.raises(ValueError):
-            offdiag_norm(op, 1.0)
-
     def test_composition_law(self):
         # |T1 T2|_{s0} <= C |T1|_{s0} |T2|_{s0}; at finite truncation the
         # crude constant C = 2^{s0} sqrt(#bands of the product) is rigorous:

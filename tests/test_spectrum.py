@@ -4,9 +4,15 @@ and the transversality scan."""
 import numpy as np
 import pytest
 import sympy
+from scan_reference import reference_scan
 
 from vortexpatch.spectrum import (
     FrequencySystem,
+    _block_rows,
+    _bracket,
+    _cell_bounds,
+    _derivative_table,
+    _knot_values,
     check_monotonicity,
     nondegeneracy_test,
     omega,
@@ -187,6 +193,26 @@ class TestTransversalityScan:
         with pytest.raises(ValueError):
             transversality_scan(SYS, Lmax=0, grid_size=100)
 
+    def test_invalid_grid(self):
+        with pytest.raises(ValueError):
+            transversality_scan(SYS, Lmax=2, grid_size=1)
+
+    @pytest.mark.parametrize("sysf, Lmax, grid, offsets", [
+        (SYS, 3, 400, {}),
+        (FrequencySystem((1, 2), 0.3, 0.45), 3, 250, {}),
+        (SYS, 2, 400, {"delta": np.array([3e-3, -2e-3]), "delta_prime": -1e-3}),
+        (FrequencySystem((1, 3), 0.1, 0.9), 3, 129, {}),
+    ])
+    def test_exact_against_brute_force(self, sysf, Lmax, grid, offsets):
+        # the pruned scan returns what scoring every tuple on the full grid gives
+        rep = transversality_scan(sysf, Lmax=Lmax, grid_size=grid, **offsets)
+        ref = reference_scan(sysf, Lmax, grid, **offsets)
+        assert rep.rho0_hat == ref.rho0_hat
+        assert rep.case == ref.case
+        assert rep.witness == ref.witness
+        assert rep.per_case == ref.per_case
+        assert rep.per_l == ref.per_l
+
     def test_perturbed_retains_half(self):
         out = perturbed_transversality(SYS, eps_hat=1e-4, Lmax=2, grid_size=500,
                                        n_samples=1, seed=3)
@@ -202,3 +228,51 @@ class TestTransversalityScan:
         assert lines[0] == "l,min_score"
         # one row per lattice site |l|_1 <= Lmax (including l = 0)
         assert len(lines) - 1 == 13
+
+
+class TestCellBound:
+    """The per-cell lower bound that lets the scan skip tuples and cells."""
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_below_score_on_finer_grid(self, offset):
+        # cell bound <= min over a 16x finer grid inside the cell of
+        # max_q |f^(q)| / <l>, for random tuples of all four cases
+        rng = np.random.default_rng(11 + offset)
+        q0, Jmax, G = SYS.q0, 24, 400
+        delta = rng.uniform(-1e-2, 1e-2, SYS.d) if offset else np.zeros(SYS.d)
+        dprime = float(rng.uniform(-1e-2, 1e-2)) if offset else 0.0
+        bs = np.linspace(SYS.b0, SYS.b1, G)
+        knots = np.append(np.arange(0, G, G // 64), G - 1)  # with the tail cell
+        h = np.diff(bs[knots])
+        Dk = _derivative_table(Jmax, bs[knots], q0 + 2)
+        E = np.concatenate([np.zeros((q0 + 2, 1, len(knots))), Dk, -Dk], axis=1)
+        fine = np.linspace(SYS.b0, SYS.b1, 16 * (G - 1) + 1)
+        Df = _derivative_table(Jmax, fine, q0 + 1)
+        for l in [(0, 0), (1, 0), (-4, 1), (2, -3), (-1, -2), (3, 3)]:
+            lv = np.array(l, dtype=float)
+            br = _bracket(l)
+            base = np.tensordot(lv, Dk[:q0 + 1, :2], axes=([0], [1]))
+            base[0] += float(delta @ lv)
+            hubase = np.tensordot(np.abs(lv), Dk[1:, :2, 1:], axes=([0], [1])) * h
+            rows = _block_rows(np.arange(3, 23), 22, not any(l), Jmax, 0.5 + dprime)
+            pick = np.concatenate([rng.permutation(np.flatnonzero(rows["case"] == c))[:8]
+                                   for c in range(4)])
+            sub = {n: v[pick] for n, v in rows.items()}
+            alive, lb = _cell_bounds(_knot_values(E, base, sub), np.abs(E[1:, :, 1:]) * h,
+                                     hubase, sub, np.full(len(pick), np.inf))
+            assert len(alive) == len(pick)
+            cells = lb * (1.0 - 1e-12) / (2.0 * br)
+            for r, (case, sigma, j, j0) in enumerate(zip(sub["case"], sub["sigma"],
+                                                         sub["j"], sub["j0"])):
+                F = np.tensordot(lv, Df[:, :2], axes=([0], [1]))
+                F[0] += float(delta @ lv)
+                if case == 1:
+                    F[0] += sigma * j * (0.5 + dprime)
+                elif case == 2:
+                    F += sigma * Df[:, j - 1]
+                elif case == 3:
+                    F += Df[:, j - 1] + sigma * Df[:, j0 - 1]
+                score = np.max(np.abs(F), axis=0) / br
+                for k in range(len(h)):
+                    inside = score[16 * knots[k]:16 * knots[k + 1] + 1]
+                    assert cells[r, k] <= np.min(inside), (l, case, sigma, j, j0, k)
