@@ -25,6 +25,7 @@ import numpy as np
 from .spectral import (
     LinearOperatorMatrix,
     PeriodicField,
+    _band_product,
     _fmt,
     _mode_numbers,
     offdiag_norm,
@@ -57,7 +58,7 @@ __all__ = [
 
 
 class NonReducibleError(RuntimeError):
-    """Raised when the divisor cutoff removes most of the modes."""
+    """Raised when the divisor cutoff removes most modes or the Neumann series fails."""
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +102,25 @@ def analytic_norm(f: PeriodicField, s: float) -> float:
 # changes of variables theta -> theta + beta(phi, theta)
 # ---------------------------------------------------------------------------
 
+def _power_series(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_{m >= 1} a[..., m-1] z^m by Horner's rule, one z per sample point."""
+    acc = 0.0
+    for m in range(a.shape[-1] - 1, -1, -1):
+        acc = (acc + a[..., m, None]) * z
+    return acc
+
+
 def evaluate_shifted(f: PeriodicField, shift: np.ndarray) -> np.ndarray:
-    """Samples of f(phi, theta + shift(phi, theta)) by trigonometric evaluation."""
+    """Samples of f(phi, theta + shift(phi, theta)): sum_m c_m z^m in z = e^{i(theta + shift)},
+    each side of the spectrum summed by Horner's rule."""
     vals = f.values
     M = vals.shape[-1]
     c = np.fft.fft(vals, axis=-1, norm="forward")
-    modes = _mode_numbers(M)
-    angles = theta_grid(M) + shift  # broadcast over leading axes
-    phase = np.exp(1j * angles[..., None] * modes)
-    out = np.sum(c[..., None, :] * phase, axis=-1)
+    z = np.exp(1j * (theta_grid(M) + shift))  # broadcast over leading axes
+    h = (M + 1) // 2
+    # c_1, ..., c_{h-1} in z and c_{-1}, ..., c_{h-M} in conj(z); for even M
+    # the Nyquist mode is c_{-M/2}, as in the frequency order of the FFT
+    out = c[..., :1] + _power_series(c[..., 1:h], z) + _power_series(c[..., :h - 1:-1], z.conj())
     return out.real if np.isrealobj(vals) else out
 
 
@@ -128,10 +139,13 @@ class ChangeOfVariables:
         bh = -self.beta.values.copy()
         for _ in range(200):
             nxt = -evaluate_shifted(self.beta, bh)
-            if np.max(np.abs(nxt - bh)) < 1e-14:
-                bh = nxt
-                break
+            gap = np.max(np.abs(nxt - bh))
             bh = nxt
+            if gap < 1e-14:
+                break
+        else:
+            raise ValueError("the inverse shift did not converge in 200 iterations "
+                             f"(last step {gap:.2g})")
         self.beta_hat = PeriodicField(bh)
 
     def inverse_residual(self) -> float:
@@ -414,7 +428,8 @@ def _structure_project_preserving(op: LinearOperatorMatrix) -> LinearOperatorMat
 
 
 def neumann_inverse(psi: LinearOperatorMatrix, tail: float = 1e-14):
-    """(Id + Psi)^{-1} = sum (-Psi)^k, truncated when the term norm <= tail."""
+    """(Id + Psi)^{-1} = sum (-Psi)^k, truncated when the term norm <= tail
+    (NonReducibleError if that takes more than 200 terms)."""
     norm = offdiag_norm(psi, 0.0)
     if norm >= 0.5:
         raise NonReducibleError(f"Neumann series requires |Psi| < 1/2, got {norm:.3g}")
@@ -422,13 +437,13 @@ def neumann_inverse(psi: LinearOperatorMatrix, tail: float = 1e-14):
     out = LinearOperatorMatrix.identity(N)
     if psi.d:
         out = LinearOperatorMatrix(N, out.entries, np.zeros((1, psi.d), dtype=int))
-    term = -1.0 * psi
+    term = neg = -1.0 * psi
     for _ in range(200):
         out = out + term
         if offdiag_norm(term, 0.0) <= tail:
-            break
-        term = (-1.0 * psi) @ term
-    return out
+            return out
+        term = neg @ term
+    raise NonReducibleError(f"Neumann series did not reach tail {tail:.3g} in 200 terms")
 
 
 def kam_step(state: ReductionState, gamma: float = 1e-2, tau2: float = 2.5,
@@ -462,10 +477,8 @@ def kam_step(state: ReductionState, gamma: float = 1e-2, tau2: float = 2.5,
     nf = LinearOperatorMatrix(R.N, 1j * np.diag(r),
                               np.zeros((1, R.d), dtype=int) if R.d else None)
     phi_inv = neumann_inverse(psi)
-    R_next = phi_inv @ (leftover + (-1.0 * (psi @ nf)) + (R @ psi))
-    if band_window is not None:
-        R_next = _truncate_bands(R_next, band_window)
-    R_next = _structure_project(R_next)
+    R_next = _structure_project(_band_product(
+        phi_inv, leftover + (-1.0 * (psi @ nf)) + (R @ psi), band_window))
     nxt = ReductionState(state.omega, mu_next, R_next, state.step + 1,
                          history=state.history)
     nxt.assert_invariants(invariant_tol)
@@ -478,26 +491,17 @@ def run_remainder_kam(state: ReductionState, steps: int, gamma: float = 1e-2,
     cur = state
     cap = float(max(np.max(np.abs(state.R.bands)), 2 * state.R.N))
     for n in range(steps):
-        d0 = offdiag_norm(_offnormal(cur.R), 0.0)
-        dh = offdiag_norm(_offnormal(cur.R), 0.1)
-        cur.history.append((cur.step, d0, dh))
+        _record_delta(cur)
         Ncut = min(N0 ** (1.5 ** n), cap)
         cur = kam_step(cur, gamma=gamma, tau2=tau2, Ncut=Ncut, band_window=cap)
-    d0 = offdiag_norm(_offnormal(cur.R), 0.0)
-    dh = offdiag_norm(_offnormal(cur.R), 0.1)
-    cur.history.append((cur.step, d0, dh))
+    _record_delta(cur)
     return cur
 
 
-def _truncate_bands(op: LinearOperatorMatrix, window: float) -> LinearOperatorMatrix:
-    """Project onto the fixed band window |l|_inf <= window.
-
-    The window is symmetric under l -> -l, so the projection preserves the
-    realness/reversibility structure exactly.
-    """
-    b = op.bands.reshape(len(op.bands), -1)
-    keep = (np.max(np.abs(b), axis=1) <= window) if b.shape[1] else np.ones(len(b), bool)
-    return LinearOperatorMatrix(op.N, op.entries[keep], op.bands[keep])
+def _record_delta(state: ReductionState):
+    """Append (step, delta_s0, delta_sh) of the off-normal remainder to the history."""
+    off = _offnormal(state.R)
+    state.history.append((state.step, offdiag_norm(off, 0.0), offdiag_norm(off, 0.1)))
 
 
 def _offnormal(R: LinearOperatorMatrix) -> LinearOperatorMatrix:

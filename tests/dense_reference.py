@@ -1,4 +1,4 @@
-"""Dense reference for the log-kernel integrals (test-only).
+"""Dense and loop references for the fast paths of the package (test-only).
 
 Every integral int log A_r(theta, eta) w(theta, eta) deta is formed here from
 the full M x M table w: the K1/K2 parts by gathering each row into the shifted
@@ -6,12 +6,18 @@ variable u = eta - theta and contracting its u-Fourier coefficients against
 the multiplier coefficients, the smooth parts by row quadrature.  The package
 computes the same integrals from rank-2 / column-block factorizations; these
 functions are the independent path the tests compare against.
+
+The operator references at the end are the plain loop forms of the
+off-diagonal norm, the band product and its window projection, and the
+shifted evaluation.
 """
 
 import numpy as np
 
 from vortexpatch.geometry import log_one_plus_P_half, log_v1, pair_trig
 from vortexpatch.spectral import (
+    LinearOperatorMatrix,
+    _mode_numbers,
     k1_multiplier_coeffs,
     k2_multiplier_coeffs,
     spectral_derivative,
@@ -98,3 +104,56 @@ def assemble(state, N):
         col = -spectral_derivative(V * rho + nonlocal_L(state, rho) - smoothing_S(state, rho))
         entries[:, c] = np.fft.fft(col, norm="forward")[jmodes % M]
     return entries
+
+
+def offdiag_norm(op, s):
+    """Off-diagonal norm by one masked sup per (band, diagonal), summed in
+    (band, diagonal ascending) order."""
+    total = 0.0
+    jm = op.jmodes
+    diff = jm[:, None] - jm[None, :]
+    for bi, m in enumerate(op.bands):
+        labs = int(np.sum(np.abs(m)))
+        block = np.abs(op.entries[bi])
+        for band in range(-2 * op.N, 2 * op.N + 1):
+            mask = diff == band
+            if not mask.any():
+                continue
+            sup = block[mask].max()
+            if sup == 0.0:
+                continue
+            w = max(1, labs, abs(band))
+            total += float(w) ** (2.0 * s) * sup ** 2
+    return float(np.sqrt(total))
+
+
+def band_product(left, right):
+    """left @ right one block product at a time, accumulated per output band
+    in (left band, right band) order, output bands sorted."""
+    sums = {}
+    for bl, a in zip(left.bands, left.entries):
+        for br, b in zip(right.bands, right.entries):
+            key = tuple(int(x) for x in bl + br)
+            sums.setdefault(key, np.zeros_like(a))
+            sums[key] += a @ b
+    keys = sorted(sums)
+    bands = np.array(keys, dtype=int).reshape(len(keys), left.d)
+    return LinearOperatorMatrix(left.N, np.stack([sums[k] for k in keys]), bands)
+
+
+def truncate_bands(op, window):
+    """Projection onto the band window |l|_inf <= window."""
+    b = op.bands
+    keep = (np.max(np.abs(b), axis=1) <= window) if b.shape[1] else np.ones(len(b), bool)
+    return LinearOperatorMatrix(op.N, op.entries[keep], op.bands[keep])
+
+
+def evaluate_shifted(f, shift):
+    """f(phi, theta + shift) as the full sum_m c_m exp(i m (theta + shift))."""
+    vals = f.values
+    M = vals.shape[-1]
+    c = np.fft.fft(vals, axis=-1, norm="forward")
+    angles = theta_grid(M) + shift
+    phase = np.exp(1j * angles[..., None] * _mode_numbers(M))
+    out = np.sum(c[..., None, :] * phase, axis=-1)
+    return out.real if np.isrealobj(vals) else out

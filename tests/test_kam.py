@@ -2,12 +2,15 @@
 remainder elimination."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference
+import vortexpatch.kam as kam
 from vortexpatch.kam import (
     ChangeOfVariables,
     NonReducibleError,
@@ -85,6 +88,15 @@ class TestAnalyticNorm:
             assert abs(analytic_norm(f, s) - np.exp(s)) < 1e-12
 
 
+def _samples(vals):
+    """A field holding vals. PeriodicField admits power-of-two sizes only, and
+    evaluate_shifted reads only .values, so other sizes go in through a bare
+    holder: the formula covers every M."""
+    if all(n >= 2 and n & (n - 1) == 0 for n in vals.shape):
+        return PeriodicField(vals)
+    return SimpleNamespace(values=vals)
+
+
 class TestEvaluateShifted:
     def test_constant_shift(self):
         th = theta_grid(64)
@@ -98,6 +110,42 @@ class TestEvaluateShifted:
         vals = np.cos(th) + 0.5 * np.sin(3 * th)
         out = evaluate_shifted(PeriodicField(vals), np.zeros(32))
         assert np.max(np.abs(out - vals)) < 1e-13
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 63])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_zero_shift_reproduces_samples(self, M, real):
+        # every mode, the Nyquist mode of even M and the top mode of odd M included
+        rng = np.random.default_rng(M)
+        vals = rng.standard_normal(M)
+        if not real:
+            vals = vals + 1j * rng.standard_normal(M)
+        out = evaluate_shifted(_samples(vals), np.zeros(M))
+        assert out.dtype == vals.dtype
+        assert np.max(np.abs(out - vals)) < 1e-13
+
+    @pytest.mark.parametrize("shape", [(64,), (63,), (8, 32), (3, 5), (4, 8, 16), (2,)])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_against_exp_sum(self, shape, real):
+        rng = np.random.default_rng(len(shape) + 10 * real)
+        vals = rng.standard_normal(shape)
+        if not real:
+            vals = vals + 1j * rng.standard_normal(shape)
+        f = _samples(vals)
+        shift = 0.5 * rng.standard_normal(shape)
+        out = evaluate_shifted(f, shift)
+        ref = dense_reference.evaluate_shifted(f, shift)
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        scale = np.sum(np.abs(np.fft.fft(vals, axis=-1, norm="forward")), axis=-1)
+        assert np.all(np.max(np.abs(out - ref), axis=-1) <= 1e-13 * scale)
+
+    def test_shift_broadcasts_over_field(self):
+        th = theta_grid(32)
+        f = PeriodicField(np.cos(th) + 0.5 * np.sin(3 * th))
+        shift = np.linspace(-1.0, 1.0, 4)[:, None] * np.ones(32)
+        out = evaluate_shifted(f, shift)
+        assert out.shape == (4, 32)
+        exact = np.cos(th + shift) + 0.5 * np.sin(3 * (th + shift))
+        assert np.max(np.abs(out - exact)) < 1e-13
 
 
 class TestChangeOfVariables:
@@ -115,6 +163,13 @@ class TestChangeOfVariables:
         th = theta_grid(64)
         with pytest.raises(ValueError):
             ChangeOfVariables(PeriodicField(1.5 * np.sin(th)[None, :].repeat(8, 0)))
+
+    def test_unconverged_inverse_raises(self):
+        # slope 0.95: the fixed point contracts like 0.95^k, still far above
+        # the 1e-14 tolerance after 200 iterations
+        th = theta_grid(64)
+        with pytest.raises(ValueError, match="did not converge"):
+            ChangeOfVariables(PeriodicField(0.95 * np.sin(th)))
 
     def test_composition_inverts(self):
         cov = self._cov(amp=0.15, M=128)
@@ -275,6 +330,14 @@ class TestRemainderHomological:
         resid = phi_inv @ (ident + psi) - ident
         assert offdiag_norm(resid, 0.0) < 1e-13
 
+    def test_neumann_unconverged_raises(self):
+        # |Psi| = 0.2: the terms stay far above 0 (and above underflow)
+        # after 200 of them
+        psi = LinearOperatorMatrix(2, 0.2 * np.eye(4)[None, :, :],
+                                   np.zeros((1, 1), dtype=int))
+        with pytest.raises(NonReducibleError, match="did not reach"):
+            neumann_inverse(psi, tail=0.0)
+
     def test_neumann_requires_small_psi(self):
         big = LinearOperatorMatrix(2, 0.9 * np.eye(4)[None, :, :],
                                    np.zeros((1, 1), dtype=int))
@@ -301,6 +364,33 @@ class TestKamStep:
         state = _initial_state()
         with pytest.raises(NonReducibleError):
             kam_step(state, gamma=1e6, Ncut=64.0)
+
+    @pytest.mark.parametrize("d,N,L", [(1, 6, 4), (2, 4, 3)])
+    def test_windowed_product_bit_equal(self, monkeypatch, d, N, L):
+        # R_next equals the full product phi_inv @ X cut to the band window
+        # and projected, for the same phi_inv and X
+        products = []
+
+        def recording(left, right, window=None):
+            products.append((left, right, window))
+            return band_product(left, right, window)
+
+        band_product = kam._band_product
+        monkeypatch.setattr(kam, "_band_product", recording)
+        R = synthetic_reversible_remainder(N, L, 1e-3, seed=3, d=d)
+        jm = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
+        mu = np.array([float(omega(0.5, int(j))) for j in jm])
+        state = ReductionState(omega=golden_frequency(d), mu=mu, R=R)
+        for window in (L, 2 * N):
+            products.clear()
+            nxt = kam_step(state, Ncut=2.0 * N, band_window=window)
+            (phi_inv, X, w), = products
+            assert w == window
+            full = phi_inv @ X
+            ref = kam._structure_project(dense_reference.truncate_bands(full, window))
+            assert len(ref.bands) < len(full.bands)
+            assert np.array_equal(nxt.R.bands, ref.bands)
+            assert np.array_equal(nxt.R.entries, ref.entries)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10 ** 6))

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import dense_reference
 from dense_reference import shifted_kernel_integral
 from vortexpatch.geometry import pair_trig
 from vortexpatch.spectral import (
     LinearOperatorMatrix,
     PeriodicField,
+    _band_product,
     _mode_numbers,
     antiderivative,
     apply_operator,
@@ -366,6 +368,64 @@ class TestOperatorMatrix:
         assert op.entry((), 3, 3) == pytest.approx(6.0)
         assert op.entry((), 3, 2) == 0.0
         assert op.entry((), 5, 5) == 0.0  # outside truncation
+
+
+def random_lattice_operator(N, d, L, rng):
+    """Random operator on the bands |l|_1 <= L of Z^d (one band l = () if d = 0)."""
+    grids = np.meshgrid(*[np.arange(-L, L + 1)] * d, indexing="ij")
+    bands = np.stack([g.ravel() for g in grids], axis=1) if d else np.zeros((1, 0), int)
+    bands = bands[np.abs(bands).sum(axis=1) <= L]
+    shape = (len(bands), 2 * N, 2 * N)
+    entries = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return LinearOperatorMatrix(N, entries, bands)
+
+
+class TestFastOperatorPaths:
+    """The vectorised norm and the band product against their loop references."""
+
+    def _operators(self, rng):
+        for d, L in ((0, 0), (1, 2), (2, 2)):
+            for N in (1, 3, 5):
+                a = random_lattice_operator(N, d, L, rng)
+                b = random_lattice_operator(N, d, L, rng)
+                zeroed = a.entries.copy()
+                zeroed[0] = 0.0                      # an all-zero band
+                zeroed[:, np.arange(2 * N), np.arange(2 * N)] = 0.0  # zero diagonals
+                zeroed[:, 0, -1] = 0.0               # the corner diagonal -2N
+                yield d, a, b, LinearOperatorMatrix(N, zeroed, a.bands)
+
+    def test_offdiag_norm_bit_equal(self):
+        rng = np.random.default_rng(11)
+        for d, a, b, zeroed in self._operators(rng):
+            for op in (a, a @ b, zeroed, zeroed @ b):
+                for s in (0.0, 0.1, 1.0):
+                    assert offdiag_norm(op, s) == dense_reference.offdiag_norm(op, s)
+
+    def test_empty_operator_norm(self):
+        op = LinearOperatorMatrix(2, np.zeros((0, 4, 4)), np.zeros((0, 1), dtype=int))
+        assert offdiag_norm(op, 1.0) == 0.0
+
+    def test_matmul_bit_equal(self):
+        rng = np.random.default_rng(12)
+        for d, a, b, zeroed in self._operators(rng):
+            for left, right in ((a, b), (zeroed, a)):
+                got, ref = left @ right, dense_reference.band_product(left, right)
+                assert np.array_equal(got.bands, ref.bands)
+                assert np.array_equal(got.entries, ref.entries)
+
+    def test_window_bit_equal(self):
+        rng = np.random.default_rng(13)
+        for d, a, b, _ in self._operators(rng):
+            full = a @ b
+            for window in (0, 1, 3, 10):
+                got = _band_product(a, b, window)
+                ref = dense_reference.truncate_bands(full, window)
+                assert np.array_equal(got.bands, ref.bands)
+                assert np.array_equal(got.entries, ref.entries)
+
+    def test_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            LinearOperatorMatrix.identity(2) @ LinearOperatorMatrix.identity(3)
 
 
 class TestReversibilityStructure:
