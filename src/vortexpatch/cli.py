@@ -229,8 +229,8 @@ def _command(name: str, table: list):
 
     ``p`` maps each config key to its resolved, converted value before ``fn``
     runs, and is what the manifest records.  ``emit(artifacts)`` writes
-    {file name: CSV text or JSON object} and the manifest into the output
-    directory and returns its path.
+    {file name: CSV text or JSON object} and the manifest, with an optional
+    ``profile`` block, into the output directory and returns its path.
     """
     def register(fn):
         def run(config_path, output_dir, **flags):
@@ -248,9 +248,11 @@ def _command(name: str, table: list):
             except OSError as exc:
                 raise click.ClickException(f"cannot create the output directory: {exc}")
 
-            def emit(artifacts: dict) -> str:
+            def emit(artifacts: dict, profile: dict | None = None) -> str:
                 manifest = {"subcommand": name, "config": p, "versions": _versions(),
                             "wall_time_s": time.time() - t0}
+                if profile is not None:
+                    manifest["profile"] = profile
                 for fname, data in {**artifacts, f"{name}_manifest.json": manifest}.items():
                     with open(os.path.join(outdir, fname), "w") as fh:
                         fh.write(data if isinstance(data, str) else _json(data))
@@ -405,7 +407,9 @@ def kam_remainder(p, emit):
     except AssertionError as exc:
         raise InvariantViolation(str(exc))
     emit({"kam_remainder_history.csv": remainder_history_csv(res),
-          "kam_remainder_spectrum.json": spectrum_table_json(res, b=b, V_infty=0.5)})
+          "kam_remainder_spectrum.json": spectrum_table_json(res, b=b, V_infty=0.5)},
+         {"phi_grid": [{"step": m, "G": G, "shell_max": shell, "sup_R_next": sup}
+                       for m, G, shell, sup in res.aliasing]})
     final = res.history[-1][1]
     click.echo(f"kam-remainder: delta after {p['steps']} steps = {final:.6e}")
 

@@ -10,13 +10,16 @@ the conjugated operator to the linear probe theta.
 Part 2 (kam_step / run_remainder_kam): eliminate the off-normal part of
 omega . d_phi + diag(i mu_j) + R(phi) by conjugation with Id + Psi, where Psi
 solves the matrix homological equation behind a second-order divisor cutoff.
-The remainder R is real and reversible, Psi is real and reversibility
-preserving, and mu stays purely imaginary and odd in j; these invariants are
-asserted after every step.
+The conjugation is pointwise on a phi grid (d = 1 or 2): products of
+Toeplitz-in-time operators are products of matrix functions of phi, and
+(Id + Psi)^{-1} is one 2N x 2N solve per grid point.  The remainder R is real
+and reversible, Psi is real and reversibility preserving, and mu stays purely
+imaginary and odd in j; these invariants are asserted after every step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +28,6 @@ import numpy as np
 from .spectral import (
     LinearOperatorMatrix,
     PeriodicField,
-    _band_product,
     _fmt,
     _mode_numbers,
     offdiag_norm,
@@ -48,7 +50,6 @@ __all__ = [
     "ReductionState",
     "synthetic_reversible_remainder",
     "solve_remainder_homological",
-    "neumann_inverse",
     "kam_step",
     "run_remainder_kam",
     "remainder_history_csv",
@@ -58,7 +59,7 @@ __all__ = [
 
 
 class NonReducibleError(RuntimeError):
-    """Raised when the divisor cutoff removes most modes or the Neumann series fails."""
+    """Raised when the divisor cutoff removes most modes or |Psi| >= 1/2."""
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +313,7 @@ class ReductionState:
     R: LinearOperatorMatrix
     step: int = 0
     history: list = field(default_factory=list)
+    aliasing: list = field(default_factory=list)  # kam_step: (step, G, shell, sup|R|)
 
     def __post_init__(self):
         self.omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
@@ -334,9 +336,9 @@ class ReductionState:
 def _structure_project(op: LinearOperatorMatrix) -> LinearOperatorMatrix:
     """Exact projection onto real + reversible operators (entries i a, a odd).
 
-    Round-off from band-ordered accumulation can break the mirror symmetry at
-    the 1e-16 level; the projection restores it exactly and is the identity
-    in exact arithmetic.
+    Round-off in the phi-grid FFTs and the pointwise solve breaks the mirror
+    symmetry at the 1e-16 sup|R| level; the projection restores it exactly
+    and is the identity in exact arithmetic.
     """
     a = op.entries.imag
     return LinearOperatorMatrix(op.N, 1j * 0.5 * (a - op._mirrored(a)), op.bands)
@@ -368,14 +370,6 @@ def synthetic_reversible_remainder(N: int, L: int, delta0: float,
     a[zero + 1:] = -mirrored[zero + 1:]
     a[zero] = 0.5 * (a[zero] - mirrored[zero])
     return LinearOperatorMatrix(N, 1j * a, bands)
-
-
-def _normal_part(op: LinearOperatorMatrix) -> np.ndarray:
-    """The l = 0 diagonal entries (complex, length 2N)."""
-    zi = op._bpos.get((0,) * op.d)
-    if zi is None:
-        return np.zeros(2 * op.N, dtype=complex)
-    return np.diag(op.entries[zi]).copy()
 
 
 def solve_remainder_homological(state: ReductionState, gamma: float, tau2: float,
@@ -427,73 +421,81 @@ def _structure_project_preserving(op: LinearOperatorMatrix) -> LinearOperatorMat
     return LinearOperatorMatrix(op.N, 0.5 * (a + op._mirrored(a)), op.bands)
 
 
-def neumann_inverse(psi: LinearOperatorMatrix, tail: float = 1e-14):
-    """(Id + Psi)^{-1} = sum (-Psi)^k, truncated when the term norm <= tail
-    (NonReducibleError if that takes more than 200 terms)."""
-    norm = offdiag_norm(psi, 0.0)
-    if norm >= 0.5:
-        raise NonReducibleError(f"Neumann series requires |Psi| < 1/2, got {norm:.3g}")
-    N = psi.N
-    out = LinearOperatorMatrix.identity(N)
-    if psi.d:
-        out = LinearOperatorMatrix(N, out.entries, np.zeros((1, psi.d), dtype=int))
-    term = neg = -1.0 * psi
-    for _ in range(200):
-        out = out + term
-        if offdiag_norm(term, 0.0) <= tail:
-            return out
-        term = neg @ term
-    raise NonReducibleError(f"Neumann series did not reach tail {tail:.3g} in 200 terms")
+def _window(R: LinearOperatorMatrix) -> int:
+    """The band window W = max(max |l|, 2N): kam_step keeps the bands
+    |l|_inf <= W, and W caps the truncation schedule."""
+    return int(max(np.max(np.abs(R.bands), initial=0), 2 * R.N))
 
 
 def kam_step(state: ReductionState, gamma: float = 1e-2, tau2: float = 2.5,
-             Ncut: float | None = None, invariant_tol: float = 0.0,
-             band_window: float | None = None) -> ReductionState:
+             Ncut: float | None = None, invariant_tol: float = 0.0) -> ReductionState:
     """One reduction step: frequency correction, conjugation, new remainder.
 
     mu_next = mu + r with r_j the (real) l = 0 diagonal coefficient of the
     remainder divided by i; R_next = Phi^{-1}(-Psi |P_N R| + P_N^perp R
-    + R Psi) with Phi = Id + Psi inverted by a Neumann series.
+    + R Psi) with Phi = Id + Psi, on the bands |l|_inf <= W = _window(R).
+
+    Psi, R and the leftover are Toeplitz in time, i.e. matrix functions of
+    phi: products are pointwise on a G^d phi grid and Phi^{-1} is one
+    2N x 2N solve per point.  With G = 2(W + max|l|) + 1 the products are
+    exact on the kept bands, and only the terms of Phi^{-1} beyond
+    |l|_inf = W + 2 max|l| alias onto them.  The step appends (step, G,
+    largest |Y_l| on the outermost band shell of the grid, sup |R_next|)
+    to ``aliasing``: the shell is an aliasing estimate, not a bound.
     """
     R = state.R
+    W = _window(R)
     if Ncut is None:
-        Ncut = float(max(np.max(np.abs(R.bands)) if R.bands.size else 0, 2 * R.N))
-    diag = _normal_part(R)
-    r = diag.imag  # entries i a: a = Im
+        Ncut = W
+    zi = R._bpos.get((0,) * R.d)
+    # the l = 0 diagonal entries are i r_j with r real
+    r = np.diag(R.entries[zi]).imag if zi is not None else np.zeros(2 * R.N)
     mu_next = state.mu + r
     mu_next = 0.5 * (mu_next - mu_next[::-1])  # exact oddness
     psi, resolved, frac = solve_remainder_homological(state, gamma, tau2, Ncut)
     if frac > 0.5:
         raise NonReducibleError("more than half of the remainder modes were cut")
+    norm = offdiag_norm(psi, 0.0)
+    if norm >= 0.5:
+        raise NonReducibleError(f"Id + Psi requires |Psi| < 1/2, got {norm:.3g}")
     # unsolved part of R (outside P_N, behind the cutoff, or normal-form diagonal,
     # minus the diagonal correction that moved into mu)
-    leftover_entries = R.entries - resolved
-    zi = R._bpos.get((0,) * R.d)
+    leftover = R.entries - resolved
     if zi is not None:
-        np.fill_diagonal(leftover_entries[zi],
-                         np.diag(leftover_entries[zi]) - 1j * r)
-    leftover = LinearOperatorMatrix(R.N, leftover_entries, R.bands)
-    # normal form part as an operator (band 0, diagonal i r)
-    nf = LinearOperatorMatrix(R.N, 1j * np.diag(r),
-                              np.zeros((1, R.d), dtype=int) if R.d else None)
-    phi_inv = neumann_inverse(psi)
-    R_next = _structure_project(_band_product(
-        phi_inv, leftover + (-1.0 * (psi @ nf)) + (R @ psi), band_window))
+        np.fill_diagonal(leftover[zi], np.diag(leftover[zi]) - 1j * r)
+    # Psi, R and the leftover sampled on the phi grid by one inverse FFT
+    G = 2 * (W + int(np.max(np.abs(R.bands)))) + 1
+    phi = tuple(range(R.d))
+    grid = np.zeros((3,) + (G,) * R.d + R.entries.shape[1:], dtype=complex)
+    grid[(slice(None),) + tuple((R.bands % G).T)] = np.stack([psi.entries, R.entries, leftover])
+    grid = np.fft.ifftn(grid, axes=[a + 1 for a in phi], norm="forward")
+    Psi, Rv, X = grid
+    # in place: each full-grid temporary is one more G^d (2N)^2 array
+    X += Rv @ Psi
+    X -= Psi * (1j * r)  # Psi diag(i r): column scaling
+    Psi += np.eye(2 * R.N)  # now Phi = Id + Psi
+    Y = np.fft.fftn(np.linalg.solve(Psi, X), axes=phi, norm="forward")
+    bands = np.indices((2 * W + 1,) * R.d).reshape(R.d, -1).T - W
+    R_next = _structure_project(
+        LinearOperatorMatrix(R.N, Y[tuple((bands % G).T)], bands))
+    shell = functools.reduce(np.maximum, np.ix_(*[np.abs(_mode_numbers(G))] * R.d))
     nxt = ReductionState(state.omega, mu_next, R_next, state.step + 1,
-                         history=state.history)
+                         history=state.history, aliasing=state.aliasing)
+    nxt.aliasing.append((state.step, G, float(np.max(np.abs(Y[shell == shell.max()]))),
+                         float(np.max(np.abs(R_next.entries)))))
     nxt.assert_invariants(invariant_tol)
     return nxt
 
 
 def run_remainder_kam(state: ReductionState, steps: int, gamma: float = 1e-2,
                       tau2: float = 2.5, N0: float = 4.0) -> ReductionState:
-    """Iterate kam_step with the truncation schedule N_n = N0^{(3/2)^n}."""
+    """Iterate kam_step with the truncation schedule N_n = N0^{(3/2)^n}, capped at the window."""
     cur = state
-    cap = float(max(np.max(np.abs(state.R.bands)), 2 * state.R.N))
+    cap = _window(state.R)
     for n in range(steps):
         _record_delta(cur)
         Ncut = min(N0 ** (1.5 ** n), cap)
-        cur = kam_step(cur, gamma=gamma, tau2=tau2, Ncut=Ncut, band_window=cap)
+        cur = kam_step(cur, gamma=gamma, tau2=tau2, Ncut=Ncut)
     _record_delta(cur)
     return cur
 

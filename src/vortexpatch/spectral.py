@@ -343,7 +343,22 @@ class LinearOperatorMatrix:
     # -- algebra ----------------------------------------------------------
 
     def __matmul__(self, other: "LinearOperatorMatrix") -> "LinearOperatorMatrix":
-        return _band_product(self, other)
+        """Band product; output bands sorted, each summed in left-band order."""
+        if self.N != other.N or self.d != other.d:
+            raise ValueError("operator truncations do not match")
+        npairs = len(self.bands) * len(other.bands)
+        allk = (self.bands[:, None, :] + other.bands[None, :, :]).reshape(npairs, self.d)
+        bands, inv = np.unique(allk, axis=0, return_inverse=True)
+        inv = inv.reshape(len(self.bands), len(other.bands))
+        entries = np.zeros((len(bands), 2 * self.N, 2 * self.N), dtype=complex)
+        # one product buffer for all left bands: a fresh MB-sized temporary per
+        # band made the loop up to 2.5x slower in page faults
+        prod = np.empty_like(other.entries)
+        for bi in range(len(self.bands)):
+            # within a fixed left band the output keys are distinct, so a
+            # fancy-indexed += is a safe scatter
+            entries[inv[bi]] += np.matmul(self.entries[bi], other.entries, out=prod)
+        return LinearOperatorMatrix(self.N, entries, bands)
 
     def __add__(self, other: "LinearOperatorMatrix") -> "LinearOperatorMatrix":
         if self.N != other.N or self.d != other.d:
@@ -369,36 +384,6 @@ class LinearOperatorMatrix:
 
     def __neg__(self):
         return LinearOperatorMatrix(self.N, -self.entries, self.bands)
-
-
-def _band_product(left: LinearOperatorMatrix, right: LinearOperatorMatrix,
-                  window: float | None = None) -> LinearOperatorMatrix:
-    """left @ right, keeping only the output bands with |l|_inf <= window.
-
-    Pairs of bands whose sum falls outside the window are never formed; each
-    kept band receives the same block products, added in left-band order, as
-    without a window.
-    """
-    if left.N != right.N or left.d != right.d:
-        raise ValueError("operator truncations do not match")
-    npairs = len(left.bands) * len(right.bands)
-    allk = (left.bands[:, None, :] + right.bands[None, :, :]).reshape(npairs, left.d)
-    bands, inv = np.unique(allk, axis=0, return_inverse=True)
-    inv = inv.reshape(len(left.bands), len(right.bands))
-    if window is not None:
-        kept = np.max(np.abs(bands), axis=1, initial=0) <= window
-        bands, inv = bands[kept], np.where(kept[inv], np.cumsum(kept)[inv] - 1, -1)
-    entries = np.zeros((len(bands), 2 * left.N, 2 * left.N), dtype=complex)
-    # one product buffer for all left bands: a fresh MB-sized temporary per
-    # band made the loop up to 2.5x slower in page faults
-    prod = np.empty_like(right.entries)
-    for bi in range(len(left.bands)):
-        # within a fixed left band the output keys are distinct, so a
-        # fancy-indexed += is a safe scatter
-        sel = inv[bi] >= 0
-        rows = right.entries if window is None else right.entries[sel]
-        entries[inv[bi, sel]] += np.matmul(left.entries[bi], rows, out=prod[:len(rows)])
-    return LinearOperatorMatrix(left.N, entries, bands)
 
 
 def offdiag_norm(op: LinearOperatorMatrix, s: float) -> float:

@@ -8,13 +8,14 @@ computes the same integrals from rank-2 / column-block factorizations; these
 functions are the independent path the tests compare against.
 
 The operator references at the end are the plain loop forms of the
-off-diagonal norm, the band product and its window projection, and the
-shifted evaluation.
+off-diagonal norm, the band product and its window projection, the Neumann
+series of (Id + Psi)^{-1} in band space, and the shifted evaluation.
 """
 
 import numpy as np
 
 from vortexpatch.geometry import log_one_plus_P_half, log_v1, pair_trig
+from vortexpatch.kam import NonReducibleError
 from vortexpatch.spectral import (
     LinearOperatorMatrix,
     _mode_numbers,
@@ -146,6 +147,24 @@ def truncate_bands(op, window):
     b = op.bands
     keep = (np.max(np.abs(b), axis=1) <= window) if b.shape[1] else np.ones(len(b), bool)
     return LinearOperatorMatrix(op.N, op.entries[keep], op.bands[keep])
+
+
+def neumann_inverse(psi, tail=1e-14):
+    """(Id + Psi)^{-1} = sum (-Psi)^k as band products, truncated when the
+    term norm <= tail (NonReducibleError if that takes more than 200 terms)."""
+    norm = offdiag_norm(psi, 0.0)
+    if norm >= 0.5:
+        raise NonReducibleError(f"Neumann series requires |Psi| < 1/2, got {norm:.3g}")
+    N = psi.N
+    out = LinearOperatorMatrix(N, np.eye(2 * N, dtype=complex),
+                               np.zeros((1, psi.d), dtype=int))
+    term = neg = -1.0 * psi
+    for _ in range(200):
+        out = out + term
+        if offdiag_norm(term, 0.0) <= tail:
+            return out
+        term = neg @ term
+    raise NonReducibleError(f"Neumann series did not reach tail {tail:.3g} in 200 terms")
 
 
 def evaluate_shifted(f, shift):

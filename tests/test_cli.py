@@ -153,6 +153,10 @@ class TestKamCommands:
                 (d / "kam_remainder_spectrum.json").read_bytes(),
             ))
         assert outs[0] == outs[1]
+        # the manifest alone reports the phi grid and its aliasing estimate
+        grid = _read_json(d, "kam-remainder_manifest.json")["profile"]["phi_grid"]
+        assert [(g["step"], g["G"]) for g in grid] == [(0, 33), (1, 49)]
+        assert all(0 <= g["shell_max"] < 1e-10 * g["sup_R_next"] for g in grid)
 
     def test_non_reducible_exit_2(self, tmp_path):
         # an enormous gamma cuts every mode: invariant violation exit code

@@ -21,7 +21,6 @@ from vortexpatch.kam import (
     evaluate_shifted,
     golden_frequency,
     kam_step,
-    neumann_inverse,
     remainder_history_csv,
     run_remainder_kam,
     smooth_cutoff,
@@ -276,11 +275,11 @@ class TestStraightenTransport:
         assert len(lines) - 1 == len(res.history)
 
 
-def _initial_state(N=8, L=8, delta0=1e-3, seed=0, b=0.5):
-    R = synthetic_reversible_remainder(N, L, delta0, seed=seed)
+def _initial_state(N=8, L=8, delta0=1e-3, seed=0, b=0.5, d=1):
+    R = synthetic_reversible_remainder(N, L, delta0, seed=seed, d=d)
     jm = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
     mu = np.array([float(omega(b, int(j))) for j in jm])
-    return ReductionState(omega=golden_frequency(1), mu=mu, R=R)
+    return ReductionState(omega=golden_frequency(d), mu=mu, R=R)
 
 
 class TestSyntheticRemainder:
@@ -323,7 +322,7 @@ class TestRemainderHomological:
     def test_neumann_inverse(self):
         state = _initial_state(N=6, L=4)
         psi, _, _ = solve_remainder_homological(state, 1e-2, 2.5, 64.0)
-        phi_inv = neumann_inverse(psi)
+        phi_inv = dense_reference.neumann_inverse(psi)
         ident = LinearOperatorMatrix.identity(psi.N)
         ident = LinearOperatorMatrix(psi.N, ident.entries,
                                      np.zeros((1, psi.d), dtype=int))
@@ -336,25 +335,19 @@ class TestRemainderHomological:
         psi = LinearOperatorMatrix(2, 0.2 * np.eye(4)[None, :, :],
                                    np.zeros((1, 1), dtype=int))
         with pytest.raises(NonReducibleError, match="did not reach"):
-            neumann_inverse(psi, tail=0.0)
-
-    def test_neumann_requires_small_psi(self):
-        big = LinearOperatorMatrix(2, 0.9 * np.eye(4)[None, :, :],
-                                   np.zeros((1, 1), dtype=int))
-        with pytest.raises(NonReducibleError):
-            neumann_inverse(big)
+            dense_reference.neumann_inverse(psi, tail=0.0)
 
 
 class TestKamStep:
     def test_invariants_exact(self):
         state = _initial_state()
-        nxt = kam_step(state, Ncut=4.0, band_window=16.0)
+        nxt = kam_step(state, Ncut=4.0)
         nxt.assert_invariants(tol=0.0)  # raises on any violation
 
     def test_remainder_shrinks(self):
         state = _initial_state()
         d_before = offdiag_norm(state.R, 0.0)
-        nxt = kam_step(state, Ncut=64.0, band_window=16.0)
+        nxt = kam_step(state, Ncut=64.0)
         # with the full truncation one step is nearly quadratic
         from vortexpatch.kam import _offnormal
         d_after = offdiag_norm(_offnormal(nxt.R), 0.0)
@@ -365,38 +358,42 @@ class TestKamStep:
         with pytest.raises(NonReducibleError):
             kam_step(state, gamma=1e6, Ncut=64.0)
 
+    def test_large_psi_raises(self):
+        # a remainder of size 1 gives |Psi| >= 1/2: Id + Psi is not inverted
+        state = _initial_state(N=4, L=3, delta0=1.0)
+        with pytest.raises(NonReducibleError, match="1/2"):
+            kam_step(state, gamma=1e-6)
+
     @pytest.mark.parametrize("d,N,L", [(1, 6, 4), (2, 4, 3)])
-    def test_windowed_product_bit_equal(self, monkeypatch, d, N, L):
-        # R_next equals the full product phi_inv @ X cut to the band window
-        # and projected, for the same phi_inv and X
-        products = []
-
-        def recording(left, right, window=None):
-            products.append((left, right, window))
-            return band_product(left, right, window)
-
-        band_product = kam._band_product
-        monkeypatch.setattr(kam, "_band_product", recording)
-        R = synthetic_reversible_remainder(N, L, 1e-3, seed=3, d=d)
-        jm = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
-        mu = np.array([float(omega(0.5, int(j))) for j in jm])
-        state = ReductionState(omega=golden_frequency(d), mu=mu, R=R)
-        for window in (L, 2 * N):
-            products.clear()
-            nxt = kam_step(state, Ncut=2.0 * N, band_window=window)
-            (phi_inv, X, w), = products
-            assert w == window
-            full = phi_inv @ X
-            ref = kam._structure_project(dense_reference.truncate_bands(full, window))
-            assert len(ref.bands) < len(full.bands)
-            assert np.array_equal(nxt.R.bands, ref.bands)
-            assert np.array_equal(nxt.R.entries, ref.entries)
+    def test_grid_conjugation_matches_neumann(self, d, N, L):
+        # R_next against the band-space oracle: the Neumann series of
+        # (Id + Psi)^{-1} times X, cut to the window |l|_inf <= W and projected
+        state = _initial_state(N, L, seed=3, d=d)
+        R, Ncut = state.R, 2.0 * N
+        nxt = kam_step(state, Ncut=Ncut)
+        psi, resolved, _ = solve_remainder_homological(state, 1e-2, 2.5, Ncut)
+        r = np.diag(R.entries[R._bpos[(0,) * d]]).imag
+        zero = np.zeros((1, d), dtype=int)
+        leftover = LinearOperatorMatrix(N, R.entries - resolved, R.bands) \
+            + LinearOperatorMatrix(N, -1j * np.diag(r), zero)
+        nf = LinearOperatorMatrix(N, 1j * np.diag(r), zero)
+        X = leftover + (-1.0 * (psi @ nf)) + (R @ psi)
+        W = 2 * N
+        ref = kam._structure_project(dense_reference.truncate_bands(
+            dense_reference.neumann_inverse(psi) @ X, W))
+        assert np.array_equal(nxt.R.bands,
+                              np.indices((2 * W + 1,) * d).reshape(d, -1).T - W)
+        got = {tuple(m): e for m, e in zip(nxt.R.bands, nxt.R.entries)}
+        worst = max(np.max(np.abs(got.pop(tuple(m)) - e))
+                    for m, e in zip(ref.bands, ref.entries))
+        worst = max([worst] + [np.max(np.abs(e)) for e in got.values()])
+        assert worst <= 1e-13 * np.max(np.abs(R.entries))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10 ** 6))
     def test_invariants_property(self, seed):
         state = _initial_state(N=4, L=3, seed=seed)
-        nxt = kam_step(state, Ncut=8.0, band_window=6.0)
+        nxt = kam_step(state, Ncut=8.0)
         assert nxt.mu_oddness_deviation() == 0.0
         assert nxt.R.real_deviation() == 0.0
         assert nxt.R.reversible_deviation() == 0.0
@@ -421,6 +418,18 @@ class TestRunRemainderKam:
         res = run_remainder_kam(state, steps=3)
         jm = state.R.jmodes
         assert np.max(np.abs(jm) * np.abs(res.mu - mu0)) <= 10 * delta0
+
+    def test_two_frequencies(self):
+        # d = 2 runs; golden_frequency(2) has omega_1 = 1/2, resonant with
+        # mu_j - mu_{j-1} ~ 1/2, so the remainder stalls after step 1
+        state = _initial_state(N=8, L=4, d=2)
+        res = run_remainder_kam(state, steps=3)
+        res.assert_invariants(tol=0.0)
+        deltas = [row[1] for row in res.history]
+        assert len(deltas) == 4
+        assert deltas[1] < 0.1 * deltas[0]
+        assert min(deltas[2:]) > 0.5 * deltas[1]
+        assert [G for _, G, _, _ in res.aliasing] == [41, 65, 65]
 
     def test_history_csv(self):
         res = run_remainder_kam(_initial_state(N=4, L=3), steps=2)

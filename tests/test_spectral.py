@@ -11,7 +11,6 @@ from vortexpatch.geometry import pair_trig
 from vortexpatch.spectral import (
     LinearOperatorMatrix,
     PeriodicField,
-    _band_product,
     _mode_numbers,
     antiderivative,
     apply_operator,
@@ -410,16 +409,6 @@ class TestFastOperatorPaths:
         for d, a, b, zeroed in self._operators(rng):
             for left, right in ((a, b), (zeroed, a)):
                 got, ref = left @ right, dense_reference.band_product(left, right)
-                assert np.array_equal(got.bands, ref.bands)
-                assert np.array_equal(got.entries, ref.entries)
-
-    def test_window_bit_equal(self):
-        rng = np.random.default_rng(13)
-        for d, a, b, _ in self._operators(rng):
-            full = a @ b
-            for window in (0, 1, 3, 10):
-                got = _band_product(a, b, window)
-                ref = dense_reference.truncate_bands(full, window)
                 assert np.array_equal(got.bands, ref.bands)
                 assert np.array_equal(got.entries, ref.entries)
 
