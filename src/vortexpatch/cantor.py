@@ -9,10 +9,13 @@ Fourier sites l and mode indices j (and j0 for the second-order family):
                                                       >= 2 gamma <j - j0> / <l>^tau2
 
 (the transport family uses omega = -omega_Eq, the straightened model with
-V^infty = 1/2).  For each tuple the sublevel set {b : |f(b)| < threshold} is
-measured by sign-change bisection; the lengths are cross-checked against the
-polynomial sublevel bound (Russmann estimate) and merged into a sorted
-disjoint union whose complement is the surviving (Cantor) parameter set.
+V^infty = 1/2).  The sublevel sets {b : |f(b)| <= threshold} are found in
+four batched stages: a Lipschitz screen of whole families on a coarse grid, a
+filter on the measurement grid restricted to windows around the coarse nodes
+the screen could not rule out, lockstep sign-change bisection of every
+bracket, and a check of every length against the polynomial sublevel bound
+(Russmann estimate).  The intervals are merged into a sorted disjoint union
+whose complement is the surviving (Cantor) parameter set.
 """
 
 from __future__ import annotations
@@ -32,10 +35,8 @@ __all__ = [
     "russmann_bound",
     "sublevel_measure",
     "excluded_measure",
-    "linear_cantor_measure",
     "measure_curve",
     "merge_intervals",
-    "intervals_nested",
     "excluded_to_csv",
     "excluded_summary_json",
 ]
@@ -43,6 +44,7 @@ __all__ = [
 KINDS = ("transport", "first-order-Melnikov", "second-order-Melnikov")
 _SCREEN_GRID = 512  # nodes of the Lipschitz screen
 _FINE_GRID = 2 ** 14  # cells of the measurement grid (filter and bisection)
+_BLOCK = 2 ** 16  # fine-filter window nodes evaluated at once
 
 
 @dataclass(frozen=True)
@@ -86,21 +88,42 @@ class SublevelResult:
     flags: list
 
 
-def _bisect_root(h, lo, hi, tol=1e-12):
-    """Root of the continuous h by bisection; h(lo), h(hi) have opposite signs."""
-    flo = h(lo)
-    if flo == 0.0:
-        return lo
+def _sublevel_runs(who, node, xs, h, tol):
+    """Sublevel intervals of many functions from their inside nodes at once.
+
+    ``who``/``node`` list the grid nodes of ``xs`` where function ``who`` has
+    h <= 0, sorted by (who, node); ``h(who, x)`` evaluates the indicators
+    |f| - alpha at the points x.  Each run of consecutive inside nodes is one
+    interval; an end strictly inside the grid is the root found by bisection
+    on its bracketing cell, all brackets in lockstep with the steps of the
+    scalar rule (an exact zero at the lower end is the root).  Returns
+    (who, left, right) of the intervals with right > left, in (who, node) order.
+    """
+    first = np.ones(len(node), bool)
+    first[1:] = (who[1:] != who[:-1]) | (node[1:] != node[:-1] + 1)
+    i, k, w = node[first], node[np.roll(first, -1)], who[first]
+    lb, rb = np.flatnonzero(i > 0), np.flatnonzero(k < len(xs) - 1)
+    lo = np.concatenate([xs[i[lb] - 1], xs[k[rb]]])
+    hi = np.concatenate([xs[i[lb]], xs[k[rb] + 1]])
+    owner = np.concatenate([w[lb], w[rb]])
+    flo = h(owner, lo) if len(lo) else lo
+    exact = flo == 0.0
+    live = ~exact
     for _ in range(200):
-        if hi - lo <= tol:
+        live &= hi - lo > tol
+        s = np.flatnonzero(live)
+        if not len(s):
             break
-        mid = 0.5 * (lo + hi)
-        fm = h(mid)
-        if (flo <= 0) != (fm <= 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[s] + hi[s])
+        fm = h(owner[s], mid)
+        up = (flo[s] <= 0) != (fm <= 0)
+        hi[s[up]] = mid[up]
+        lo[s[~up]], flo[s[~up]] = mid[~up], fm[~up]
+    root = np.where(exact, lo, 0.5 * (lo + hi))
+    left, right = xs[i], xs[k]
+    left[lb], right[rb] = root[:len(lb)], root[len(lb):]
+    keep = right > left
+    return w[keep], left[keep], right[keep]
 
 
 def sublevel_measure(f, alpha: float, a: float, b: float,
@@ -116,30 +139,15 @@ def sublevel_measure(f, alpha: float, a: float, b: float,
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     xs = np.linspace(a, b, grid + 1)
-    h = np.abs(np.asarray(f(xs), dtype=float)) - alpha
-    flags = []
-    if np.any(np.abs(h) < 1e-13):
-        flags.append("tangency_suspect")
-    inside = h <= 0.0
 
-    def h1(x):
-        return float(np.abs(f(np.array([x])))[0] - alpha)
+    def h(who, x):
+        return np.abs(np.asarray(f(x), dtype=float)) - alpha
 
-    intervals = []
-    i = 0
-    n = len(xs)
-    while i < n:
-        if not inside[i]:
-            i += 1
-            continue
-        k = i
-        while k + 1 < n and inside[k + 1]:
-            k += 1
-        left = xs[i] if i == 0 else _bisect_root(h1, xs[i - 1], xs[i], tol)
-        right = xs[k] if k == n - 1 else _bisect_root(h1, xs[k], xs[k + 1], tol)
-        if right > left:
-            intervals.append((float(left), float(right)))
-        i = k + 1
+    hx = h(None, xs)
+    flags = ["tangency_suspect"] if np.any(np.abs(hx) < 1e-13) else []
+    node = np.flatnonzero(hx <= 0.0)
+    _, left, right = _sublevel_runs(np.zeros_like(node), node, xs, h, tol)
+    intervals = [(float(l), float(r)) for l, r in zip(left, right)]
     measure = float(sum(r - l for l, r in intervals))
     return SublevelResult(measure=measure, intervals=intervals, flags=flags)
 
@@ -188,16 +196,6 @@ def merge_intervals(intervals) -> list:
     return out
 
 
-def intervals_nested(inner, outer, tol: float = 1e-9) -> bool:
-    """Every interval of ``inner`` lies inside the union of ``outer`` (up to tol)."""
-    outer = merge_intervals(outer)
-    for l, r in merge_intervals(inner):
-        ok = any(ol - tol <= l and r <= orr + tol for ol, orr in outer)
-        if not ok:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # excluded sets of the frequency system
 # ---------------------------------------------------------------------------
@@ -240,10 +238,18 @@ def _tail_bound(d: int, Lmax: int, tau: float, q0: int, C: float = 1.0):
 def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedReport:
     """All excluded parameter intervals of the given small-divisor family.
 
-    Every candidate tuple is first screened on a coarse grid with a Lipschitz
-    safety margin (a tuple is skipped only when min |f| - margin > threshold,
-    which is rigorous); survivors get the full sign-change bisection and a
-    cross-check of each interval length against the Russmann sublevel bound.
+    1. Screen: one array per l (one per (l, m) for the second order) on the
+       512-node grid.  A tuple is skipped when min |f| - lip dx/2 > threshold,
+       which is rigorous: Omega_j' increases, so ``dOmax`` (taken at the node
+       b1) is the exact sup of |Omega_j'|.
+    2. Filter: f is evaluated on the 2^14 + 1-node measurement grid only
+       within dx/2 of the coarse nodes with |f| - lip dx/2 <= threshold + 1e-13,
+       in blocks of ``_BLOCK`` nodes.  These windows hold every fine node with
+       |f| < threshold + 1e-13, so the kept tuples, their inside nodes and
+       their tangency flags are those of the whole grid.
+    3. Bisection of every bracket of every kept tuple in lockstep.
+    4. Russmann check of every interval length, from derivative rows on the
+       screen grid (the grid ``russmann_bound`` samples).
     """
     if spec.tau1 <= sys.d:
         raise ValueError("need tau1 > d for the lattice sums")
@@ -256,135 +262,152 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
     dOmax = np.array([float(np.max(np.abs(omega_derivative(xs, j, 1))))
                       for j in range(1, Jneed + 1)])
     site_rows = [j - 1 for j in sys.sites]
+    G, S = _FINE_GRID, _SCREEN_GRID - 1  # fine nodes m within dx/2 of node i: |S m - G i| <= G/2
+    reach_lo = np.maximum(0, -((G // 2 - G * np.arange(S + 1)) // S))
+    reach_hi = np.minimum(G, (G * np.arange(S + 1) + G // 2) // S)
 
-    sign = -1.0 if spec.kind == "transport" else 1.0  # transport: omega = -omega_Eq
-    rows = []
-    flags = []
-    violations = 0
-    tuples = []  # (l, j, j0, threshold)
+    transport = spec.kind == "transport"
+    second = spec.kind == "second-order-Melnikov"
+    sign = -1.0 if transport else 1.0  # transport: omega = -omega_Eq
+    ls = []  # lattice sites, in sorted order
+    keys = [(np.zeros(0, int),) * 3 + (np.zeros(0),)]  # (l index, j, j0, thr) per batch
+    cells = [(np.zeros(0, int),) * 3]  # (row in batch, first, last fine node) per window
 
-    def screen(fvals, lip, thr):
-        """True when the sublevel set may be nonempty (rigorous skip otherwise)."""
-        return float(np.min(np.abs(fvals))) - 0.5 * lip * dx <= thr
+    def site(l):
+        ls.append(l)
+        lv = np.array(l, dtype=float)
+        return (len(ls) - 1, sign * np.tensordot(lv, Ot[site_rows], axes=([0], [0])),
+                float(np.dot(np.abs(lv), dOmax[site_rows])), _bracket(l))
 
-    if spec.kind == "transport":
-        for l in _half_lattice(sys.d, spec.Lmax):
-            lv = np.array(l, dtype=float)
-            base = sign * np.tensordot(lv, Ot[site_rows], axes=([0], [0]))
-            lip_l = float(np.dot(np.abs(lv), dOmax[site_rows]))
-            br = _bracket(l)
+    def screen(li, F, lip, thr, j, j0=0):
+        """Keep the tuples (l, j[r], j0[r]) whose row F[r] may reach the threshold."""
+        A = np.abs(F)
+        margin = np.broadcast_to(0.5 * lip * dx, len(A))
+        thr = np.broadcast_to(thr, len(A))
+        keep = A.min(axis=1) - margin <= thr
+        cand = A[keep] - margin[keep, None] <= thr[keep, None] + 1e-13
+        r, c = np.nonzero(np.diff(cand, axis=1, prepend=False, append=False))
+        cells.append((r[0::2].copy(), reach_lo[c[0::2]], reach_hi[c[1::2] - 1]))
+        keys.append((np.full(keep.sum(), li), j[keep], np.broadcast_to(j0, len(A))[keep],
+                     thr[keep]))
+
+    if transport:
+        # l = 0 is its own mirror: only j > 0 (the pair (0, 0) is excluded by definition)
+        for l in [(0,) * sys.d] + list(_half_lattice(sys.d, spec.Lmax)):
+            li, base, lip_l, br = site(l)
             jcut = int(np.ceil(C0 * br))
-            for j in range(-jcut, jcut + 1):
-                thr = spec.gamma ** spec.upsilon * max(1, abs(j)) / br ** spec.tau1
-                if screen(base + 0.5 * j, lip_l, thr):
-                    tuples.append((l, j, None, thr))
-        # l = 0, j > 0 (the pair (0, 0) is excluded by definition)
-        for j in range(1, int(np.ceil(C0)) + 1):
-            thr = spec.gamma ** spec.upsilon * j
-            if 0.5 * j <= thr:
-                tuples.append(((0,) * sys.d, j, None, thr))
-    elif spec.kind == "first-order-Melnikov":
+            js = np.arange(-jcut if any(l) else 1, jcut + 1)
+            thr = spec.gamma ** spec.upsilon * np.maximum(1, np.abs(js)) / br ** spec.tau1
+            screen(li, base + 0.5 * js[:, None], lip_l, thr, js)
+    elif not second:
         for l in _lattice(sys.d, spec.Lmax):
-            lv = np.array(l, dtype=float)
-            base = np.tensordot(lv, Ot[site_rows], axes=([0], [0]))
-            lip_l = float(np.dot(np.abs(lv), dOmax[site_rows]))
-            br = _bracket(l)
-            jcut = int(np.ceil(C0 * br))
-            for j in range(1, jcut + 1):
-                if j in sys.sites:
-                    continue
-                thr = spec.gamma * j / br ** spec.tau1
-                if screen(base + Ot[j - 1], lip_l + dOmax[j - 1], thr):
-                    tuples.append((l, j, None, thr))
-    else:  # second-order-Melnikov
+            li, base, lip_l, br = site(l)
+            js = np.setdiff1d(np.arange(1, int(np.ceil(C0 * br)) + 1), sys.sites)
+            screen(li, base + Ot[js - 1], lip_l + dOmax[js - 1],
+                   spec.gamma * js / br ** spec.tau1, js)
+    else:
+        jmin = min(j for j in range(1, Jneed) if j not in sys.sites)
+        lip_pair = 2.0 * float(np.max(dOmax))
+        half_pw = 0.5 * xs ** (2 * jmin)
         for l in _lattice(sys.d, spec.Lmax):
-            lv = np.array(l, dtype=float)
-            base = np.tensordot(lv, Ot[site_rows], axes=([0], [0]))
-            lip_l = float(np.dot(np.abs(lv), dOmax[site_rows]))
-            br = _bracket(l)
-            mcut = int(np.ceil(C0 * br))
+            li, base, lip_l, br = site(l)
             j0cut = min(spec.Jmax,
                         int(np.ceil(spec.c2 * spec.gamma ** (-spec.upsilon)
                                     * br ** spec.tau1)))
-            jmin = min(j for j in range(1, Jneed) if j not in sys.sites)
-            lip_pair = 2.0 * float(np.max(dOmax))
-            for m in range(1, mcut + 1):
-                thr_m = 2.0 * spec.gamma * m / br ** spec.tau2
-                # f(j0) = g + (b^(2(j0+m)) - b^(2 j0))/2 is increasing in j0
-                # toward g = omega.l + m/2, so dist(0, [g - b^(2 jmin)/2, g])
-                # lower-bounds |f| for the whole (l, m) family.
-                g = base + 0.5 * m
-                lo = g - 0.5 * xs ** (2 * jmin)
-                dist = np.where((lo <= 0.0) & (g >= 0.0), 0.0,
-                                np.minimum(np.abs(lo), np.abs(g)))
-                if float(np.min(dist)) - 0.5 * (lip_l + lip_pair) * dx > thr_m:
-                    continue
-                for j0 in range(1, j0cut + 1):
-                    j = j0 + m
-                    if j0 in sys.sites or j in sys.sites or j > Jneed:
-                        continue
-                    fv = base + Ot[j - 1] - Ot[j0 - 1]
-                    if screen(fv, lip_l + dOmax[j - 1] + dOmax[j0 - 1], thr_m):
-                        tuples.append((l, j, j0, thr_m))
+            j0s = np.setdiff1d(np.arange(1, j0cut + 1), sys.sites)
+            ms = np.arange(1, int(np.ceil(C0 * br)) + 1)
+            thr = 2.0 * spec.gamma * ms / br ** spec.tau2
+            # f(j0) = g + (b^(2(j0+m)) - b^(2 j0))/2 is increasing in j0
+            # toward g = omega.l + m/2, so dist(0, [g - b^(2 jmin)/2, g])
+            # lower-bounds |f| for the whole (l, m) family.
+            g = base + 0.5 * ms[:, None]
+            lo = g - half_pw
+            dist = np.where((lo <= 0.0) & (g >= 0.0), 0.0, np.minimum(np.abs(lo), np.abs(g)))
+            for m in ms[dist.min(axis=1) - 0.5 * (lip_l + lip_pair) * dx <= thr]:
+                j0 = j0s[~np.isin(j0s + m, sys.sites) & (j0s + m <= Jneed)]
+                j = j0 + m
+                screen(li, base + Ot[j - 1] - Ot[j0 - 1],
+                       lip_l + dOmax[j - 1] + dOmax[j0 - 1], thr[m - 1], j, j0)
 
-    # exact filter on the measurement grid: sublevel detection needs a node
-    # with |f| <= threshold, so dropping tuples whose fine-grid minimum
-    # exceeds the threshold loses nothing relative to the instrument.
-    xs_f = np.linspace(b0, b1, _FINE_GRID + 1)
-    Otf = np.stack([omega(xs_f, j) for j in range(1, Jneed + 1)])
-    filtered = []
-    cur_l, base_f = None, None
-    for l, j, j0, thr in sorted(tuples, key=lambda t: (t[0], t[1])):
-        if l != cur_l:
-            lv = np.array(l, dtype=float)
-            base_f = sign * np.tensordot(lv, Otf[site_rows], axes=([0], [0]))
-            cur_l = l
-        if spec.kind == "transport":
-            fv = base_f + 0.5 * j
-        elif j0 is None:
-            fv = base_f + Otf[j - 1]
-        else:
-            fv = base_f + Otf[j - 1] - Otf[j0 - 1]
-        if float(np.min(np.abs(fv))) <= thr:
-            filtered.append((l, j, j0, thr))
-    tuples = filtered
+    # tuples in (l, j) order, the order of the flags and of equal rows
+    L, J, J0, T = (np.concatenate(col) for col in zip(*keys))
+    order = np.lexsort((J, L))
+    L, J, J0, T = L[order], J[order], J0[order], T[order]
+    rank = np.argsort(order)  # inverse permutation
+    offset = np.cumsum([0] + [len(k[3]) for k in keys])
+    own, fa, fb = (np.concatenate(col) for col in zip(*cells))
+    own += np.repeat(offset[:-1], [len(c[0]) for c in cells])
+    keys.clear()  # the concatenated columns hold the batches now
+    cells.clear()
+    s = np.argsort(rank[own], kind="stable")
+    own, fa, fb = rank[own][s], fa[s], fb[s]
+    xf = np.linspace(b0, b1, G + 1)
+    Ofs = np.stack([omega(xf, j) for j in sys.sites])
+    lvec = np.array(ls, dtype=float).reshape(len(ls), sys.d)
+    coef = sign * lvec
 
-    def f_callable(l, j, j0):
-        lv = np.array(l, dtype=float)
+    def plus_modes(part, who, row):
+        """part + the mode terms of the tuples ``who``, with Omega_j from row(j)."""
+        if transport:
+            return part + 0.5 * J[who]
+        out = part + row(J[who])
+        return out - row(J0[who]) if second else out
 
-        def f(x, q=0):
-            out = sum(sign * lv[k] * omega_derivative(x, sj, q)
-                      for k, sj in enumerate(sys.sites))
-            if spec.kind == "transport":
-                if q == 0:
-                    out = out + 0.5 * j
-                elif j != 0:
-                    out = out + np.zeros_like(np.asarray(x, dtype=float))
-            else:
-                out = out + omega_derivative(x, j, q)
-                if j0 is not None:
-                    out = out - omega_derivative(x, j0, q)
-            return np.asarray(out, dtype=float) + np.zeros_like(np.asarray(x, dtype=float))
+    def h(who, x):
+        part = sum(coef[L[who], k] * omega(x, sj) for k, sj in enumerate(sys.sites))
+        return np.abs(plus_modes(part, who, lambda j: omega(x, j))) - T[who]
 
-        return f
+    per = np.bincount(own, fb - fa + 1, minlength=len(T)).astype(int)
+    start = np.cumsum(per) - per
+    first_cell = np.searchsorted(own, np.arange(len(T) + 1))
+    found = [(np.zeros(0, int),) * 3]  # (inside tuple, inside node, flagged tuple) per block
+    t0 = 0
+    while t0 < len(T):
+        t1 = max(t0 + 1, int(np.searchsorted(start, start[t0] + _BLOCK)))
+        c0, c1 = first_cell[t0], first_cell[t1]
+        n = fb[c0:c1] - fa[c0:c1] + 1
+        who = np.repeat(own[c0:c1], n)
+        node = np.arange(n.sum()) + np.repeat(fa[c0:c1] - np.cumsum(n) + n, n)
+        base = np.empty(len(node))  # the filter's l-part, taken from the whole grid
+        cut = np.r_[0, np.flatnonzero(np.diff(L[who])) + 1, len(node)]
+        for a, b in zip(cut[:-1], cut[1:]):
+            base[a:b] = (sign * np.tensordot(lvec[L[who[a]]], Ofs, axes=([0], [0])))[node[a:b]]
+        fv = plus_modes(base, who, lambda j: omega(xf[node], j))
+        fmin = np.minimum.reduceat(np.abs(fv), np.r_[0, np.flatnonzero(np.diff(who)) + 1])
+        sel = (fmin <= T[t0:t1])[who - t0]
+        who, node = who[sel], node[sel]
+        hv = h(who, xf[node])
+        found.append((who[hv <= 0.0], node[hv <= 0.0], np.unique(who[np.abs(hv) < 1e-13])))
+        t0 = t1
 
-    for l, j, j0, thr in tuples:
-        f = f_callable(l, j, j0)
-        res = sublevel_measure(f, thr, b0, b1, grid=_FINE_GRID)
-        flags.extend(f"{fl}@{l},{j},{j0}" for fl in res.flags)
-        if not res.intervals:
-            continue
-        bound = russmann_bound(lambda x, q: f(x, q), thr, q0, b0, b1)
-        for left, right in res.intervals:
-            if right - left > bound:
-                violations += 1
-        for left, right in res.intervals:
-            rows.append((l, j, j0, left, right, right - left))
+    def key(t):
+        return ls[L[t]], int(J[t]), int(J0[t]) if second else None
+
+    inside_who, inside_node, flagged = (np.concatenate(col) for col in zip(*found))
+    flags = [f"tangency_suspect@{l},{j},{j0}" for l, j, j0 in map(key, flagged)]
+    w, left, right = _sublevel_runs(inside_who, inside_node, xf, h, 1e-12)
+    need = set(sys.sites) if transport else {*sys.sites, *J[w].tolist(), *J0[w].tolist()} - {0}
+    D = {j: [omega_derivative(xs, j, q) for q in range(q0 + 1)] for j in need}
+    rows = []
+    violations = 0
+    cut = np.flatnonzero(np.diff(w, prepend=-1, append=-1))  # runs of one tuple
+    for a, b in zip(cut[:-1], cut[1:]):
+        t = w[a]
+        table = []
+        for q in range(q0 + 1):
+            part = sum(coef[L[t], k] * D[sj][q] for k, sj in enumerate(sys.sites))
+            table.append(part if transport and q else plus_modes(part, t, lambda j: D[j][q]))
+        # russmann_bound samples the screen grid xs itself
+        bound = russmann_bound(lambda _, q: table[q], float(T[t]), q0, b0, b1,
+                               grid=_SCREEN_GRID)
+        for lf, r in zip(left[a:b].tolist(), right[a:b].tolist()):
+            violations += r - lf > bound
+            rows.append(key(t) + (lf, r, r - lf))
 
     merged = merge_intervals([(r[3], r[4]) for r in rows])
-    tau_used = spec.tau2 if spec.kind == "second-order-Melnikov" else spec.tau1
+    tau_used = spec.tau2 if second else spec.tau1
     tail, divergent = _tail_bound(sys.d, spec.Lmax, tau_used, q0)
-    scale = spec.gamma ** spec.upsilon if spec.kind == "transport" else spec.gamma
+    scale = spec.gamma ** spec.upsilon if transport else spec.gamma
     return ExcludedReport(
         kind=spec.kind,
         gamma=spec.gamma,
@@ -396,17 +419,6 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
         russmann_violations=violations,
         flags=flags,
     )
-
-
-def linear_cantor_measure(sys: FrequencySystem, gamma: float, tau: float,
-                          Lmax: int = 20) -> float:
-    """Surviving measure (b1 - b0) - |excluded| of the linearized conditions."""
-    if gamma == 0.0:
-        return sys.b1 - sys.b0
-    spec = DiophantineSpec(gamma=gamma, tau1=tau, tau2=max(tau + 10.0, 13.0),
-                           Lmax=Lmax, kind="first-order-Melnikov")
-    rep = excluded_measure(sys, spec)
-    return (sys.b1 - sys.b0) - rep.total
 
 
 def measure_curve(sys: FrequencySystem, spec: DiophantineSpec, gammas) -> dict:

@@ -33,12 +33,19 @@ __all__ = [
 
 
 def omega(b, j):
-    """Omega_j(b) = sgn(j)(|j| - 1 + b^(2|j|))/2 for j != 0."""
-    j = int(j)
-    if j == 0:
+    """Omega_j(b) = sgn(j)(|j| - 1 + b^(2|j|))/2 for j != 0.
+
+    ``j`` may be an integer array broadcasting against ``b``; each value is
+    that of its scalar-j call (numpy squares for the scalar exponent 2 but
+    calls pow for an array exponent, so |j| = 1 squares explicitly).
+    """
+    j = np.asarray(j) if np.ndim(j) else int(j)
+    if np.any(j == 0):
         raise ValueError("Omega is defined for j != 0")
     aj = abs(j)
-    return np.sign(j) * 0.5 * (aj - 1.0 + np.asarray(b, dtype=float) ** (2 * aj))
+    b = np.asarray(b, dtype=float)
+    power = np.where(aj == 1, b * b, b ** (2 * aj)) if np.ndim(j) else b ** (2 * aj)
+    return np.sign(j) * 0.5 * (aj - 1.0 + power)
 
 
 def omega_derivative(b, j, q):

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import dense_reference
+from dense_reference import intervals_nested, linear_cantor_measure
 from vortexpatch.cantor import (
+    KINDS,
     DiophantineSpec,
     excluded_measure,
     excluded_summary_json,
     excluded_to_csv,
-    intervals_nested,
-    linear_cantor_measure,
     measure_curve,
     merge_intervals,
     russmann_bound,
@@ -59,6 +60,31 @@ class TestSublevelMeasure:
     def test_tangency_flagged(self):
         res = sublevel_measure(lambda x: x * x, 0.0, -1.0, 1.0)
         assert "tangency_suspect" in res.flags
+
+    # (f, alpha, a, b, grid); on the integer nodes of [0, 16] (grid 16) and
+    # the dyadic nodes of [0, 1] the inside nodes are known exactly
+    EDGE_CASES = {
+        "run_at_first_node": (lambda x: x, 2.5, 0.0, 16.0, 16),
+        "run_at_last_node": (lambda x: 16.0 - x, 2.5, 0.0, 16.0, 16),
+        "single_node_runs": (lambda x: np.minimum(np.abs(x - 3), np.abs(x - 11)), 0.5,
+                             0.0, 16.0, 16),
+        "runs_one_node_apart": (lambda x: np.minimum(np.abs(x - 5), np.abs(x - 7)), 0.5,
+                                0.0, 16.0, 16),
+        "all_nodes_inside": (lambda x: 0.0 * x + 0.1, 1.0, 0.0, 16.0, 16),
+        "no_node_inside": (lambda x: x + 2.0, 1.0, 0.0, 16.0, 16),
+        "alpha_zero_exact_node_zero": (lambda x: x - 0.5, 0.0, 0.0, 1.0, 16),
+        "cos_default_grid": (np.cos, 0.1, 0.0, 2 * np.pi, 2 ** 14),
+        "oscillating": (lambda x: np.sin(20.0 * x) + 0.3, 0.2, 0.0, 2.0, 2 ** 14),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_equal_to_node_loop(self, case):
+        f, alpha, a, b, grid = self.EDGE_CASES[case]
+        res = sublevel_measure(f, alpha, a, b, grid=grid)
+        ref = dense_reference.sublevel_measure_loop(f, alpha, a, b, grid=grid)
+        assert res.intervals == ref.intervals
+        assert res.flags == ref.flags
+        assert res.measure == ref.measure
 
 
 class TestRussmannBound:
@@ -161,6 +187,38 @@ class TestExcludedMeasure:
     def test_tau1_must_exceed_dimension(self):
         with pytest.raises(ValueError):
             excluded_measure(SYS, DiophantineSpec(gamma=1e-3, tau1=1.5, tau2=13.0))
+
+
+class TestExcludedOracle:
+    """The batched pipeline equals the per-tuple reference exactly.  Sites
+    (2, 3) make j = 1 and j0 = 1 normal modes (exponent 2, where numpy's
+    array-exponent power and the scalar-exponent square differ); b0 = 0.1,
+    b1 = 0.9 keep exact grid nodes such as b = 0.5, so tangency flags occur."""
+
+    # gamma = 0.5 gives transport tuples at l = 0, whose window is the whole grid
+    CONFIGS = ([((1, 2), L, g) for L in (3, 4, 5, 6) for g in (1e-2, 1e-3)]
+               + [((1,), 8, 1e-2), ((1,), 6, 1e-3), ((2, 3), 4, 1e-2), ((2, 3), 4, 1e-3),
+                  ((1, 2), 2, 0.5)])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("sites,Lmax,gamma", CONFIGS)
+    def test_equal_to_per_tuple(self, kind, sites, Lmax, gamma):
+        sysf = FrequencySystem(sites, 0.1, 0.9)
+        spec = DiophantineSpec(gamma=gamma, kind=kind, Lmax=Lmax)
+        fast = excluded_measure(sysf, spec)
+        ref = dense_reference.excluded_measure_per_tuple(sysf, spec)
+        assert fast.rows == ref.rows
+        assert fast.merged == ref.merged
+        assert fast.flags == ref.flags
+        assert fast.russmann_violations == ref.russmann_violations
+        assert fast.total == ref.total
+
+    def test_flags_exercised(self):
+        for sites, Lmax, kind in (((1,), 8, "second-order-Melnikov"),
+                                  ((2, 3), 4, "transport")):
+            rep = excluded_measure(FrequencySystem(sites, 0.1, 0.9),
+                                   DiophantineSpec(gamma=1e-2, kind=kind, Lmax=Lmax))
+            assert rep.flags
 
 
 class TestLinearCantorMeasure:

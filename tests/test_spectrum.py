@@ -44,6 +44,19 @@ class TestOmega:
         vals = omega(bs, 3)
         assert np.allclose(vals, [(3 - 1 + b ** 6) / 2 for b in bs])
 
+    def test_array_j_equals_scalar_j(self):
+        # bit-equal, |j| = 1 included: numpy squares for a scalar exponent 2
+        # but calls pow for an array exponent
+        rng = np.random.default_rng(3)
+        bs = rng.uniform(0.05, 0.95, 5000)
+        js = rng.integers(-40, 41, 5000)
+        js[js == 0] = 1
+        vals = omega(bs, js)
+        for j in np.unique(js):
+            assert np.array_equal(vals[js == j], omega(bs, int(j))[js == j])
+        with pytest.raises(ValueError):
+            omega(bs[:2], np.array([1, 0]))
+
 
 class TestOmegaDerivative:
     def test_against_sympy(self):
