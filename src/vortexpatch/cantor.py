@@ -213,17 +213,6 @@ class ExcludedReport:
     flags: list = field(default_factory=list)
 
 
-def _half_lattice(d: int, Lmax: int):
-    """One representative of each +-l pair (zero excluded)."""
-    for l in _lattice(d, Lmax):
-        for x in l:
-            if x > 0:
-                yield l
-                break
-            if x < 0:
-                break
-
-
 def _tail_bound(d: int, Lmax: int, tau: float, q0: int, C: float = 1.0):
     """C sum_{|l| > Lmax} <l>^(-tau/q0) over the d-lattice (counted per shell)."""
     p = tau / q0
@@ -292,8 +281,10 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
                      thr[keep]))
 
     if transport:
+        # one l of each pair +-l: l = 0 and the sites after it in the mirror order;
         # l = 0 is its own mirror: only j > 0 (the pair (0, 0) is excluded by definition)
-        for l in [(0,) * sys.d] + list(_half_lattice(sys.d, spec.Lmax)):
+        lattice = list(_lattice(sys.d, spec.Lmax))
+        for l in lattice[len(lattice) // 2:]:
             li, base, lip_l, br = site(l)
             jcut = int(np.ceil(C0 * br))
             js = np.arange(-jcut if any(l) else 1, jcut + 1)

@@ -397,10 +397,9 @@ def kam_remainder(p, emit):
     """Reduce a synthetic reversible remainder around diag(i Omega_j(b))."""
     if p["seed"] is None:
         raise click.ClickException("--seed is mandatory for randomized synthetic input")
-    N, b = p["N"], p["b"]
-    R = synthetic_reversible_remainder(N, p["L"], p["delta0"], seed=p["seed"])
-    jm = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
-    mu = np.array([float(omega(b, int(j))) for j in jm])
+    b = p["b"]
+    R = synthetic_reversible_remainder(p["N"], p["L"], p["delta0"], seed=p["seed"])
+    mu = np.array([float(omega(b, int(j))) for j in R.jmodes])
     state = ReductionState(omega=golden_frequency(1), mu=mu, R=R)
     try:
         res = run_remainder_kam(state, steps=p["steps"], gamma=p["gamma"], tau2=p["tau2"])

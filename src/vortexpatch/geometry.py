@@ -36,7 +36,6 @@ __all__ = [
     "DegeneratePatchError",
     "BoundaryContactError",
     "PatchState",
-    "kernel_A",
     "kernel_B",
     "kernel_P",
     "smooth_factor_v1",
@@ -119,16 +118,6 @@ def _pair_grids(state: PatchState):
     Re = R[None, :]
     delta = pair_trig(state.M)[0]
     return Rt, Re, delta
-
-
-def kernel_A(state: PatchState) -> np.ndarray:
-    """A_r via the stable form ((R(theta)-R(eta))^2 + 4 R R sin^2((eta-theta)/2))^{1/2}."""
-    Rt, Re, _ = _pair_grids(state)
-    sh = pair_trig(state.M)[3]
-    diff2 = (Rt - Re) ** 2
-    vals = np.sqrt(diff2 + 4.0 * Rt * Re * sh * sh)
-    np.fill_diagonal(vals, 0.0)
-    return vals
 
 
 def kernel_B(state: PatchState) -> np.ndarray:

@@ -29,6 +29,8 @@ from .spectral import (
     LinearOperatorMatrix,
     PeriodicField,
     _fmt,
+    _jmodes,
+    _mirrored,
     _mode_numbers,
     offdiag_norm,
     spectral_derivative,
@@ -91,6 +93,11 @@ def golden_frequency(d: int) -> np.ndarray:
     if d == 2:
         return 0.5 * np.array([1.0, 1.0 + g])
     raise ValueError("only d = 1 or 2 supported")
+
+
+def _reflected(v: np.ndarray) -> np.ndarray:
+    """v(-phi, -theta) on the uniform grid: index k -> -k mod n on every axis."""
+    return v[np.ix_(*[(-np.arange(n)) % n for n in v.shape])]
 
 
 def analytic_norm(f: PeriodicField, s: float) -> float:
@@ -157,8 +164,7 @@ class ChangeOfVariables:
     def oddness_deviation(self) -> float:
         """sup |beta(-phi, -theta) + beta(phi, theta)|."""
         v = self.beta.values
-        idx = tuple((-np.arange(n)) % n for n in v.shape)
-        return float(np.max(np.abs(v[np.ix_(*idx)] + v)))
+        return float(np.max(np.abs(_reflected(v) + v)))
 
 
 def compose_with(f: PeriodicField, cov: ChangeOfVariables, weighted: bool = False,
@@ -195,8 +201,7 @@ class TransportProblem:
         if self.f0.dims != len(self.omega) + 1:
             raise ValueError("f0 must live on (phi_1..phi_d, theta)")
         v = self.f0.values
-        idx = tuple((-np.arange(n)) % n for n in v.shape)
-        if np.max(np.abs(v[np.ix_(*idx)] - v)) > 1e-12:
+        if np.max(np.abs(_reflected(v) - v)) > 1e-12:
             raise ValueError("f0 must be even under (phi, theta) -> (-phi, -theta)")
 
 
@@ -320,6 +325,8 @@ class ReductionState:
         self.mu = np.asarray(self.mu, dtype=float)
         if len(self.mu) != 2 * self.R.N:
             raise ValueError("mu must list one frequency per mode in jmodes order")
+        if len(self.omega) != self.R.d:
+            raise ValueError(f"omega must list one frequency per phi angle of R ({self.R.d})")
 
     def mu_oddness_deviation(self) -> float:
         return float(np.max(np.abs(self.mu + self.mu[::-1])))
@@ -341,7 +348,7 @@ def _structure_project(op: LinearOperatorMatrix) -> LinearOperatorMatrix:
     and is the identity in exact arithmetic.
     """
     a = op.entries.imag
-    return LinearOperatorMatrix(op.N, 1j * 0.5 * (a - op._mirrored(a)), op.bands)
+    return LinearOperatorMatrix(op.N, 1j * 0.5 * (a - _mirrored(a)), op.bands)
 
 
 def synthetic_reversible_remainder(N: int, L: int, delta0: float,
@@ -354,18 +361,16 @@ def synthetic_reversible_remainder(N: int, L: int, delta0: float,
     forcing frequencies (bands range over |l|_1 <= L in Z^d).
     """
     rng = np.random.default_rng(seed)
-    jm = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
+    jm = _jmodes(N)
     bands = np.array(list(_lattice(d, L)), dtype=int)
     a = rng.uniform(-1.0, 1.0, (len(bands), 2 * N, 2 * N))
     dj = np.maximum(1, np.abs(jm[:, None] - jm[None, :]))
     mj = np.maximum(np.abs(jm[:, None]), np.abs(jm[None, :]))
-    for bi, m in enumerate(bands):
-        labs = int(np.sum(np.abs(m)))
-        a[bi] *= delta0 * np.exp(-0.5 * labs) / (dj ** 2 * mj)
-    # exact odd mirror a(-l,-j,-j0) = -a(l,j,j0): the lattice lists -l at the
-    # reversed position of l, so the bands after l = 0 become the negated
-    # mirrors of the bands before it, and the l = 0 band is antisymmetrised
-    mirrored = a[::-1, ::-1, ::-1]
+    a *= (delta0 * np.exp(-0.5 * np.abs(bands).sum(axis=1)))[:, None, None] / (dj ** 2 * mj)
+    # exact odd mirror a(-l,-j,-j0) = -a(l,j,j0) in the band order of
+    # LinearOperatorMatrix: the bands after l = 0 become the negated mirrors
+    # of the bands before it, and the l = 0 band is antisymmetrised
+    mirrored = _mirrored(a)
     zero = len(bands) // 2
     a[zero + 1:] = -mirrored[zero + 1:]
     a[zero] = 0.5 * (a[zero] - mirrored[zero])
@@ -384,32 +389,23 @@ def solve_remainder_homological(state: ReductionState, gamma: float, tau2: float
     """
     R = state.R
     jm = R.jmodes
-    mu = state.mu
-    bands = R.bands
-    psi_entries = np.zeros_like(R.entries)
-    resolved = np.zeros_like(R.entries)
-    nsig = 0
-    ncut = 0
+    labs = np.abs(R.bands).sum(axis=1)
+    lb = np.maximum(1, labs)
+    # per-band Python floats: a vectorised dot or pow may round differently
+    wl = np.array([float(np.dot(state.omega, m)) for m in R.bands])
+    lpow = np.array([float(k) ** tau2 for k in lb])
     dj = np.abs(jm[:, None] - jm[None, :])
-    mu_diff = mu[:, None] - mu[None, :]
-    for bi, m in enumerate(bands):
-        labs = int(np.sum(np.abs(m)))
-        lb = max(1, labs)
-        div = float(np.dot(state.omega, np.atleast_1d(m))) + mu_diff
-        thr = gamma * np.maximum(1, dj) / lb ** tau2
-        chi = smooth_cutoff(div / thr)
-        inside = np.maximum(lb, dj) <= Ncut
-        normal = (labs == 0) & (jm[:, None] == jm[None, :])
-        active = inside & ~normal
-        block = R.entries[bi]
-        denom = np.where(chi > 0.0, 1j * div, 1.0)
-        psi_entries[bi] = np.where(active, -chi * block / denom, 0.0)
-        resolved[bi] = np.where(active, chi * block, 0.0)
-        sig = active & (np.abs(block) > 1e-15)
-        nsig += int(np.count_nonzero(sig))
-        ncut += int(np.count_nonzero(sig & (chi < 1.0)))
-    psi = _structure_project_preserving(
-        LinearOperatorMatrix(R.N, psi_entries, bands))
+    div = wl[:, None, None] + (state.mu[:, None] - state.mu[None, :])
+    chi = smooth_cutoff(div / (gamma * np.maximum(1, dj) / lpow[:, None, None]))
+    normal = (labs == 0)[:, None, None] & (jm[:, None] == jm[None, :])
+    active = (np.maximum(lb[:, None, None], dj) <= Ncut) & ~normal
+    denom = np.where(chi > 0.0, 1j * div, 1.0)
+    psi_entries = np.where(active, -chi * R.entries / denom, 0.0)
+    resolved = np.where(active, chi * R.entries, 0.0)
+    sig = active & (np.abs(R.entries) > 1e-15)
+    nsig = int(np.count_nonzero(sig))
+    ncut = int(np.count_nonzero(sig & (chi < 1.0)))
+    psi = _structure_project_preserving(LinearOperatorMatrix(R.N, psi_entries, R.bands))
     frac = ncut / nsig if nsig else 0.0
     return psi, resolved, frac
 
@@ -418,7 +414,7 @@ def _structure_project_preserving(op: LinearOperatorMatrix) -> LinearOperatorMat
     """Exact projection onto real reversibility-preserving operators
     (real entries, even under the full mirror)."""
     a = op.entries.real
-    return LinearOperatorMatrix(op.N, 0.5 * (a + op._mirrored(a)), op.bands)
+    return LinearOperatorMatrix(op.N, 0.5 * (a + _mirrored(a)), op.bands)
 
 
 def _window(R: LinearOperatorMatrix) -> int:
@@ -447,7 +443,7 @@ def kam_step(state: ReductionState, gamma: float = 1e-2, tau2: float = 2.5,
     W = _window(R)
     if Ncut is None:
         Ncut = W
-    zi = R._bpos.get((0,) * R.d)
+    zi = R.zero_band
     # the l = 0 diagonal entries are i r_j with r real
     r = np.diag(R.entries[zi]).imag if zi is not None else np.zeros(2 * R.N)
     mu_next = state.mu + r
@@ -508,9 +504,8 @@ def _record_delta(state: ReductionState):
 
 def _offnormal(R: LinearOperatorMatrix) -> LinearOperatorMatrix:
     entries = R.entries.copy()
-    zi = R._bpos.get((0,) * R.d)
-    if zi is not None:
-        np.fill_diagonal(entries[zi], 0.0)
+    if R.zero_band is not None:
+        np.fill_diagonal(entries[R.zero_band], 0.0)
     return LinearOperatorMatrix(R.N, entries, R.bands)
 
 

@@ -26,6 +26,7 @@ from .spectral import (
     LinearOperatorMatrix,
     PeriodicField,
     _fmt,
+    _jmodes,
     k1_multiplier_coeffs,
     k2_multiplier_coeffs,
     theta_grid,
@@ -100,7 +101,7 @@ def assemble(state: PatchState, N: int) -> LinearOperatorMatrix:
         raise ValueError("truncation must be >= 1")
     if N > M // 3:
         raise ValueError(f"truncation N={N} too large for grid M={M} (need N <= M/3)")
-    jmodes = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
+    jmodes = _jmodes(N)
     rows = jmodes % M
     E = np.exp(1j * np.outer(theta_grid(M), jmodes))
     V = transport_coefficient(state).values

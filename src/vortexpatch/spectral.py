@@ -21,16 +21,12 @@ __all__ = [
     "PeriodicField",
     "LinearOperatorMatrix",
     "theta_grid",
-    "e_mode",
-    "project",
     "sobolev_norm",
     "antiderivative",
     "symplectic_pairing",
     "offdiag_norm",
-    "apply_operator",
     "k1_multiplier_coeffs",
     "k2_multiplier_coeffs",
-    "convolve_multiplier",
     "spectral_derivative",
 ]
 
@@ -146,28 +142,6 @@ class PeriodicField:
         return PeriodicField(-self.values)
 
 
-def e_mode(shape, l, j) -> PeriodicField:
-    """The complex exponential e_{l,j}(phi, theta) = exp(i(l.phi + j theta))."""
-    shape = tuple(shape)
-    l = np.atleast_1d(np.asarray(l, dtype=int)) if l is not None else np.array([], dtype=int)
-    grids = np.meshgrid(*[theta_grid(n) for n in shape], indexing="ij")
-    phase = j * grids[-1]
-    for li, g in zip(l, grids[:-1]):
-        phase = phase + li * g
-    return PeriodicField(np.exp(1j * phase))
-
-
-def project(field: PeriodicField, N: int) -> PeriodicField:
-    """Cut-off projector Pi_N: zero all coefficients with <l,j> > N."""
-    if N < 1:
-        raise ValueError("projection cutoff must be >= 1")
-    limit = max(n // 2 for n in field.grid_sizes)
-    if N > limit:
-        raise ValueError(f"cutoff N={N} exceeds grid truncation {limit}")
-    keep = field.mode_weights() <= N
-    return PeriodicField.from_coeffs(field.coeffs * keep, real=field.is_real)
-
-
 def sobolev_norm(field: PeriodicField, s: float) -> float:
     """H^s norm: (sum <l,j>^{2s} |c_{l,j}|^2)^{1/2}."""
     w = field.mode_weights().astype(float)
@@ -239,16 +213,21 @@ def k2_multiplier_coeffs(M: int, b: float) -> np.ndarray:
     return _read_only(out)
 
 
-def convolve_multiplier(values: np.ndarray, khat: np.ndarray) -> np.ndarray:
-    """(K * rho)(theta) where K has the given Fourier coefficients."""
-    hat = np.fft.fft(values, norm="forward") * khat
-    out = np.fft.ifft(hat, norm="forward")
-    return out.real if np.isrealobj(values) else out
-
-
 # ---------------------------------------------------------------------------
 # Truncated operator matrices
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def _jmodes(N: int) -> np.ndarray:
+    """The zero-mean modes [-N, ..., -1, 1, ..., N] of a truncation. Cached, hence read-only."""
+    return _read_only(np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)]))
+
+
+def _mirrored(a: np.ndarray) -> np.ndarray:
+    """The mirror (l, j, j0) -> (-l, -j, -j0) of band-stacked entries: in the band
+    order of ``LinearOperatorMatrix`` (and in jmodes) it reverses all three axes."""
+    return a[::-1, ::-1, ::-1]
+
 
 class LinearOperatorMatrix:
     """Finite Fourier truncation of an operator on zero-mean fields.
@@ -260,6 +239,10 @@ class LinearOperatorMatrix:
 
     with ``jmodes = [-N, ..., -1, 1, ..., N]``. ``d = 0`` (no phi angle,
     a single zero band) covers the operators of the linearized-patch module.
+
+    Band order, checked on construction: ``bands`` is sorted lexicographically,
+    unique and closed under l -> -l.  So -l sits at the reversed position of l
+    (``_mirrored``), and l = 0 is the middle band when the count is odd (``zero_band``).
     """
 
     def __init__(self, N: int, entries: np.ndarray, bands=None):
@@ -267,7 +250,7 @@ class LinearOperatorMatrix:
         if entries.ndim == 2:
             entries = entries[None, :, :]
         self.N = int(N)
-        self.jmodes = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
+        self.jmodes = _jmodes(self.N)
         if entries.shape[1:] != (2 * N, 2 * N):
             raise ValueError("entry block shape does not match truncation")
         if bands is None:
@@ -277,11 +260,12 @@ class LinearOperatorMatrix:
             bands = bands[:, None]
         if bands.shape[0] != entries.shape[0]:
             raise ValueError("band list does not match entry blocks")
+        if not (np.array_equal(np.unique(bands, axis=0), bands)
+                and np.array_equal(bands[::-1], -bands)):
+            raise ValueError("bands must be sorted, unique and closed under l -> -l")
         self.bands = bands
         self.d = bands.shape[1]
         self.entries = entries
-        self._jpos = {int(j): a for a, j in enumerate(self.jmodes)}
-        self._bpos = {tuple(int(x) for x in m): i for i, m in enumerate(bands)}
 
     # -- constructors ---------------------------------------------------
 
@@ -289,38 +273,25 @@ class LinearOperatorMatrix:
     def identity(cls, N: int) -> "LinearOperatorMatrix":
         return cls(N, np.eye(2 * N, dtype=complex))
 
-    @classmethod
-    def from_multiplier(cls, N: int, values) -> "LinearOperatorMatrix":
-        """Diagonal operator e_j -> a_j e_j; ``values`` maps j to a_j."""
-        diag = np.array([values(int(j)) for j in np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])],
-                        dtype=complex)
-        return cls(N, np.diag(diag))
-
     # -- structure ------------------------------------------------------
+
+    @property
+    def zero_band(self) -> int | None:
+        """Index of the band l = 0, None when it is absent."""
+        return len(self.bands) // 2 if len(self.bands) % 2 else None
 
     def entry(self, m, j: int, j0: int) -> complex:
         """T^{l0+m, j}_{l0, j0}; zero if the band or mode is absent."""
-        key = tuple(int(x) for x in np.atleast_1d(m)) if self.d else ()
-        bi = self._bpos.get(key)
-        if bi is None or j not in self._jpos or j0 not in self._jpos:
+        key = list(np.atleast_1d(m)) if self.d else []
+        bands, jm = self.bands.tolist(), self.jmodes.tolist()
+        if key not in bands or j not in jm or j0 not in jm:
             return 0.0
-        return complex(self.entries[bi, self._jpos[j], self._jpos[j0]])
-
-    def _mirrored(self, a: np.ndarray) -> np.ndarray:
-        """The full mirror of a band-stacked array: out[b] = a[band -l] with
-        both mode axes reversed (the jmodes list is symmetric under j -> -j),
-        zero where the band -l is absent."""
-        out = np.zeros_like(a)
-        for bi, m in enumerate(self.bands):
-            mi = self._bpos.get(tuple(int(-x) for x in m))
-            if mi is not None:
-                out[bi] = a[mi][::-1, ::-1]
-        return out
+        return complex(self.entries[bands.index(key), jm.index(j), jm.index(j0)])
 
     def _mirror_deviation(self, sign: float, conjugate: bool) -> float:
         """sup |T^{-l,-j}_{-l0,-j0} - sign * (conj)T^{l,j}_{l0,j0}|."""
         ref = np.conj(self.entries) if conjugate else self.entries
-        return float(np.max(np.abs(self._mirrored(self.entries) - sign * ref), initial=0.0))
+        return float(np.max(np.abs(_mirrored(self.entries) - sign * ref), initial=0.0))
 
     def real_deviation(self) -> float:
         return self._mirror_deviation(1.0, conjugate=True)
@@ -330,15 +301,6 @@ class LinearOperatorMatrix:
 
     def reversibility_preserving_deviation(self) -> float:
         return self._mirror_deviation(1.0, conjugate=False)
-
-    def is_real(self, tol: float = 1e-10) -> bool:
-        return self.real_deviation() <= tol
-
-    def is_reversible(self, tol: float = 1e-10) -> bool:
-        return self.reversible_deviation() <= tol
-
-    def is_reversibility_preserving(self, tol: float = 1e-10) -> bool:
-        return self.reversibility_preserving_deviation() <= tol
 
     # -- algebra ----------------------------------------------------------
 
@@ -361,18 +323,18 @@ class LinearOperatorMatrix:
         return LinearOperatorMatrix(self.N, entries, bands)
 
     def __add__(self, other: "LinearOperatorMatrix") -> "LinearOperatorMatrix":
+        """Band sum; output bands sorted, each the left block plus the right one."""
         if self.N != other.N or self.d != other.d:
             raise ValueError("operator truncations do not match")
-        sums = {tuple(int(x) for x in m): self.entries[i].copy() for i, m in enumerate(self.bands)}
-        for i, m in enumerate(other.bands):
-            key = tuple(int(x) for x in m)
-            if key in sums:
-                sums[key] += other.entries[i]
-            else:
-                sums[key] = other.entries[i].copy()
-        keys = sorted(sums)
-        bands = np.array(keys, dtype=int).reshape(len(keys), self.d)
-        return LinearOperatorMatrix(self.N, np.stack([sums[k] for k in keys]), bands)
+        nl = len(self.bands)
+        bands, inv = np.unique(np.concatenate([self.bands, other.bands]), axis=0,
+                               return_inverse=True)
+        inv = inv.reshape(-1)
+        # -0.0 + x is x bit for bit; +0.0 would turn a -0.0 entry into +0.0
+        entries = np.full((len(bands), 2 * self.N, 2 * self.N), complex(-0.0, -0.0))
+        entries[inv[:nl]] += self.entries
+        entries[inv[nl:]] += other.entries
+        return LinearOperatorMatrix(self.N, entries, bands)
 
     def __sub__(self, other: "LinearOperatorMatrix") -> "LinearOperatorMatrix":
         return self + (-other)
@@ -401,45 +363,3 @@ def offdiag_norm(op: LinearOperatorMatrix, s: float) -> float:
     weights = np.array([float(k) ** (2.0 * s) for k in range(int(w.max(initial=0)) + 1)])
     terms = (weights[w] * sups ** 2).ravel()
     return float(np.sqrt(np.cumsum(terms)[-1])) if terms.size else 0.0
-
-
-def apply_operator(op: LinearOperatorMatrix, field: PeriodicField) -> PeriodicField:
-    """Matrix-vector product in coefficient space (modes outside the truncation drop)."""
-    shape = field.grid_sizes
-    if field.dims != op.d + 1:
-        raise ValueError("field dimensionality does not match operator")
-    if op.N > shape[-1] // 2 - 1:
-        raise ValueError("operator truncation exceeds field grid")
-    c = field.coeffs
-    jnums = _mode_numbers(shape[-1])
-    jsel = [np.where(jnums == j)[0][0] for j in op.jmodes]
-    out = np.zeros_like(c)
-    if op.d == 0:
-        vec = c[jsel]
-        res = op.entries[0] @ vec
-        out[jsel] = res
-    else:
-        cin = c[..., jsel]
-        for bi, m in enumerate(op.bands):
-            contrib = np.tensordot(cin, op.entries[bi].T, axes=([cin.ndim - 1], [0]))
-            for ax, shift in enumerate(m):
-                contrib = _shift_no_wrap(contrib, int(shift), ax, _mode_numbers(shape[ax]))
-            out[..., jsel] += contrib
-    return PeriodicField.from_coeffs(out, real=field.is_real)
-
-
-def _shift_no_wrap(arr: np.ndarray, shift: int, axis: int, modes: np.ndarray) -> np.ndarray:
-    """Shift coefficients l -> l + shift along an fft-ordered axis, dropping overflow."""
-    if shift == 0:
-        return arr
-    order = np.argsort(modes)
-    sorted_arr = np.take(arr, order, axis=axis)
-    rolled = np.roll(sorted_arr, shift, axis=axis)
-    idx = [slice(None)] * arr.ndim
-    if shift > 0:
-        idx[axis] = slice(0, shift)
-    else:
-        idx[axis] = slice(len(modes) + shift, len(modes))
-    rolled[tuple(idx)] = 0.0
-    inv = np.argsort(order)
-    return np.take(rolled, inv, axis=axis)

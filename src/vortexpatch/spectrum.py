@@ -2,10 +2,10 @@
 
 Omega_j(b) = sgn(j)(|j| - 1 + b^(2|j|))/2 is polynomial in b, so all
 b-derivatives are exact monomial-rule evaluations (no finite differences).
-The module verifies monotonicity/lower-bound properties, the linear
-independence (non-degeneracy) of the tangential frequencies, and scans the
-four transversality cases for a quantitative lower bound rho0_hat on the
-maximal-derivative functional f -> min_b max_{q<=q0} |d^q f| / <l>.
+The module verifies the linear independence (non-degeneracy) of the
+tangential frequencies, and scans the four transversality cases for a
+quantitative lower bound rho0_hat on the maximal-derivative functional
+f -> min_b max_{q<=q0} |d^q f| / <l>.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "FrequencySystem",
     "omega",
     "omega_derivative",
-    "check_monotonicity",
     "nondegeneracy_test",
     "transversality_scan",
     "perturbed_transversality",
@@ -98,47 +97,6 @@ class FrequencySystem:
         return max(float(omega(self.b1, j)) for j in self.sites)
 
 
-def check_monotonicity(b: float, Jmax: int = 50, b0: float = 0.1, b1: float = 0.9,
-                       grid: int = 200) -> dict:
-    """Monotonicity and lower-bound report for the frequency family.
-
-    Checks (on the given b and a [b0, b1] grid):
-    * Omega_j(b)/j strictly increasing in j up to Jmax (reports the min gap);
-    * |Omega_j(b')| >= (b0^2/2) j;
-    * |Omega_j(b') +- Omega_j'(b')| >= (b0^2/6) |j +- j'| for j, j' <= min(Jmax, 30).
-    """
-    js = np.arange(1, Jmax + 1)
-    ratios = np.array([float(omega(b, j)) / j for j in js])
-    gaps = np.diff(ratios)
-    bs = np.linspace(b0, b1, grid)
-    lower_ok = True
-    lower_margin = np.inf
-    for j in js:
-        vals = np.abs(omega(bs, int(j)))
-        margin = float(np.min(vals - 0.5 * b0 * b0 * j))
-        lower_margin = min(lower_margin, margin)
-        lower_ok &= margin >= 0.0
-    jpair = js[: min(Jmax, 30)]
-    pair_margin = np.inf
-    for j in jpair:
-        oj = omega(bs, int(j))
-        for jp in jpair:
-            ojp = omega(bs, int(jp))
-            for sgn in (+1, -1):
-                target = (b0 * b0 / 6.0) * abs(j + sgn * jp)
-                pair_margin = min(pair_margin, float(np.min(np.abs(oj + sgn * ojp)) - target))
-    return {
-        "b": b,
-        "Jmax": int(Jmax),
-        "monotone": bool(np.all(gaps > 0)),
-        "min_gap": float(np.min(gaps)),
-        "lower_bound_ok": bool(lower_ok),
-        "lower_bound_margin": float(lower_margin),
-        "pair_bound_ok": bool(pair_margin >= 0.0),
-        "pair_bound_margin": float(pair_margin),
-    }
-
-
 def nondegeneracy_test(sys: FrequencySystem, polys=None) -> bool:
     """Full column rank of {Omega_{j_1}, ..., Omega_{j_d}, 1} in the monomial basis.
 
@@ -174,8 +132,8 @@ def _rank(rows) -> int:
 # ---------------------------------------------------------------------------
 
 def _lattice(d: int, Lmax: int):
-    """The Fourier sites l in Z^d with |l|_1 <= Lmax, in lexicographic order
-    (so -l sits at the reversed position of l)."""
+    """The Fourier sites l in Z^d with |l|_1 <= Lmax, in lexicographic order: the band
+    order of ``spectral.LinearOperatorMatrix``, -l at the reversed position of l."""
     for l in itertools.product(range(-Lmax, Lmax + 1), repeat=d):
         if sum(abs(x) for x in l) <= Lmax:
             yield l

@@ -8,8 +8,14 @@ computes the same integrals from rank-2 / column-block factorizations; these
 functions are the independent path the tests compare against.
 
 The operator references are the plain loop forms of the off-diagonal norm,
-the band product and its window projection, the Neumann series of
-(Id + Psi)^{-1} in band space, and the shifted evaluation.
+the band product and its window projection, the band sum and the mirror by
+band lookup, the per-band remainder homological equation, the Neumann series
+of (Id + Psi)^{-1} in band space, and the shifted evaluation.
+
+The test-only helpers follow them: the coefficient-space operator action
+``apply_operator``, ``e_mode``, ``project``, ``convolve_multiplier``,
+``from_multiplier``, the kernel table ``kernel_A`` and the frequency report
+``check_monotonicity``.
 
 The Cantor references at the end are the node-by-node sublevel loop with its
 scalar bisection, the per-tuple excluded-measure pipeline built on it (a
@@ -26,16 +32,17 @@ from vortexpatch.cantor import (
     DiophantineSpec,
     ExcludedReport,
     SublevelResult,
-    _half_lattice,
     _tail_bound,
     excluded_measure,
     merge_intervals,
     russmann_bound,
 )
-from vortexpatch.geometry import log_one_plus_P_half, log_v1, pair_trig
-from vortexpatch.kam import NonReducibleError
+from vortexpatch.geometry import _pair_grids, log_one_plus_P_half, log_v1, pair_trig
+from vortexpatch.kam import NonReducibleError, smooth_cutoff
 from vortexpatch.spectral import (
     LinearOperatorMatrix,
+    PeriodicField,
+    _jmodes,
     _mode_numbers,
     k1_multiplier_coeffs,
     k2_multiplier_coeffs,
@@ -167,6 +174,68 @@ def band_product(left, right):
     return LinearOperatorMatrix(left.N, np.stack([sums[k] for k in keys]), bands)
 
 
+def band_sum(left, right):
+    """left + right through a dict of band tuples, output bands sorted."""
+    sums = {tuple(int(x) for x in m): left.entries[i].copy() for i, m in enumerate(left.bands)}
+    for i, m in enumerate(right.bands):
+        key = tuple(int(x) for x in m)
+        if key in sums:
+            sums[key] += right.entries[i]
+        else:
+            sums[key] = right.entries[i].copy()
+    keys = sorted(sums)
+    bands = np.array(keys, dtype=int).reshape(len(keys), left.d)
+    return LinearOperatorMatrix(left.N, np.stack([sums[k] for k in keys]), bands)
+
+
+def mirrored(op, a):
+    """The full mirror of a band-stacked array by band lookup: out[b] = a[band -l]
+    with both mode axes reversed (the jmodes list is symmetric under j -> -j),
+    zero where the band -l is absent."""
+    bpos = {tuple(int(x) for x in m): i for i, m in enumerate(op.bands)}
+    out = np.zeros_like(a)
+    for bi, m in enumerate(op.bands):
+        mi = bpos.get(tuple(int(-x) for x in m))
+        if mi is not None:
+            out[bi] = a[mi][::-1, ::-1]
+    return out
+
+
+def solve_remainder_homological(state, gamma, tau2, Ncut):
+    """(Psi, resolved, cut_fraction) of the remainder homological equation,
+    one band at a time, Psi projected with ``mirrored``."""
+    R = state.R
+    jm = R.jmodes
+    mu = state.mu
+    bands = R.bands
+    psi_entries = np.zeros_like(R.entries)
+    resolved = np.zeros_like(R.entries)
+    nsig = 0
+    ncut = 0
+    dj = np.abs(jm[:, None] - jm[None, :])
+    mu_diff = mu[:, None] - mu[None, :]
+    for bi, m in enumerate(bands):
+        labs = int(np.sum(np.abs(m)))
+        lb = max(1, labs)
+        div = float(np.dot(state.omega, np.atleast_1d(m))) + mu_diff
+        thr = gamma * np.maximum(1, dj) / lb ** tau2
+        chi = smooth_cutoff(div / thr)
+        inside = np.maximum(lb, dj) <= Ncut
+        normal = (labs == 0) & (jm[:, None] == jm[None, :])
+        active = inside & ~normal
+        block = R.entries[bi]
+        denom = np.where(chi > 0.0, 1j * div, 1.0)
+        psi_entries[bi] = np.where(active, -chi * block / denom, 0.0)
+        resolved[bi] = np.where(active, chi * block, 0.0)
+        sig = active & (np.abs(block) > 1e-15)
+        nsig += int(np.count_nonzero(sig))
+        ncut += int(np.count_nonzero(sig & (chi < 1.0)))
+    a = psi_entries.real
+    psi = LinearOperatorMatrix(R.N, 0.5 * (a + mirrored(R, a)), bands)
+    frac = ncut / nsig if nsig else 0.0
+    return psi, resolved, frac
+
+
 def truncate_bands(op, window):
     """Projection onto the band window |l|_inf <= window."""
     b = op.bands
@@ -201,6 +270,134 @@ def evaluate_shifted(f, shift):
     phase = np.exp(1j * angles[..., None] * _mode_numbers(M))
     out = np.sum(c[..., None, :] * phase, axis=-1)
     return out.real if np.isrealobj(vals) else out
+
+
+def apply_operator(op: LinearOperatorMatrix, field: PeriodicField) -> PeriodicField:
+    """Matrix-vector product in coefficient space (modes outside the truncation drop)."""
+    shape = field.grid_sizes
+    if field.dims != op.d + 1:
+        raise ValueError("field dimensionality does not match operator")
+    if op.N > shape[-1] // 2 - 1:
+        raise ValueError("operator truncation exceeds field grid")
+    c = field.coeffs
+    jnums = _mode_numbers(shape[-1])
+    jsel = [np.where(jnums == j)[0][0] for j in op.jmodes]
+    out = np.zeros_like(c)
+    if op.d == 0:
+        vec = c[jsel]
+        res = op.entries[0] @ vec
+        out[jsel] = res
+    else:
+        cin = c[..., jsel]
+        for bi, m in enumerate(op.bands):
+            contrib = np.tensordot(cin, op.entries[bi].T, axes=([cin.ndim - 1], [0]))
+            for ax, shift in enumerate(m):
+                contrib = _shift_no_wrap(contrib, int(shift), ax, _mode_numbers(shape[ax]))
+            out[..., jsel] += contrib
+    return PeriodicField.from_coeffs(out, real=field.is_real)
+
+
+def _shift_no_wrap(arr: np.ndarray, shift: int, axis: int, modes: np.ndarray) -> np.ndarray:
+    """Shift coefficients l -> l + shift along an fft-ordered axis, dropping overflow."""
+    if shift == 0:
+        return arr
+    order = np.argsort(modes)
+    sorted_arr = np.take(arr, order, axis=axis)
+    rolled = np.roll(sorted_arr, shift, axis=axis)
+    idx = [slice(None)] * arr.ndim
+    if shift > 0:
+        idx[axis] = slice(0, shift)
+    else:
+        idx[axis] = slice(len(modes) + shift, len(modes))
+    rolled[tuple(idx)] = 0.0
+    inv = np.argsort(order)
+    return np.take(rolled, inv, axis=axis)
+
+
+def e_mode(shape, l, j) -> PeriodicField:
+    """The complex exponential e_{l,j}(phi, theta) = exp(i(l.phi + j theta))."""
+    shape = tuple(shape)
+    l = np.atleast_1d(np.asarray(l, dtype=int)) if l is not None else np.array([], dtype=int)
+    grids = np.meshgrid(*[theta_grid(n) for n in shape], indexing="ij")
+    phase = j * grids[-1]
+    for li, g in zip(l, grids[:-1]):
+        phase = phase + li * g
+    return PeriodicField(np.exp(1j * phase))
+
+
+def project(field: PeriodicField, N: int) -> PeriodicField:
+    """Cut-off projector Pi_N: zero all coefficients with <l,j> > N."""
+    if N < 1:
+        raise ValueError("projection cutoff must be >= 1")
+    limit = max(n // 2 for n in field.grid_sizes)
+    if N > limit:
+        raise ValueError(f"cutoff N={N} exceeds grid truncation {limit}")
+    keep = field.mode_weights() <= N
+    return PeriodicField.from_coeffs(field.coeffs * keep, real=field.is_real)
+
+
+def convolve_multiplier(values: np.ndarray, khat: np.ndarray) -> np.ndarray:
+    """(K * rho)(theta) where K has the given Fourier coefficients."""
+    hat = np.fft.fft(values, norm="forward") * khat
+    out = np.fft.ifft(hat, norm="forward")
+    return out.real if np.isrealobj(values) else out
+
+
+def from_multiplier(N: int, values) -> LinearOperatorMatrix:
+    """Diagonal operator e_j -> a_j e_j; ``values`` maps j to a_j."""
+    diag = np.array([values(int(j)) for j in _jmodes(N)], dtype=complex)
+    return LinearOperatorMatrix(N, np.diag(diag))
+
+
+def kernel_A(state):
+    """A_r via the stable form ((R(theta)-R(eta))^2 + 4 R R sin^2((eta-theta)/2))^{1/2}."""
+    Rt, Re, _ = _pair_grids(state)
+    sh = pair_trig(state.M)[3]
+    diff2 = (Rt - Re) ** 2
+    vals = np.sqrt(diff2 + 4.0 * Rt * Re * sh * sh)
+    np.fill_diagonal(vals, 0.0)
+    return vals
+
+
+def check_monotonicity(b: float, Jmax: int = 50, b0: float = 0.1, b1: float = 0.9,
+                       grid: int = 200) -> dict:
+    """Monotonicity and lower-bound report for the frequency family.
+
+    Checks (on the given b and a [b0, b1] grid):
+    * Omega_j(b)/j strictly increasing in j up to Jmax (reports the min gap);
+    * |Omega_j(b')| >= (b0^2/2) j;
+    * |Omega_j(b') +- Omega_j'(b')| >= (b0^2/6) |j +- j'| for j, j' <= min(Jmax, 30).
+    """
+    js = np.arange(1, Jmax + 1)
+    ratios = np.array([float(omega(b, j)) / j for j in js])
+    gaps = np.diff(ratios)
+    bs = np.linspace(b0, b1, grid)
+    lower_ok = True
+    lower_margin = np.inf
+    for j in js:
+        vals = np.abs(omega(bs, int(j)))
+        margin = float(np.min(vals - 0.5 * b0 * b0 * j))
+        lower_margin = min(lower_margin, margin)
+        lower_ok &= margin >= 0.0
+    jpair = js[: min(Jmax, 30)]
+    pair_margin = np.inf
+    for j in jpair:
+        oj = omega(bs, int(j))
+        for jp in jpair:
+            ojp = omega(bs, int(jp))
+            for sgn in (+1, -1):
+                target = (b0 * b0 / 6.0) * abs(j + sgn * jp)
+                pair_margin = min(pair_margin, float(np.min(np.abs(oj + sgn * ojp)) - target))
+    return {
+        "b": b,
+        "Jmax": int(Jmax),
+        "monotone": bool(np.all(gaps > 0)),
+        "min_gap": float(np.min(gaps)),
+        "lower_bound_ok": bool(lower_ok),
+        "lower_bound_margin": float(lower_margin),
+        "pair_bound_ok": bool(pair_margin >= 0.0),
+        "pair_bound_margin": float(pair_margin),
+    }
 
 
 def _bisect_root(h, lo, hi, tol=1e-12):
@@ -303,7 +500,8 @@ def excluded_measure_per_tuple(sys: FrequencySystem,
         return float(np.min(np.abs(fvals))) - 0.5 * lip * dx <= thr
 
     if spec.kind == "transport":
-        for l in _half_lattice(sys.d, spec.Lmax):
+        # one l of each pair +-l: the first nonzero entry is positive
+        for l in (l for l in _lattice(sys.d, spec.Lmax) if l > (0,) * sys.d):
             lv = np.array(l, dtype=float)
             base = sign * np.tensordot(lv, Ot[site_rows], axes=([0], [0]))
             lip_l = float(np.dot(np.abs(lv), dOmax[site_rows]))

@@ -1,6 +1,7 @@
 """Finite-truncation reduction engines: transport straightening and
 remainder elimination."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -282,6 +283,15 @@ def _initial_state(N=8, L=8, delta0=1e-3, seed=0, b=0.5, d=1):
     return ReductionState(omega=golden_frequency(d), mu=mu, R=R)
 
 
+class TestReductionState:
+    def test_frequency_count_must_match_bands(self):
+        R = synthetic_reversible_remainder(4, 3, 1e-3, seed=2, d=2)
+        mu = np.zeros(2 * R.N)
+        with pytest.raises(ValueError, match="per phi angle"):
+            ReductionState(omega=golden_frequency(1), mu=mu, R=R)
+        assert ReductionState(omega=golden_frequency(2), mu=mu, R=R).R is R
+
+
 class TestSyntheticRemainder:
     def test_structure_exact(self):
         R = synthetic_reversible_remainder(6, 4, 1e-3, seed=1)
@@ -312,6 +322,20 @@ class TestRemainderHomological:
             resid = 1j * div * psi.entries[bi] + resolved[bi]
             worst = max(worst, float(np.max(np.abs(resid))))
         assert worst < 1e-12
+
+    @pytest.mark.parametrize("d,N,L", [(1, 6, 4), (1, 14, 10), (2, 4, 3), (2, 8, 4)])
+    def test_bit_equal_to_band_loop(self, d, N, L):
+        # gamma 30 puts many entries in the transition of the cutoff, where a
+        # last-bit change of a threshold <l>^tau2 changes chi
+        state = _initial_state(N, L, d=d)
+        for cur in (state, kam_step(state, Ncut=2.0 * N)):
+            for Ncut, gamma in itertools.product((4.0, 2.0 * N, 64.0), (1e-2, 30.0)):
+                psi, resolved, frac = solve_remainder_homological(cur, gamma, 2.5, Ncut)
+                ref = dense_reference.solve_remainder_homological(cur, gamma, 2.5, Ncut)
+                assert np.array_equal(psi.bands, ref[0].bands)
+                assert psi.entries.tobytes() == ref[0].entries.tobytes()
+                assert resolved.tobytes() == ref[1].tobytes()
+                assert frac == ref[2]
 
     def test_psi_structure(self):
         state = _initial_state(N=6, L=4)
@@ -372,7 +396,7 @@ class TestKamStep:
         R, Ncut = state.R, 2.0 * N
         nxt = kam_step(state, Ncut=Ncut)
         psi, resolved, _ = solve_remainder_homological(state, 1e-2, 2.5, Ncut)
-        r = np.diag(R.entries[R._bpos[(0,) * d]]).imag
+        r = np.diag(R.entries[R.zero_band]).imag
         zero = np.zeros((1, d), dtype=int)
         leftover = LinearOperatorMatrix(N, R.entries - resolved, R.bands) \
             + LinearOperatorMatrix(N, -1j * np.diag(r), zero)

@@ -6,20 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import dense_reference
-from dense_reference import shifted_kernel_integral
+from dense_reference import (
+    apply_operator,
+    convolve_multiplier,
+    e_mode,
+    from_multiplier,
+    project,
+    shifted_kernel_integral,
+)
 from vortexpatch.geometry import pair_trig
 from vortexpatch.spectral import (
     LinearOperatorMatrix,
     PeriodicField,
+    _mirrored,
     _mode_numbers,
     antiderivative,
-    apply_operator,
-    convolve_multiplier,
-    e_mode,
     k1_multiplier_coeffs,
     k2_multiplier_coeffs,
     offdiag_norm,
-    project,
     sobolev_norm,
     spectral_derivative,
     symplectic_pairing,
@@ -301,7 +305,7 @@ class TestOperatorMatrix:
 
     def test_multiplier_norm(self):
         a = {j: 1.0 / (abs(j) + 1) for j in range(-6, 7) if j != 0}
-        op = LinearOperatorMatrix.from_multiplier(6, lambda j: a[j])
+        op = from_multiplier(6, lambda j: a[j])
         sup = max(abs(v) for v in a.values())
         for s in (0.0, 2.0):
             assert abs(offdiag_norm(op, s) - sup) < 1e-13
@@ -335,7 +339,7 @@ class TestOperatorMatrix:
             aj = abs(j)
             return np.sign(j) * 0.5 * (aj - 1 + b ** (2 * aj))
 
-        op = LinearOperatorMatrix.from_multiplier(8, lambda j: -1j * omega(j))
+        op = from_multiplier(8, lambda j: -1j * omega(j))
         for j in (2, -3, 5):
             f = e_mode((64,), l=None, j=j)
             g = apply_operator(op, PeriodicField(f.values))
@@ -363,7 +367,7 @@ class TestOperatorMatrix:
             apply_operator(op, random_field(64))
 
     def test_entry_accessor(self):
-        op = LinearOperatorMatrix.from_multiplier(4, lambda j: 2.0 * j)
+        op = from_multiplier(4, lambda j: 2.0 * j)
         assert op.entry((), 3, 3) == pytest.approx(6.0)
         assert op.entry((), 3, 2) == 0.0
         assert op.entry((), 5, 5) == 0.0  # outside truncation
@@ -416,6 +420,53 @@ class TestFastOperatorPaths:
         with pytest.raises(ValueError):
             LinearOperatorMatrix.identity(2) @ LinearOperatorMatrix.identity(3)
 
+    def test_add_bit_equal(self):
+        # signed zeros included: -0.0 real parts are common (1j * a for a < 0)
+        rng = np.random.default_rng(13)
+        for d, a, b, zeroed in self._operators(rng):
+            # the outermost band of -(zeroed @ b) is all -0.0 and absent from a
+            for left, right in ((a, b), (zeroed, a), (a, a @ b), (-1.0 * (zeroed @ b), a)):
+                got, ref = left + right, dense_reference.band_sum(left, right)
+                assert np.array_equal(got.bands, ref.bands)
+                assert got.entries.tobytes() == ref.entries.tobytes()
+
+    def test_mirrored_bit_equal(self):
+        rng = np.random.default_rng(14)
+        for d, a, b, zeroed in self._operators(rng):
+            for op in (a, b, zeroed, a @ b, zeroed @ a):
+                for arr in (op.entries, op.entries.real, op.entries.imag):
+                    ref = dense_reference.mirrored(op, arr)
+                    assert _mirrored(arr).tobytes() == ref.tobytes()
+
+
+class TestBandOrder:
+    """Bands are sorted, unique and closed under l -> -l."""
+
+    @pytest.mark.parametrize("bands", [[[1], [0]], [[0], [0]], [[0], [1]], None],
+                             ids=["unsorted", "duplicate", "not-negation-closed", "d0-twice"])
+    def test_rejected(self, bands):
+        with pytest.raises(ValueError, match="sorted, unique and closed"):
+            LinearOperatorMatrix(2, np.zeros((2, 4, 4)), bands)
+
+    @pytest.mark.parametrize("d,L", [(0, 0), (1, 3), (2, 2)])
+    def test_zero_band_is_middle(self, d, L):
+        op = random_lattice_operator(2, d, L, np.random.default_rng(15))
+        assert not op.bands[op.zero_band].any()
+        assert op.entry(op.bands[op.zero_band], 1, -2) == op.entries[op.zero_band, 2, 0]
+
+    def test_no_zero_band(self):
+        op = LinearOperatorMatrix(2, np.ones((2, 4, 4)), [[-1], [1]])
+        assert op.zero_band is None
+        assert op.entry((0,), 1, 1) == 0.0
+        assert op.entry((1,), 2, -2) == 1.0
+
+    def test_jmodes_shared_and_read_only(self):
+        a, b = LinearOperatorMatrix.identity(3), LinearOperatorMatrix.identity(3)
+        assert a.jmodes is b.jmodes
+        assert a.jmodes.tolist() == [-3, -2, -1, 1, 2, 3]
+        with pytest.raises(ValueError):
+            a.jmodes[0] = 0
+
 
 class TestReversibilityStructure:
     def make_structured(self, N, kind, rng):
@@ -431,9 +482,11 @@ class TestReversibilityStructure:
         real_op = self.make_structured(N, "real", rng)
         rev_op = self.make_structured(N, "reversible", rng)
         pres_op = self.make_structured(N, "preserving", rng)
-        assert real_op.is_real() and not rev_op.is_real()
-        assert rev_op.is_reversible() and not pres_op.is_reversible()
-        assert pres_op.is_reversibility_preserving() and not rev_op.is_reversibility_preserving()
+        tol = 1e-10
+        assert real_op.real_deviation() <= tol < rev_op.real_deviation()
+        assert rev_op.reversible_deviation() <= tol < pres_op.reversible_deviation()
+        assert (pres_op.reversibility_preserving_deviation() <= tol
+                < rev_op.reversibility_preserving_deviation())
 
     def test_reversible_matches_action_test(self):
         # T reversible <=> T o S = -S o T on random fields, (S rho)(theta) = rho(-theta)

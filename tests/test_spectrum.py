@@ -4,6 +4,7 @@ and the transversality scan."""
 import numpy as np
 import pytest
 import sympy
+from dense_reference import check_monotonicity
 from scan_reference import reference_scan
 
 from vortexpatch.spectrum import (
@@ -13,7 +14,6 @@ from vortexpatch.spectrum import (
     _cell_bounds,
     _derivative_table,
     _knot_values,
-    check_monotonicity,
     nondegeneracy_test,
     omega,
     omega_derivative,
