@@ -290,7 +290,7 @@ def simulate(p, emit):
                              track_modes=p["track"])
     traj = run_simulation(state, config)
     outdir = emit({"simulate_trajectory.csv": trajectory_to_csv(traj),
-                   "simulate_summary.json": trajectory_summary(traj)})
+                   "simulate_summary.json": trajectory_summary(traj)}, traj.profile)
     if traj.aborted:
         raise InvariantViolation(f"simulation aborted: {traj.abort_reason}")
     click.echo(f"simulate: {len(traj.snapshots)} snapshots written to {outdir}")

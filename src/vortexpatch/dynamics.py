@@ -31,6 +31,7 @@ discrete gradient is the exact derivative of the discrete energy.
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,8 @@ from .spectral import (
     PeriodicField,
     _fmt,
     _mode_numbers,
+    _read_only,
     sobolev_norm,
-    spectral_derivative,
     theta_grid,
 )
 
@@ -78,9 +79,8 @@ def velocity_functional(state: PatchState) -> PeriodicField:
     """F_b[r] on the state's grid."""
     state.require_inside_disc()
     R = state.R
-    drdth = spectral_derivative(state.r.values)
-    dR = drdth / R
-    F0 = 0.5 * drdth * np.mean(R ** 2) / R ** 2
+    dR = state.dR()
+    F0 = 0.5 * state.dr * np.mean(R ** 2) / R ** 2
 
     pq = eta_factors(state, dR)
     log_A, log_B = log_kernel_integrals(state, pq)
@@ -110,47 +110,47 @@ def _SB(z):
     return z + z * z * np.log(1.0 - z)
 
 
+def _series(z, denominators):
+    """sum_{m>=1} z^m / denominators[m-1]; a zero denominator drops its term."""
+    acc = np.zeros_like(z)
+    zp = np.ones_like(z)
+    for den in denominators:
+        zp = zp * z
+        if den:
+            acc += zp / den
+    return acc
+
+
 def _SC(z):
     """sum_{m>=1, m!=2} z^m / (m+2).
 
     Closed form (-log(1-z) - z - z^2/2)/z^2 - z^2/4 for moderate |z|; a
-    direct series for small |z| where the closed form cancels catastrophically.
+    direct series on the entries with small |z|, where the closed form
+    cancels catastrophically.
     """
     z = np.asarray(z, dtype=complex)
     out = np.empty_like(z)
     small = np.abs(z) < 0.5
-    if np.any(~small):
-        zz = np.where(small, 0.5, z)
-        out_big = (-np.log(1.0 - zz) - zz - 0.5 * zz * zz) / (zz * zz) - 0.25 * zz * zz
-        out = np.where(small, out, out_big)
-    if np.any(small):
-        zs = np.where(small, z, 0.0)
-        acc = np.zeros_like(zs)
-        zp = np.ones_like(zs)
-        for m in range(1, 61):
-            zp = zp * zs
-            if m != 2:
-                acc += zp / (m + 2)
-        out = np.where(small, acc, out)
+    big = ~small
+    zz = z[big]
+    out[big] = (-np.log(1.0 - zz) - zz - 0.5 * zz * zz) / (zz * zz) - 0.25 * zz * zz
+    out[small] = _series(z[small], [0 if m == 2 else m + 2 for m in range(1, 61)])
     return out
 
 
 def _Fmm2(z):
     """sum_{m>=1} z^m / (m(m+2)); value 3/4 at z = 1."""
     z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
     one = np.abs(1.0 - z) < _NEAR_ONE
     small = np.abs(z) < 0.5
-    zz = np.where(one | small, 0.5, z)
+    big = ~(one | small)
+    zz = z[big]
     L = -np.log(1.0 - zz)
-    closed = 0.5 * (L - (L - zz - 0.5 * zz * zz) / (zz * zz))
-    zs = np.where(small, z, 0.0)
-    acc = np.zeros_like(zs)
-    zp = np.ones_like(zs)
-    for m in range(1, 61):
-        zp = zp * zs
-        acc += zp / (m * (m + 2))
-    out = np.where(small, acc, closed)
-    return np.where(one, 0.75 + 0.0j, out)
+    out[big] = 0.5 * (L - (L - zz - 0.5 * zz * zz) / (zz * zz))
+    out[small] = _series(z[small], [m * (m + 2) for m in range(1, 61)])
+    out[one] = 0.75
+    return out
 
 
 def _T3(y):
@@ -168,14 +168,32 @@ def _T3(y):
     return acc
 
 
-def _phi_kernel(rho1, rho2, delta):
-    """Phi(rho1, rho2, Delta): the radial double integral of G against l1 l2."""
+def _delta_terms(delta):
+    """The Delta-only factors of Phi and psi: (e^{i Delta}, cos 2 Delta,
+    Re(S_B + S_C)(e^{i Delta})), the last with its w = 1 limit -3/4."""
+    delta = np.asarray(delta, float)
+    eid = np.exp(1j * delta)
+    wone = np.abs(1.0 - eid) < _NEAR_ONE
+    ws = np.where(wone, 0.0, eid)
+    return eid, np.cos(2.0 * delta), np.where(wone, -0.75, (_SB(ws) + _SC(ws)).real)
+
+
+@functools.lru_cache(maxsize=32)
+def _delta_tables(M: int):
+    """``_delta_terms`` on the pair grid ``pair_trig(M)[0]``; cached per M, hence read-only."""
+    return tuple(_read_only(t) for t in _delta_terms(pair_trig(M)[0]))
+
+
+def _phi_kernel(rho1, rho2, delta, terms=None):
+    """Phi(rho1, rho2, Delta): the radial double integral of G against l1 l2.
+
+    ``terms`` is ``_delta_terms(delta)`` when the caller holds it already.
+    """
+    eid, cos2, sbc = _delta_terms(delta) if terms is None else terms
     rho = np.minimum(rho1, rho2)
     sig = np.maximum(rho1, rho2)
-    eid = np.exp(1j * delta)
     q = rho / sig
     z = q * eid
-    w = eid
     r2s2 = (rho * sig) ** 2
     r4 = rho ** 4
     lq = np.log(sig / rho)  # = -log q >= 0
@@ -185,50 +203,46 @@ def _phi_kernel(rho1, rho2, delta):
     zdiag = np.abs(1.0 - z) < _NEAR_ONE
     zs = np.where(zdiag, 0.0, z)
     PA = _SA(zs).real / 4.0 + _SB(zs).real / 8.0 - _SC(zs).real / 8.0
-    wone = np.abs(1.0 - w) < _NEAR_ONE
-    ws = np.where(wone, 0.0, w)
-    PW = np.where(wone, -0.75, (_SB(ws) + _SC(ws)).real)
-    S2 = r2s2 * PA - 0.125 * r4 * PW + np.cos(2.0 * delta) * r4 * (lq + 0.5) / 8.0
+    S2 = r2s2 * PA - 0.125 * r4 * sbc + cos2 * r4 * (lq + 0.5) / 8.0
     S2 = np.where(zdiag, 0.375 * r4, S2)
 
     term3 = r2s2 * _T3(rho * sig * eid)
     return term1 - S2 + term3
 
 
-def _psi_kernel(rho1, rho2, delta):
-    """psi = int_0^{rho2} G(rho1, l' e^{i Delta}) l' dl' (so dPhi/drho1 = rho1 psi)."""
+def _psi_kernel(rho1, rho2, delta, terms=None):
+    """psi = int_0^{rho2} G(rho1, l' e^{i Delta}) l' dl' (so dPhi/drho1 = rho1 psi).
+
+    ``terms`` is ``_delta_terms(delta)`` when the caller holds it already.  Each
+    branch is evaluated on its own entries only.
+    """
     rho1, rho2, delta = np.broadcast_arrays(
         np.asarray(rho1, float), np.asarray(rho2, float), np.asarray(delta, float)
     )
-    eid = np.exp(1j * delta)
+    eid, cos2, sbc = (np.broadcast_to(t, rho1.shape)
+                      for t in (_delta_terms(delta) if terms is None else terms))
     out = np.empty(rho1.shape)
 
-    le = rho2 <= rho1
     # -- rho2 <= rho1: integration stays below the evaluation radius
-    if np.any(le):
-        u = np.where(le, rho2 / rho1, 0.0) * eid
-        piece1 = 0.5 * np.log(np.where(le, rho1, 1.0)) * rho2 ** 2
-        series = -(rho2 ** 2) * _Fmm2(u).real
-        out = np.where(le, piece1 + series, out)
+    le = rho2 <= rho1
+    r1, r2 = rho1[le], rho2[le]
+    piece1 = 0.5 * np.log(r1) * r2 ** 2
+    series = -(r2 ** 2) * _Fmm2((r2 / r1) * eid[le]).real
+    out[le] = piece1 + series
     # -- rho2 > rho1
     gt = ~le
-    if np.any(gt):
-        r1 = np.where(gt, rho1, 0.5)
-        r2 = np.where(gt, rho2, 1.0)
-        v = (r1 / r2) * eid
-        piece1 = 0.5 * r2 ** 2 * np.log(r2) - 0.25 * r2 ** 2 + 0.25 * r1 ** 2
-        vone = np.abs(1.0 - v) < _NEAR_ONE
-        vs = np.where(vone, 0.0, v)
-        AB = np.where(vone, 0.5, (_SA(vs) + _SB(vs)).real)
-        wone = np.abs(delta % (2.0 * np.pi)) < _NEAR_ONE
-        ws = np.where(wone, 0.0, eid)
-        BC = np.where(wone, -0.75, (_SB(ws) + _SC(ws)).real)
-        series = -(
-            0.5 * r2 ** 2 * AB
-            - 0.5 * r1 ** 2 * BC
-            + 0.5 * np.cos(2.0 * delta) * r1 ** 2 * (0.25 + np.log(r2 / r1))
-        )
-        out = np.where(gt, piece1 + series, out)
+    r1, r2 = rho1[gt], rho2[gt]
+    v = (r1 / r2) * eid[gt]
+    piece1 = 0.5 * r2 ** 2 * np.log(r2) - 0.25 * r2 ** 2 + 0.25 * r1 ** 2
+    vone = np.abs(1.0 - v) < _NEAR_ONE
+    vs = np.where(vone, 0.0, v)
+    AB = np.where(vone, 0.5, (_SA(vs) + _SB(vs)).real)
+    series = -(
+        0.5 * r2 ** 2 * AB
+        - 0.5 * r1 ** 2 * sbc[gt]
+        + 0.5 * cos2[gt] * r1 ** 2 * (0.25 + np.log(r2 / r1))
+    )
+    out[gt] = piece1 + series
 
     # image part: -int log|1 - rho1 l' e^{i Delta}| l' dl'
     part2 = rho2 ** 2 * _Fmm2(rho1 * rho2 * eid).real
@@ -255,7 +269,7 @@ def energy(state: PatchState) -> float:
     state.require_inside_disc()
     R = state.R
     delta = pair_trig(state.M)[0]
-    table = _phi_kernel(R[:, None], R[None, :], delta)
+    table = _phi_kernel(R[:, None], R[None, :], delta, _delta_tables(state.M))
     # extended-precision accumulation: the M^2-term sum is the only place
     # where rounding noise would be visible in drift diagnostics
     mean = np.sum(table, dtype=np.longdouble) / table.size
@@ -273,7 +287,7 @@ def stream_gradient(state: PatchState) -> PeriodicField:
     state.require_inside_disc()
     R = state.R
     delta = pair_trig(state.M)[0]
-    psi = _psi_kernel(R[:, None], R[None, :], delta)
+    psi = _psi_kernel(R[:, None], R[None, :], delta, _delta_tables(state.M))
     grad = 2.0 * psi.mean(axis=1) + 2.0 * R ** 2 * _alias_tail_sum(state.M)
     return PeriodicField(grad)
 
@@ -321,6 +335,7 @@ class Trajectory:
     mode_series: dict = field(default_factory=dict)
     aborted: bool = False
     abort_reason: str = ""
+    profile: dict = field(default_factory=dict)
 
 
 def _rhs(b: float, values: np.ndarray) -> np.ndarray:
@@ -332,58 +347,76 @@ def _rhs(b: float, values: np.ndarray) -> np.ndarray:
     return -dealias(velocity_functional(st).values)
 
 
-def _rk4_increment(b: float, r: np.ndarray, dt: float) -> np.ndarray:
-    """The classical RK4 increment (dt/6)(k1 + 2 k2 + 2 k3 + k4) of d_t r = -F_b[r]."""
-    k1 = _rhs(b, r)
-    k2 = _rhs(b, r + 0.5 * dt * k1)
-    k3 = _rhs(b, r + 0.5 * dt * k2)
-    k4 = _rhs(b, r + dt * k3)
+def _rk4_increment(rhs, r: np.ndarray, dt: float) -> np.ndarray:
+    """The classical RK4 increment (dt/6)(k1 + 2 k2 + 2 k3 + k4) of d_t r = rhs(r)."""
+    k1 = rhs(r)
+    k2 = rhs(r + 0.5 * dt * k1)
+    k3 = rhs(r + 0.5 * dt * k2)
+    k4 = rhs(r + dt * k3)
     return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step(state: PatchState, dt: float) -> PatchState:
     """One classical RK4 step of d_t r = -F_b[r], then 2/3 dealiasing."""
-    rn = state.r.values + _rk4_increment(state.b, state.r.values, dt)
+    rn = state.r.values + _rk4_increment(functools.partial(_rhs, state.b), state.r.values, dt)
     return PatchState(state.b, PeriodicField(dealias(rn)))
 
 
 def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
+    """RK4 run of d_t r = -F_b[r]; ``traj.profile`` counts RHS and energy
+    evaluations, the largest sup|r|/(b^2/2) and max R of the accepted states,
+    and the seconds spent stepping and on diagnostics."""
     traj = Trajectory(b=state.b, config=config)
-    nsteps = int(round(config.T / config.dt))
+    b = state.b
+    dt = config.dt
+    nsteps = int(round(config.T / dt))
     th = theta_grid(state.M)
     probes = {j: np.exp(-1j * j * th) for j in config.track_modes}
+    prof = traj.profile
+    prof.update(rhs_evaluations=0, energy_evaluations=0, max_admissibility_ratio=0.0,
+                max_R=0.0, stepping_s=0.0, diagnostics_s=0.0)
 
     times, mode_times = [], []
     series = {j: [] for j in config.track_modes}
+
+    def rhs(values):
+        out = _rhs(b, values)
+        prof["rhs_evaluations"] += 1
+        return out
 
     def record(t, st):
         times.append(t)
         traj.snapshots.append(st.r.values.copy())
         traj.means.append(float(st.r.values.mean()))
         if config.diagnostics:
+            t0 = time.perf_counter()
             traj.hamiltonians.append(hamiltonian(st))
             traj.hs_norms.append(sobolev_norm(st.r, config.sobolev_s))
+            prof["energy_evaluations"] += 1
+            prof["diagnostics_s"] += time.perf_counter() - t0
 
-    def track(t, st):
+    def observe(t, st):
         mode_times.append(t)
         for j in config.track_modes:
             series[j].append(complex(np.mean(st.r.values * probes[j])))
+        margin = float(np.max(np.abs(st.r.values))) / (0.5 * b * b)
+        prof["max_admissibility_ratio"] = max(prof["max_admissibility_ratio"], margin)
+        prof["max_R"] = max(prof["max_R"], float(np.max(st.R)))
 
     # The loop takes step()'s RK4 increment with two refinements that only
     # matter for long drift diagnostics: compensated (Kahan) accumulation of
     # the state update, and no per-step re-projection — the right-hand side is
     # already projected, so with band-limited initial data the post-step 2/3
     # truncation is the identity and would only inject FFT round-trip noise.
-    b = state.b
-    dt = config.dt
     r = dealias(state.r.values)
     comp = np.zeros_like(r)
     current = PatchState(b, PeriodicField(r))
     record(0.0, current)
-    track(0.0, current)
+    observe(0.0, current)
     for n in range(1, nsteps + 1):
+        t0 = time.perf_counter()
         try:
-            y = _rk4_increment(b, r, dt) - comp
+            y = _rk4_increment(rhs, r, dt) - comp
             rn = r + y
             comp = (rn - r) - y
             r = rn
@@ -392,8 +425,10 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
             traj.aborted = True
             traj.abort_reason = str(exc)
             break
+        finally:
+            prof["stepping_s"] += time.perf_counter() - t0
         t = n * dt
-        track(t, current)
+        observe(t, current)
         if n % config.record_stride == 0:
             record(t, current)
 

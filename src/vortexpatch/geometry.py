@@ -39,7 +39,6 @@ __all__ = [
     "kernel_B",
     "kernel_P",
     "smooth_factor_v1",
-    "diagonal_difference_quotient",
     "log_v1",
     "log_one_plus_P_half",
     "eta_factors",
@@ -88,9 +87,18 @@ class PatchState:
     def theta(self) -> np.ndarray:
         return theta_grid(self.M)
 
+    @functools.cached_property
+    def dr(self) -> np.ndarray:
+        """d_theta r by spectral differentiation; computed once per state, read-only."""
+        return _read_only(spectral_derivative(self.r.values))
+
+    @functools.cached_property
+    def _dR(self) -> np.ndarray:
+        return _read_only(self.dr / self.R)
+
     def dR(self) -> np.ndarray:
-        """d_theta R by spectral differentiation of r: R' = r'/R."""
-        return spectral_derivative(self.r.values) / self.R
+        """d_theta R = r'/R; computed once per state, read-only."""
+        return self._dR
 
     def require_inside_disc(self):
         if float(np.max(self.R)) > 1.0 - DISC_MARGIN:
@@ -144,14 +152,13 @@ def kernel_P(state: PatchState) -> np.ndarray:
     return num / B0sq
 
 
-def diagonal_difference_quotient(f: PeriodicField) -> np.ndarray:
-    """g(theta, eta) = (f(eta) - f(theta))/sin((eta-theta)/2), g(theta,theta) = 2 f'(theta)."""
-    vals = f.values
-    M = len(vals)
-    s = pair_trig(M)[3].copy()
+def _difference_quotient(vals: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """g(theta, eta) = (vals(eta) - vals(theta))/sin((eta-theta)/2) off the
+    diagonal and ``diag`` on it (2 f' for the difference quotient of f)."""
+    s = pair_trig(len(vals))[3].copy()
     np.fill_diagonal(s, 1.0)  # placeholder, diagonal overwritten below
     g = (vals[None, :] - vals[:, None]) / s
-    np.fill_diagonal(g, 2.0 * spectral_derivative(vals))
+    np.fill_diagonal(g, diag)
     return g
 
 
@@ -159,10 +166,10 @@ def smooth_factor_v1(state: PatchState) -> np.ndarray:
     """The smooth factor v1 with A_r = 2 b |sin((eta-theta)/2)| v1.
 
     v1 = sqrt((g/(2b))^2 + R(theta) R(eta)/b^2) where g is the difference
-    quotient of R; on the diagonal this is sqrt(R'^2 + R^2)/b.
+    quotient of R, with the state's 2R' on the diagonal; there v1 is
+    sqrt(R'^2 + R^2)/b.
     """
-    Rfield = PeriodicField(state.R)
-    g = diagonal_difference_quotient(Rfield)
+    g = _difference_quotient(state.R, 2.0 * state.dR())
     Rt, Re, _ = _pair_grids(state)
     b = state.b
     return np.sqrt((g / (2.0 * b)) ** 2 + Rt * Re / (b * b))
@@ -196,13 +203,13 @@ def log_kernel_integrals(state: PatchState, C: np.ndarray):
 
     log A_r = log(2b) + K1(eta - theta) + log v1, log B_r = K2(eta - theta) +
     (1/2) log(1 + P_r): K1/K2 act as exact multipliers on one FFT of C, the
-    smooth parts as matrix products.
+    smooth parts as matrix products.  One forward and one (batched) inverse FFT.
     """
     M = state.M
     lv, lp = state.log_tables
     chat = np.fft.fft(C, axis=0, norm="forward")
-    K1C = np.fft.ifft(chat * k1_multiplier_coeffs(M)[:, None], axis=0, norm="forward")
-    K2C = np.fft.ifft(chat * k2_multiplier_coeffs(M, state.b)[:, None], axis=0, norm="forward")
+    mult = np.stack([k1_multiplier_coeffs(M), k2_multiplier_coeffs(M, state.b)])
+    K1C, K2C = np.fft.ifft(chat * mult[:, :, None], axis=1, norm="forward")
     if np.isrealobj(C):
         K1C, K2C = K1C.real, K2C.real
     log_A = K1C + np.log(2.0 * state.b) * C.mean(axis=0) + (lv @ C) / M

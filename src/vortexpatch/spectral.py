@@ -87,10 +87,6 @@ class PeriodicField:
         f = cls(vals)
         return f
 
-    @classmethod
-    def zeros(cls, *shape) -> "PeriodicField":
-        return cls(np.zeros(shape))
-
     # -- basic structure ----------------------------------------------
 
     @property
@@ -267,26 +263,12 @@ class LinearOperatorMatrix:
         self.d = bands.shape[1]
         self.entries = entries
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def identity(cls, N: int) -> "LinearOperatorMatrix":
-        return cls(N, np.eye(2 * N, dtype=complex))
-
     # -- structure ------------------------------------------------------
 
     @property
     def zero_band(self) -> int | None:
         """Index of the band l = 0, None when it is absent."""
         return len(self.bands) // 2 if len(self.bands) % 2 else None
-
-    def entry(self, m, j: int, j0: int) -> complex:
-        """T^{l0+m, j}_{l0, j0}; zero if the band or mode is absent."""
-        key = list(np.atleast_1d(m)) if self.d else []
-        bands, jm = self.bands.tolist(), self.jmodes.tolist()
-        if key not in bands or j not in jm or j0 not in jm:
-            return 0.0
-        return complex(self.entries[bands.index(key), jm.index(j), jm.index(j0)])
 
     def _mirror_deviation(self, sign: float, conjugate: bool) -> float:
         """sup |T^{-l,-j}_{-l0,-j0} - sign * (conj)T^{l,j}_{l0,j0}|."""

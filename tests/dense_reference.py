@@ -7,14 +7,20 @@ the multiplier coefficients, the smooth parts by row quadrature.  The package
 computes the same integrals from rank-2 / column-block factorizations; these
 functions are the independent path the tests compare against.
 
+The contour references keep the work the package skips: the RK4 right-hand
+side ``rhs`` with two spectral derivatives and two inverse FFTs, and the
+energy kernels with their series evaluated over every entry.
+
 The operator references are the plain loop forms of the off-diagonal norm,
 the band product and its window projection, the band sum and the mirror by
 band lookup, the per-band remainder homological equation, the Neumann series
 of (Id + Psi)^{-1} in band space, and the shifted evaluation.
 
-The test-only helpers follow them: the coefficient-space operator action
+The test-only helpers follow them: ``identity`` and the entry lookup
+``entry`` of a truncation, the coefficient-space operator action
 ``apply_operator``, ``e_mode``, ``project``, ``convolve_multiplier``,
-``from_multiplier``, the kernel table ``kernel_A`` and the frequency report
+``from_multiplier``, ``diagonal_difference_quotient`` (2 d_theta f on the
+diagonal), the kernel table ``kernel_A`` and the frequency report
 ``check_monotonicity``.
 
 The Cantor references at the end are the node-by-node sublevel loop with its
@@ -37,7 +43,16 @@ from vortexpatch.cantor import (
     merge_intervals,
     russmann_bound,
 )
-from vortexpatch.geometry import _pair_grids, log_one_plus_P_half, log_v1, pair_trig
+from vortexpatch.dynamics import _NEAR_ONE, _SA, _SB, _T3, _alias_tail_sum, dealias
+from vortexpatch.geometry import (
+    PatchState,
+    _difference_quotient,
+    _pair_grids,
+    eta_factors,
+    log_one_plus_P_half,
+    log_v1,
+    pair_trig,
+)
 from vortexpatch.kam import NonReducibleError, smooth_cutoff
 from vortexpatch.spectral import (
     LinearOperatorMatrix,
@@ -137,6 +152,149 @@ def assemble(state, N):
         col = -spectral_derivative(V * rho + nonlocal_L(state, rho) - smoothing_S(state, rho))
         entries[:, c] = np.fft.fft(col, norm="forward")[jmodes % M]
     return entries
+
+
+def rhs(b, values):
+    """The RK4 right-hand side -dealias(F_b[r]) with R' taken twice, as
+    d_theta R on the diagonal of v1 and as r'/R, and K1, K2 applied by two
+    separate inverse FFTs."""
+    state = PatchState(b, PeriodicField(values))
+    state.require_inside_disc()
+    R, M = state.R, state.M
+    drdth = spectral_derivative(state.r.values)
+    dR = drdth / R
+    F0 = 0.5 * drdth * np.mean(R ** 2) / R ** 2
+    pq = eta_factors(state, dR)
+    g = diagonal_difference_quotient(PeriodicField(R))
+    Rt, Re, _ = _pair_grids(state)
+    lv = np.log(np.sqrt((g / (2.0 * b)) ** 2 + Rt * Re / (b * b)))
+    lp = log_one_plus_P_half(state)
+    chat = np.fft.fft(pq, axis=0, norm="forward")
+    K1C = np.fft.ifft(chat * k1_multiplier_coeffs(M)[:, None], axis=0, norm="forward").real
+    K2C = np.fft.ifft(chat * k2_multiplier_coeffs(M, b)[:, None], axis=0, norm="forward").real
+    log_A = K1C + np.log(2.0 * b) * pq.mean(axis=0) + (lv @ pq) / M
+    log_B = K2C + (lp @ pq) / M
+    p, q = pq.T
+    c, s = np.cos(state.theta), np.sin(state.theta)
+    F1 = -q * log_A[:, 0] + p * log_A[:, 1]
+    F2 = (-(R * s + dR * c) * log_B[:, 0] + (R * c - dR * s) * log_B[:, 1]) / R ** 2
+    return -dealias(-F0 - F1 + F2)
+
+
+# -- the energy kernels with the series over every entry -----------------
+
+def series_SC(z):
+    """sum_{m>=1, m!=2} z^m / (m+2): the closed form on every entry, then the
+    60-term series on every entry when any |z| < 0.5."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    small = np.abs(z) < 0.5
+    if np.any(~small):
+        zz = np.where(small, 0.5, z)
+        out_big = (-np.log(1.0 - zz) - zz - 0.5 * zz * zz) / (zz * zz) - 0.25 * zz * zz
+        out = np.where(small, out, out_big)
+    if np.any(small):
+        zs = np.where(small, z, 0.0)
+        acc = np.zeros_like(zs)
+        zp = np.ones_like(zs)
+        for m in range(1, 61):
+            zp = zp * zs
+            if m != 2:
+                acc += zp / (m + 2)
+        out = np.where(small, acc, out)
+    return out
+
+
+def series_Fmm2(z):
+    """sum_{m>=1} z^m / (m(m+2)), 3/4 at z = 1: closed form and 60-term
+    series both over every entry."""
+    z = np.asarray(z, dtype=complex)
+    one = np.abs(1.0 - z) < _NEAR_ONE
+    small = np.abs(z) < 0.5
+    zz = np.where(one | small, 0.5, z)
+    L = -np.log(1.0 - zz)
+    closed = 0.5 * (L - (L - zz - 0.5 * zz * zz) / (zz * zz))
+    zs = np.where(small, z, 0.0)
+    acc = np.zeros_like(zs)
+    zp = np.ones_like(zs)
+    for m in range(1, 61):
+        zp = zp * zs
+        acc += zp / (m * (m + 2))
+    out = np.where(small, acc, closed)
+    return np.where(one, 0.75 + 0.0j, out)
+
+
+def phi_kernel(rho1, rho2, delta):
+    """Phi with every Delta-only factor computed per call."""
+    rho = np.minimum(rho1, rho2)
+    sig = np.maximum(rho1, rho2)
+    eid = np.exp(1j * delta)
+    q = rho / sig
+    z = q * eid
+    w = eid
+    r2s2 = (rho * sig) ** 2
+    r4 = rho ** 4
+    lq = np.log(sig / rho)
+    term1 = 0.25 * r2s2 * np.log(sig) - 0.125 * r2s2 + r4 / 16.0
+    zdiag = np.abs(1.0 - z) < _NEAR_ONE
+    zs = np.where(zdiag, 0.0, z)
+    PA = _SA(zs).real / 4.0 + _SB(zs).real / 8.0 - series_SC(zs).real / 8.0
+    wone = np.abs(1.0 - w) < _NEAR_ONE
+    ws = np.where(wone, 0.0, w)
+    PW = np.where(wone, -0.75, (_SB(ws) + series_SC(ws)).real)
+    S2 = r2s2 * PA - 0.125 * r4 * PW + np.cos(2.0 * delta) * r4 * (lq + 0.5) / 8.0
+    S2 = np.where(zdiag, 0.375 * r4, S2)
+    term3 = r2s2 * _T3(rho * sig * eid)
+    return term1 - S2 + term3
+
+
+def psi_kernel(rho1, rho2, delta):
+    """psi with both branches over every entry and the one-sided w = 1 guard
+    |Delta mod 2 pi| < 1e-9 (the same on a grid, where Delta = 0 or |Delta| >= 2 pi/M)."""
+    rho1, rho2, delta = np.broadcast_arrays(
+        np.asarray(rho1, float), np.asarray(rho2, float), np.asarray(delta, float)
+    )
+    eid = np.exp(1j * delta)
+    out = np.empty(rho1.shape)
+    le = rho2 <= rho1
+    if np.any(le):
+        u = np.where(le, rho2 / rho1, 0.0) * eid
+        piece1 = 0.5 * np.log(np.where(le, rho1, 1.0)) * rho2 ** 2
+        series = -(rho2 ** 2) * series_Fmm2(u).real
+        out = np.where(le, piece1 + series, out)
+    gt = ~le
+    if np.any(gt):
+        r1 = np.where(gt, rho1, 0.5)
+        r2 = np.where(gt, rho2, 1.0)
+        v = (r1 / r2) * eid
+        piece1 = 0.5 * r2 ** 2 * np.log(r2) - 0.25 * r2 ** 2 + 0.25 * r1 ** 2
+        vone = np.abs(1.0 - v) < _NEAR_ONE
+        vs = np.where(vone, 0.0, v)
+        AB = np.where(vone, 0.5, (_SA(vs) + _SB(vs)).real)
+        wone = np.abs(delta % (2.0 * np.pi)) < _NEAR_ONE
+        ws = np.where(wone, 0.0, eid)
+        BC = np.where(wone, -0.75, (_SB(ws) + series_SC(ws)).real)
+        series = -(
+            0.5 * r2 ** 2 * AB
+            - 0.5 * r1 ** 2 * BC
+            + 0.5 * np.cos(2.0 * delta) * r1 ** 2 * (0.25 + np.log(r2 / r1))
+        )
+        out = np.where(gt, piece1 + series, out)
+    part2 = rho2 ** 2 * series_Fmm2(rho1 * rho2 * eid).real
+    return out + part2
+
+
+def energy(state):
+    R = state.R
+    table = phi_kernel(R[:, None], R[None, :], pair_trig(state.M)[0])
+    mean = np.sum(table, dtype=np.longdouble) / table.size
+    return float(mean + 0.5 * np.mean(R ** 4) * _alias_tail_sum(state.M))
+
+
+def stream_gradient(state):
+    R = state.R
+    psi = psi_kernel(R[:, None], R[None, :], pair_trig(state.M)[0])
+    return 2.0 * psi.mean(axis=1) + 2.0 * R ** 2 * _alias_tail_sum(state.M)
 
 
 def offdiag_norm(op, s):
@@ -272,6 +430,19 @@ def evaluate_shifted(f, shift):
     return out.real if np.isrealobj(vals) else out
 
 
+def identity(N: int) -> LinearOperatorMatrix:
+    return LinearOperatorMatrix(N, np.eye(2 * N, dtype=complex))
+
+
+def entry(op: LinearOperatorMatrix, m, j: int, j0: int) -> complex:
+    """T^{l0+m, j}_{l0, j0}; zero if the band or mode is absent."""
+    key = list(np.atleast_1d(m)) if op.d else []
+    bands, jm = op.bands.tolist(), op.jmodes.tolist()
+    if key not in bands or j not in jm or j0 not in jm:
+        return 0.0
+    return complex(op.entries[bands.index(key), jm.index(j), jm.index(j0)])
+
+
 def apply_operator(op: LinearOperatorMatrix, field: PeriodicField) -> PeriodicField:
     """Matrix-vector product in coefficient space (modes outside the truncation drop)."""
     shape = field.grid_sizes
@@ -347,6 +518,11 @@ def from_multiplier(N: int, values) -> LinearOperatorMatrix:
     """Diagonal operator e_j -> a_j e_j; ``values`` maps j to a_j."""
     diag = np.array([values(int(j)) for j in _jmodes(N)], dtype=complex)
     return LinearOperatorMatrix(N, np.diag(diag))
+
+
+def diagonal_difference_quotient(f: PeriodicField) -> np.ndarray:
+    """g(theta, eta) = (f(eta) - f(theta))/sin((eta-theta)/2), g(theta,theta) = 2 f'(theta)."""
+    return _difference_quotient(f.values, 2.0 * spectral_derivative(f.values))
 
 
 def kernel_A(state):

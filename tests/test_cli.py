@@ -64,6 +64,18 @@ class TestSimulateCommand:
         csv = (tmp_path / "simulate_trajectory.csv").read_text()
         assert csv.splitlines()[0].startswith("time,mean,hamiltonian")
 
+    def test_manifest_profile(self, tmp_path):
+        code = run_cli(["simulate", "--b", "0.5", "--amplitudes", "2:1e-3",
+                        "--dt", "1e-2", "--t", "0.05", "--stride", "2",
+                        "--grid", "32", "--output-dir", str(tmp_path)])
+        assert code == 0
+        prof = json.loads((tmp_path / "simulate_manifest.json").read_text())["profile"]
+        assert prof["rhs_evaluations"] == 4 * 5
+        assert prof["energy_evaluations"] == 3  # t = 0, 0.02, 0.04
+        assert 0.0079 < prof["max_admissibility_ratio"] < 0.0081  # ~1e-3 / 0.125
+        assert 0.5 < prof["max_R"] < 0.51
+        assert prof["stepping_s"] > 0 and prof["diagnostics_s"] > 0
+
     def test_inadmissible_amplitude(self, tmp_path):
         # amplitude above b^2/2 violates patch admissibility -> config error
         code = run_cli(["simulate", "--b", "0.5", "--amplitudes", "2:0.2",

@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import dense_reference as ref
+import vortexpatch.geometry as geometry
 from vortexpatch.dynamics import (
     EvolutionConfig,
     NoFrequencyError,
     Trajectory,
+    _delta_tables,
+    _delta_terms,
+    _Fmm2,
     _phi_kernel,
     _psi_kernel,
+    _rhs,
+    _SC,
     dealias,
     energy,
     extract_frequencies,
@@ -24,7 +31,7 @@ from vortexpatch.dynamics import (
     trajectory_to_csv,
     velocity_functional,
 )
-from vortexpatch.geometry import DegeneratePatchError, PatchState
+from vortexpatch.geometry import DegeneratePatchError, PatchState, pair_trig
 from vortexpatch.spectral import PeriodicField, spectral_derivative, theta_grid
 
 RNG = np.random.default_rng(33)
@@ -79,6 +86,84 @@ class TestRadialKernels:
         r1, r2 = np.array(0.3), np.array(0.6)
         d = np.array(0.8)
         assert abs(_phi_kernel(r1, r2, d) - _phi_kernel(r2, r1, d)) < 1e-15
+
+    @pytest.mark.parametrize("delta", [1e-10, 5e-10])
+    @pytest.mark.parametrize("rho1,rho2", [(0.3, 0.4), (0.4, 0.3)])
+    def test_psi_even_in_delta(self, rho1, rho2, delta):
+        # the w = 1 limit applies on both sides of Delta = 0
+        assert _psi_kernel(rho1, rho2, -delta) == _psi_kernel(rho1, rho2, delta)
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the full-work references
+# ---------------------------------------------------------------------------
+
+def _criterion5_r0(M):
+    th = theta_grid(M)
+    return 0.05 * np.cos(2 * th) + 0.04 * np.cos(5 * th) + 0.02 * np.cos(8 * th)
+
+
+class TestFastPaths:
+    MIXED = np.array([0.0, 0.1 + 0.2j, 0.49, -0.3j, 0.5, 0.7 - 0.2j, -0.9, 0.6 + 0.7j,
+                      1.0 + 3e-10j, 1.0 - 4e-10, np.exp(2e-10j), 0.999 + 0.01j])
+
+    @pytest.mark.parametrize("z", [
+        MIXED,
+        MIXED.reshape(3, 4),
+        np.array([0.0, 0.1j, -0.2, 0.3 + 0.3j, 0.49]),  # all |z| < 0.5
+        np.array([0.5, -0.6j, 0.8 + 0.1j, 1.0 + 1e-10j, -0.99]),  # none
+        np.asarray(0.25 + 0.1j),
+        np.asarray(0.75 - 0.1j),
+    ])
+    def test_guarded_series_bit_equal(self, z):
+        for fast, full in ((_SC, ref.series_SC), (_Fmm2, ref.series_Fmm2)):
+            got, want = fast(z), full(z)
+            assert got.shape == want.shape
+            assert np.all(got == want)
+
+    @pytest.mark.parametrize("M", [32, 64, 256])
+    def test_energy_and_gradient_bit_equal(self, M):
+        th = theta_grid(M)
+        for r in (_criterion5_r0(M), 1e-3 * np.cos(2 * th) + 4e-4 * np.sin(3 * th)):
+            st = PatchState(0.5, PeriodicField(r))
+            assert energy(st) == ref.energy(st)
+            assert np.all(stream_gradient(st).values == ref.stream_gradient(st))
+
+    def test_delta_tables_read_only(self):
+        tables = _delta_tables(64)
+        assert _delta_tables(64) is tables
+        for t, want in zip(tables, _delta_terms(pair_trig(64)[0])):
+            assert np.all(t == want)
+            with pytest.raises(ValueError):
+                t[0, 1] = 0.0
+        assert _delta_tables(32)[0].shape == (32, 32)
+
+    def test_scalar_delta_not_cached(self):
+        # two scalar angles share a shape but not a table
+        for d in (0.4, 1.1, 2.7):
+            assert _phi_kernel(np.array(0.3), np.array(0.5), np.array(d)) \
+                == ref.phi_kernel(np.array(0.3), np.array(0.5), np.array(d))
+            assert _psi_kernel(0.3, 0.5, d) == ref.psi_kernel(0.3, 0.5, d)
+
+    def test_one_spectral_derivative_per_velocity_functional(self, monkeypatch):
+        calls = []
+        real = geometry.spectral_derivative
+
+        def counted(values, *args, **kwargs):
+            calls.append(len(values))
+            return real(values, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "spectral_derivative", counted)
+        st = PatchState(0.5, PeriodicField(_criterion5_r0(64)))
+        velocity_functional(st)
+        assert calls == [64]
+        assert st.dR() is st.dR()
+
+    @pytest.mark.parametrize("M", [64, 256])
+    def test_rhs_matches_reference(self, M):
+        r0 = _criterion5_r0(M)
+        got, want = _rhs(0.5, r0), ref.rhs(0.5, r0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +309,12 @@ class TestSimulate:
         nsteps = int(round(cfg.T / cfg.dt))
         assert len(traj.snapshots) == nsteps // cfg.record_stride + 1
         assert np.all(np.diff(traj.times) > 0)
+        prof = traj.profile
+        assert prof["rhs_evaluations"] == 4 * nsteps
+        assert prof["energy_evaluations"] == len(traj.snapshots)
+        sup = max(np.max(np.abs(s)) for s in traj.snapshots)
+        assert prof["max_admissibility_ratio"] >= sup / (0.5 * 0.5 ** 2)
+        assert prof["max_R"] >= max(np.max(np.sqrt(0.25 + 2 * s)) for s in traj.snapshots)
 
     def test_short_conservation(self):
         st = cos_state(b=0.5, amp=1e-3, mode=2, M=64)
@@ -242,6 +333,10 @@ class TestSimulate:
         assert traj.aborted
         assert traj.abort_reason
         assert len(traj.snapshots) >= 1  # last valid snapshot retained
+        # completed evaluations only; the margin stays below the bound
+        assert traj.profile["rhs_evaluations"] < 4 * len(traj.mode_times)
+        assert traj.profile["energy_evaluations"] == 0
+        assert 0.999 < traj.profile["max_admissibility_ratio"] < 1.0
 
     def test_step_matches_simulate(self):
         st = cos_state()

@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-from dense_reference import kernel_A
+from dense_reference import diagonal_difference_quotient, kernel_A
 
 from vortexpatch.geometry import (
     BoundaryContactError,
     DegeneratePatchError,
     PatchState,
-    diagonal_difference_quotient,
     kernel_B,
     kernel_P,
     log_one_plus_P_half,

@@ -347,7 +347,7 @@ class TestRemainderHomological:
         state = _initial_state(N=6, L=4)
         psi, _, _ = solve_remainder_homological(state, 1e-2, 2.5, 64.0)
         phi_inv = dense_reference.neumann_inverse(psi)
-        ident = LinearOperatorMatrix.identity(psi.N)
+        ident = dense_reference.identity(psi.N)
         ident = LinearOperatorMatrix(psi.N, ident.entries,
                                      np.zeros((1, psi.d), dtype=int))
         resid = phi_inv @ (ident + psi) - ident
