@@ -285,9 +285,9 @@ def _seed_state(p: dict):
 @_command("simulate", SIMULATE)
 def simulate(p, emit):
     """Nonlinear contour-dynamics run; writes trajectory CSV and summary."""
-    state = _seed_state(p)
     config = EvolutionConfig(dt=p["dt"], T=p["T"], record_stride=p["stride"],
                              track_modes=p["track"])
+    state = _seed_state(p)
     traj = run_simulation(state, config)
     outdir = emit({"simulate_trajectory.csv": trajectory_to_csv(traj),
                    "simulate_summary.json": trajectory_summary(traj)}, traj.profile)
@@ -298,10 +298,21 @@ def simulate(p, emit):
 
 @_command("linearize", LINEARIZE)
 def linearize_cmd(p, emit):
-    """Assemble the linearized generator; writes matrix and eigenvalue CSVs."""
-    op = assemble(_seed_state(p), p["N"])
+    """Assemble the linearized generator; writes matrix and eigenvalue CSVs.
+
+    The manifest's ``profile`` block holds the grid size M, the truncation N,
+    and the seconds spent assembling and in the eigen-solve (eigenvalues,
+    their mode labels and the spectrum rows).
+    """
+    state = _seed_state(p)
+    t0 = time.perf_counter()
+    op = assemble(state, p["N"])
+    t1 = time.perf_counter()
+    spectrum_csv = spectrum_to_csv(op)
+    t2 = time.perf_counter()
     outdir = emit({"linearize_matrix.csv": matrix_to_csv(op),
-                   "linearize_spectrum.csv": spectrum_to_csv(op)})
+                   "linearize_spectrum.csv": spectrum_csv},
+                  {"M": state.M, "N": op.N, "assemble_s": t1 - t0, "eigen_solve_s": t2 - t1})
     click.echo(f"linearize: matrix and spectrum written to {outdir}")
 
 

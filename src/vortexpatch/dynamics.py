@@ -40,6 +40,7 @@ from .geometry import (
     BoundaryContactError,
     DegeneratePatchError,
     PatchState,
+    _grid_tables,
     eta_factors,
     log_kernel_integrals,
     pair_trig,
@@ -79,16 +80,16 @@ def velocity_functional(state: PatchState) -> PeriodicField:
     """F_b[r] on the state's grid."""
     state.require_inside_disc()
     R = state.R
+    R2 = R ** 2
     dR = state.dR()
-    F0 = 0.5 * state.dr * np.mean(R ** 2) / R ** 2
+    F0 = 0.5 * state.dr * np.mean(R2) / R2
 
     pq = eta_factors(state, dR)
     log_A, log_B = log_kernel_integrals(state, pq)
     p, q = pq.T
-    th = state.theta
-    c, s = np.cos(th), np.sin(th)
+    c, s, _ = _grid_tables(state.M)
     F1 = -q * log_A[:, 0] + p * log_A[:, 1]
-    F2 = (-(R * s + dR * c) * log_B[:, 0] + (R * c - dR * s) * log_B[:, 1]) / R ** 2
+    F2 = (-(R * s + dR * c) * log_B[:, 0] + (R * c - dR * s) * log_B[:, 1]) / R2
 
     return PeriodicField(-F0 - F1 + F2)
 
@@ -100,40 +101,59 @@ def velocity_functional(state: PatchState) -> PeriodicField:
 _NEAR_ONE = 1e-9
 
 
-def _SA(z):
-    """sum_{m>=1, m!=2} z^m / m = -log(1-z) - z^2/2."""
-    return -np.log(1.0 - z) - 0.5 * z * z
+def _SA(z, lg=None):
+    """sum_{m>=1, m!=2} z^m / m = -log(1-z) - z^2/2; ``lg`` is log(1-z) when
+    the caller holds it already."""
+    lg = np.log(1.0 - z) if lg is None else lg
+    return -lg - 0.5 * z * z
 
 
-def _SB(z):
-    """sum_{m>=1, m!=2} z^m / (2-m) = z + z^2 log(1-z)."""
-    return z + z * z * np.log(1.0 - z)
+def _SB(z, lg=None):
+    """sum_{m>=1, m!=2} z^m / (2-m) = z + z^2 log(1-z); ``lg`` as in ``_SA``."""
+    lg = np.log(1.0 - z) if lg is None else lg
+    return z + z * z * lg
 
 
 def _series(z, denominators):
-    """sum_{m>=1} z^m / denominators[m-1]; a zero denominator drops its term."""
+    """sum_{m>=1} z^m / denominators[m-1]; a zero denominator drops its term.
+
+    Each term multiplies by the real 1/den, which is how numpy divides a
+    complex array by a real number, so the sum is that of the quotients."""
     acc = np.zeros_like(z)
     zp = np.ones_like(z)
+    term = np.empty_like(z)
     for den in denominators:
-        zp = zp * z
+        np.multiply(zp, z, out=zp)
         if den:
-            acc += zp / den
+            acc += np.multiply(zp, 1.0 / den, out=term)
     return acc
 
 
-def _SC(z):
+def _SC(z, lg=None):
     """sum_{m>=1, m!=2} z^m / (m+2).
 
     Closed form (-log(1-z) - z - z^2/2)/z^2 - z^2/4 for moderate |z|; a
     direct series on the entries with small |z|, where the closed form
-    cancels catastrophically.
+    cancels catastrophically.  ``lg`` is log(1-z) on every entry when the
+    caller holds it already.
     """
     z = np.asarray(z, dtype=complex)
     out = np.empty_like(z)
     small = np.abs(z) < 0.5
     big = ~small
     zz = z[big]
-    out[big] = (-np.log(1.0 - zz) - zz - 0.5 * zz * zz) / (zz * zz) - 0.25 * zz * zz
+    # (-log(1-zz) - zz - 0.5 zz zz) / (zz zz) - 0.25 zz zz, formed in place
+    w = np.log(1.0 - zz) if lg is None else lg[big]
+    np.negative(w, out=w)
+    w -= zz
+    t = 0.5 * zz
+    t *= zz
+    w -= t
+    w /= np.multiply(zz, zz, out=t)
+    np.multiply(0.25, zz, out=t)
+    t *= zz
+    w -= t
+    out[big] = w
     out[small] = _series(z[small], [0 if m == 2 else m + 2 for m in range(1, 61)])
     return out
 
@@ -162,9 +182,10 @@ def _T3(y):
     mmax = min(max(mmax, 10), 30000)
     acc = np.zeros(y.shape)
     yp = np.ones_like(y)
+    term = np.empty(y.shape)
     for m in range(1, mmax + 1):
-        yp = yp * y
-        acc += yp.real / (m * (m + 2) ** 2)
+        np.multiply(yp, y, out=yp)
+        acc += np.divide(yp.real, m * (m + 2) ** 2, out=term)
     return acc
 
 
@@ -188,25 +209,34 @@ def _phi_kernel(rho1, rho2, delta, terms=None):
     """Phi(rho1, rho2, Delta): the radial double integral of G against l1 l2.
 
     ``terms`` is ``_delta_terms(delta)`` when the caller holds it already.
+    Each M x M temporary is dropped as soon as its last term is formed.
     """
     eid, cos2, sbc = _delta_terms(delta) if terms is None else terms
     rho = np.minimum(rho1, rho2)
     sig = np.maximum(rho1, rho2)
-    q = rho / sig
-    z = q * eid
-    r2s2 = (rho * sig) ** 2
+    rs = rho * sig
+    r2s2 = rs ** 2
+    term3 = r2s2 * _T3(rs * eid)
+    del rs
     r4 = rho ** 4
     lq = np.log(sig / rho)  # = -log q >= 0
 
     term1 = 0.25 * r2s2 * np.log(sig) - 0.125 * r2s2 + r4 / 16.0
 
+    z = (rho / sig) * eid
+    del rho, sig
     zdiag = np.abs(1.0 - z) < _NEAR_ONE
     zs = np.where(zdiag, 0.0, z)
-    PA = _SA(zs).real / 4.0 + _SB(zs).real / 8.0 - _SC(zs).real / 8.0
+    del z
+    # one log(1 - z) for S_A, S_B and S_C; each real part is folded into PA
+    # as it is formed, so no two complex M x M results are alive at once
+    lg = np.log(1.0 - zs)
+    PA = _SA(zs, lg).real / 4.0
+    PA += _SB(zs, lg).real / 8.0
+    PA -= _SC(zs, lg).real / 8.0
+    del zs, lg
     S2 = r2s2 * PA - 0.125 * r4 * sbc + cos2 * r4 * (lq + 0.5) / 8.0
     S2 = np.where(zdiag, 0.375 * r4, S2)
-
-    term3 = r2s2 * _T3(rho * sig * eid)
     return term1 - S2 + term3
 
 
@@ -214,13 +244,16 @@ def _psi_kernel(rho1, rho2, delta, terms=None):
     """psi = int_0^{rho2} G(rho1, l' e^{i Delta}) l' dl' (so dPhi/drho1 = rho1 psi).
 
     ``terms`` is ``_delta_terms(delta)`` when the caller holds it already.  Each
-    branch is evaluated on its own entries only.
+    branch is evaluated on its own entries only, and its temporaries are
+    dropped before the next one starts.
     """
     rho1, rho2, delta = np.broadcast_arrays(
         np.asarray(rho1, float), np.asarray(rho2, float), np.asarray(delta, float)
     )
     eid, cos2, sbc = (np.broadcast_to(t, rho1.shape)
                       for t in (_delta_terms(delta) if terms is None else terms))
+    # image part: -int log|1 - rho1 l' e^{i Delta}| l' dl'
+    part2 = rho2 ** 2 * _Fmm2(rho1 * rho2 * eid).real
     out = np.empty(rho1.shape)
 
     # -- rho2 <= rho1: integration stays below the evaluation radius
@@ -229,6 +262,7 @@ def _psi_kernel(rho1, rho2, delta, terms=None):
     piece1 = 0.5 * np.log(r1) * r2 ** 2
     series = -(r2 ** 2) * _Fmm2((r2 / r1) * eid[le]).real
     out[le] = piece1 + series
+    del r1, r2, piece1, series
     # -- rho2 > rho1
     gt = ~le
     r1, r2 = rho1[gt], rho2[gt]
@@ -236,16 +270,18 @@ def _psi_kernel(rho1, rho2, delta, terms=None):
     piece1 = 0.5 * r2 ** 2 * np.log(r2) - 0.25 * r2 ** 2 + 0.25 * r1 ** 2
     vone = np.abs(1.0 - v) < _NEAR_ONE
     vs = np.where(vone, 0.0, v)
-    AB = np.where(vone, 0.5, (_SA(vs) + _SB(vs)).real)
+    del v
+    lg = np.log(1.0 - vs)
+    AB = _SA(vs, lg)
+    AB += _SB(vs, lg)
+    del vs, lg
+    AB = np.where(vone, 0.5, AB.real)
     series = -(
         0.5 * r2 ** 2 * AB
         - 0.5 * r1 ** 2 * sbc[gt]
         + 0.5 * cos2[gt] * r1 ** 2 * (0.25 + np.log(r2 / r1))
     )
     out[gt] = piece1 + series
-
-    # image part: -int log|1 - rho1 l' e^{i Delta}| l' dl'
-    part2 = rho2 ** 2 * _Fmm2(rho1 * rho2 * eid).real
     return out + part2
 
 
@@ -296,11 +332,16 @@ def stream_gradient(state: PatchState) -> PeriodicField:
 # time integration
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
+def _dealias_mask(M: int) -> np.ndarray:
+    """The modes |j| > M/3 that the 2/3 rule removes; cached per M, hence read-only."""
+    return _read_only(np.abs(_mode_numbers(M)) > M // 3)
+
+
 def dealias(values: np.ndarray) -> np.ndarray:
     """2/3-rule truncation of a theta-only sample vector."""
-    M = len(values)
     c = np.fft.fft(values, norm="forward")
-    c[np.abs(_mode_numbers(M)) > M // 3] = 0.0
+    c[_dealias_mask(len(values))] = 0.0
     return np.fft.ifft(c, norm="forward").real
 
 
@@ -318,6 +359,10 @@ class EvolutionConfig:
             raise ValueError("dt must be positive")
         if self.T < self.dt:
             raise ValueError("final time must be at least one step")
+        steps = self.T / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"final time T = {self.T!r} is not a whole number of "
+                             f"steps dt = {self.dt!r} (T/dt = {steps!r})")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
@@ -401,7 +446,7 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
             series[j].append(complex(np.mean(st.r.values * probes[j])))
         margin = float(np.max(np.abs(st.r.values))) / (0.5 * b * b)
         prof["max_admissibility_ratio"] = max(prof["max_admissibility_ratio"], margin)
-        prof["max_R"] = max(prof["max_R"], float(np.max(st.R)))
+        prof["max_R"] = max(prof["max_R"], st.max_R)
 
     # The loop takes step()'s RK4 increment with two refinements that only
     # matter for long drift diagnostics: compensated (Kahan) accumulation of

@@ -100,8 +100,14 @@ class PatchState:
         """d_theta R = r'/R; computed once per state, read-only."""
         return self._dR
 
+    @functools.cached_property
+    def max_R(self) -> float:
+        """max R over the grid; computed once per state."""
+        return float(np.max(self.R))
+
     def require_inside_disc(self):
-        if float(np.max(self.R)) > 1.0 - DISC_MARGIN:
+        """Raise ``BoundaryContactError`` (on every call) unless max R <= 1 - DISC_MARGIN."""
+        if self.max_R > 1.0 - DISC_MARGIN:
             raise BoundaryContactError("patch touches the unit circle: max R > 1 - 1e-6")
 
     @functools.cached_property
@@ -118,6 +124,27 @@ def pair_trig(M: int):
     th = theta_grid(M)
     delta = th[None, :] - th[:, None]
     return tuple(_read_only(t) for t in (delta, np.sin(delta), np.cos(delta), np.sin(0.5 * delta)))
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_tables(M: int):
+    """Cached (cos theta, sin theta, sin((eta - theta)/2) with a unit diagonal)
+    on the M-point grid; read-only.  The last is the divisor of the difference
+    quotient."""
+    th = theta_grid(M)
+    s = pair_trig(M)[3].copy()
+    np.fill_diagonal(s, 1.0)  # placeholder, the quotient's diagonal is set apart
+    return tuple(_read_only(t) for t in (np.cos(th), np.sin(th), s))
+
+
+@functools.lru_cache(maxsize=8)
+def _disc_tables(M: int, b: float):
+    """Cached tables of one (M, b): B_0^2 = 1 + b^4 - 2 b^2 cos(eta - theta),
+    the K1/K2 multipliers stacked as a 2 x M x 1 block, and log(2b); read-only."""
+    b2 = b ** 2
+    B0sq = 1.0 + b2 * b2 - 2.0 * b2 * pair_trig(M)[2]
+    mult = np.stack([k1_multiplier_coeffs(M), k2_multiplier_coeffs(M, b)])[:, :, None]
+    return _read_only(B0sq), _read_only(mult), np.log(2.0 * b)
 
 
 def _pair_grids(state: PatchState):
@@ -144,20 +171,23 @@ def kernel_P(state: PatchState) -> np.ndarray:
     """
     state.require_inside_disc()
     b2 = state.b ** 2
-    Rt, Re, _ = _pair_grids(state)
-    prod = Rt * Re
-    cs = pair_trig(state.M)[2]
-    B0sq = 1.0 + b2 * b2 - 2.0 * b2 * cs
-    num = (prod * prod - b2 * b2) - 2.0 * (prod - b2) * cs
-    return num / B0sq
+    # the quotient above, in its order of operations, on two M x M buffers
+    prod = np.multiply.outer(state.R, state.R)
+    num = prod * prod
+    num -= b2 * b2
+    prod -= b2
+    prod *= 2.0
+    prod *= pair_trig(state.M)[2]
+    num -= prod
+    num /= _disc_tables(state.M, state.b)[0]
+    return num
 
 
 def _difference_quotient(vals: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """g(theta, eta) = (vals(eta) - vals(theta))/sin((eta-theta)/2) off the
     diagonal and ``diag`` on it (2 f' for the difference quotient of f)."""
-    s = pair_trig(len(vals))[3].copy()
-    np.fill_diagonal(s, 1.0)  # placeholder, diagonal overwritten below
-    g = (vals[None, :] - vals[:, None]) / s
+    g = vals[None, :] - vals[:, None]
+    g /= _grid_tables(len(vals))[2]
     np.fill_diagonal(g, diag)
     return g
 
@@ -169,20 +199,29 @@ def smooth_factor_v1(state: PatchState) -> np.ndarray:
     quotient of R, with the state's 2R' on the diagonal; there v1 is
     sqrt(R'^2 + R^2)/b.
     """
-    g = _difference_quotient(state.R, 2.0 * state.dR())
-    Rt, Re, _ = _pair_grids(state)
     b = state.b
-    return np.sqrt((g / (2.0 * b)) ** 2 + Rt * Re / (b * b))
+    # sqrt((g/(2b))^2 + R(theta) R(eta)/b^2), formed in place on g
+    v = _difference_quotient(state.R, 2.0 * state.dR())
+    v /= 2.0 * b
+    np.square(v, out=v)
+    prod = np.multiply.outer(state.R, state.R)
+    prod /= b * b
+    v += prod
+    return np.sqrt(v, out=v)
 
 
 def log_v1(state: PatchState) -> np.ndarray:
     """log v1: the smooth part of log A_r = log(2b) + K1(eta-theta) + log v1."""
-    return np.log(smooth_factor_v1(state))
+    v = smooth_factor_v1(state)
+    return np.log(v, out=v)
 
 
 def log_one_plus_P_half(state: PatchState) -> np.ndarray:
     """(1/2) log(1 + P_r): the smooth part of log B_r = K2(eta-theta) + (1/2)log(1+P_r)."""
-    return 0.5 * np.log1p(kernel_P(state))
+    P = kernel_P(state)
+    np.log1p(P, out=P)
+    P *= 0.5
+    return P
 
 
 def eta_factors(state: PatchState, dR: np.ndarray) -> np.ndarray:
@@ -191,8 +230,7 @@ def eta_factors(state: PatchState, dR: np.ndarray) -> np.ndarray:
     Expanding sin/cos(eta - theta) splits every two-point factor of F_b and
     V_r into a(theta) p(eta) + c(theta) q(eta).
     """
-    th = state.theta
-    c, s = np.cos(th), np.sin(th)
+    c, s, _ = _grid_tables(state.M)
     R = state.R
     return np.column_stack([dR * s + R * c, R * s - dR * c])
 
@@ -207,11 +245,11 @@ def log_kernel_integrals(state: PatchState, C: np.ndarray):
     """
     M = state.M
     lv, lp = state.log_tables
+    _, mult, log2b = _disc_tables(M, state.b)
     chat = np.fft.fft(C, axis=0, norm="forward")
-    mult = np.stack([k1_multiplier_coeffs(M), k2_multiplier_coeffs(M, state.b)])
-    K1C, K2C = np.fft.ifft(chat * mult[:, :, None], axis=1, norm="forward")
+    K1C, K2C = np.fft.ifft(chat * mult, axis=1, norm="forward")
     if np.isrealobj(C):
         K1C, K2C = K1C.real, K2C.real
-    log_A = K1C + np.log(2.0 * state.b) * C.mean(axis=0) + (lv @ C) / M
+    log_A = K1C + log2b * C.mean(axis=0) + (lv @ C) / M
     log_B = K2C + (lp @ C) / M
     return log_A, log_B

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import PatchState, eta_factors, log_kernel_integrals
+from .geometry import PatchState, _grid_tables, eta_factors, log_kernel_integrals
 from .spectral import (
     LinearOperatorMatrix,
     PeriodicField,
@@ -55,8 +55,7 @@ def transport_coefficient(state: PatchState) -> PeriodicField:
     state.require_inside_disc()
     R = state.R
     log_A, log_B = log_kernel_integrals(state, eta_factors(state, state.dR()))
-    th = state.theta
-    c, s = np.cos(th), np.sin(th)
+    c, s, _ = _grid_tables(state.M)
     V0 = -0.5 * np.mean(R ** 2) / R ** 2
     V1 = -(c * log_A[:, 0] + s * log_A[:, 1]) / R
     V2 = -(c * log_B[:, 0] + s * log_B[:, 1]) / R ** 3

@@ -8,8 +8,10 @@ computes the same integrals from rank-2 / column-block factorizations; these
 functions are the independent path the tests compare against.
 
 The contour references keep the work the package skips: the RK4 right-hand
-side ``rhs`` with two spectral derivatives and two inverse FFTs, and the
-energy kernels with their series evaluated over every entry.
+side ``rhs`` with two spectral derivatives and two inverse FFTs, the energy
+kernels with their series evaluated over every entry, and the right-hand side
+with every (M, b)-only table rebuilt per call (``rhs_per_call`` and the
+``*_per_call`` kernels it is built from).
 
 The operator references are the plain loop forms of the off-diagonal norm,
 the band product and its window projection, the band sum and the mirror by
@@ -295,6 +297,92 @@ def stream_gradient(state):
     R = state.R
     psi = psi_kernel(R[:, None], R[None, :], pair_trig(state.M)[0])
     return 2.0 * psi.mean(axis=1) + 2.0 * R ** 2 * _alias_tail_sum(state.M)
+
+
+# -- the RK4 right-hand side with its per-call tables -----------------------
+# The right-hand side as it was before the (M, b)-only tables were cached:
+# every call rebuilds 1 + b^4 - 2 b^2 cos Delta, the sin(Delta/2) divisor with
+# a unit diagonal, the stacked K1/K2 multipliers, cos theta and sin theta, and
+# the disc check runs once per kernel.  The package must equal these bit for bit.
+
+def kernel_P_per_call(state):
+    state.require_inside_disc()
+    b2 = state.b ** 2
+    Rt, Re, _ = _pair_grids(state)
+    prod = Rt * Re
+    cs = pair_trig(state.M)[2]
+    B0sq = 1.0 + b2 * b2 - 2.0 * b2 * cs
+    num = (prod * prod - b2 * b2) - 2.0 * (prod - b2) * cs
+    return num / B0sq
+
+
+def difference_quotient_per_call(vals, diag):
+    s = pair_trig(len(vals))[3].copy()
+    np.fill_diagonal(s, 1.0)  # placeholder, diagonal overwritten below
+    g = (vals[None, :] - vals[:, None]) / s
+    np.fill_diagonal(g, diag)
+    return g
+
+
+def smooth_factor_v1_per_call(state):
+    g = difference_quotient_per_call(state.R, 2.0 * state.dR())
+    Rt, Re, _ = _pair_grids(state)
+    b = state.b
+    return np.sqrt((g / (2.0 * b)) ** 2 + Rt * Re / (b * b))
+
+
+def log_tables_per_call(state):
+    return (np.log(smooth_factor_v1_per_call(state)),
+            0.5 * np.log1p(kernel_P_per_call(state)))
+
+
+def eta_factors_per_call(state, dR):
+    th = state.theta
+    c, s = np.cos(th), np.sin(th)
+    R = state.R
+    return np.column_stack([dR * s + R * c, R * s - dR * c])
+
+
+def log_kernel_integrals_per_call(state, C):
+    M = state.M
+    lv, lp = log_tables_per_call(state)
+    chat = np.fft.fft(C, axis=0, norm="forward")
+    mult = np.stack([k1_multiplier_coeffs(M), k2_multiplier_coeffs(M, state.b)])
+    K1C, K2C = np.fft.ifft(chat * mult[:, :, None], axis=1, norm="forward")
+    if np.isrealobj(C):
+        K1C, K2C = K1C.real, K2C.real
+    log_A = K1C + np.log(2.0 * state.b) * C.mean(axis=0) + (lv @ C) / M
+    log_B = K2C + (lp @ C) / M
+    return log_A, log_B
+
+
+def velocity_functional_per_call(state):
+    state.require_inside_disc()
+    R = state.R
+    dR = state.dR()
+    F0 = 0.5 * state.dr * np.mean(R ** 2) / R ** 2
+
+    pq = eta_factors_per_call(state, dR)
+    log_A, log_B = log_kernel_integrals_per_call(state, pq)
+    p, q = pq.T
+    th = state.theta
+    c, s = np.cos(th), np.sin(th)
+    F1 = -q * log_A[:, 0] + p * log_A[:, 1]
+    F2 = (-(R * s + dR * c) * log_B[:, 0] + (R * c - dR * s) * log_B[:, 1]) / R ** 2
+
+    return -F0 - F1 + F2
+
+
+def dealias_per_call(values):
+    M = len(values)
+    c = np.fft.fft(values, norm="forward")
+    c[np.abs(_mode_numbers(M)) > M // 3] = 0.0
+    return np.fft.ifft(c, norm="forward").real
+
+
+def rhs_per_call(b, values):
+    st = PatchState(b, PeriodicField(values))
+    return -dealias_per_call(velocity_functional_per_call(st))
 
 
 def offdiag_norm(op, s):

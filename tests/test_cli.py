@@ -98,6 +98,15 @@ class TestLinearizeCommand:
         row2 = [l for l in spec[1:] if l.startswith("2,")][0]
         assert abs(float(row2.split(",")[2]) + 0.53125) < 1e-8
 
+    def test_manifest_profile(self, tmp_path):
+        code = run_cli(["linearize", "--n", "4", "--grid", "64",
+                        "--output-dir", str(tmp_path)])
+        assert code == 0
+        prof = _read_json(tmp_path, "linearize_manifest.json")["profile"]
+        assert sorted(prof) == ["M", "N", "assemble_s", "eigen_solve_s"]
+        assert (prof["M"], prof["N"]) == (64, 4)
+        assert prof["assemble_s"] > 0 and prof["eigen_solve_s"] > 0
+
 
 class TestCantorCommand:
     def test_artifacts_and_flags(self, tmp_path):
@@ -246,8 +255,9 @@ class TestValidateBeforeWork:
         ["cantor", "--lmax", "2", "--curve", "1e-2,2.0"],
         ["cantor", "--lmax", "2", "--curve", "1e-2,1e-3", "--jobs", "0"],
         ["spectrum", "--scan", "--lmax", "2", "--grid", "200", "--eps-hat", "1e-4"],
+        ["simulate", "--dt", "0.3", "--t", "1"],
     ], ids=["curve-not-a-number", "curve-gamma-out-of-range", "jobs-zero",
-            "perturbed-scan-without-seed"])
+            "perturbed-scan-without-seed", "final-time-not-a-whole-number-of-steps"])
     def test_exit_1_and_nothing_written(self, tmp_path, args):
         d = tmp_path / "out"
         d.mkdir()

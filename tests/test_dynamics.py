@@ -12,6 +12,7 @@ from vortexpatch.dynamics import (
     EvolutionConfig,
     NoFrequencyError,
     Trajectory,
+    _dealias_mask,
     _delta_tables,
     _delta_terms,
     _Fmm2,
@@ -31,7 +32,15 @@ from vortexpatch.dynamics import (
     trajectory_to_csv,
     velocity_functional,
 )
-from vortexpatch.geometry import DegeneratePatchError, PatchState, pair_trig
+from vortexpatch.geometry import (
+    DegeneratePatchError,
+    PatchState,
+    _disc_tables,
+    _grid_tables,
+    kernel_P,
+    pair_trig,
+    smooth_factor_v1,
+)
 from vortexpatch.spectral import PeriodicField, spectral_derivative, theta_grid
 
 RNG = np.random.default_rng(33)
@@ -166,6 +175,84 @@ class TestFastPaths:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+class TestPerCallOracle:
+    """The RK4 right-hand side and its kernels equal, bit for bit, the forms
+    that rebuild every (M, b)-only table per call."""
+
+    @pytest.mark.parametrize("M", [32, 64, 256])
+    @pytest.mark.parametrize("b,deformed", [(0.5, False), (0.5, True), (0.43, True)],
+                             ids=["equilibrium", "deformed", "deformed-b0.43"])
+    def test_bit_equal(self, M, b, deformed):
+        r = (b / 0.5) ** 2 * _criterion5_r0(M) if deformed else np.zeros(M)
+        st = PatchState(b, PeriodicField(r))
+        assert np.all(_rhs(b, r) == ref.rhs_per_call(b, r))
+        assert np.all(velocity_functional(st).values == ref.velocity_functional_per_call(st))
+        for got, want in zip(st.log_tables, ref.log_tables_per_call(st)):
+            assert np.all(got == want)
+        assert np.all(kernel_P(st) == ref.kernel_P_per_call(st))
+        assert np.all(smooth_factor_v1(st) == ref.smooth_factor_v1_per_call(st))
+
+    @pytest.mark.parametrize("table", [
+        lambda: _grid_tables(16)[0],
+        lambda: _grid_tables(16)[1],
+        lambda: _grid_tables(16)[2],
+        lambda: _disc_tables(16, 0.5)[0],
+        lambda: _disc_tables(16, 0.5)[1],
+        lambda: _dealias_mask(16),
+    ], ids=["cos", "sin", "sin_half_unit_diag", "B0sq", "multipliers", "dealias_mask"])
+    def test_tables_read_only(self, table):
+        with pytest.raises(ValueError):
+            table()[1] = 0
+        with pytest.raises(ValueError):
+            table()[...] *= 2
+
+    def test_disc_tables_keyed_by_b(self):
+        # two b one ulp apart share no table
+        b0 = 0.5
+        b1 = float(np.nextafter(b0, 1.0))
+        t0, t1 = _disc_tables(64, b0), _disc_tables(64, b1)
+        assert t0 is not t1
+        assert not np.all(t0[1] == t1[1])
+        for b, (B0sq, _, _) in ((b0, t0), (b1, t1)):
+            b2 = b ** 2
+            assert np.all(B0sq == 1.0 + b2 * b2 - 2.0 * b2 * pair_trig(64)[2])
+
+    @pytest.mark.parametrize("cache", [_grid_tables, _disc_tables, _dealias_mask])
+    def test_cache_bounded(self, cache):
+        assert cache.cache_info().maxsize is not None
+        assert cache.cache_info().maxsize <= 32
+
+
+class TestRhsStructure:
+    """Deterministic counts of the work of one right-hand side (no timing)."""
+
+    def test_fft_calls_per_rhs(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn"):
+            real = getattr(np.fft, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        r = _criterion5_r0(64)
+        _rhs(0.5, r)
+        # r' (fft, ifft), the K1/K2 contraction (fft, one batched ifft), dealias (fft, ifft)
+        assert len(calls) == 6
+
+    def test_tables_built_once(self):
+        for cache in (_grid_tables, _disc_tables, _dealias_mask):
+            cache.cache_clear()
+        r = _criterion5_r0(64)
+        for _ in range(20):
+            _rhs(0.5, r)
+        for cache in (_grid_tables, _disc_tables, _dealias_mask):
+            info = cache.cache_info()
+            assert info.misses == 1
+            assert info.currsize == 1
+
+
 # ---------------------------------------------------------------------------
 # velocity functional
 # ---------------------------------------------------------------------------
@@ -295,6 +382,23 @@ class TestSimulate:
             EvolutionConfig(dt=0.1, T=0.05)
         with pytest.raises(ValueError):
             EvolutionConfig(dt=0.1, T=1.0, record_stride=0)
+
+    @pytest.mark.parametrize("dt,T", [(0.3, 1.0), (0.4, 1.0), (1e-3, 0.0105)])
+    def test_final_time_not_a_whole_number_of_steps(self, dt, T):
+        # round(T/dt) steps would stop short of (or past) T
+        with pytest.raises(ValueError, match="whole number of steps"):
+            EvolutionConfig(dt=dt, T=T)
+
+    @pytest.mark.parametrize("dt,T", [(0.01, 0.5), (1.25e-4, 2.0), (0.05, 16.0)])
+    def test_final_time_within_rounding_of_a_step(self, dt, T):
+        EvolutionConfig(dt=dt, T=T)
+
+    def test_run_ends_at_final_time(self):
+        # 0.3/0.1 = 2.9999999999999996: a whole number of steps up to rounding
+        st = PatchState(0.5, PeriodicField(np.zeros(32)))
+        traj = simulate(st, EvolutionConfig(dt=0.1, T=0.3, diagnostics=False))
+        assert len(traj.times) == 4
+        assert traj.times[-1] == pytest.approx(0.3, abs=1e-12)
 
     def test_equilibrium_stays_fixed(self):
         st = PatchState(0.5, PeriodicField(np.zeros(64)))
