@@ -10,23 +10,25 @@ Fourier sites l and mode indices j (and j0 for the second-order family):
 
 (the transport family uses omega = -omega_Eq, the straightened model with
 V^infty = 1/2).  The sublevel sets {b : |f(b)| <= threshold} are found in
-four batched stages: a Lipschitz screen of whole families on a coarse grid, a
-filter on the measurement grid restricted to windows around the coarse nodes
-the screen could not rule out, lockstep sign-change bisection of every
-bracket, and a check of every length against the polynomial sublevel bound
-(Russmann estimate).  The intervals are merged into a sorted disjoint union
-whose complement is the surviving (Cantor) parameter set.
+four batched stages: a Lipschitz screen of whole families on a coarse grid
+that bounds each coarse cell from both of its ends, a filter on the
+measurement grid restricted to the windows of the cells where |f| can reach
+the threshold, lockstep sign-change bisection of every bracket, and a check
+of every length against the polynomial sublevel bound (Russmann estimate).
+The intervals are merged into a sorted disjoint union whose complement is
+the surviving (Cantor) parameter set.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .spectral import _fmt
-from .spectrum import FrequencySystem, _bracket, _lattice, omega, omega_derivative
+from .spectrum import _SLACK, FrequencySystem, _bracket, _lattice, omega, omega_derivative
 
 __all__ = [
     "DiophantineSpec",
@@ -63,6 +65,8 @@ class DiophantineSpec:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
+        if not all(map(math.isfinite, (self.tau1, self.tau2, self.upsilon, self.c2))):
+            raise ValueError("tau1, tau2, upsilon and c2 must be finite")
         if not self.tau2 > self.tau1:
             raise ValueError("need tau2 > tau1")
         if self.kind not in KINDS:
@@ -170,9 +174,13 @@ def russmann_bound(f_derivatives, alpha: float, q0: int, a: float, b: float,
     xs = np.linspace(a, b, grid)
     table = np.stack([np.abs(np.asarray(f_derivatives(xs, q), dtype=float))
                       for q in range(q0 + 1)])
-    cnorm = float(np.max(table))
     if beta is None:
         beta = float(np.min(np.max(table, axis=0)))
+    return _russmann(float(np.max(table)), beta, alpha, q0, a, b)
+
+
+def _russmann(cnorm: float, beta: float, alpha: float, q0: int, a: float, b: float) -> float:
+    """The bound of ``russmann_bound`` from ||f||_{C^q0} and beta on the grid."""
     if beta <= 0:
         return math.inf
     C = (2.0 * (q0 + 1) * (b - a + 1.0) * math.factorial(q0) ** (1.0 / q0)
@@ -211,6 +219,12 @@ class ExcludedReport:
     tail_divergent: bool = False
     russmann_violations: int = 0
     flags: list = field(default_factory=list)
+    profile: dict = field(default_factory=dict)  # stage seconds and counts of the run
+
+
+def _ragged(start, n):
+    """The runs start[i], ..., start[i] + n[i] - 1, concatenated."""
+    return np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)
 
 
 def _tail_bound(d: int, Lmax: int, tau: float, q0: int, C: float = 1.0):
@@ -227,33 +241,45 @@ def _tail_bound(d: int, Lmax: int, tau: float, q0: int, C: float = 1.0):
 def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedReport:
     """All excluded parameter intervals of the given small-divisor family.
 
-    1. Screen: one array per l (one per (l, m) for the second order) on the
-       512-node grid.  A tuple is skipped when min |f| - lip dx/2 > threshold,
-       which is rigorous: Omega_j' increases, so ``dOmax`` (taken at the node
-       b1) is the exact sup of |Omega_j'|.
+    Every Omega_j' is >= 0 and nondecreasing for b > 0, so on a screen cell
+    [x_i, x_i+1] the sum lipc_i = sum_k |c_k| Omega_{j_k}'(x_i+1) over the terms
+    c_k Omega_{j_k} of f bounds |f'|, and lip, the same sum at b1, bounds it on
+    [b0, b1].  With t = threshold + 1e-13:
+
+    1. Screen, one batch per l: |f| of every tuple at the 512 screen nodes (for
+       the second order only at the ends of the cells of its (l, m) family that
+       the family bound below leaves).  A cell can hold a point with |f| <= t
+       only if (|f(x_i)| - t)+ + (|f(x_i+1)| - t)+ <= lip dx, then only if the
+       same holds with lipc_i dx; the points of such a cell with
+       |f(x_i)| - lipc_i (x - x_i) <= t and |f(x_i+1)| - lipc_i (x_i+1 - x) <= t,
+       widened by one fine node on each side, are its window.
     2. Filter: f is evaluated on the 2^14 + 1-node measurement grid only
-       within dx/2 of the coarse nodes with |f| - lip dx/2 <= threshold + 1e-13,
-       in blocks of ``_BLOCK`` nodes.  These windows hold every fine node with
-       |f| < threshold + 1e-13, so the kept tuples, their inside nodes and
-       their tangency flags are those of the whole grid.
+       inside the windows, in blocks of ``_BLOCK`` nodes.  The windows hold
+       every fine node with |f| < threshold + 1e-13, so the kept tuples, their
+       inside nodes and their tangency flags are those of the whole grid.
     3. Bisection of every bracket of every kept tuple in lockstep.
-    4. Russmann check of every interval length, from derivative rows on the
-       screen grid (the grid ``russmann_bound`` samples).
+    4. Russmann check of every interval length, from the derivative rows of all
+       tuples with intervals on the screen grid (the grid ``russmann_bound``
+       samples), built in its order of operations.
+
+    ``report.profile`` holds the seconds of the four stages, the (l, m)
+    families the family bound skips, the tuples screened, kept by the filter
+    and with brackets bisected, and the window nodes the filter evaluates.
     """
     if spec.tau1 <= sys.d:
         raise ValueError("need tau1 > d for the lattice sums")
+    t_screen = time.perf_counter()
     b0, b1, q0 = sys.b0, sys.b1, sys.q0
     xs = np.linspace(b0, b1, _SCREEN_GRID)
     dx = xs[1] - xs[0]
     C0 = 2.0 * (sys.omega_sup() + 1.0) + 1.0
     Jneed = max(int(np.ceil(C0 * spec.Lmax)) + spec.Jmax + 2, max(sys.sites) + 2)
-    Ot = np.stack([omega(xs, j) for j in range(1, Jneed + 1)])       # Omega_j table
-    dOmax = np.array([float(np.max(np.abs(omega_derivative(xs, j, 1))))
-                      for j in range(1, Jneed + 1)])
+    Ot = np.stack([omega(xs, j) for j in range(1, Jneed + 1)])  # Omega_j table
+    dOt = np.stack([omega_derivative(xs, j, 1) for j in range(1, Jneed + 1)])  # Omega_j'
+    dOmax = dOt[:, -1]  # sup of Omega_j' on [b0, b1]
     site_rows = [j - 1 for j in sys.sites]
-    G, S = _FINE_GRID, _SCREEN_GRID - 1  # fine nodes m within dx/2 of node i: |S m - G i| <= G/2
-    reach_lo = np.maximum(0, -((G // 2 - G * np.arange(S + 1)) // S))
-    reach_hi = np.minimum(G, (G * np.arange(S + 1) + G // 2) // S)
+    dOs = dOt[site_rows]
+    G, S = _FINE_GRID, _SCREEN_GRID - 1  # fine node m lies in cell floor(m S / G)
 
     transport = spec.kind == "transport"
     second = spec.kind == "second-order-Melnikov"
@@ -261,6 +287,7 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
     ls = []  # lattice sites, in sorted order
     keys = [(np.zeros(0, int),) * 3 + (np.zeros(0),)]  # (l index, j, j0, thr) per batch
     cells = [(np.zeros(0, int),) * 3]  # (row in batch, first, last fine node) per window
+    count = {"families_skipped": 0, "tuples_screened": 0}
 
     def site(l):
         ls.append(l)
@@ -268,17 +295,53 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
         return (len(ls) - 1, sign * np.tensordot(lv, Ot[site_rows], axes=([0], [0])),
                 float(np.dot(np.abs(lv), dOmax[site_rows])), _bracket(l))
 
-    def screen(li, F, lip, thr, j, j0=0):
-        """Keep the tuples (l, j[r], j0[r]) whose row F[r] may reach the threshold."""
+    def windows(li, r, c, exl, exr, thr, j, j0=None):
+        """Store the windows of the tuples (l, j[r], j0[r]) on the cells c.
+
+        Rows r come sorted, each with its cells in increasing order; exl, exr
+        are (|f| - t)+ at the two ends of the cell.
+        """
+        if not len(r):
+            return
+        e = c + 1  # every Omega_j' peaks on the cell at its right end
+        lipc = np.abs(np.array(ls[li], dtype=float)) @ dOs[:, e]
+        if not transport:
+            lipc = lipc + dOt[j[r] - 1, e]
+        if second:
+            lipc = lipc + dOt[j0[r] - 1, e]
+        reach = lipc * (1.0 + _SLACK) * dx
+        ok = exl + exr <= reach
+        r, c, exl, exr, reach = r[ok], c[ok], exl[ok], exr[ok], reach[ok]
+        # the fractions of the cell that each end rules out (reach = 0 only where f' = 0)
+        u = np.divide(exl, reach, out=np.zeros_like(reach), where=exl > 0)
+        v = np.divide(exr, reach, out=np.zeros_like(reach), where=exr > 0)
+        lo = np.maximum(np.ceil(G * (c + u) / S).astype(int) - 1, 0)
+        hi = np.minimum(np.floor(G * (c + 1 - v) / S).astype(int) + 1, G)
+        # windows of adjacent cells of a row may share nodes: start each one after
+        # the nodes of the row's earlier windows (every node once per tuple)
+        shift = r * (G + 1)
+        done = np.maximum.accumulate(shift + hi)
+        lo[1:] = np.maximum(lo[1:], done[:-1] - shift[1:] + 1)
+        ok = lo <= hi
+        r, lo, hi = r[ok], lo[ok], hi[ok]
+        first = np.ones(len(r), bool)
+        first[1:] = r[1:] != r[:-1]
+        rows = r[first]
+        cells.append((np.cumsum(first) - 1, lo, hi))
+        keys.append((np.full(len(rows), li), j[rows],
+                     np.zeros_like(rows) if j0 is None else j0[rows], thr[rows]))
+
+    def screen(li, F, lip, thr, j):
+        """Windows of the tuples (l, j[r]) of the rows F[r] of f on all screen nodes."""
+        count["tuples_screened"] += len(F)
         A = np.abs(F)
-        margin = np.broadcast_to(0.5 * lip * dx, len(A))
-        thr = np.broadcast_to(thr, len(A))
-        keep = A.min(axis=1) - margin <= thr
-        cand = A[keep] - margin[keep, None] <= thr[keep, None] + 1e-13
-        r, c = np.nonzero(np.diff(cand, axis=1, prepend=False, append=False))
-        cells.append((r[0::2].copy(), reach_lo[c[0::2]], reach_hi[c[1::2] - 1]))
-        keys.append((np.full(keep.sum(), li), j[keep], np.broadcast_to(j0, len(A))[keep],
-                     thr[keep]))
+        thr = np.broadcast_to(thr, len(F))
+        t = thr + 1e-13
+        reach = np.broadcast_to(lip * (1.0 + _SLACK) * dx, len(F))
+        rows = np.flatnonzero(A.min(axis=1) - t <= 0.5 * reach)  # the rows a cell may pass
+        ex = np.maximum(A[rows] - t[rows, None], 0.0)
+        r, c = np.nonzero(ex[:, :-1] + ex[:, 1:] <= reach[rows, None])
+        windows(li, rows[r], c, ex[r, c], ex[r, c + 1], thr, j)
 
     if transport:
         # one l of each pair +-l: l = 0 and the sites after it in the mirror order;
@@ -300,6 +363,8 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
         jmin = min(j for j in range(1, Jneed) if j not in sys.sites)
         lip_pair = 2.0 * float(np.max(dOmax))
         half_pw = 0.5 * xs ** (2 * jmin)
+        normal = np.ones(Jneed + 1, bool)  # j0 + m <= Jmax + ceil(C0 Lmax) < Jneed
+        normal[list(sys.sites)] = False
         for l in _lattice(sys.d, spec.Lmax):
             li, base, lip_l, br = site(l)
             j0cut = min(spec.Jmax,
@@ -308,19 +373,36 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
             j0s = np.setdiff1d(np.arange(1, j0cut + 1), sys.sites)
             ms = np.arange(1, int(np.ceil(C0 * br)) + 1)
             thr = 2.0 * spec.gamma * ms / br ** spec.tau2
-            # f(j0) = g + (b^(2(j0+m)) - b^(2 j0))/2 is increasing in j0
-            # toward g = omega.l + m/2, so dist(0, [g - b^(2 jmin)/2, g])
-            # lower-bounds |f| for the whole (l, m) family.
+            # f(j0) = g + (b^(2(j0+m)) - b^(2 j0))/2 is increasing in j0 toward
+            # g = omega.l + m/2, so dist(0, [g - b^(2 jmin)/2, g]) lower-bounds |f|
+            # for the whole (l, m) family, and the cell test on it rules out cells
+            # of all its rows at once.  It needs dist <= near at a node, first
+            # checked from the range of omega.l (near: t, the reach, and rounding).
+            reach = (lip_l + lip_pair) * (1.0 + _SLACK) * dx
+            near = thr[-1] + reach + 1e-12
+            ms = ms[(0.5 * ms <= np.max(half_pw - base) + near)
+                    & (0.5 * ms >= -np.max(base) - near)]
             g = base + 0.5 * ms[:, None]
-            lo = g - half_pw
-            dist = np.where((lo <= 0.0) & (g >= 0.0), 0.0, np.minimum(np.abs(lo), np.abs(g)))
-            for m in ms[dist.min(axis=1) - 0.5 * (lip_l + lip_pair) * dx <= thr]:
-                j0 = j0s[~np.isin(j0s + m, sys.sites) & (j0s + m <= Jneed)]
-                j = j0 + m
-                screen(li, base + Ot[j - 1] - Ot[j0 - 1],
-                       lip_l + dOmax[j - 1] + dOmax[j0 - 1], thr[m - 1], j, j0)
+            ex = np.maximum(np.maximum(g - half_pw, -g) - (thr[ms - 1] + 1e-13)[:, None], 0.0)
+            live = ex[:, :-1] + ex[:, 1:] <= reach
+            fam, fc = np.nonzero(live)  # the cells of each family left, in order
+            nf = np.bincount(fam, minlength=len(ms))
+            count["families_skipped"] += len(thr) - int(np.count_nonzero(nf))
+            # rows (m, j0) in that order, and each row on every cell of its family
+            rf, rj = np.nonzero(normal[j0s + ms[:, None]] & (nf > 0)[:, None])
+            m, j0 = ms[rf], j0s[rj]
+            j = j0 + m
+            count["tuples_screened"] += len(j)
+            r = np.repeat(np.arange(len(j)), nf[rf])
+            c = fc[_ragged(np.cumsum(nf)[rf] - nf[rf], nf[rf])]
+            t = (thr[m - 1] + 1e-13)[r]
+            exl, exr = (np.maximum(np.abs(base[x] + Ot[j[r] - 1, x] - Ot[j0[r] - 1, x]) - t, 0.0)
+                        for x in (c, c + 1))
+            ok = exl + exr <= (lip_l + dOmax[j - 1] + dOmax[j0 - 1])[r] * (1.0 + _SLACK) * dx
+            windows(li, r[ok], c[ok], exl[ok], exr[ok], thr[m - 1], j, j0)
 
     # tuples in (l, j) order, the order of the flags and of equal rows
+    t_filter = time.perf_counter()
     L, J, J0, T = (np.concatenate(col) for col in zip(*keys))
     order = np.lexsort((J, L))
     L, J, J0, T = L[order], J[order], J0[order], T[order]
@@ -352,20 +434,23 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
     start = np.cumsum(per) - per
     first_cell = np.searchsorted(own, np.arange(len(T) + 1))
     found = [(np.zeros(0, int),) * 3]  # (inside tuple, inside node, flagged tuple) per block
+    kept = 0
     t0 = 0
     while t0 < len(T):
         t1 = max(t0 + 1, int(np.searchsorted(start, start[t0] + _BLOCK)))
         c0, c1 = first_cell[t0], first_cell[t1]
         n = fb[c0:c1] - fa[c0:c1] + 1
         who = np.repeat(own[c0:c1], n)
-        node = np.arange(n.sum()) + np.repeat(fa[c0:c1] - np.cumsum(n) + n, n)
+        node = _ragged(fa[c0:c1], n)
         base = np.empty(len(node))  # the filter's l-part, taken from the whole grid
         cut = np.r_[0, np.flatnonzero(np.diff(L[who])) + 1, len(node)]
         for a, b in zip(cut[:-1], cut[1:]):
             base[a:b] = (sign * np.tensordot(lvec[L[who[a]]], Ofs, axes=([0], [0])))[node[a:b]]
         fv = plus_modes(base, who, lambda j: omega(xf[node], j))
         fmin = np.minimum.reduceat(np.abs(fv), np.r_[0, np.flatnonzero(np.diff(who)) + 1])
-        sel = (fmin <= T[t0:t1])[who - t0]
+        keep = fmin <= T[t0:t1]
+        kept += int(np.count_nonzero(keep))
+        sel = keep[who - t0]
         who, node = who[sel], node[sel]
         hv = h(who, xf[node])
         found.append((who[hv <= 0.0], node[hv <= 0.0], np.unique(who[np.abs(hv) < 1e-13])))
@@ -374,26 +459,40 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
     def key(t):
         return ls[L[t]], int(J[t]), int(J0[t]) if second else None
 
+    t_bisect = time.perf_counter()
     inside_who, inside_node, flagged = (np.concatenate(col) for col in zip(*found))
     flags = [f"tangency_suspect@{l},{j},{j0}" for l, j, j0 in map(key, flagged)]
     w, left, right = _sublevel_runs(inside_who, inside_node, xf, h, 1e-12)
-    need = set(sys.sites) if transport else {*sys.sites, *J[w].tolist(), *J0[w].tolist()} - {0}
-    D = {j: [omega_derivative(xs, j, q) for q in range(q0 + 1)] for j in need}
-    rows = []
-    violations = 0
-    cut = np.flatnonzero(np.diff(w, prepend=-1, append=-1))  # runs of one tuple
-    for a, b in zip(cut[:-1], cut[1:]):
-        t = w[a]
-        table = []
-        for q in range(q0 + 1):
-            part = sum(coef[L[t], k] * D[sj][q] for k, sj in enumerate(sys.sites))
-            table.append(part if transport and q else plus_modes(part, t, lambda j: D[j][q]))
-        # russmann_bound samples the screen grid xs itself
-        bound = russmann_bound(lambda _, q: table[q], float(T[t]), q0, b0, b1,
-                               grid=_SCREEN_GRID)
-        for lf, r in zip(left[a:b].tolist(), right[a:b].tolist()):
-            violations += r - lf > bound
-            rows.append(key(t) + (lf, r, r - lf))
+
+    t_russmann = time.perf_counter()
+    first = np.flatnonzero(np.diff(w, prepend=-1))  # runs of one tuple
+    tw = w[first]
+    need = np.array(sorted(set(sys.sites) if transport
+                           else {*sys.sites, *J[tw].tolist(), *J0[tw].tolist()} - {0}))
+    # max over q of |d^q f| per tuple, its rows built in russmann_bound's order
+    # of operations, ``step`` tuples at a time
+    peak = np.zeros((len(tw), len(xs)))
+    step = _BLOCK // len(xs)
+    for q in range(q0 + 1):
+        Dq = np.stack([omega_derivative(xs, j, q) for j in need])
+        for a in range(0, len(tw), step):
+            col, out = tw[a:a + step, None], peak[a:a + step]
+            part = sum(coef[L[col], k] * Dq[np.searchsorted(need, sj)]
+                       for k, sj in enumerate(sys.sites))
+            if not (transport and q):
+                part = plus_modes(part, col, lambda j: Dq[np.searchsorted(need, j)][:, 0])
+            np.maximum(out, np.abs(part), out=out)
+    bound = [_russmann(c, beta, alpha, q0, b0, b1) for c, beta, alpha
+             in zip(peak.max(axis=1).tolist(), peak.min(axis=1).tolist(), T[tw].tolist())]
+    runs = np.diff(np.r_[first, len(w)])
+    violations = int(np.count_nonzero(right - left > np.repeat(bound, runs)))
+    rows = [key(t) + (lf, r, r - lf)
+            for t, lf, r in zip(w.tolist(), left.tolist(), right.tolist())]
+    bisected = np.unique(w[(left > b0) | (right < b1)])  # an end inside the grid
+    profile = {"screen_s": t_filter - t_screen, "filter_s": t_bisect - t_filter,
+               "bisect_s": t_russmann - t_bisect, "russmann_s": time.perf_counter() - t_russmann,
+               **count, "tuples_kept": kept, "tuples_bisected": len(bisected),
+               "window_nodes": int(per.sum())}
 
     merged = merge_intervals([(r[3], r[4]) for r in rows])
     tau_used = spec.tau2 if second else spec.tau1
@@ -409,6 +508,7 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
         tail_divergent=divergent,
         russmann_violations=violations,
         flags=flags,
+        profile=profile,
     )
 
 

@@ -355,7 +355,13 @@ def _curve_point(item):
 
 @_command("cantor", CANTOR)
 def cantor(p, emit):
-    """Diophantine exclusion intervals, measure totals, Russmann checks."""
+    """Diophantine exclusion intervals, measure totals, Russmann checks.
+
+    The manifest's ``profile`` block is the report's profile: the seconds of
+    the screen, filter, bisection and Russmann stages, the (l, m) families the
+    second-order family bound skips, the tuples screened, kept by the filter
+    and with brackets bisected, and the window nodes the filter evaluates.
+    """
     sysf = FrequencySystem(p["sites"], p["b0"], p["b1"])
     spec = DiophantineSpec(gamma=p["gamma"], tau1=p["tau1"], tau2=p["tau2"],
                            upsilon=p["upsilon"], Lmax=p["lmax"], kind=p["kind"])
@@ -366,7 +372,7 @@ def cantor(p, emit):
     artifacts = {"cantor_intervals.csv": excluded_to_csv(rep),
                  "cantor_summary.json": excluded_summary_json(rep)}
     if rep.russmann_violations:
-        emit(artifacts)
+        emit(artifacts, rep.profile)
         raise InvariantViolation(
             f"Russmann interval bound violated on "
             f"{rep.russmann_violations} excluded intervals")
@@ -384,7 +390,7 @@ def cantor(p, emit):
         lines = ["gamma,excluded_measure"]
         lines += [f"{_fmt(s.gamma)},{_fmt(m)}" for s, m in zip(curve, totals)]
         artifacts["cantor_curve.csv"] = "\n".join(lines) + "\n"
-    emit(artifacts)
+    emit(artifacts, rep.profile)
 
 
 @_command("kam-transport", KAM_TRANSPORT)

@@ -89,9 +89,6 @@ class FrequencySystem:
     def q0(self) -> int:
         return 2 * self.sites[-1] + 2
 
-    def omega_vector(self, b) -> np.ndarray:
-        return np.array([omega(b, j) for j in self.sites])
-
     def omega_sup(self) -> float:
         """max_j sup_{[b0,b1]} |Omega_j| over the tangential set (Omega increases in b)."""
         return max(float(omega(self.b1, j)) for j in self.sites)

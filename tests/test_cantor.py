@@ -138,6 +138,12 @@ class TestDiophantineSpec:
         with pytest.raises(ValueError):
             DiophantineSpec(gamma=1e-3, kind="bogus")
 
+    @pytest.mark.parametrize("field", ["tau1", "tau2", "upsilon", "c2"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            DiophantineSpec(gamma=1e-3, **{field: value})
+
     def test_gamma_schedule(self):
         spec = DiophantineSpec(gamma=1e-3)
         assert abs(spec.gamma_n(0).gamma - 2e-3) < 1e-18
@@ -189,21 +195,27 @@ class TestExcludedMeasure:
             excluded_measure(SYS, DiophantineSpec(gamma=1e-3, tau1=1.5, tau2=13.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestExcludedOracle:
     """The batched pipeline equals the per-tuple reference exactly.  Sites
     (2, 3) make j = 1 and j0 = 1 normal modes (exponent 2, where numpy's
     array-exponent power and the scalar-exponent square differ); b0 = 0.1,
-    b1 = 0.9 keep exact grid nodes such as b = 0.5, so tangency flags occur."""
+    b1 = 0.9 keep exact grid nodes such as b = 0.5, so tangency flags occur.
+    A config's sites may be a whole FrequencySystem, for another [b0, b1]."""
 
-    # gamma = 0.5 gives transport tuples at l = 0, whose window is the whole grid
+    # gamma = 0.5 gives transport tuples at l = 0 (f' = 0), whose window is the
+    # whole grid; Lmax 8 at gamma 9.66e-4 is the benchmark's second-order case;
+    # on [0.01, 0.99] Omega_j' spans many decades, so the per-cell bounds of the
+    # screen lie far below their sup on [b0, b1]
     CONFIGS = ([((1, 2), L, g) for L in (3, 4, 5, 6) for g in (1e-2, 1e-3)]
                + [((1,), 8, 1e-2), ((1,), 6, 1e-3), ((2, 3), 4, 1e-2), ((2, 3), 4, 1e-3),
-                  ((1, 2), 2, 0.5)])
+                  ((1, 2), 2, 0.5), ((1, 2), 8, 9.66e-4),
+                  (FrequencySystem((1, 2), 0.01, 0.99), 5, 1e-3)])
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("sites,Lmax,gamma", CONFIGS)
     def test_equal_to_per_tuple(self, kind, sites, Lmax, gamma):
-        sysf = FrequencySystem(sites, 0.1, 0.9)
+        sysf = sites if isinstance(sites, FrequencySystem) else FrequencySystem(sites, 0.1, 0.9)
         spec = DiophantineSpec(gamma=gamma, kind=kind, Lmax=Lmax)
         fast = excluded_measure(sysf, spec)
         ref = dense_reference.excluded_measure_per_tuple(sysf, spec)
@@ -219,6 +231,18 @@ class TestExcludedOracle:
             rep = excluded_measure(FrequencySystem(sites, 0.1, 0.9),
                                    DiophantineSpec(gamma=1e-2, kind=kind, Lmax=Lmax))
             assert rep.flags
+
+    def test_window_nodes_of_the_benchmark_case(self):
+        """The filter evaluates f only where the two-sided cell bounds let |f|
+        reach the threshold: 0.36 M window nodes, against 4.0 M with windows
+        of dx/2 around every coarse node within the sup-Lipschitz margin."""
+        rep = excluded_measure(SYS, DiophantineSpec(gamma=9.66e-4, Lmax=8,
+                                                    kind="second-order-Melnikov"))
+        prof = rep.profile
+        assert prof["window_nodes"] <= 500_000
+        assert prof["tuples_screened"] >= prof["tuples_kept"] >= prof["tuples_bisected"] > 0
+        assert prof["tuples_bisected"] == len({r[:3] for r in rep.rows})
+        assert prof["families_skipped"] > 0
 
 
 class TestLinearCantorMeasure:

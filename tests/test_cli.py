@@ -119,6 +119,19 @@ class TestCantorCommand:
         js = json.loads((tmp_path / "cantor_summary.json").read_text())
         assert js["russmann_violations"] == 0
 
+    def test_manifest_profile(self, tmp_path):
+        code = run_cli(["cantor", "--gamma", "1e-2", "--lmax", "3",
+                        "--kind", "second-order-Melnikov", "--output-dir", str(tmp_path)])
+        assert code == 0
+        prof = _read_json(tmp_path, "cantor_manifest.json")["profile"]
+        assert sorted(prof) == ["bisect_s", "families_skipped", "filter_s", "russmann_s",
+                                "screen_s", "tuples_bisected", "tuples_kept",
+                                "tuples_screened", "window_nodes"]
+        assert all(prof[f"{stage}_s"] >= 0 for stage in ("screen", "filter", "bisect",
+                                                         "russmann"))
+        assert prof["tuples_screened"] >= prof["tuples_kept"] >= prof["tuples_bisected"] > 0
+        assert prof["window_nodes"] > 0
+
     def test_determinism_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -254,9 +267,10 @@ class TestValidateBeforeWork:
         ["cantor", "--lmax", "2", "--curve", "1e-2,abc"],
         ["cantor", "--lmax", "2", "--curve", "1e-2,2.0"],
         ["cantor", "--lmax", "2", "--curve", "1e-2,1e-3", "--jobs", "0"],
+        ["cantor", "--lmax", "2", "--tau2", "inf"],
         ["spectrum", "--scan", "--lmax", "2", "--grid", "200", "--eps-hat", "1e-4"],
         ["simulate", "--dt", "0.3", "--t", "1"],
-    ], ids=["curve-not-a-number", "curve-gamma-out-of-range", "jobs-zero",
+    ], ids=["curve-not-a-number", "curve-gamma-out-of-range", "jobs-zero", "tau2-infinite",
             "perturbed-scan-without-seed", "final-time-not-a-whole-number-of-steps"])
     def test_exit_1_and_nothing_written(self, tmp_path, args):
         d = tmp_path / "out"
