@@ -9,13 +9,15 @@ Fourier sites l and mode indices j (and j0 for the second-order family):
                                                       >= 2 gamma <j - j0> / <l>^tau2
 
 (the transport family uses omega = -omega_Eq, the straightened model with
-V^infty = 1/2).  The sublevel sets {b : |f(b)| <= threshold} are found in
-four batched stages: a Lipschitz screen of whole families on a coarse grid
-that bounds each coarse cell from both of its ends, a filter on the
-measurement grid restricted to the windows of the cells where |f| can reach
-the threshold, lockstep sign-change bisection of every bracket, and a check
-of every length against the polynomial sublevel bound (Russmann estimate).
-The intervals are merged into a sorted disjoint union whose complement is
+V^infty = 1/2).  Each is a divisor f = omega_Eq . l + c + sum_k Omega_k with
+signed mode indices k, the model of the transversality scan: ``spectrum`` reads
+Omega_k from its tables and bounds |f'| on a cell.  The sublevel sets
+{b : |f(b)| <= threshold} are found in four batched stages: a Lipschitz
+screen of whole families on a coarse grid that bounds each coarse cell from
+both of its ends, a filter on the measurement grid restricted to the windows
+of the cells where |f| can reach the threshold, lockstep sign-change bisection
+of every bracket, and a check of every length against the polynomial sublevel
+bound (Russmann estimate).  The intervals are merged into a sorted disjoint union whose complement is
 the surviving (Cantor) parameter set.
 """
 
@@ -28,7 +30,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .spectral import _fmt
-from .spectrum import _SLACK, FrequencySystem, _bracket, _lattice, omega, omega_derivative
+from .spectrum import (
+    _SLACK,
+    FrequencySystem,
+    _bracket,
+    _cell_sup,
+    _derivative_table,
+    _lattice,
+    _signed,
+    omega,
+)
 
 __all__ = [
     "DiophantineSpec",
@@ -227,23 +238,38 @@ def _ragged(start, n):
     return np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)
 
 
-def _tail_bound(d: int, Lmax: int, tau: float, q0: int, C: float = 1.0):
-    """C sum_{|l| > Lmax} <l>^(-tau/q0) over the d-lattice (counted per shell)."""
+def _tail_bound(d: int, Lmax: int, tau: float, q0: int):
+    """sum_{|l| > Lmax} <l>^(-tau/q0) over the d-lattice (counted per shell)."""
     p = tau / q0
     if p <= d:
         return math.inf, True
     # shell count <= 2 d (2 n)^{d-1}; integral comparison for the n-sum
-    coef = C * 2 * d * 2 ** (d - 1)
+    coef = 2 * d * 2 ** (d - 1)
     total = coef * (Lmax + 1) ** (d - 1 - p) + coef * (Lmax + 1) ** (d - p) / (p - d)
     return float(total), False
+
+
+def _modes(kind: str, j, j0) -> list:
+    """Signed mode indices k of the divisors f = omega_Eq . l + c + sum_k Omega_k of
+    the tuples (l, j, j0) of ``kind``.  The transport divisor omega . l + j/2 with
+    omega = -omega_Eq is -f with no modes and c = -j/2 (only |f| is used)."""
+    return [] if kind == "transport" else [j] if kind == "first-order-Melnikov" else [j, -j0]
+
+
+def _divisor(kind: str, part, j, j0, row, q: int = 0):
+    """d^q f of the tuples (l, j, j0) of ``kind`` from its l-part ``part``: part + c,
+    c at q = 0 only, then + Omega_k^(q) = row(k) for each k of ``_modes``."""
+    f = part - 0.5 * j if kind == "transport" and q == 0 else part
+    for k in _modes(kind, j, j0):
+        f = f + row(k)
+    return f
 
 
 def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedReport:
     """All excluded parameter intervals of the given small-divisor family.
 
-    Every Omega_j' is >= 0 and nondecreasing for b > 0, so on a screen cell
-    [x_i, x_i+1] the sum lipc_i = sum_k |c_k| Omega_{j_k}'(x_i+1) over the terms
-    c_k Omega_{j_k} of f bounds |f'|, and lip, the same sum at b1, bounds it on
+    On a screen cell [x_i, x_i+1], lipc_i, the ``_cell_sup`` of f's l-part and
+    modes at x_i+1, bounds |f'|, and lip, the same sum at b1, bounds it on
     [b0, b1].  With t = threshold + 1e-13:
 
     1. Screen, one batch per l: |f| of every tuple at the 512 screen nodes (for
@@ -262,6 +288,8 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
        tuples with intervals on the screen grid (the grid ``russmann_bound``
        samples), built in its order of operations.
 
+    The kind enters only through the tuples and thresholds it generates, its
+    divisors' constant and mode indices (``_divisor``) and the tail bound.
     ``report.profile`` holds the seconds of the four stages, the (l, m)
     families the family bound skips, the tuples screened, kept by the filter
     and with brackets bisected, and the window nodes the filter evaluates.
@@ -269,21 +297,16 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
     if spec.tau1 <= sys.d:
         raise ValueError("need tau1 > d for the lattice sums")
     t_screen = time.perf_counter()
-    b0, b1, q0 = sys.b0, sys.b1, sys.q0
+    b0, b1, q0, C0 = sys.b0, sys.b1, sys.q0, sys.C0
     xs = np.linspace(b0, b1, _SCREEN_GRID)
     dx = xs[1] - xs[0]
-    C0 = 2.0 * (sys.omega_sup() + 1.0) + 1.0
     Jneed = max(int(np.ceil(C0 * spec.Lmax)) + spec.Jmax + 2, max(sys.sites) + 2)
-    Ot = np.stack([omega(xs, j) for j in range(1, Jneed + 1)])  # Omega_j table
-    dOt = np.stack([omega_derivative(xs, j, 1) for j in range(1, Jneed + 1)])  # Omega_j'
+    Ot, dOt = _derivative_table(Jneed, xs, range(2))  # Omega_j and Omega_j'
     dOmax = dOt[:, -1]  # sup of Omega_j' on [b0, b1]
     site_rows = [j - 1 for j in sys.sites]
     dOs = dOt[site_rows]
     G, S = _FINE_GRID, _SCREEN_GRID - 1  # fine node m lies in cell floor(m S / G)
 
-    transport = spec.kind == "transport"
-    second = spec.kind == "second-order-Melnikov"
-    sign = -1.0 if transport else 1.0  # transport: omega = -omega_Eq
     ls = []  # lattice sites, in sorted order
     keys = [(np.zeros(0, int),) * 3 + (np.zeros(0),)]  # (l index, j, j0, thr) per batch
     cells = [(np.zeros(0, int),) * 3]  # (row in batch, first, last fine node) per window
@@ -292,10 +315,10 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
     def site(l):
         ls.append(l)
         lv = np.array(l, dtype=float)
-        return (len(ls) - 1, sign * np.tensordot(lv, Ot[site_rows], axes=([0], [0])),
+        return (len(ls) - 1, np.tensordot(lv, Ot[site_rows], axes=([0], [0])),
                 float(np.dot(np.abs(lv), dOmax[site_rows])), _bracket(l))
 
-    def windows(li, r, c, exl, exr, thr, j, j0=None):
+    def windows(li, r, c, exl, exr, thr, j, j0):
         """Store the windows of the tuples (l, j[r], j0[r]) on the cells c.
 
         Rows r come sorted, each with its cells in increasing order; exl, exr
@@ -304,11 +327,8 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
         if not len(r):
             return
         e = c + 1  # every Omega_j' peaks on the cell at its right end
-        lipc = np.abs(np.array(ls[li], dtype=float)) @ dOs[:, e]
-        if not transport:
-            lipc = lipc + dOt[j[r] - 1, e]
-        if second:
-            lipc = lipc + dOt[j0[r] - 1, e]
+        lipc = _cell_sup(np.abs(np.array(ls[li], dtype=float)) @ dOs[:, e], dOt,
+                         _modes(spec.kind, j[r], j0[r]), e)
         reach = lipc * (1.0 + _SLACK) * dx
         ok = exl + exr <= reach
         r, c, exl, exr, reach = r[ok], c[ok], exl[ok], exr[ok], reach[ok]
@@ -328,37 +348,35 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
         first[1:] = r[1:] != r[:-1]
         rows = r[first]
         cells.append((np.cumsum(first) - 1, lo, hi))
-        keys.append((np.full(len(rows), li), j[rows],
-                     np.zeros_like(rows) if j0 is None else j0[rows], thr[rows]))
+        keys.append((np.full(len(rows), li), j[rows], j0[rows], thr[rows]))
 
-    def screen(li, F, lip, thr, j):
-        """Windows of the tuples (l, j[r]) of the rows F[r] of f on all screen nodes."""
-        count["tuples_screened"] += len(F)
-        A = np.abs(F)
-        thr = np.broadcast_to(thr, len(F))
+    def screen(li, base, lip_l, thr, j, j0):
+        """Windows of the tuples (l, j[r], j0[r]) from |f| on all screen nodes."""
+        count["tuples_screened"] += len(j)
+        A = np.abs(_divisor(spec.kind, base, j[:, None], j0[:, None],
+                            lambda k: _signed(Ot, k[:, 0])))
         t = thr + 1e-13
-        reach = np.broadcast_to(lip * (1.0 + _SLACK) * dx, len(F))
+        reach = _cell_sup(lip_l, dOmax, _modes(spec.kind, j, j0)) * (1.0 + _SLACK) * dx
+        reach = np.broadcast_to(reach, len(j))
         rows = np.flatnonzero(A.min(axis=1) - t <= 0.5 * reach)  # the rows a cell may pass
         ex = np.maximum(A[rows] - t[rows, None], 0.0)
         r, c = np.nonzero(ex[:, :-1] + ex[:, 1:] <= reach[rows, None])
-        windows(li, rows[r], c, ex[r, c], ex[r, c + 1], thr, j)
+        windows(li, rows[r], c, ex[r, c], ex[r, c + 1], thr, j, j0)
 
-    if transport:
-        # one l of each pair +-l: l = 0 and the sites after it in the mirror order;
-        # l = 0 is its own mirror: only j > 0 (the pair (0, 0) is excluded by definition)
+    transport = spec.kind == "transport"
+    scale = spec.gamma ** spec.upsilon if transport else spec.gamma  # of thresholds and tail
+    if spec.kind != "second-order-Melnikov":
+        # transport takes one l of each pair +-l: l = 0 and the sites after it in the
+        # mirror order; l = 0 is its own mirror: only j > 0 (the pair (0, 0) is
+        # excluded by definition)
         lattice = list(_lattice(sys.d, spec.Lmax))
-        for l in lattice[len(lattice) // 2:]:
+        for l in lattice[len(lattice) // 2 if transport else 0:]:
             li, base, lip_l, br = site(l)
             jcut = int(np.ceil(C0 * br))
-            js = np.arange(-jcut if any(l) else 1, jcut + 1)
-            thr = spec.gamma ** spec.upsilon * np.maximum(1, np.abs(js)) / br ** spec.tau1
-            screen(li, base + 0.5 * js[:, None], lip_l, thr, js)
-    elif not second:
-        for l in _lattice(sys.d, spec.Lmax):
-            li, base, lip_l, br = site(l)
-            js = np.setdiff1d(np.arange(1, int(np.ceil(C0 * br)) + 1), sys.sites)
-            screen(li, base + Ot[js - 1], lip_l + dOmax[js - 1],
-                   spec.gamma * js / br ** spec.tau1, js)
+            js = (np.arange(-jcut if any(l) else 1, jcut + 1) if transport
+                  else np.setdiff1d(np.arange(1, jcut + 1), sys.sites))
+            thr = scale * np.maximum(1, np.abs(js)) / br ** spec.tau1
+            screen(li, base, lip_l, thr, js, np.zeros_like(js))
     else:
         jmin = min(j for j in range(1, Jneed) if j not in sys.sites)
         lip_pair = 2.0 * float(np.max(dOmax))
@@ -396,9 +414,11 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
             r = np.repeat(np.arange(len(j)), nf[rf])
             c = fc[_ragged(np.cumsum(nf)[rf] - nf[rf], nf[rf])]
             t = (thr[m - 1] + 1e-13)[r]
-            exl, exr = (np.maximum(np.abs(base[x] + Ot[j[r] - 1, x] - Ot[j0[r] - 1, x]) - t, 0.0)
+            exl, exr = (np.maximum(np.abs(_divisor(spec.kind, base[x], j[r], j0[r],
+                                                   lambda k: _signed(Ot, k, x))) - t, 0.0)
                         for x in (c, c + 1))
-            ok = exl + exr <= (lip_l + dOmax[j - 1] + dOmax[j0 - 1])[r] * (1.0 + _SLACK) * dx
+            lip = _cell_sup(lip_l, dOmax, _modes(spec.kind, j, j0))
+            ok = exl + exr <= lip[r] * (1.0 + _SLACK) * dx
             windows(li, r[ok], c[ok], exl[ok], exr[ok], thr[m - 1], j, j0)
 
     # tuples in (l, j) order, the order of the flags and of equal rows
@@ -417,18 +437,10 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
     xf = np.linspace(b0, b1, G + 1)
     Ofs = np.stack([omega(xf, j) for j in sys.sites])
     lvec = np.array(ls, dtype=float).reshape(len(ls), sys.d)
-    coef = sign * lvec
-
-    def plus_modes(part, who, row):
-        """part + the mode terms of the tuples ``who``, with Omega_j from row(j)."""
-        if transport:
-            return part + 0.5 * J[who]
-        out = part + row(J[who])
-        return out - row(J0[who]) if second else out
 
     def h(who, x):
-        part = sum(coef[L[who], k] * omega(x, sj) for k, sj in enumerate(sys.sites))
-        return np.abs(plus_modes(part, who, lambda j: omega(x, j))) - T[who]
+        part = sum(lvec[L[who], k] * omega(x, sj) for k, sj in enumerate(sys.sites))
+        return np.abs(_divisor(spec.kind, part, J[who], J0[who], lambda k: omega(x, k))) - T[who]
 
     per = np.bincount(own, fb - fa + 1, minlength=len(T)).astype(int)
     start = np.cumsum(per) - per
@@ -445,8 +457,8 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
         base = np.empty(len(node))  # the filter's l-part, taken from the whole grid
         cut = np.r_[0, np.flatnonzero(np.diff(L[who])) + 1, len(node)]
         for a, b in zip(cut[:-1], cut[1:]):
-            base[a:b] = (sign * np.tensordot(lvec[L[who[a]]], Ofs, axes=([0], [0])))[node[a:b]]
-        fv = plus_modes(base, who, lambda j: omega(xf[node], j))
+            base[a:b] = np.tensordot(lvec[L[who[a]]], Ofs, axes=([0], [0]))[node[a:b]]
+        fv = _divisor(spec.kind, base, J[who], J0[who], lambda k: omega(xf[node], k))
         fmin = np.minimum.reduceat(np.abs(fv), np.r_[0, np.flatnonzero(np.diff(who)) + 1])
         keep = fmin <= T[t0:t1]
         kept += int(np.count_nonzero(keep))
@@ -457,7 +469,7 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
         t0 = t1
 
     def key(t):
-        return ls[L[t]], int(J[t]), int(J0[t]) if second else None
+        return ls[L[t]], int(J[t]), int(J0[t]) or None
 
     t_bisect = time.perf_counter()
     inside_who, inside_node, flagged = (np.concatenate(col) for col in zip(*found))
@@ -467,20 +479,18 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
     t_russmann = time.perf_counter()
     first = np.flatnonzero(np.diff(w, prepend=-1))  # runs of one tuple
     tw = w[first]
-    need = np.array(sorted(set(sys.sites) if transport
-                           else {*sys.sites, *J[tw].tolist(), *J0[tw].tolist()} - {0}))
+    jtop = max([sys.sites[-1]] + [int(np.max(np.abs(k), initial=0))
+                                  for k in _modes(spec.kind, J[tw], J0[tw])])
     # max over q of |d^q f| per tuple, its rows built in russmann_bound's order
     # of operations, ``step`` tuples at a time
     peak = np.zeros((len(tw), len(xs)))
     step = _BLOCK // len(xs)
     for q in range(q0 + 1):
-        Dq = np.stack([omega_derivative(xs, j, q) for j in need])
+        Dq = _derivative_table(jtop, xs, [q])[0]
         for a in range(0, len(tw), step):
             col, out = tw[a:a + step, None], peak[a:a + step]
-            part = sum(coef[L[col], k] * Dq[np.searchsorted(need, sj)]
-                       for k, sj in enumerate(sys.sites))
-            if not (transport and q):
-                part = plus_modes(part, col, lambda j: Dq[np.searchsorted(need, j)][:, 0])
+            part = sum(lvec[L[col], k] * Dq[sj - 1] for k, sj in enumerate(sys.sites))
+            part = _divisor(spec.kind, part, J[col], J0[col], lambda k: _signed(Dq, k[:, 0]), q)
             np.maximum(out, np.abs(part), out=out)
     bound = [_russmann(c, beta, alpha, q0, b0, b1) for c, beta, alpha
              in zip(peak.max(axis=1).tolist(), peak.min(axis=1).tolist(), T[tw].tolist())]
@@ -495,9 +505,8 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
                "window_nodes": int(per.sum())}
 
     merged = merge_intervals([(r[3], r[4]) for r in rows])
-    tau_used = spec.tau2 if second else spec.tau1
-    tail, divergent = _tail_bound(sys.d, spec.Lmax, tau_used, q0)
-    scale = spec.gamma ** spec.upsilon if transport else spec.gamma
+    tau = spec.tau2 if spec.kind == "second-order-Melnikov" else spec.tau1
+    tail, divergent = _tail_bound(sys.d, spec.Lmax, tau, q0)
     return ExcludedReport(
         kind=spec.kind,
         gamma=spec.gamma,

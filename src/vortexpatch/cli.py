@@ -9,12 +9,14 @@ keys, so identical configuration and seed reproduce byte-identical artifacts
 byte-level comparisons).
 
 Each subcommand is declared by one parameter table; every value resolves as
-flag > config file > default and is checked before any work starts.
+flag > config file > default and is checked before any work starts (a float
+must also be finite).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import sys
@@ -138,8 +140,8 @@ SPECTRUM = [
     ("--b1", "b1", _UNIT, 0.9, None),
     ("--lmax", "lmax", _POSITIVE, 5, None),
     ("--grid", "grid", click.IntRange(min=2), 2000, None),
-    ("--eps-hat", "eps_hat", click.FLOAT, None,
-     "also run the perturbed scan at this offset size"),
+    ("--eps-hat", "eps_hat", click.FloatRange(min=0.0), None,
+     "also run the perturbed scan at this offset size (needs --scan)"),
     ("--seed", "seed", click.INT, None, "seed for the perturbed scan samples"),
 ]
 
@@ -163,20 +165,20 @@ KAM_TRANSPORT = [
     ("--v0", "V0", click.FLOAT, 0.5, None),
     ("--k", "K", click.INT, 16, "phi grid size"),
     ("--grid", "grid", click.INT, 64, "theta grid size"),
-    ("--steps", "steps", click.INT, 8, None),
-    ("--gamma", "gamma", click.FLOAT, 1e-3, None),
-    ("--upsilon", "upsilon", click.FLOAT, 0.5, None),
+    ("--steps", "steps", click.IntRange(min=0), 8, None),
+    ("--gamma", "gamma", _UNIT, 1e-3, None),
+    ("--upsilon", "upsilon", click.FloatRange(0.0, 1.0, min_open=True), 0.5, None),
     ("--tau1", "tau1", click.FLOAT, 3.0, None),
 ]
 
 KAM_REMAINDER = [
-    ("--n", "N", click.INT, 8, "mode truncation"),
+    ("--n", "N", _POSITIVE, 8, "mode truncation"),
     ("--l", "L", click.INT, 8, "band truncation"),
-    ("--delta0", "delta0", click.FLOAT, 1e-3, None),
+    ("--delta0", "delta0", click.FloatRange(min=0.0, min_open=True), 1e-3, None),
     ("--seed", "seed", click.INT, None, "seed for the synthetic remainder (required)"),
-    ("--steps", "steps", click.INT, 3, None),
+    ("--steps", "steps", click.IntRange(min=0), 3, None),
     ("--b", "b", _UNIT, 0.5, "equilibrium parameter for the diagonal frequencies"),
-    ("--gamma", "gamma", click.FLOAT, 1e-2, None),
+    ("--gamma", "gamma", _UNIT, 1e-2, None),
     ("--tau2", "tau2", click.FLOAT, 2.5, None),
 ]
 
@@ -237,9 +239,11 @@ def _command(name: str, table: list):
             t0 = time.time()
             cfg = _load_config(config_path)
             p = {}
-            for _, key, kind, default, _ in table:
+            for flag, key, kind, default, _ in table:
                 value = _resolve(cfg, key, flags[key], default)
                 p[key] = None if value is None else kind(value)
+                if isinstance(p[key], float) and not math.isfinite(p[key]):
+                    raise click.ClickException(f"{flag} must be a finite number")
             outdir = _resolve(cfg, "output_dir", output_dir, None)
             if outdir is None:
                 outdir = os.environ.get(OUTPUT_DIR_ENV, ".")
@@ -319,7 +323,9 @@ def linearize_cmd(p, emit):
 @_command("spectrum", SPECTRUM)
 def spectrum(p, emit):
     """Equilibrium frequency table; optional transversality scan."""
-    perturbed = p["scan"] and p["eps_hat"] is not None
+    perturbed = p["eps_hat"] is not None
+    if perturbed and not p["scan"]:
+        raise click.ClickException("--eps-hat needs --scan")
     if perturbed and p["seed"] is None:
         raise click.ClickException("--seed is required for the perturbed scan")
     sysf = FrequencySystem(p["sites"], p["b0"], p["b1"]) if p["scan"] else None
@@ -423,7 +429,7 @@ def kam_remainder(p, emit):
     except AssertionError as exc:
         raise InvariantViolation(str(exc))
     emit({"kam_remainder_history.csv": remainder_history_csv(res),
-          "kam_remainder_spectrum.json": spectrum_table_json(res, b=b, V_infty=0.5)},
+          "kam_remainder_spectrum.json": spectrum_table_json(res, b=b)},
          {"phi_grid": [{"step": m, "G": G, "shell_max": shell, "sup_R_next": sup}
                        for m, G, shell, sup in res.aliasing]})
     final = res.history[-1][1]

@@ -31,6 +31,7 @@ discrete gradient is the exact derivative of the discrete energy.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -355,6 +356,8 @@ class EvolutionConfig:
     sobolev_s: float = 2.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.dt) and math.isfinite(self.T)):
+            raise ValueError("dt and T must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.T < self.dt:
@@ -562,10 +565,10 @@ class NoFrequencyError(RuntimeError):
     """No spectral peak above the noise floor."""
 
 
-def extract_frequencies(traj: Trajectory, j: int, pad_factor: int = 8) -> float:
+def extract_frequencies(traj: Trajectory, j: int) -> float:
     """Dominant angular frequency Omega of t -> hat r_j(t).
 
-    Hann-windowed, zero-padded DFT peak with quadratic interpolation of the
+    Hann-windowed, 8x zero-padded DFT peak with quadratic interpolation of the
     log magnitude; the sign is fixed by the mean phase slope of the signal.
     The returned value is the rotation frequency Omega with
     hat r_j(t) ~ e^{-i Omega t}.
@@ -578,7 +581,7 @@ def extract_frequencies(traj: Trajectory, j: int, pad_factor: int = 8) -> float:
         raise ValueError("need at least 64 samples of the mode coefficient")
     dt = traj.mode_times[1] - traj.mode_times[0]
     window = np.hanning(n)
-    npad = pad_factor * n
+    npad = 8 * n
     S = np.fft.fft(s * window, n=npad)
     mag = np.abs(S)
     k = int(np.argmax(mag))

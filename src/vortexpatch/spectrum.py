@@ -93,6 +93,12 @@ class FrequencySystem:
         """max_j sup_{[b0,b1]} |Omega_j| over the tangential set (Omega increases in b)."""
         return max(float(omega(self.b1, j)) for j in self.sites)
 
+    @property
+    def C0(self) -> float:
+        """Index cutoff constant 2(sup|omega_Eq| + 1) + 1: by Omega_j >= (j - 1)/2, a
+        divisor with a mode index beyond C0 <l> exceeds <l> in size."""
+        return 2.0 * (self.omega_sup() + 1.0) + 1.0
+
 
 def nondegeneracy_test(sys: FrequencySystem, polys=None) -> bool:
     """Full column rank of {Omega_{j_1}, ..., Omega_{j_d}, 1} in the monomial basis.
@@ -155,52 +161,71 @@ _SLACK = 1e-12  # relative guard of the cell bounds against rounding
 _BATCH = 256  # tuples, or (tuple, cell) pairs, evaluated at once
 
 
-def _derivative_table(Jmax: int, bs: np.ndarray, orders: int) -> np.ndarray:
-    """D[q, j-1, g] = d^q Omega_j (b_g) for 1 <= j <= Jmax, 0 <= q < orders."""
-    return np.array([[omega_derivative(bs, j, q) for j in range(1, Jmax + 1)]
-                     for q in range(orders)])
+def _derivative_table(Jmax: int, bs: np.ndarray, qs) -> np.ndarray:
+    """D[i, j-1, g] = d^q Omega_j (b_g) for 1 <= j <= Jmax and the i-th order q of ``qs``."""
+    return np.array([[omega_derivative(bs, j, q) for j in range(1, Jmax + 1)] for q in qs])
 
 
-def _block_rows(nj: np.ndarray, jcut: int, lz: bool, Jmax: int, half: float) -> dict:
+def _signed(T, k, *at):
+    """Omega_k = sign(k) T[|k| - 1, *at] of a small divisor's signed mode indices k
+    (an array) from a table T with one row per j >= 1, e.g. of _derivative_table:
+    Omega_{-k} = -Omega_k bit for bit, and k = 0 (no mode) reads 0."""
+    out = T[(np.abs(k) - 1, *at)]
+    if k.min(initial=1) < 1:  # rows of positive indices are read as they are
+        out *= -1.0 if k.max() < 0 else np.sign(k).reshape(k.shape + (1,) * (T.ndim - 1 - len(at)))
+    return out
+
+
+def _cell_sup(lsup, T, ks, *at):
+    """Monotone sup of |f^(q+1)| on cells [c, c'], f = omega_Eq . l + c + sum_k Omega_k:
+    lsup = |l|.Omega_S^(q+1)(c') plus sum_k |Omega_k^(q+1)(c')| from the table T of
+    Omega_j^(q+1) at the right ends c' (every monomial derivative of Omega_j is >= 0
+    and nondecreasing for b > 0).  Linear: lsup and T may share a factor > 0."""
+    for k in ks:
+        lsup = lsup + _signed(T, np.abs(k), *at)
+    return lsup
+
+
+def _block_rows(nj: np.ndarray, jcut: int, lz: bool, half: float) -> dict:
     """The tuples of one l as columns, in generation order (cases i to iv,
-    sigma = +1 before -1, case iv pairs j > j' in row-major order).  ``ia``
-    and ``is`` index the signed table [0, D_1..D_Jmax, -D_1..-D_Jmax]."""
+    sigma = +1 before -1, case iv pairs j > j' in row-major order), each with
+    its constant and its signed mode indices k1, k2 (0: no mode)."""
     hi, lo = np.tril_indices(len(nj), -1)
     hi, lo = nj[hi], nj[lo]
     segs = [] if lz else [(0, 0, np.zeros(1, int), 0, 0, 0, 0.0)]
     for sigma in (1, -1):
         segs.append((1, sigma, nj, 0, 0, 0, sigma * nj * half))
     for sigma in (1, -1):
-        segs.append((2, sigma, nj, 0, nj + (sigma < 0) * Jmax, 0, 0.0))
+        segs.append((2, sigma, nj, 0, 0, sigma * nj, 0.0))
     for sigma in (1, -1):
         keep = hi + sigma * lo <= jcut + 2
-        segs.append((3, sigma, hi[keep], lo[keep], hi[keep], lo[keep] + (sigma < 0) * Jmax, 0.0))
-    names = ("case", "sigma", "j", "j0", "ia", "is", "const")
+        segs.append((3, sigma, hi[keep], lo[keep], hi[keep], sigma * lo[keep], 0.0))
+    names = ("case", "sigma", "j", "j0", "k1", "k2", "const")
     return {n: np.concatenate([np.broadcast_to(seg[k], seg[2].shape) for seg in segs])
             for k, n in enumerate(names)}
 
 
-def _knot_values(E, base, rows):
-    """|F_q| = |((base_q + const) + E_q[ia]) + E_q[is]| at the knots, shape
+def _knot_values(Dk, base, rows):
+    """|F_q| = |(Omega_k1 + (base_q + const)) + Omega_k2| at the knots, shape
     (q0+1, tuples, knots); const only at q = 0.  The order of operations is
     that of ``_fine_values``, so equal inputs give equal bits."""
-    A = np.empty((len(base), len(rows["ia"]), E.shape[2]))
-    for q, F in enumerate(A):
-        np.take(E[q], rows["ia"], axis=0, out=F)
+    A = np.empty((len(base), len(rows["k1"]), Dk.shape[2]))
+    for q, out in enumerate(A):
+        F = _signed(Dk[q], rows["k1"])
         F += base[0] + rows["const"][:, None] if q == 0 else base[q]
-        F += E[q][rows["is"]]
-        np.abs(F, out=F)
+        F += _signed(Dk[q], rows["k2"])
+        np.abs(F, out=out)
     return A
 
 
-def _cell_bounds(A, HE, hubase, rows, thr):
+def _cell_bounds(A, HD, hubase, rows, thr):
     """Doubled cell bounds max_q |F_q(c_k)| + |F_q(c_k+1)| - h_k U_{q+1}(c_k+1)
-    of the tuples whose smallest one can still be <= ``thr``; U_{q+1} has
-    absolute coefficients (l-part ``hubase``, table ``HE``, both times h_k)."""
+    of the tuples whose smallest one can still be <= ``thr``; h_k U_{q+1} is the
+    ``_cell_sup`` of the l-part ``hubase`` and the table ``HD``, both times h_k."""
     alive = np.arange(A.shape[1])
     for q, a in enumerate(A):
         a = a[alive]
-        hU = (hubase[q] + HE[q][rows["ia"][alive]]) + HE[q][rows["is"][alive]]
+        hU = _cell_sup(hubase[q], HD[q], (rows["k1"][alive], rows["k2"][alive]))
         lq = (a[:, :-1] + a[:, 1:]) - hU
         lb = lq if q == 0 else np.maximum(lb, lq, out=lq)
         keep = np.min(lb, axis=1) <= thr[alive]
@@ -208,15 +233,13 @@ def _cell_bounds(A, HE, hubase, rows, thr):
     return alive, lb
 
 
-def _fine_values(base, D, ia, is_, const, pts):
+def _fine_values(base, Dj, k1, k2, const, pts):
     """|F_q| at the grid points ``pts`` (a row per tuple), shape (q0+1, tuples,
-    points), from the unsigned table D and the signed indices."""
-    Jmax = D.shape[1]
+    points), from the table Dj[j-1, q, g] and the signed mode indices k1, k2."""
     F = base[:, pts]
     F[0] += const[:, None]
-    for s in (ia, is_):
-        sign = np.where(s == 0, 0.0, np.where(s > Jmax, -1.0, 1.0))
-        F += sign[:, None] * D[:, (s[:, None] - 1) % Jmax, pts]
+    for k in (k1, k2):
+        F += _signed(Dj, k[None, :, None], np.arange(len(F))[:, None, None], pts[None])
     return np.abs(F, out=F)
 
 
@@ -230,7 +253,7 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
     (iii) f = omega_Eq . l + sigma Omega_j               (j not in S)
     (iv)  f = omega_Eq . l + Omega_j + sigma Omega_j'    (j != j' not in S)
 
-    Index cutoffs j <= C0 <l> with C0 = 2(sup|omega_Eq| + 1) + 1, derived from
+    Index cutoffs j <= C0 <l> (``FrequencySystem.C0``), derived from
     Omega_j >= (j - 1)/2: beyond the cutoff the zeroth derivative alone
     exceeds <l>, so the tuple cannot be the arg min.  In case (iv) the sum
     j + j' (sigma = +1) resp. the gap j - j' (sigma = -1) is capped the same
@@ -240,9 +263,8 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
     The result is the exact minimum over the grid, overall and per case;
     ties go to the smaller coarse score, then to the earlier tuple.  Tuples
     are scored on about 64 coarse knots (``per_l``); with b1 added, the knots
-    cut [b0, b1] into cells.  The monomial derivatives of Omega_j are >= 0
-    and nondecreasing for b > 0, so on a cell [c, c'] of length h the
-    absolute-coefficient combination U_{q+1}(c') bounds |f^(q+1)| and
+    cut [b0, b1] into cells.  On a cell [c, c'] of length h, U_{q+1}(c') of
+    ``_cell_sup`` bounds |f^(q+1)|, and
     |f^(q)| >= (|f^(q)(c)| + |f^(q)(c')| - h U_{q+1}(c')) / 2.  The maximum
     over q, over <l> and less a relative 1e-12 for rounding, is a lower bound
     on the grid score in the cell.  Per case, tuples whose bound is below the
@@ -263,13 +285,12 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
         knots = np.append(knots, grid_size - 1)
     h = np.diff(bs[knots])
     cellpts = np.minimum(knots[:-1, None] + np.arange(step + 1), knots[1:, None])
-    q0 = sys.q0
-    C0 = 2.0 * (sys.omega_sup() + 1.0) + 1.0
+    q0, C0 = sys.q0, sys.C0
     Jmax = max(int(np.ceil(C0 * Lmax)), max(sys.sites) + 2)
-    D = _derivative_table(Jmax, bs, q0 + 1)
-    Dk = np.concatenate([D[:, :, knots], _derivative_table(Jmax, bs[knots], q0 + 2)[q0 + 1:]])
-    E = np.concatenate([np.zeros((q0 + 2, 1, len(knots))), Dk, -Dk], axis=1)
-    HE = np.abs(E[1:, :, 1:]) * h
+    D = _derivative_table(Jmax, bs, range(q0 + 1))
+    Dj = D.transpose(1, 0, 2)  # a row per j
+    Dk = np.concatenate([D[:, :, knots], _derivative_table(Jmax, bs[knots], [q0 + 1])])
+    HD = Dk[1:, :, 1:] * h
     delta = np.zeros(sys.d) if delta is None else np.asarray(delta, dtype=float)
     site_idx = [j - 1 for j in sys.sites]
     ksites, lsites = Dk[:, site_idx, :], D[:, site_idx, :]
@@ -287,16 +308,15 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
         base[:, :Pc] = np.tensordot(lv, ksites[:q0 + 1, :, :Pc], axes=([0], [1]))
         base[0] = base[0] + float(np.dot(delta, lv))
         hubase = np.tensordot(np.abs(lv), ksites[1:, :, 1:], axes=([0], [1])) * h
-        rows = _block_rows(nonsites[nonsites <= jcut], jcut, not any(l), Jmax,
-                           0.5 + delta_prime)
+        rows = _block_rows(nonsites[nonsites <= jcut], jcut, not any(l), 0.5 + delta_prime)
         lmin = np.inf
         for s in range(0, len(rows["case"]), _BATCH):
             sub = {n: v[s:s + _BATCH] for n, v in rows.items()}
-            A = _knot_values(E, base, sub)
+            A = _knot_values(Dk, base, sub)
             coarse = np.min(np.max(A[:, :, :Pc], axis=0), axis=1) / br
             lmin = min(lmin, float(np.min(coarse)))
             np.minimum.at(cap, sub["case"], coarse * (1.0 + _SLACK))
-            alive, lb = _cell_bounds(A, HE, hubase, sub,
+            alive, lb = _cell_bounds(A, HD, hubase, sub,
                                      cap[sub["case"]] * (2.0 * br / (1.0 - _SLACK)))
             cells = lb * ((1.0 - _SLACK) / (2.0 * br))
             kept.append({"bound": np.min(cells, axis=1), "cells": cells,
@@ -327,7 +347,7 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
             pair = np.empty(len(rr))
             for s in range(0, len(rr), _BATCH):
                 p = rs[rr[s:s + _BATCH]]
-                A = _fine_values(base, D, cand["ia"][p], cand["is"][p], cand["const"][p],
+                A = _fine_values(base, Dj, cand["k1"][p], cand["k2"][p], cand["const"][p],
                                  cellpts[kk[s:s + _BATCH]])
                 pair[s:s + _BATCH] = np.min(np.max(A, axis=0), axis=1)
             starts = np.flatnonzero(np.r_[True, rr[1:] != rr[:-1]])
@@ -337,7 +357,7 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
             best = min(best, (float(fs[k]), float(cand["coarse"][rs[k]]),
                               int(cand["gen"][rs[k]]), rs[k]))
         r = best[3]
-        A = _fine_values(fine_base(cand["l"][r]), D, cand["ia"][[r]], cand["is"][[r]],
+        A = _fine_values(fine_base(cand["l"][r]), Dj, cand["k1"][[r]], cand["k2"][[r]],
                          cand["const"][[r]], np.arange(grid_size)[None, :])[:, 0]
         g = int(np.argmin(np.max(A, axis=0)))
         sigma, j, j0 = (int(cand[n][r]) for n in ("sigma", "j", "j0"))

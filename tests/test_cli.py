@@ -193,8 +193,9 @@ class TestKamCommands:
         assert all(0 <= g["shell_max"] < 1e-10 * g["sup_R_next"] for g in grid)
 
     def test_non_reducible_exit_2(self, tmp_path):
-        # an enormous gamma cuts every mode: invariant violation exit code
-        code = run_cli(["kam-remainder", "--seed", "0", "--gamma", "1e6",
+        # a remainder too large to conjugate (|Psi| >= 1/2): invariant violation
+        # exit code (gamma is confined to (0, 1), so it can no longer cut every mode)
+        code = run_cli(["kam-remainder", "--seed", "0", "--delta0", "1",
                         "--output-dir", str(tmp_path)])
         assert code == 2
 
@@ -260,6 +261,10 @@ class TestConfigHandling:
         assert (d / "spectrum_omega.csv").exists()
 
 
+class _WorkStarted(Exception):
+    pass
+
+
 class TestValidateBeforeWork:
     """Bad input exits 1 before any computation or file write."""
 
@@ -270,9 +275,42 @@ class TestValidateBeforeWork:
         ["cantor", "--lmax", "2", "--tau2", "inf"],
         ["spectrum", "--scan", "--lmax", "2", "--grid", "200", "--eps-hat", "1e-4"],
         ["simulate", "--dt", "0.3", "--t", "1"],
+        ["kam-remainder", "--seed", "0", "--steps", "-1"],
+        ["kam-transport", "--steps", "-1"],
+        ["kam-transport", "--gamma", "0"],
+        ["kam-remainder", "--seed", "0", "--gamma", "0"],
+        ["kam-remainder", "--seed", "0", "--gamma", "-1"],
+        ["kam-remainder", "--seed", "0", "--gamma", "2"],
+        ["kam-transport", "--tau1", "nan"],
+        ["kam-transport", "--upsilon", "0"],
+        ["kam-transport", "--upsilon", "2"],
+        ["kam-remainder", "--seed", "0", "--delta0", "-1e-3"],
+        ["kam-remainder", "--seed", "0", "--tau2", "nan"],
+        ["kam-remainder", "--seed", "0", "--delta0", "nan"],
+        ["kam-remainder", "--seed", "0", "--n", "0"],
+        ["kam-transport", "--amp", "inf"],
+        ["kam-transport", "--v0", "nan"],
+        ["simulate", "--t", "inf"],
+        ["spectrum", "--scan", "--eps-hat", "nan", "--seed", "0"],
+        ["spectrum", "--scan", "--eps-hat", "-1e-4", "--seed", "0"],
+        ["spectrum", "--eps-hat", "1e-4", "--seed", "0"],
     ], ids=["curve-not-a-number", "curve-gamma-out-of-range", "jobs-zero", "tau2-infinite",
-            "perturbed-scan-without-seed", "final-time-not-a-whole-number-of-steps"])
-    def test_exit_1_and_nothing_written(self, tmp_path, args):
+            "perturbed-scan-without-seed", "final-time-not-a-whole-number-of-steps",
+            "remainder-steps-negative", "transport-steps-negative", "transport-gamma-zero",
+            "remainder-gamma-zero", "remainder-gamma-negative", "remainder-gamma-above-one",
+            "transport-tau1-nan", "transport-upsilon-zero", "transport-upsilon-above-one",
+            "remainder-delta0-negative", "remainder-tau2-nan", "remainder-delta0-nan",
+            "remainder-n-zero", "transport-amp-infinite", "transport-v0-nan",
+            "final-time-infinite", "eps-hat-nan", "eps-hat-negative", "eps-hat-without-scan"])
+    def test_exit_1_and_nothing_written(self, tmp_path, monkeypatch, args):
+        from vortexpatch import cli
+
+        def work(*args, **kwargs):  # a run that gets this far checked its input too late
+            raise _WorkStarted
+
+        for name in ("run_simulation", "transversality_scan", "excluded_measure",
+                     "straighten_transport", "synthetic_reversible_remainder"):
+            monkeypatch.setattr(cli, name, work)
         d = tmp_path / "out"
         d.mkdir()
         assert run_cli(args + ["--output-dir", str(d)]) == 1

@@ -464,7 +464,7 @@ class TestRunRemainderKam:
 
     def test_spectrum_table(self):
         res = run_remainder_kam(_initial_state(), steps=3)
-        tab = spectrum_table_json(res, b=0.5, V_infty=0.5)
+        tab = spectrum_table_json(res, b=0.5)
         assert set(tab["mu"]) == set(int(j) for j in res.R.jmodes)
         worst = max(abs(v["residual"]) for v in tab["mu"].values())
         assert worst < 1e-2

@@ -1,19 +1,24 @@
 """Equilibrium frequencies Omega_j(b): exact derivatives, non-degeneracy,
 and the transversality scan."""
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy
 from dense_reference import check_monotonicity
 from scan_reference import reference_scan
 
+from vortexpatch.cantor import KINDS, _modes
 from vortexpatch.spectrum import (
     FrequencySystem,
     _block_rows,
     _bracket,
     _cell_bounds,
+    _cell_sup,
     _derivative_table,
     _knot_values,
+    _signed,
     nondegeneracy_test,
     omega,
     omega_derivative,
@@ -244,12 +249,33 @@ class TestTransversalityScan:
 
 
 class TestCellBound:
-    """The per-cell lower bound that lets the scan skip tuples and cells."""
+    """The per-cell lower bound that lets the scan skip tuples and cells, and the
+    divisor model f = omega_Eq . l + c + sum_k Omega_k it shares with the Cantor
+    measure: signed mode indices and the monotone cell enclosure."""
+
+    def test_signed_index_reads(self):
+        # Omega_{-j} = -Omega_j bit for bit on array j, |j| = 1 included (the table
+        # holds scalar-j values, numpy squares there but calls pow for array j)
+        bs = np.linspace(0.1, 0.9, 101)
+        T = _derivative_table(12, bs, range(3))
+        js = np.array([1, 2, 1, 7, 12, 3, 1])
+        for q in range(3):
+            assert np.array_equal(_signed(T[q], -js), -_signed(T[q], js))
+            assert np.array_equal(_signed(T.transpose(1, 0, 2), -js)[:, q], -T[q, js - 1])
+        assert np.array_equal(_signed(T[0], js), omega(bs, js[:, None]))
+        assert np.array_equal(_signed(T[0], -js), omega(bs, -js[:, None]))
+        mixed = np.array([1, -1, 0, 5, -12, 0])
+        zero = mixed[:, None] == 0
+        want = np.where(zero, 0.0, omega(bs, mixed[:, None] + zero))
+        assert np.array_equal(_signed(T[0], mixed), want)
+        assert np.array_equal(_signed(T[0], mixed, np.arange(6)), np.diag(want[:, :6]))
 
     @pytest.mark.parametrize("offset", [False, True])
     def test_below_score_on_finer_grid(self, offset):
-        # cell bound <= min over a 16x finer grid inside the cell of
-        # max_q |f^(q)| / <l>, for random tuples of all four cases
+        # on a 16x finer grid inside each cell: cell bound <= min of
+        # max_q |f^(q)| / <l>, and the enclosure U_{q+1}(c') >= max |f^(q+1)|, for
+        # random tuples of the scan's four cases and of the three Cantor kinds
+        # (their mode lists from cantor._modes; transport has c = -j/2)
         rng = np.random.default_rng(11 + offset)
         q0, Jmax, G = SYS.q0, 24, 400
         delta = rng.uniform(-1e-2, 1e-2, SYS.d) if offset else np.zeros(SYS.d)
@@ -257,35 +283,54 @@ class TestCellBound:
         bs = np.linspace(SYS.b0, SYS.b1, G)
         knots = np.append(np.arange(0, G, G // 64), G - 1)  # with the tail cell
         h = np.diff(bs[knots])
-        Dk = _derivative_table(Jmax, bs[knots], q0 + 2)
-        E = np.concatenate([np.zeros((q0 + 2, 1, len(knots))), Dk, -Dk], axis=1)
+        Dk = _derivative_table(Jmax, bs[knots], range(q0 + 2))
         fine = np.linspace(SYS.b0, SYS.b1, 16 * (G - 1) + 1)
-        Df = _derivative_table(Jmax, fine, q0 + 1)
-        for l in [(0, 0), (1, 0), (-4, 1), (2, -3), (-1, -2), (3, 3)]:
+        Df = _derivative_table(Jmax, fine, range(q0 + 2))
+        sites = [(0, 0), (1, 0), (-4, 1), (2, -3), (-1, -2), (3, 3)]
+        for family, l in itertools.product(("scan", *KINDS), sites):
             lv = np.array(l, dtype=float)
             br = _bracket(l)
             base = np.tensordot(lv, Dk[:q0 + 1, :2], axes=([0], [1]))
             base[0] += float(delta @ lv)
             hubase = np.tensordot(np.abs(lv), Dk[1:, :2, 1:], axes=([0], [1])) * h
-            rows = _block_rows(np.arange(3, 23), 22, not any(l), Jmax, 0.5 + dprime)
-            pick = np.concatenate([rng.permutation(np.flatnonzero(rows["case"] == c))[:8]
-                                   for c in range(4)])
-            sub = {n: v[pick] for n, v in rows.items()}
-            alive, lb = _cell_bounds(_knot_values(E, base, sub), np.abs(E[1:, :, 1:]) * h,
-                                     hubase, sub, np.full(len(pick), np.inf))
-            assert len(alive) == len(pick)
+            if family == "scan":
+                rows = _block_rows(np.arange(3, 23), 22, not any(l), 0.5 + dprime)
+                pick = np.concatenate([rng.permutation(np.flatnonzero(rows["case"] == c))[:8]
+                                       for c in range(4)])
+                sub = {n: v[pick] for n, v in rows.items()}
+            else:
+                j = rng.integers(-22, 23, 12) if family == KINDS[0] else rng.integers(3, 23, 12)
+                j0 = rng.integers(3, 23, 12)  # normal modes of S = {1, 2}
+                ks = _modes(family, j, j0) + [np.zeros_like(j)] * 2
+                sub = {"case": np.full(12, -1), "sigma": np.ones(12, int), "j": j, "j0": j0,
+                       "k1": ks[0], "k2": ks[1],
+                       "const": -0.5 * j if family == KINDS[0] else np.zeros(12)}
+            alive, lb = _cell_bounds(_knot_values(Dk, base, sub), Dk[1:, :, 1:] * h,
+                                     hubase, sub, np.full(len(sub["j"]), np.inf))
+            assert len(alive) == len(sub["j"])
             cells = lb * (1.0 - 1e-12) / (2.0 * br)
+            U = np.array([_cell_sup(np.abs(lv) @ Dk[q + 1, :2, 1:], Dk[q + 1, :, 1:],
+                                    (sub["k1"], sub["k2"])) for q in range(q0 + 1)])
             for r, (case, sigma, j, j0) in enumerate(zip(sub["case"], sub["sigma"],
                                                          sub["j"], sub["j0"])):
                 F = np.tensordot(lv, Df[:, :2], axes=([0], [1]))
                 F[0] += float(delta @ lv)
-                if case == 1:
+                if family == "transport":  # omega . l + j/2 with omega = -omega_Eq
+                    F = -F
+                    F[0] += 0.5 * j
+                elif family == "first-order-Melnikov":
+                    F += Df[:, j - 1]
+                elif family == "second-order-Melnikov":
+                    F += Df[:, j - 1] - Df[:, j0 - 1]
+                elif case == 1:
                     F[0] += sigma * j * (0.5 + dprime)
                 elif case == 2:
                     F += sigma * Df[:, j - 1]
                 elif case == 3:
                     F += Df[:, j - 1] + sigma * Df[:, j0 - 1]
-                score = np.max(np.abs(F), axis=0) / br
+                score = np.max(np.abs(F[:q0 + 1]), axis=0) / br
                 for k in range(len(h)):
-                    inside = score[16 * knots[k]:16 * knots[k + 1] + 1]
-                    assert cells[r, k] <= np.min(inside), (l, case, sigma, j, j0, k)
+                    inside = slice(16 * knots[k], 16 * knots[k + 1] + 1)
+                    assert cells[r, k] <= np.min(score[inside]), (l, case, sigma, j, j0, k)
+                    sup = np.max(np.abs(F[1:, inside]), axis=1)
+                    assert np.all(sup <= U[:, r, k] * (1.0 + 1e-12)), (l, case, j, j0, k)
