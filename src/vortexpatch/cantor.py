@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectral import _fmt
+from .spectral import _csv
 from .spectrum import (
     _SLACK,
     FrequencySystem,
@@ -303,8 +303,8 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
     Jneed = max(int(np.ceil(C0 * spec.Lmax)) + spec.Jmax + 2, max(sys.sites) + 2)
     Ot, dOt = _derivative_table(Jneed, xs, range(2))  # Omega_j and Omega_j'
     dOmax = dOt[:, -1]  # sup of Omega_j' on [b0, b1]
-    site_rows = [j - 1 for j in sys.sites]
-    dOs = dOt[site_rows]
+    sites = list(sys.sites)
+    dOs = dOt[sites]
     G, S = _FINE_GRID, _SCREEN_GRID - 1  # fine node m lies in cell floor(m S / G)
 
     ls = []  # lattice sites, in sorted order
@@ -315,8 +315,8 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
     def site(l):
         ls.append(l)
         lv = np.array(l, dtype=float)
-        return (len(ls) - 1, np.tensordot(lv, Ot[site_rows], axes=([0], [0])),
-                float(np.dot(np.abs(lv), dOmax[site_rows])), _bracket(l))
+        return (len(ls) - 1, np.tensordot(lv, Ot[sites], axes=([0], [0])),
+                float(np.dot(np.abs(lv), dOmax[sites])), _bracket(l))
 
     def windows(li, r, c, exl, exr, thr, j, j0):
         """Store the windows of the tuples (l, j[r], j0[r]) on the cells c.
@@ -406,8 +406,10 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
             fam, fc = np.nonzero(live)  # the cells of each family left, in order
             nf = np.bincount(fam, minlength=len(ms))
             count["families_skipped"] += len(thr) - int(np.count_nonzero(nf))
-            # rows (m, j0) in that order, and each row on every cell of its family
+            # rows (m, j0), stably sorted by j, and each row on every cell of its family
             rf, rj = np.nonzero(normal[j0s + ms[:, None]] & (nf > 0)[:, None])
+            by_j = np.argsort(j0s[rj] + ms[rf], kind="stable")
+            rf, rj = rf[by_j], rj[by_j]
             m, j0 = ms[rf], j0s[rj]
             j = j0 + m
             count["tuples_screened"] += len(j)
@@ -421,19 +423,14 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
             ok = exl + exr <= lip[r] * (1.0 + _SLACK) * dx
             windows(li, r[ok], c[ok], exl[ok], exr[ok], thr[m - 1], j, j0)
 
-    # tuples in (l, j) order, the order of the flags and of equal rows
+    # the batches come in (l, j) order, the order of the flags and of equal rows
     t_filter = time.perf_counter()
     L, J, J0, T = (np.concatenate(col) for col in zip(*keys))
-    order = np.lexsort((J, L))
-    L, J, J0, T = L[order], J[order], J0[order], T[order]
-    rank = np.argsort(order)  # inverse permutation
     offset = np.cumsum([0] + [len(k[3]) for k in keys])
     own, fa, fb = (np.concatenate(col) for col in zip(*cells))
     own += np.repeat(offset[:-1], [len(c[0]) for c in cells])
     keys.clear()  # the concatenated columns hold the batches now
     cells.clear()
-    s = np.argsort(rank[own], kind="stable")
-    own, fa, fb = rank[own][s], fa[s], fb[s]
     xf = np.linspace(b0, b1, G + 1)
     Ofs = np.stack([omega(xf, j) for j in sys.sites])
     lvec = np.array(ls, dtype=float).reshape(len(ls), sys.d)
@@ -489,7 +486,7 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
         Dq = _derivative_table(jtop, xs, [q])[0]
         for a in range(0, len(tw), step):
             col, out = tw[a:a + step, None], peak[a:a + step]
-            part = sum(lvec[L[col], k] * Dq[sj - 1] for k, sj in enumerate(sys.sites))
+            part = sum(lvec[L[col], k] * Dq[sj] for k, sj in enumerate(sys.sites))
             part = _divisor(spec.kind, part, J[col], J0[col], lambda k: _signed(Dq, k[:, 0]), q)
             np.maximum(out, np.abs(part), out=out)
     bound = [_russmann(c, beta, alpha, q0, b0, b1) for c, beta, alpha
@@ -541,13 +538,7 @@ def measure_curve(sys: FrequencySystem, spec: DiophantineSpec, gammas) -> dict:
 
 
 def excluded_to_csv(report: ExcludedReport) -> str:
-    lines = ["l,j,j0,left,right,length"]
-    for l, j, j0, left, right, length in report.rows:
-        lines.append(
-            f"\"{' '.join(str(x) for x in l)}\",{j},{'' if j0 is None else j0},"
-            f"{_fmt(left)},{_fmt(right)},{_fmt(length)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv("l,j,j0,left,right,length", report.rows)
 
 
 def excluded_summary_json(report: ExcludedReport) -> dict:

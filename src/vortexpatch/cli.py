@@ -56,7 +56,7 @@ from .kam import (
     transport_history_csv,
 )
 from .linearized import assemble, matrix_to_csv, spectrum_to_csv
-from .spectral import PeriodicField, _fmt, theta_grid
+from .spectral import PeriodicField, _csv, theta_grid
 from .spectrum import (
     FrequencySystem,
     omega,
@@ -81,6 +81,7 @@ class InvariantViolation(RuntimeError):
 
 _UNIT = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 _POSITIVE = click.IntRange(min=1)
+_POSITIVE_FLOAT = click.FloatRange(min=0.0, min_open=True)
 
 
 def _list_of(kind):
@@ -165,21 +166,21 @@ KAM_TRANSPORT = [
     ("--v0", "V0", click.FLOAT, 0.5, None),
     ("--k", "K", click.INT, 16, "phi grid size"),
     ("--grid", "grid", click.INT, 64, "theta grid size"),
-    ("--steps", "steps", click.IntRange(min=0), 8, None),
+    ("--steps", "steps", _POSITIVE, 8, None),
     ("--gamma", "gamma", _UNIT, 1e-3, None),
     ("--upsilon", "upsilon", click.FloatRange(0.0, 1.0, min_open=True), 0.5, None),
-    ("--tau1", "tau1", click.FLOAT, 3.0, None),
+    ("--tau1", "tau1", _POSITIVE_FLOAT, 3.0, None),
 ]
 
 KAM_REMAINDER = [
     ("--n", "N", _POSITIVE, 8, "mode truncation"),
-    ("--l", "L", click.INT, 8, "band truncation"),
-    ("--delta0", "delta0", click.FloatRange(min=0.0, min_open=True), 1e-3, None),
+    ("--l", "L", click.IntRange(min=0), 8, "band truncation"),
+    ("--delta0", "delta0", _POSITIVE_FLOAT, 1e-3, None),
     ("--seed", "seed", click.INT, None, "seed for the synthetic remainder (required)"),
     ("--steps", "steps", click.IntRange(min=0), 3, None),
     ("--b", "b", _UNIT, 0.5, "equilibrium parameter for the diagonal frequencies"),
     ("--gamma", "gamma", _UNIT, 1e-2, None),
-    ("--tau2", "tau2", click.FLOAT, 2.5, None),
+    ("--tau2", "tau2", _POSITIVE_FLOAT, 2.5, None),
 ]
 
 
@@ -331,12 +332,10 @@ def spectrum(p, emit):
     sysf = FrequencySystem(p["sites"], p["b0"], p["b1"]) if p["scan"] else None
 
     b = p["b"]
-    lines = ["j,omega"]
-    for j in range(1, p["jmax"] + 1):
-        val = float(omega(b, j))
-        lines.append(f"{j},{_fmt(val)}")
+    table = [(j, float(omega(b, j))) for j in range(1, p["jmax"] + 1)]
+    for j, val in table:
         click.echo(f"Omega_{j}({b}) = {val:.17g}")
-    artifacts = {"spectrum_omega.csv": "\n".join(lines) + "\n"}
+    artifacts = {"spectrum_omega.csv": _csv("j,omega", table)}
     if sysf is not None:
         rep = transversality_scan(sysf, Lmax=p["lmax"], grid_size=p["grid"])
         artifacts["spectrum_scan.json"] = scan_report_json(rep)
@@ -393,9 +392,8 @@ def cantor(p, emit):
         else:
             totals = [_curve_point(it) for it in items]
         # canonical ordering: by input index, independent of worker order
-        lines = ["gamma,excluded_measure"]
-        lines += [f"{_fmt(s.gamma)},{_fmt(m)}" for s, m in zip(curve, totals)]
-        artifacts["cantor_curve.csv"] = "\n".join(lines) + "\n"
+        artifacts["cantor_curve.csv"] = _csv(
+            "gamma,excluded_measure", [(s.gamma, m) for s, m in zip(curve, totals)])
     emit(artifacts, rep.profile)
 
 

@@ -48,7 +48,7 @@ from .geometry import (
 )
 from .spectral import (
     PeriodicField,
-    _fmt,
+    _csv,
     _mode_numbers,
     _read_only,
     sobolev_norm,
@@ -82,7 +82,7 @@ def velocity_functional(state: PatchState) -> PeriodicField:
     state.require_inside_disc()
     R = state.R
     R2 = R ** 2
-    dR = state.dR()
+    dR = state.dR
     F0 = 0.5 * state.dr * np.mean(R2) / R2
 
     pq = eta_factors(state, dR)
@@ -508,26 +508,19 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     """Diagnostics table: time, mean, hamiltonian, h_s_norm, then one pair of
     columns per tracked Fourier mode (real and imaginary parts interleaved)."""
     modes = sorted(traj.mode_series)
-    header = ["time", "mean", "hamiltonian", "h_s_norm"]
-    for j in modes:
-        header += [f"re_mode_{j}", f"im_mode_{j}"]
-    lines = [",".join(header)]
+    header = "time,mean,hamiltonian,h_s_norm" + "".join(f",re_mode_{j},im_mode_{j}" for j in modes)
     dt = traj.config.dt
     have_diag = len(traj.hamiltonians) == len(traj.times)
+    rows = []
     for i, t in enumerate(traj.times):
-        row = [
-            _fmt(t),
-            _fmt(traj.means[i]),
-            _fmt(traj.hamiltonians[i]) if have_diag else "nan",
-            _fmt(traj.hs_norms[i]) if have_diag else "nan",
-        ]
+        row = [t, traj.means[i]] + ([traj.hamiltonians[i], traj.hs_norms[i]] if have_diag
+                                    else [np.nan, np.nan])
         for j in modes:
             # mode coefficients are tracked every step; pick the sample at t
-            k = int(round(t / dt))
-            c = traj.mode_series[j][k]
-            row += [_fmt(c.real), _fmt(c.imag)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            c = traj.mode_series[j][int(round(t / dt))]
+            row += [c.real, c.imag]
+        rows.append(row)
+    return _csv(header, rows)
 
 
 def trajectory_summary(traj: Trajectory) -> dict:

@@ -93,12 +93,9 @@ class PatchState:
         return _read_only(spectral_derivative(self.r.values))
 
     @functools.cached_property
-    def _dR(self) -> np.ndarray:
-        return _read_only(self.dr / self.R)
-
     def dR(self) -> np.ndarray:
         """d_theta R = r'/R; computed once per state, read-only."""
-        return self._dR
+        return _read_only(self.dr / self.R)
 
     @functools.cached_property
     def max_R(self) -> float:
@@ -119,11 +116,11 @@ class PatchState:
 
 @functools.lru_cache(maxsize=32)
 def pair_trig(M: int):
-    """Cached (delta, sin delta, cos delta, sin(delta/2)) tables with
+    """Cached (delta, cos delta, sin(delta/2)) tables with
     delta[i, k] = theta_k - theta_i (eta minus theta); read-only."""
     th = theta_grid(M)
     delta = th[None, :] - th[:, None]
-    return tuple(_read_only(t) for t in (delta, np.sin(delta), np.cos(delta), np.sin(0.5 * delta)))
+    return tuple(_read_only(t) for t in (delta, np.cos(delta), np.sin(0.5 * delta)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -132,7 +129,7 @@ def _grid_tables(M: int):
     on the M-point grid; read-only.  The last is the divisor of the difference
     quotient."""
     th = theta_grid(M)
-    s = pair_trig(M)[3].copy()
+    s = pair_trig(M)[2].copy()
     np.fill_diagonal(s, 1.0)  # placeholder, the quotient's diagonal is set apart
     return tuple(_read_only(t) for t in (np.cos(th), np.sin(th), s))
 
@@ -142,7 +139,7 @@ def _disc_tables(M: int, b: float):
     """Cached tables of one (M, b): B_0^2 = 1 + b^4 - 2 b^2 cos(eta - theta),
     the K1/K2 multipliers stacked as a 2 x M x 1 block, and log(2b); read-only."""
     b2 = b ** 2
-    B0sq = 1.0 + b2 * b2 - 2.0 * b2 * pair_trig(M)[2]
+    B0sq = 1.0 + b2 * b2 - 2.0 * b2 * pair_trig(M)[1]
     mult = np.stack([k1_multiplier_coeffs(M), k2_multiplier_coeffs(M, b)])[:, :, None]
     return _read_only(B0sq), _read_only(mult), np.log(2.0 * b)
 
@@ -159,7 +156,7 @@ def kernel_B(state: PatchState) -> np.ndarray:
     """B_r = |1 - R(theta) R(eta) e^{i(eta-theta)}| (smooth, bounded below)."""
     state.require_inside_disc()
     Rt, Re, _ = _pair_grids(state)
-    cs = pair_trig(state.M)[2]
+    cs = pair_trig(state.M)[1]
     prod = Rt * Re
     return np.sqrt(prod * prod - 2.0 * prod * cs + 1.0)
 
@@ -177,7 +174,7 @@ def kernel_P(state: PatchState) -> np.ndarray:
     num -= b2 * b2
     prod -= b2
     prod *= 2.0
-    prod *= pair_trig(state.M)[2]
+    prod *= pair_trig(state.M)[1]
     num -= prod
     num /= _disc_tables(state.M, state.b)[0]
     return num
@@ -201,7 +198,7 @@ def smooth_factor_v1(state: PatchState) -> np.ndarray:
     """
     b = state.b
     # sqrt((g/(2b))^2 + R(theta) R(eta)/b^2), formed in place on g
-    v = _difference_quotient(state.R, 2.0 * state.dR())
+    v = _difference_quotient(state.R, 2.0 * state.dR)
     v /= 2.0 * b
     np.square(v, out=v)
     prod = np.multiply.outer(state.R, state.R)

@@ -28,8 +28,9 @@ import numpy as np
 from .spectral import (
     LinearOperatorMatrix,
     PeriodicField,
-    _fmt,
+    _csv,
     _jmodes,
+    _mirror_project,
     _mirrored,
     _mode_numbers,
     offdiag_norm,
@@ -268,6 +269,8 @@ def straighten_transport(prob: TransportProblem, steps: int = 8) -> TransportRes
     The history holds the remainder's analytic norms at widths 0 and 0.1; the
     iteration stops once the first is <= 1e-14.
     """
+    if steps < 1:
+        raise ValueError("straighten_transport needs steps >= 1")
     V = float(prob.V0)
     f = prob.f0
     omega = prob.omega
@@ -301,10 +304,7 @@ def straighten_transport(prob: TransportProblem, steps: int = 8) -> TransportRes
 
 
 def transport_history_csv(result: TransportResult) -> str:
-    lines = ["m,delta_s0,delta_sh,cut_fraction,V_m"]
-    for m, d0, dh, frac, V in result.history:
-        lines.append(f"{m},{_fmt(d0)},{_fmt(dh)},{_fmt(frac)},{_fmt(V)}")
-    return "\n".join(lines) + "\n"
+    return _csv("m,delta_s0,delta_sh,cut_fraction,V_m", result.history)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ class ReductionState:
             raise ValueError(f"omega must list one frequency per phi angle of R ({self.R.d})")
 
     def mu_oddness_deviation(self) -> float:
-        return float(np.max(np.abs(self.mu + self.mu[::-1])))
+        return float(np.max(np.abs(self.mu + _mirrored(self.mu))))
 
     def assert_invariants(self, tol: float = 0.0):
         if self.mu_oddness_deviation() > tol:
@@ -341,17 +341,6 @@ class ReductionState:
             raise AssertionError("remainder lost realness")
         if self.R.reversible_deviation() > tol:
             raise AssertionError("remainder lost reversibility")
-
-
-def _structure_project(op: LinearOperatorMatrix) -> LinearOperatorMatrix:
-    """Exact projection onto real + reversible operators (entries i a, a odd).
-
-    Round-off in the phi-grid FFTs and the pointwise solve breaks the mirror
-    symmetry at the 1e-16 sup|R| level; the projection restores it exactly
-    and is the identity in exact arithmetic.
-    """
-    a = op.entries.imag
-    return LinearOperatorMatrix(op.N, 1j * 0.5 * (a - _mirrored(a)), op.bands)
 
 
 def synthetic_reversible_remainder(N: int, L: int, delta0: float,
@@ -373,10 +362,9 @@ def synthetic_reversible_remainder(N: int, L: int, delta0: float,
     # exact odd mirror a(-l,-j,-j0) = -a(l,j,j0) in the band order of
     # LinearOperatorMatrix: the bands after l = 0 become the negated mirrors
     # of the bands before it, and the l = 0 band is antisymmetrised
-    mirrored = _mirrored(a)
     zero = len(bands) // 2
-    a[zero + 1:] = -mirrored[zero + 1:]
-    a[zero] = 0.5 * (a[zero] - mirrored[zero])
+    a[zero + 1:] = -_mirrored(a)[zero + 1:]
+    a[zero] = _mirror_project(a[zero], -1)
     return LinearOperatorMatrix(N, 1j * a, bands)
 
 
@@ -408,16 +396,10 @@ def solve_remainder_homological(state: ReductionState, gamma: float, tau2: float
     sig = active & (np.abs(R.entries) > 1e-15)
     nsig = int(np.count_nonzero(sig))
     ncut = int(np.count_nonzero(sig & (chi < 1.0)))
-    psi = _structure_project_preserving(LinearOperatorMatrix(R.N, psi_entries, R.bands))
+    # real and reversibility preserving (real entries, even under the mirror)
+    psi = LinearOperatorMatrix(R.N, _mirror_project(psi_entries.real, 1), R.bands)
     frac = ncut / nsig if nsig else 0.0
     return psi, resolved, frac
-
-
-def _structure_project_preserving(op: LinearOperatorMatrix) -> LinearOperatorMatrix:
-    """Exact projection onto real reversibility-preserving operators
-    (real entries, even under the full mirror)."""
-    a = op.entries.real
-    return LinearOperatorMatrix(op.N, 0.5 * (a + _mirrored(a)), op.bands)
 
 
 def _window(R: LinearOperatorMatrix) -> int:
@@ -449,8 +431,7 @@ def kam_step(state: ReductionState, gamma: float = 1e-2, tau2: float = 2.5,
     zi = R.zero_band
     # the l = 0 diagonal entries are i r_j with r real
     r = np.diag(R.entries[zi]).imag if zi is not None else np.zeros(2 * R.N)
-    mu_next = state.mu + r
-    mu_next = 0.5 * (mu_next - mu_next[::-1])  # exact oddness
+    mu_next = _mirror_project(state.mu + r, -1)  # exact oddness
     psi, resolved, frac = solve_remainder_homological(state, gamma, tau2, Ncut)
     if frac > 0.5:
         raise NonReducibleError("more than half of the remainder modes were cut")
@@ -475,8 +456,10 @@ def kam_step(state: ReductionState, gamma: float = 1e-2, tau2: float = 2.5,
     Psi += np.eye(2 * R.N)  # now Phi = Id + Psi
     Y = np.fft.fftn(np.linalg.solve(Psi, X), axes=phi, norm="forward")
     bands = np.indices((2 * W + 1,) * R.d).reshape(R.d, -1).T - W
-    R_next = _structure_project(
-        LinearOperatorMatrix(R.N, Y[tuple((bands % G).T)], bands))
+    # real and reversible (entries i a, a odd): round-off in the FFTs and the solve
+    # breaks the mirror symmetry at the 1e-16 sup|R| level
+    a = _mirror_project(Y[tuple((bands % G).T)].imag, -1)
+    R_next = LinearOperatorMatrix(R.N, 1j * a, bands)
     shell = functools.reduce(np.maximum, np.ix_(*[np.abs(_mode_numbers(G))] * R.d))
     nxt = ReductionState(state.omega, mu_next, R_next, state.step + 1,
                          history=state.history, aliasing=state.aliasing)
@@ -514,10 +497,7 @@ def _offnormal(R: LinearOperatorMatrix) -> LinearOperatorMatrix:
 
 
 def remainder_history_csv(state: ReductionState) -> str:
-    lines = ["m,delta_s0,delta_sh"]
-    for m, d0, dh in state.history:
-        lines.append(f"{m},{_fmt(d0)},{_fmt(dh)}")
-    return "\n".join(lines) + "\n"
+    return _csv("m,delta_s0,delta_sh", state.history)
 
 
 def spectrum_table_json(state: ReductionState, b: float | None = None) -> dict:

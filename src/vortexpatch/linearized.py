@@ -25,7 +25,7 @@ from .geometry import PatchState, _grid_tables, eta_factors, log_kernel_integral
 from .spectral import (
     LinearOperatorMatrix,
     PeriodicField,
-    _fmt,
+    _csv,
     _jmodes,
     k1_multiplier_coeffs,
     k2_multiplier_coeffs,
@@ -54,7 +54,7 @@ def transport_coefficient(state: PatchState) -> PeriodicField:
     """
     state.require_inside_disc()
     R = state.R
-    log_A, log_B = log_kernel_integrals(state, eta_factors(state, state.dR()))
+    log_A, log_B = log_kernel_integrals(state, eta_factors(state, state.dR))
     c, s, _ = _grid_tables(state.M)
     V0 = -0.5 * np.mean(R ** 2) / R ** 2
     V1 = -(c * log_A[:, 0] + s * log_A[:, 1]) / R
@@ -135,17 +135,12 @@ def operator_spectrum(op: LinearOperatorMatrix):
 
 def matrix_to_csv(op: LinearOperatorMatrix) -> str:
     """Dense complex entries: one row per (j, j0) pair with re/im columns."""
-    lines = ["j,j0,re,im"]
-    for a, j in enumerate(op.jmodes):
-        for c, j0 in enumerate(op.jmodes):
-            v = op.entries[0, a, c]
-            lines.append(f"{int(j)},{int(j0)},{_fmt(v.real)},{_fmt(v.imag)}")
-    return "\n".join(lines) + "\n"
+    return _csv("j,j0,re,im", [(j, j0, v.real, v.imag)
+                               for j, row in zip(op.jmodes, op.entries[0])
+                               for j0, v in zip(op.jmodes, row)])
 
 
 def spectrum_to_csv(op: LinearOperatorMatrix) -> str:
     """Eigenvalues (j, re lambda, im lambda)."""
-    lines = ["j,re_lambda,im_lambda"]
-    for j, lam in operator_spectrum(op):
-        lines.append(f"{j},{_fmt(lam.real)},{_fmt(lam.imag)}")
-    return "\n".join(lines) + "\n"
+    return _csv("j,re_lambda,im_lambda",
+                [(j, lam.real, lam.imag) for j, lam in operator_spectrum(op)])

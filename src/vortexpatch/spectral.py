@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -34,6 +35,18 @@ __all__ = [
 def _fmt(x: float) -> str:
     """The one CSV float format: scientific notation, 17 significant digits."""
     return format(float(x), ".16e")
+
+
+def _csv(header: str, rows) -> str:
+    """The one CSV table writer: the header line, then one line per row with the
+    cells float -> ``_fmt``, int -> str, lattice site -> "l1 l2", None -> empty."""
+    def cell(x):
+        if x is None:
+            return ""
+        if isinstance(x, (tuple, list)):
+            return '"' + " ".join(str(v) for v in x) + '"'
+        return str(x) if isinstance(x, numbers.Integral) else _fmt(x)
+    return "\n".join([header] + [",".join(map(cell, r)) for r in rows]) + "\n"
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -220,9 +233,18 @@ def _jmodes(N: int) -> np.ndarray:
 
 
 def _mirrored(a: np.ndarray) -> np.ndarray:
-    """The mirror (l, j, j0) -> (-l, -j, -j0) of band-stacked entries: in the band
-    order of ``LinearOperatorMatrix`` (and in jmodes) it reverses all three axes."""
-    return a[::-1, ::-1, ::-1]
+    """The mirror (l, j, j0) -> (-l, -j, -j0) of band-stacked entries, or j -> -j of
+    a jmode vector: in the band order of ``LinearOperatorMatrix`` and in jmodes it
+    reverses every axis."""
+    return np.flip(a)
+
+
+def _mirror_project(a: np.ndarray, sign: int) -> np.ndarray:
+    """The exact projection (a + sign a(mirror))/2 onto arrays with a(mirror) = sign a;
+    the identity on them in exact arithmetic, it restores the symmetry that round-off
+    breaks."""
+    m = _mirrored(a)
+    return 0.5 * (a + m if sign > 0 else a - m)
 
 
 class LinearOperatorMatrix:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import _fmt
+from .spectral import _csv
 
 __all__ = [
     "FrequencySystem",
@@ -162,16 +162,18 @@ _BATCH = 256  # tuples, or (tuple, cell) pairs, evaluated at once
 
 
 def _derivative_table(Jmax: int, bs: np.ndarray, qs) -> np.ndarray:
-    """D[i, j-1, g] = d^q Omega_j (b_g) for 1 <= j <= Jmax and the i-th order q of ``qs``."""
-    return np.array([[omega_derivative(bs, j, q) for j in range(1, Jmax + 1)] for q in qs])
+    """D[i, j, g] = d^q Omega_j (b_g) for 0 < j <= Jmax and the i-th order q of ``qs``;
+    row j = 0 is zero (no mode)."""
+    return np.array([[omega_derivative(bs, j, q) if j else np.zeros_like(bs)
+                      for j in range(Jmax + 1)] for q in qs])
 
 
 def _signed(T, k, *at):
-    """Omega_k = sign(k) T[|k| - 1, *at] of a small divisor's signed mode indices k
-    (an array) from a table T with one row per j >= 1, e.g. of _derivative_table:
-    Omega_{-k} = -Omega_k bit for bit, and k = 0 (no mode) reads 0."""
-    out = T[(np.abs(k) - 1, *at)]
-    if k.min(initial=1) < 1:  # rows of positive indices are read as they are
+    """Omega_k = sign(k) T[|k|, *at] of a small divisor's signed mode indices k
+    (an array) from a table T with one row per j >= 0, e.g. of _derivative_table:
+    Omega_{-k} = -Omega_k bit for bit, and k = 0 (no mode) reads the zero row."""
+    out = T[(np.abs(k), *at)]
+    if k.min(initial=0) < 0:  # rows of indices >= 0 are read as they are
         out *= -1.0 if k.max() < 0 else np.sign(k).reshape(k.shape + (1,) * (T.ndim - 1 - len(at)))
     return out
 
@@ -182,7 +184,7 @@ def _cell_sup(lsup, T, ks, *at):
     Omega_j^(q+1) at the right ends c' (every monomial derivative of Omega_j is >= 0
     and nondecreasing for b > 0).  Linear: lsup and T may share a factor > 0."""
     for k in ks:
-        lsup = lsup + _signed(T, np.abs(k), *at)
+        lsup = lsup + T[(np.abs(k), *at)]
     return lsup
 
 
@@ -235,7 +237,7 @@ def _cell_bounds(A, HD, hubase, rows, thr):
 
 def _fine_values(base, Dj, k1, k2, const, pts):
     """|F_q| at the grid points ``pts`` (a row per tuple), shape (q0+1, tuples,
-    points), from the table Dj[j-1, q, g] and the signed mode indices k1, k2."""
+    points), from the table Dj[j, q, g] and the signed mode indices k1, k2."""
     F = base[:, pts]
     F[0] += const[:, None]
     for k in (k1, k2):
@@ -292,8 +294,7 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
     Dk = np.concatenate([D[:, :, knots], _derivative_table(Jmax, bs[knots], [q0 + 1])])
     HD = Dk[1:, :, 1:] * h
     delta = np.zeros(sys.d) if delta is None else np.asarray(delta, dtype=float)
-    site_idx = [j - 1 for j in sys.sites]
-    ksites, lsites = Dk[:, site_idx, :], D[:, site_idx, :]
+    ksites, lsites = Dk[:, list(sys.sites)], D[:, list(sys.sites)]
     nonsites = np.array([j for j in range(1, Jmax + 1) if j not in sys.sites])
     lattice = list(_lattice(sys.d, Lmax))
 
@@ -415,7 +416,4 @@ def scan_report_json(report: ScanReport) -> dict:
 
 
 def scan_report_csv(report: ScanReport) -> str:
-    lines = ["l,min_score"]
-    for l, v in report.per_l:
-        lines.append(f"\"{' '.join(str(x) for x in l)}\",{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    return _csv("l,min_score", report.per_l)

@@ -105,9 +105,9 @@ def log_B_integral(state, table):
 
 
 def _pairwise(state):
-    R, dR = state.R, state.dR()
-    _, sd, cd, _ = pair_trig(state.M)
-    return R[:, None], R[None, :], dR[:, None], dR[None, :], sd, cd
+    R, dR = state.R, state.dR
+    delta, cd, _ = pair_trig(state.M)
+    return R[:, None], R[None, :], dR[:, None], dR[None, :], np.sin(delta), cd
 
 
 def velocity_functional(state):
@@ -310,14 +310,14 @@ def kernel_P_per_call(state):
     b2 = state.b ** 2
     Rt, Re, _ = _pair_grids(state)
     prod = Rt * Re
-    cs = pair_trig(state.M)[2]
+    cs = pair_trig(state.M)[1]
     B0sq = 1.0 + b2 * b2 - 2.0 * b2 * cs
     num = (prod * prod - b2 * b2) - 2.0 * (prod - b2) * cs
     return num / B0sq
 
 
 def difference_quotient_per_call(vals, diag):
-    s = pair_trig(len(vals))[3].copy()
+    s = pair_trig(len(vals))[2].copy()
     np.fill_diagonal(s, 1.0)  # placeholder, diagonal overwritten below
     g = (vals[None, :] - vals[:, None]) / s
     np.fill_diagonal(g, diag)
@@ -325,7 +325,7 @@ def difference_quotient_per_call(vals, diag):
 
 
 def smooth_factor_v1_per_call(state):
-    g = difference_quotient_per_call(state.R, 2.0 * state.dR())
+    g = difference_quotient_per_call(state.R, 2.0 * state.dR)
     Rt, Re, _ = _pair_grids(state)
     b = state.b
     return np.sqrt((g / (2.0 * b)) ** 2 + Rt * Re / (b * b))
@@ -359,7 +359,7 @@ def log_kernel_integrals_per_call(state, C):
 def velocity_functional_per_call(state):
     state.require_inside_disc()
     R = state.R
-    dR = state.dR()
+    dR = state.dR
     F0 = 0.5 * state.dr * np.mean(R ** 2) / R ** 2
 
     pq = eta_factors_per_call(state, dR)
@@ -616,7 +616,7 @@ def diagonal_difference_quotient(f: PeriodicField) -> np.ndarray:
 def kernel_A(state):
     """A_r via the stable form ((R(theta)-R(eta))^2 + 4 R R sin^2((eta-theta)/2))^{1/2}."""
     Rt, Re, _ = _pair_grids(state)
-    sh = pair_trig(state.M)[3]
+    sh = pair_trig(state.M)[2]
     diff2 = (Rt - Re) ** 2
     vals = np.sqrt(diff2 + 4.0 * Rt * Re * sh * sh)
     np.fill_diagonal(vals, 0.0)

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, config handling, exit codes,
 deterministic artifacts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -294,6 +295,10 @@ class TestValidateBeforeWork:
         ["spectrum", "--scan", "--eps-hat", "nan", "--seed", "0"],
         ["spectrum", "--scan", "--eps-hat", "-1e-4", "--seed", "0"],
         ["spectrum", "--eps-hat", "1e-4", "--seed", "0"],
+        ["kam-transport", "--steps", "0"],
+        ["kam-remainder", "--seed", "0", "--l", "-1"],
+        ["kam-transport", "--tau1", "-1"],
+        ["kam-remainder", "--seed", "0", "--tau2", "-5"],
     ], ids=["curve-not-a-number", "curve-gamma-out-of-range", "jobs-zero", "tau2-infinite",
             "perturbed-scan-without-seed", "final-time-not-a-whole-number-of-steps",
             "remainder-steps-negative", "transport-steps-negative", "transport-gamma-zero",
@@ -301,7 +306,9 @@ class TestValidateBeforeWork:
             "transport-tau1-nan", "transport-upsilon-zero", "transport-upsilon-above-one",
             "remainder-delta0-negative", "remainder-tau2-nan", "remainder-delta0-nan",
             "remainder-n-zero", "transport-amp-infinite", "transport-v0-nan",
-            "final-time-infinite", "eps-hat-nan", "eps-hat-negative", "eps-hat-without-scan"])
+            "final-time-infinite", "eps-hat-nan", "eps-hat-negative", "eps-hat-without-scan",
+            "transport-steps-zero", "remainder-l-negative", "transport-tau1-negative",
+            "remainder-tau2-negative"])
     def test_exit_1_and_nothing_written(self, tmp_path, monkeypatch, args):
         from vortexpatch import cli
 
@@ -369,3 +376,75 @@ def test_cli_import_does_not_load_sympy():
     subprocess.run(
         [sys.executable, "-c", "import vortexpatch.cli, sys; assert 'sympy' not in sys.modules"],
         env=env, check=True)
+
+
+#: one small run per subcommand and the sha256 of each of its artifacts but the
+#: manifest, as an earlier version of the package wrote them: a refactor keeps
+#: every artifact byte-identical
+PINNED = {
+    "simulate": (
+        ["simulate", "--b", "0.5", "--amplitudes", "2:1e-3", "--dt", "1e-2", "--t", "0.1",
+         "--stride", "2", "--track", "2"],
+        {
+            "simulate_summary.json":
+                "a271f0d52c472eff29b28361961fb597572d078d4e7ca0d0fad0d57be2debd0a",
+            "simulate_trajectory.csv":
+                "b6bc0eb77bc133ed0515384da052816f889c52e24555729cb6512d6300151ba3",
+        }),
+    "linearize": (
+        ["linearize", "--b", "0.5", "--grid", "64", "--n", "4"],
+        {
+            "linearize_matrix.csv":
+                "2eb59d96a2ceac45ce64f03cad2de63a5556128624036fb8cb06909bc754f20b",
+            "linearize_spectrum.csv":
+                "6071c00b6b3bc84c765f8cc33087037676751792b2e4ce2ee8533a73708b2ae0",
+        }),
+    "spectrum": (
+        ["spectrum", "--b", "0.5", "--jmax", "5", "--scan", "--lmax", "2", "--grid", "400",
+         "--eps-hat", "1e-4", "--seed", "0"],
+        {
+            "spectrum_omega.csv":
+                "2c4160cf925f5a59733090a1f01c60e8a113a690a069c8337904d27d44d5c52a",
+            "spectrum_scan.csv":
+                "345e5b7aa1e4122ff86f1281cd6492a54e3e27a585e1747f4a5ca2c8bac7c553",
+            "spectrum_scan.json":
+                "af89617b92d8073f8f219d53a93f4ceadc224900f05cfc2633321ce56b642585",
+            "spectrum_scan_perturbed.json":
+                "592ca080a18e46aa8fd7328b97bc7d9d5a506a5dd6f6d18ef2a7d0f2cf441e42",
+        }),
+    "cantor": (
+        ["cantor", "--lmax", "3", "--kind", "second-order-Melnikov", "--curve", "1e-2,1e-3"],
+        {
+            "cantor_curve.csv":
+                "170cbaf823907bd070d2c16d7cf8b0bca0a54de40967f5a9c0c6d192d5116b6b",
+            "cantor_intervals.csv":
+                "b947090a5b3ed31191e6168401bad9b146d89f991a9526e06437c190fdb2a827",
+            "cantor_summary.json":
+                "3c0142d8e92b9e52aae4ca130a99139795ff779a45c1494cdbf28f79a7ba83cb",
+        }),
+    "kam-transport": (
+        ["kam-transport", "--k", "8", "--grid", "16", "--steps", "3"],
+        {
+            "kam_transport_history.csv":
+                "cb780e698fe51e1270edde5a1442a46b8196e8c083bdcd2cc07780891964a446",
+            "kam_transport_result.json":
+                "d66d7a4329a9a3298be7033d4cc58ea8d8f88191ba2db0924069b59a8c990d99",
+        }),
+    "kam-remainder": (
+        ["kam-remainder", "--seed", "0", "--n", "4", "--l", "3", "--steps", "2"],
+        {
+            "kam_remainder_history.csv":
+                "ee01d99a58c63a912c20da1465022f6d972767ccb07174d4871184bf021d4ab0",
+            "kam_remainder_spectrum.json":
+                "7ce4b22965eb8403d3b8d2a9fdc964ce11b8600137b9996475bf54479ace31c3",
+        }),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_artifact_bytes_pinned(tmp_path, name):
+    args, want = PINNED[name]
+    assert run_cli(args + ["--output-dir", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir() if not p.name.endswith("_manifest.json")}
+    assert got == want

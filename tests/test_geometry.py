@@ -59,7 +59,7 @@ class TestPatchState:
         th = st.theta
         # R' = r'/R with r = a cos(3 theta)
         expected = -3e-3 * np.sin(3 * th) / st.R
-        assert np.max(np.abs(st.dR() - expected)) < 1e-12
+        assert np.max(np.abs(st.dR - expected)) < 1e-12
 
 
 class TestKernelA:
@@ -108,7 +108,7 @@ class TestSmoothFactorV1:
     def test_diagonal_formula(self):
         st = make_state(amp=1e-3, mode=2)
         v = np.diag(smooth_factor_v1(st))
-        expected = np.sqrt(st.dR() ** 2 + st.R ** 2) / st.b
+        expected = np.sqrt(st.dR ** 2 + st.R ** 2) / st.b
         assert np.max(np.abs(v - expected)) < 1e-13
 
     def test_diagonal_richardson_limit(self):

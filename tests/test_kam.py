@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference
-import vortexpatch.kam as kam
 from vortexpatch.kam import (
     ChangeOfVariables,
     NonReducibleError,
@@ -35,6 +34,7 @@ from vortexpatch.kam import (
 from vortexpatch.spectral import (
     LinearOperatorMatrix,
     PeriodicField,
+    _mirror_project,
     offdiag_norm,
     theta_grid,
 )
@@ -262,6 +262,12 @@ class TestStraightenTransport:
         with pytest.raises(ValueError):
             self._problem(lambda p, t: 0.1 * np.sin(t))
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_no_step_rejected(self, steps):
+        # with no step run, reducibility is unknown
+        with pytest.raises(ValueError, match="steps >= 1"):
+            straighten_transport(self._problem(lambda p, t: 0.1 * np.cos(t)), steps=steps)
+
     def test_dimension_mismatch_rejected(self):
         th = theta_grid(32)
         with pytest.raises(ValueError):
@@ -403,8 +409,8 @@ class TestKamStep:
         nf = LinearOperatorMatrix(N, 1j * np.diag(r), zero)
         X = leftover + (-1.0 * (psi @ nf)) + (R @ psi)
         W = 2 * N
-        ref = kam._structure_project(dense_reference.truncate_bands(
-            dense_reference.neumann_inverse(psi) @ X, W))
+        ref = dense_reference.truncate_bands(dense_reference.neumann_inverse(psi) @ X, W)
+        ref = LinearOperatorMatrix(N, 1j * _mirror_project(ref.entries.imag, -1), ref.bands)
         assert np.array_equal(nxt.R.bands,
                               np.indices((2 * W + 1,) * d).reshape(d, -1).T - W)
         got = {tuple(m): e for m, e in zip(nxt.R.bands, nxt.R.entries)}

@@ -253,7 +253,7 @@ class TestKressOracle:
         v1 = smooth_factor_v1(st)
         log_smooth_A = np.log(b * v1)
         logB = np.log(kernel_B(st))
-        dR = st.dR()
+        dR = st.dR
         D1 = dR[None, :] * np.sin(u) + st.R[None, :] * np.cos(u)
         V = (
             -0.5 * np.mean(st.R ** 2) / st.R ** 2

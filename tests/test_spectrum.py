@@ -261,7 +261,7 @@ class TestCellBound:
         js = np.array([1, 2, 1, 7, 12, 3, 1])
         for q in range(3):
             assert np.array_equal(_signed(T[q], -js), -_signed(T[q], js))
-            assert np.array_equal(_signed(T.transpose(1, 0, 2), -js)[:, q], -T[q, js - 1])
+            assert np.array_equal(_signed(T.transpose(1, 0, 2), -js)[:, q], -T[q, js])
         assert np.array_equal(_signed(T[0], js), omega(bs, js[:, None]))
         assert np.array_equal(_signed(T[0], -js), omega(bs, -js[:, None]))
         mixed = np.array([1, -1, 0, 5, -12, 0])
@@ -290,9 +290,9 @@ class TestCellBound:
         for family, l in itertools.product(("scan", *KINDS), sites):
             lv = np.array(l, dtype=float)
             br = _bracket(l)
-            base = np.tensordot(lv, Dk[:q0 + 1, :2], axes=([0], [1]))
+            base = np.tensordot(lv, Dk[:q0 + 1, 1:3], axes=([0], [1]))
             base[0] += float(delta @ lv)
-            hubase = np.tensordot(np.abs(lv), Dk[1:, :2, 1:], axes=([0], [1])) * h
+            hubase = np.tensordot(np.abs(lv), Dk[1:, 1:3, 1:], axes=([0], [1])) * h
             if family == "scan":
                 rows = _block_rows(np.arange(3, 23), 22, not any(l), 0.5 + dprime)
                 pick = np.concatenate([rng.permutation(np.flatnonzero(rows["case"] == c))[:8]
@@ -309,25 +309,25 @@ class TestCellBound:
                                      hubase, sub, np.full(len(sub["j"]), np.inf))
             assert len(alive) == len(sub["j"])
             cells = lb * (1.0 - 1e-12) / (2.0 * br)
-            U = np.array([_cell_sup(np.abs(lv) @ Dk[q + 1, :2, 1:], Dk[q + 1, :, 1:],
+            U = np.array([_cell_sup(np.abs(lv) @ Dk[q + 1, 1:3, 1:], Dk[q + 1, :, 1:],
                                     (sub["k1"], sub["k2"])) for q in range(q0 + 1)])
             for r, (case, sigma, j, j0) in enumerate(zip(sub["case"], sub["sigma"],
                                                          sub["j"], sub["j0"])):
-                F = np.tensordot(lv, Df[:, :2], axes=([0], [1]))
+                F = np.tensordot(lv, Df[:, 1:3], axes=([0], [1]))
                 F[0] += float(delta @ lv)
                 if family == "transport":  # omega . l + j/2 with omega = -omega_Eq
                     F = -F
                     F[0] += 0.5 * j
                 elif family == "first-order-Melnikov":
-                    F += Df[:, j - 1]
+                    F += Df[:, j]
                 elif family == "second-order-Melnikov":
-                    F += Df[:, j - 1] - Df[:, j0 - 1]
+                    F += Df[:, j] - Df[:, j0]
                 elif case == 1:
                     F[0] += sigma * j * (0.5 + dprime)
                 elif case == 2:
-                    F += sigma * Df[:, j - 1]
+                    F += sigma * Df[:, j]
                 elif case == 3:
-                    F += Df[:, j - 1] + sigma * Df[:, j0 - 1]
+                    F += Df[:, j] + sigma * Df[:, j0]
                 score = np.max(np.abs(F[:q0 + 1]), axis=0) / br
                 for k in range(len(h)):
                     inside = slice(16 * knots[k], 16 * knots[k + 1] + 1)
