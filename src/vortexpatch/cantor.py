@@ -71,13 +71,12 @@ class DiophantineSpec:
     Lmax: int = 20
     Jmax: int = 100
     kind: str = "first-order-Melnikov"
-    c2: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if not all(map(math.isfinite, (self.tau1, self.tau2, self.upsilon, self.c2))):
-            raise ValueError("tau1, tau2, upsilon and c2 must be finite")
+        if not all(map(math.isfinite, (self.tau1, self.tau2, self.upsilon))):
+            raise ValueError("tau1, tau2 and upsilon must be finite")
         if not self.tau2 > self.tau1:
             raise ValueError("need tau2 > tau1")
         if self.kind not in KINDS:
@@ -167,13 +166,12 @@ def sublevel_measure(f, alpha: float, a: float, b: float,
     return SublevelResult(measure=measure, intervals=intervals, flags=flags)
 
 
-def russmann_bound(f_derivatives, alpha: float, q0: int, a: float, b: float,
-                   beta: float | None = None, grid: int = 512) -> float:
+def russmann_bound(f_derivatives, alpha: float, q0: int, a: float, b: float) -> float:
     """Quantitative sublevel bound  C alpha^(1/q0) / beta^(1 + 1/q0).
 
-    ``f_derivatives(xs, q)`` returns the q-th derivative on the array ``xs``.
-    beta = min_x max_{q<=q0} |d^q f| is the transversality constant (computed
-    on the grid when not supplied).  The constant is the constructive
+    ``f_derivatives(xs, q)`` returns the q-th derivative on the array ``xs``,
+    the ``_SCREEN_GRID`` nodes of [a, b].  beta = min_x max_{q<=q0} |d^q f| on
+    those nodes is the transversality constant.  The constant is the constructive
 
         C = 2 (q0 + 1) (b - a + 1) (q0!)^(1/q0) (1 + ||f||_{C^q0})^(1 + 1/q0),
 
@@ -182,12 +180,11 @@ def russmann_bound(f_derivatives, alpha: float, q0: int, a: float, b: float,
     beta, and applying the one-cell estimate |{|f| <= alpha}| <=
     2 (q0! alpha / beta)^(1/q0) on each.
     """
-    xs = np.linspace(a, b, grid)
+    xs = np.linspace(a, b, _SCREEN_GRID)
     table = np.stack([np.abs(np.asarray(f_derivatives(xs, q), dtype=float))
                       for q in range(q0 + 1)])
-    if beta is None:
-        beta = float(np.min(np.max(table, axis=0)))
-    return _russmann(float(np.max(table)), beta, alpha, q0, a, b)
+    return _russmann(float(np.max(table)), float(np.min(np.max(table, axis=0))),
+                     alpha, q0, a, b)
 
 
 def _russmann(cnorm: float, beta: float, alpha: float, q0: int, a: float, b: float) -> float:
@@ -385,9 +382,7 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
         normal[list(sys.sites)] = False
         for l in _lattice(sys.d, spec.Lmax):
             li, base, lip_l, br = site(l)
-            j0cut = min(spec.Jmax,
-                        int(np.ceil(spec.c2 * spec.gamma ** (-spec.upsilon)
-                                    * br ** spec.tau1)))
+            j0cut = min(spec.Jmax, int(np.ceil(spec.gamma ** (-spec.upsilon) * br ** spec.tau1)))
             j0s = np.setdiff1d(np.arange(1, j0cut + 1), sys.sites)
             ms = np.arange(1, int(np.ceil(C0 * br)) + 1)
             thr = 2.0 * spec.gamma * ms / br ** spec.tau2

@@ -277,10 +277,13 @@ def _command(name: str, table: list):
 
 
 def _seed_state(p: dict):
+    """The seed of ``simulate`` and ``linearize``, admissible and inside the disc."""
     try:
-        return quasi_periodic_seed(p["b"], p["amplitudes"], M=p["grid"])
-    except DegeneratePatchError as exc:
+        state = quasi_periodic_seed(p["b"], p["amplitudes"], M=p["grid"])
+        state.require_inside_disc()
+    except (DegeneratePatchError, BoundaryContactError) as exc:
         raise click.ClickException(str(exc))
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +430,7 @@ def kam_remainder(p, emit):
     except AssertionError as exc:
         raise InvariantViolation(str(exc))
     emit({"kam_remainder_history.csv": remainder_history_csv(res),
-          "kam_remainder_spectrum.json": spectrum_table_json(res, b=b)},
+          "kam_remainder_spectrum.json": spectrum_table_json(res, b)},
          {"phi_grid": [{"step": m, "G": G, "shell_max": shell, "sup_R_next": sup}
                        for m, G, shell, sup in res.aliasing]})
     final = res.history[-1][1]

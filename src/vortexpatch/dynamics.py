@@ -206,13 +206,13 @@ def _delta_tables(M: int):
     return tuple(_read_only(t) for t in _delta_terms(pair_trig(M)[0]))
 
 
-def _phi_kernel(rho1, rho2, delta, terms=None):
+def _phi_kernel(rho1, rho2, terms):
     """Phi(rho1, rho2, Delta): the radial double integral of G against l1 l2.
 
-    ``terms`` is ``_delta_terms(delta)`` when the caller holds it already.
-    Each M x M temporary is dropped as soon as its last term is formed.
+    ``terms`` is ``_delta_terms(Delta)``.  Each M x M temporary is dropped as
+    soon as its last term is formed.
     """
-    eid, cos2, sbc = _delta_terms(delta) if terms is None else terms
+    eid, cos2, sbc = terms
     rho = np.minimum(rho1, rho2)
     sig = np.maximum(rho1, rho2)
     rs = rho * sig
@@ -241,18 +241,14 @@ def _phi_kernel(rho1, rho2, delta, terms=None):
     return term1 - S2 + term3
 
 
-def _psi_kernel(rho1, rho2, delta, terms=None):
+def _psi_kernel(rho1, rho2, terms):
     """psi = int_0^{rho2} G(rho1, l' e^{i Delta}) l' dl' (so dPhi/drho1 = rho1 psi).
 
-    ``terms`` is ``_delta_terms(delta)`` when the caller holds it already.  Each
-    branch is evaluated on its own entries only, and its temporaries are
-    dropped before the next one starts.
+    ``terms`` is ``_delta_terms(Delta)``.  Each branch is evaluated on its own
+    entries only, and its temporaries are dropped before the next one starts.
     """
-    rho1, rho2, delta = np.broadcast_arrays(
-        np.asarray(rho1, float), np.asarray(rho2, float), np.asarray(delta, float)
-    )
-    eid, cos2, sbc = (np.broadcast_to(t, rho1.shape)
-                      for t in (_delta_terms(delta) if terms is None else terms))
+    rho1, rho2, eid, cos2, sbc = np.broadcast_arrays(
+        np.asarray(rho1, float), np.asarray(rho2, float), *terms)
     # image part: -int log|1 - rho1 l' e^{i Delta}| l' dl'
     part2 = rho2 ** 2 * _Fmm2(rho1 * rho2 * eid).real
     out = np.empty(rho1.shape)
@@ -305,8 +301,7 @@ def energy(state: PatchState) -> float:
     """Kinetic energy E(r); the radial integrals are evaluated in closed form."""
     state.require_inside_disc()
     R = state.R
-    delta = pair_trig(state.M)[0]
-    table = _phi_kernel(R[:, None], R[None, :], delta, _delta_tables(state.M))
+    table = _phi_kernel(R[:, None], R[None, :], _delta_tables(state.M))
     # extended-precision accumulation: the M^2-term sum is the only place
     # where rounding noise would be visible in drift diagnostics
     mean = np.sum(table, dtype=np.longdouble) / table.size
@@ -323,8 +318,7 @@ def stream_gradient(state: PatchState) -> PeriodicField:
     """nabla E(theta) = 2 Psi(R(theta) e^{i theta}) with the matching alias correction."""
     state.require_inside_disc()
     R = state.R
-    delta = pair_trig(state.M)[0]
-    psi = _psi_kernel(R[:, None], R[None, :], delta, _delta_tables(state.M))
+    psi = _psi_kernel(R[:, None], R[None, :], _delta_tables(state.M))
     grad = 2.0 * psi.mean(axis=1) + 2.0 * R ** 2 * _alias_tail_sum(state.M)
     return PeriodicField(grad)
 
@@ -346,14 +340,15 @@ def dealias(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(c, norm="forward").real
 
 
+_SOBOLEV_S = 2.0  # order s of the H^s norm recorded with each snapshot
+
+
 @dataclass
 class EvolutionConfig:
     dt: float
     T: float
     record_stride: int = 1
     track_modes: tuple = ()
-    diagnostics: bool = True
-    sobolev_s: float = 2.0
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and math.isfinite(self.T)):
@@ -411,9 +406,10 @@ def step(state: PatchState, dt: float) -> PatchState:
 
 
 def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
-    """RK4 run of d_t r = -F_b[r]; ``traj.profile`` counts RHS and energy
-    evaluations, the largest sup|r|/(b^2/2) and max R of the accepted states,
-    and the seconds spent stepping and on diagnostics."""
+    """RK4 run of d_t r = -F_b[r], recording the state (with H and the H^s norm)
+    at t = 0, every ``record_stride`` steps and at T; ``traj.profile`` counts RHS
+    and energy evaluations, the largest sup|r|/(b^2/2) and max R of the
+    accepted states, and the seconds spent stepping and on diagnostics."""
     traj = Trajectory(b=state.b, config=config)
     b = state.b
     dt = config.dt
@@ -436,12 +432,11 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
         times.append(t)
         traj.snapshots.append(st.r.values.copy())
         traj.means.append(float(st.r.values.mean()))
-        if config.diagnostics:
-            t0 = time.perf_counter()
-            traj.hamiltonians.append(hamiltonian(st))
-            traj.hs_norms.append(sobolev_norm(st.r, config.sobolev_s))
-            prof["energy_evaluations"] += 1
-            prof["diagnostics_s"] += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        traj.hamiltonians.append(hamiltonian(st))
+        traj.hs_norms.append(sobolev_norm(st.r, _SOBOLEV_S))
+        prof["energy_evaluations"] += 1
+        prof["diagnostics_s"] += time.perf_counter() - t0
 
     def observe(t, st):
         mode_times.append(t)
@@ -477,7 +472,7 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
             prof["stepping_s"] += time.perf_counter() - t0
         t = n * dt
         observe(t, current)
-        if n % config.record_stride == 0:
+        if n % config.record_stride == 0 or n == nsteps:
             record(t, current)
 
     traj.times = np.array(times)
@@ -487,15 +482,17 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
 
 
 def quasi_periodic_seed(b: float, amplitudes: dict, M: int = 128) -> PatchState:
-    """Even (reversible) initial data r0 = sum_j a_j cos(j theta) over the tangential set."""
+    """Even (reversible) initial data r0 = sum_j a_j cos(j theta) over the tangential
+    set, whose modes must lie in 1 <= j <= M // 3: ``dealias`` removes the others."""
     total = sum(abs(a) for a in amplitudes.values())
     if total >= 0.5 * b * b * (1.0 - 1e-9):
         raise DegeneratePatchError("seed amplitudes exceed the admissibility margin b^2/2")
     th = theta_grid(M)
     r0 = np.zeros(M)
     for j, a in amplitudes.items():
-        if j < 1:
-            raise ValueError("tangential modes must be positive integers")
+        if not 1 <= j <= M // 3:
+            raise ValueError(f"seed mode {j} is not in 1..{M // 3}, the modes that the "
+                             f"2/3 rule keeps on a grid of {M}")
         r0 += a * np.cos(j * th)
     return PatchState(b, PeriodicField(r0))
 
@@ -510,11 +507,9 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     modes = sorted(traj.mode_series)
     header = "time,mean,hamiltonian,h_s_norm" + "".join(f",re_mode_{j},im_mode_{j}" for j in modes)
     dt = traj.config.dt
-    have_diag = len(traj.hamiltonians) == len(traj.times)
     rows = []
     for i, t in enumerate(traj.times):
-        row = [t, traj.means[i]] + ([traj.hamiltonians[i], traj.hs_norms[i]] if have_diag
-                                    else [np.nan, np.nan])
+        row = [t, traj.means[i], traj.hamiltonians[i], traj.hs_norms[i]]
         for j in modes:
             # mode coefficients are tracked every step; pick the sample at t
             c = traj.mode_series[j][int(round(t / dt))]
@@ -526,28 +521,27 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 def trajectory_summary(traj: Trajectory) -> dict:
     """JSON-serializable run summary: config echo plus final diagnostics."""
     cfg = traj.config
-    summary = {
+    H = traj.hamiltonians
+    return {
         "b": traj.b,
         "config": {
             "dt": cfg.dt,
             "T": cfg.T,
             "record_stride": cfg.record_stride,
             "track_modes": list(cfg.track_modes),
-            "diagnostics": cfg.diagnostics,
-            "sobolev_s": cfg.sobolev_s,
+            "diagnostics": True,
+            "sobolev_s": _SOBOLEV_S,
         },
         "aborted": traj.aborted,
         "abort_reason": traj.abort_reason,
         "snapshots": len(traj.snapshots),
-        "final_time": float(traj.times[-1]) if len(traj.times) else None,
-        "final_mean": traj.means[-1] if traj.means else None,
+        "final_time": float(traj.times[-1]),
+        "final_mean": traj.means[-1],
+        "initial_hamiltonian": H[0],
+        "final_hamiltonian": H[-1],
+        "hamiltonian_drift": abs(H[-1] - H[0]),
+        "final_h_s_norm": traj.hs_norms[-1],
     }
-    if traj.hamiltonians:
-        summary["initial_hamiltonian"] = traj.hamiltonians[0]
-        summary["final_hamiltonian"] = traj.hamiltonians[-1]
-        summary["hamiltonian_drift"] = abs(traj.hamiltonians[-1] - traj.hamiltonians[0])
-        summary["final_h_s_norm"] = traj.hs_norms[-1]
-    return summary
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -254,8 +254,6 @@ class TransportResult:
     V_infty: float
     reducible: bool
     history: list  # (m, delta_s0, delta_sh, cut_fraction, V_m)
-    covs: list
-    final_remainder: PeriodicField
 
 
 def straighten_transport(prob: TransportProblem, steps: int = 8) -> TransportResult:
@@ -275,7 +273,6 @@ def straighten_transport(prob: TransportProblem, steps: int = 8) -> TransportRes
     f = prob.f0
     omega = prob.omega
     history = []
-    covs = []
     nyquist = max(n // 2 for n in f.grid_sizes)
     for m in range(steps):
         mean_f = float(np.real(f.mean()))
@@ -291,16 +288,15 @@ def straighten_transport(prob: TransportProblem, steps: int = 8) -> TransportRes
             rhs, omega, V, prob.gamma, prob.upsilon, prob.tau1, Ncut)
         history[-1] = (m, d0, dh, frac, V)
         if frac > 0.5:
-            return TransportResult(V, False, history, covs, f)
+            return TransportResult(V, False, history)
         cov = ChangeOfVariables(beta)
         u = (V + f.values) * (1.0 + spectral_derivative(beta.values))
         for k in range(len(omega)):
             u = u + omega[k] * spectral_derivative(beta.values, axis=k)
         f_next = evaluate_shifted(PeriodicField(u), cov.beta_hat.values) - V_next
-        covs.append(cov)
         V = V_next
         f = PeriodicField(f_next)
-    return TransportResult(V, True, history, covs, f)
+    return TransportResult(V, True, history)
 
 
 def transport_history_csv(result: TransportResult) -> str:
@@ -334,12 +330,13 @@ class ReductionState:
     def mu_oddness_deviation(self) -> float:
         return float(np.max(np.abs(self.mu + _mirrored(self.mu))))
 
-    def assert_invariants(self, tol: float = 0.0):
-        if self.mu_oddness_deviation() > tol:
+    def assert_invariants(self):
+        """Raise unless mu is exactly odd and R exactly real and reversible."""
+        if self.mu_oddness_deviation() > 0.0:
             raise AssertionError("mu lost oddness in j")
-        if self.R.real_deviation() > tol:
+        if self.R.real_deviation() > 0.0:
             raise AssertionError("remainder lost realness")
-        if self.R.reversible_deviation() > tol:
+        if self.R.reversible_deviation() > 0.0:
             raise AssertionError("remainder lost reversibility")
 
 
@@ -420,9 +417,10 @@ def kam_step(state: ReductionState, gamma: float = 1e-2, tau2: float = 2.5,
     phi: products are pointwise on a G^d phi grid and Phi^{-1} is one
     2N x 2N solve per point.  With G = 2(W + max|l|) + 1 the products are
     exact on the kept bands, and only the terms of Phi^{-1} beyond
-    |l|_inf = W + 2 max|l| alias onto them.  The step appends (step, G,
-    largest |Y_l| on the outermost band shell of the grid, sup |R_next|)
-    to ``aliasing``: the shell is an aliasing estimate, not a bound.
+    |l|_inf = W + 2 max|l| alias onto them.  The new state's ``aliasing`` is
+    that of ``state`` plus (step, G, largest |Y_l| on the outermost band shell
+    of the grid, sup |R_next|): the shell is an aliasing estimate, not a bound.
+    The new state owns copies of the logs; ``state`` is left as it is.
     """
     R = state.R
     W = _window(R)
@@ -461,10 +459,10 @@ def kam_step(state: ReductionState, gamma: float = 1e-2, tau2: float = 2.5,
     a = _mirror_project(Y[tuple((bands % G).T)].imag, -1)
     R_next = LinearOperatorMatrix(R.N, 1j * a, bands)
     shell = functools.reduce(np.maximum, np.ix_(*[np.abs(_mode_numbers(G))] * R.d))
+    row = (state.step, G, float(np.max(np.abs(Y[shell == shell.max()]))),
+           float(np.max(np.abs(R_next.entries))))
     nxt = ReductionState(state.omega, mu_next, R_next, state.step + 1,
-                         history=state.history, aliasing=state.aliasing)
-    nxt.aliasing.append((state.step, G, float(np.max(np.abs(Y[shell == shell.max()]))),
-                         float(np.max(np.abs(R_next.entries)))))
+                         history=list(state.history), aliasing=state.aliasing + [row])
     nxt.assert_invariants()
     return nxt
 
@@ -472,21 +470,22 @@ def kam_step(state: ReductionState, gamma: float = 1e-2, tau2: float = 2.5,
 def run_remainder_kam(state: ReductionState, steps: int, gamma: float = 1e-2,
                       tau2: float = 2.5) -> ReductionState:
     """Iterate kam_step with the truncation schedule N_n = N0^{(3/2)^n} (``_N0``),
-    capped at the window."""
-    cur = state
+    capped at the window.  The result's history extends that of ``state`` by one
+    row per state of the run; ``state`` itself is left as it is."""
+    cur = replace(state, history=state.history + [_delta_row(state)],
+                  aliasing=list(state.aliasing))
     cap = _window(state.R)
     for n in range(steps):
-        _record_delta(cur)
         Ncut = min(_N0 ** (1.5 ** n), cap)
         cur = kam_step(cur, gamma=gamma, tau2=tau2, Ncut=Ncut)
-    _record_delta(cur)
+        cur.history.append(_delta_row(cur))
     return cur
 
 
-def _record_delta(state: ReductionState):
-    """Append (step, delta_s0, delta_sh) of the off-normal remainder to the history."""
+def _delta_row(state: ReductionState) -> tuple:
+    """(step, delta_s0, delta_sh) of the off-normal remainder of ``state``."""
     off = _offnormal(state.R)
-    state.history.append((state.step, offdiag_norm(off, 0.0), offdiag_norm(off, 0.1)))
+    return state.step, offdiag_norm(off, 0.0), offdiag_norm(off, 0.1)
 
 
 def _offnormal(R: LinearOperatorMatrix) -> LinearOperatorMatrix:
@@ -500,14 +499,12 @@ def remainder_history_csv(state: ReductionState) -> str:
     return _csv("m,delta_s0,delta_sh", state.history)
 
 
-def spectrum_table_json(state: ReductionState, b: float | None = None) -> dict:
-    """Final frequency table mu_j, optionally split against the equilibrium
-    prediction mu_j = Omega_j(b) + r_j (the transport speed V_infty = 1/2 of
-    the equilibrium adds no j (V_infty - 1/2))."""
+def spectrum_table_json(state: ReductionState, b: float) -> dict:
+    """Final frequency table mu_j, split against the equilibrium prediction
+    mu_j = Omega_j(b) + r_j (the transport speed V_infty = 1/2 of the
+    equilibrium adds no j (V_infty - 1/2))."""
     out = {"step": state.step, "mu": {}}
     for a, j in enumerate(state.R.jmodes):
-        entry = {"mu": float(state.mu[a])}
-        if b is not None:
-            entry["residual"] = float(state.mu[a]) - float(omega_eq(b, int(j)))
-        out["mu"][int(j)] = entry
+        out["mu"][int(j)] = {"mu": float(state.mu[a]),
+                             "residual": float(state.mu[a]) - float(omega_eq(b, int(j)))}
     return out

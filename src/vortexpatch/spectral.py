@@ -77,17 +77,14 @@ class PeriodicField:
     case we are in.
     """
 
-    def __init__(self, values, zero_mean: bool = False):
+    def __init__(self, values):
         values = np.asarray(values)
         if values.dtype.kind not in "fc":
             values = values.astype(float)
         for n in values.shape:
             if n < 2 or (n & (n - 1)) != 0:
                 raise ValueError(f"grid sizes must be powers of two, got {values.shape}")
-        if zero_mean:
-            values = values - values.mean()
         self.values = values
-        self.zero_mean = zero_mean
         self._coeffs = None
 
     # -- constructors -------------------------------------------------
@@ -97,8 +94,7 @@ class PeriodicField:
         vals = np.fft.ifftn(np.asarray(coeffs, dtype=complex), norm="forward")
         if real:
             vals = vals.real
-        f = cls(vals)
-        return f
+        return cls(vals)
 
     # -- basic structure ----------------------------------------------
 
@@ -118,8 +114,6 @@ class PeriodicField:
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
             self._coeffs = np.fft.fftn(self.values, norm="forward")
-            if self.zero_mean:
-                self._coeffs[(0,) * self.values.ndim] = 0.0
         return self._coeffs
 
     def mean(self) -> float:

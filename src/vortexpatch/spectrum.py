@@ -100,16 +100,12 @@ class FrequencySystem:
         return 2.0 * (self.omega_sup() + 1.0) + 1.0
 
 
-def nondegeneracy_test(sys: FrequencySystem, polys=None) -> bool:
+def nondegeneracy_test(sys: FrequencySystem) -> bool:
     """Full column rank of {Omega_{j_1}, ..., Omega_{j_d}, 1} in the monomial basis.
 
     Exact integer arithmetic on the doubled coefficients 2 Omega_j.
-    ``polys`` may override the column set: a list of {degree: int-coefficient}
-    maps (used by synthetic rank-deficiency tests).
     """
-    if polys is None:
-        polys = [{0: j - 1, 2 * j: 1} for j in sys.sites]  # 2 Omega_j
-        polys = polys + [{0: 2}]  # the constant function (doubled)
+    polys = [{0: j - 1, 2 * j: 1} for j in sys.sites] + [{0: 2}]  # 2 Omega_j, then 2
     degrees = sorted({d for p in polys for d in p})
     return _rank([[p.get(d, 0) for p in polys] for d in degrees]) == len(polys)
 
@@ -159,6 +155,7 @@ class ScanReport:
 _COARSE_POINTS = 64  # coarse knots: the per-l scores and the cells of the bound
 _SLACK = 1e-12  # relative guard of the cell bounds against rounding
 _BATCH = 256  # tuples, or (tuple, cell) pairs, evaluated at once
+_PERTURBED_SAMPLES = 2  # random offsets of the perturbed scan, besides the aligned one
 
 
 def _derivative_table(Jmax: int, bs: np.ndarray, qs) -> np.ndarray:
@@ -376,24 +373,22 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
 
 
 def perturbed_transversality(sys: FrequencySystem, eps_hat: float, Lmax: int,
-                             grid_size: int, n_samples: int = 2, seed: int = 0,
-                             baseline: ScanReport | None = None) -> dict:
+                             grid_size: int, seed: int, baseline: ScanReport) -> dict:
     """Scan with bounded synthetic frequency offsets |delta| <= eps_hat.
 
-    Samples random offsets plus the worst-case direction aligned against the
-    baseline witness; reports the minimum rho0_hat over all perturbations and
-    whether it retains half of the unperturbed value.
+    Samples ``_PERTURBED_SAMPLES`` random offsets plus the worst-case direction
+    aligned against the witness of the unperturbed scan ``baseline``; reports
+    the minimum rho0_hat over all perturbations and whether it retains half of
+    the unperturbed value.
     """
-    if baseline is None:
-        baseline = transversality_scan(sys, Lmax, grid_size)
     rng = np.random.default_rng(seed)
     results = []
-    offsets = [rng.uniform(-eps_hat, eps_hat, sys.d) for _ in range(n_samples)]
+    offsets = [rng.uniform(-eps_hat, eps_hat, sys.d) for _ in range(_PERTURBED_SAMPLES)]
     lw = np.array(baseline.witness["l"], dtype=float)
     align = -np.sign(lw) * eps_hat if np.any(lw) else np.full(sys.d, eps_hat)
     offsets.append(align)
     for k, dv in enumerate(offsets):
-        dp = float(rng.uniform(-eps_hat, eps_hat)) if k < n_samples else -eps_hat
+        dp = float(rng.uniform(-eps_hat, eps_hat)) if k < _PERTURBED_SAMPLES else -eps_hat
         rep = transversality_scan(sys, Lmax, grid_size, delta=dv, delta_prime=dp)
         results.append(rep.rho0_hat)
     worst = min(results)

@@ -800,9 +800,7 @@ def excluded_measure_per_tuple(sys: FrequencySystem,
             lip_l = float(np.dot(np.abs(lv), dOmax[site_rows]))
             br = _bracket(l)
             mcut = int(np.ceil(C0 * br))
-            j0cut = min(spec.Jmax,
-                        int(np.ceil(spec.c2 * spec.gamma ** (-spec.upsilon)
-                                    * br ** spec.tau1)))
+            j0cut = min(spec.Jmax, int(np.ceil(spec.gamma ** (-spec.upsilon) * br ** spec.tau1)))
             jmin = min(j for j in range(1, Jneed) if j not in sys.sites)
             lip_pair = 2.0 * float(np.max(dOmax))
             for m in range(1, mcut + 1):

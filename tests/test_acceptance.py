@@ -191,8 +191,7 @@ def test_criterion_06_frequency_recovery():
         st = quasi_periodic_seed(b, {j: eps}, M=64)
         traj = simulate(st, EvolutionConfig(dt=0.05, T=500.0,
                                             record_stride=10 ** 9,
-                                            track_modes=(j,),
-                                            diagnostics=False))
+                                            track_modes=(j,)))
         assert not traj.aborted
         errs.append(abs(extract_frequencies(traj, j) - omega_eq(b, j)))
     slope = np.polyfit(np.log(np.array(eps_list)), np.log(np.array(errs)), 1)[0]
@@ -279,8 +278,7 @@ def test_criterion_09_transversality():
     for case, data in rep.per_case.items():
         assert data["rho0_hat"] > 0, f"case {case} not positive"
     out = perturbed_transversality(sysf, eps_hat=1e-4, Lmax=20,
-                                   grid_size=10 ** 4, n_samples=2, seed=0,
-                                   baseline=rep)
+                                   grid_size=10 ** 4, seed=0, baseline=rep)
     assert out["retains_half"]
     assert out["rho0_hat_perturbed"] >= 0.5 * rep.rho0_hat
     report(9, f"rho0_hat = {rep.rho0_hat:.5f} (all four cases positive), "
@@ -364,7 +362,7 @@ def test_criterion_13_remainder():
     mu0 = np.array([float(omega(b, int(j))) for j in jm])
     state = ReductionState(omega=golden_frequency(1), mu=mu0.copy(), R=R)
     res = run_remainder_kam(state, steps=3)
-    res.assert_invariants(tol=0.0)  # realness/reversibility/oddness exact
+    res.assert_invariants()  # realness/reversibility/oddness exact
     deltas = [row[1] for row in res.history]
     assert deltas[-1] < deltas[0]
     logs = np.log(np.array([d for d in deltas if d > 0]))

@@ -138,7 +138,7 @@ class TestDiophantineSpec:
         with pytest.raises(ValueError):
             DiophantineSpec(gamma=1e-3, kind="bogus")
 
-    @pytest.mark.parametrize("field", ["tau1", "tau2", "upsilon", "c2"])
+    @pytest.mark.parametrize("field", ["tau1", "tau2", "upsilon"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):

@@ -72,10 +72,21 @@ class TestSimulateCommand:
         assert code == 0
         prof = json.loads((tmp_path / "simulate_manifest.json").read_text())["profile"]
         assert prof["rhs_evaluations"] == 4 * 5
-        assert prof["energy_evaluations"] == 3  # t = 0, 0.02, 0.04
+        assert prof["energy_evaluations"] == 4  # t = 0, 0.02, 0.04 and the final 0.05
         assert 0.0079 < prof["max_admissibility_ratio"] < 0.0081  # ~1e-3 / 0.125
         assert 0.5 < prof["max_R"] < 0.51
         assert prof["stepping_s"] > 0 and prof["diagnostics_s"] > 0
+
+    def test_final_state_off_the_stride_recorded(self, tmp_path):
+        # 50 steps with the default stride 100: the run still ends in a record at T
+        code = run_cli(["simulate", "--amplitudes", "2:1e-3", "--dt", "1e-3", "--t", "0.05",
+                        "--output-dir", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "simulate_summary.json").read_text())
+        assert summary["snapshots"] == 2
+        assert summary["final_time"] == 0.05
+        rows = (tmp_path / "simulate_trajectory.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.05]
 
     def test_inadmissible_amplitude(self, tmp_path):
         # amplitude above b^2/2 violates patch admissibility -> config error
@@ -299,6 +310,9 @@ class TestValidateBeforeWork:
         ["kam-remainder", "--seed", "0", "--l", "-1"],
         ["kam-transport", "--tau1", "-1"],
         ["kam-remainder", "--seed", "0", "--tau2", "-5"],
+        ["simulate", "--amplitudes", "30:1e-4", "--grid", "64"],
+        ["simulate", "--b", "0.9999999"],
+        ["linearize", "--b", "0.9999999"],
     ], ids=["curve-not-a-number", "curve-gamma-out-of-range", "jobs-zero", "tau2-infinite",
             "perturbed-scan-without-seed", "final-time-not-a-whole-number-of-steps",
             "remainder-steps-negative", "transport-steps-negative", "transport-gamma-zero",
@@ -308,14 +322,15 @@ class TestValidateBeforeWork:
             "remainder-n-zero", "transport-amp-infinite", "transport-v0-nan",
             "final-time-infinite", "eps-hat-nan", "eps-hat-negative", "eps-hat-without-scan",
             "transport-steps-zero", "remainder-l-negative", "transport-tau1-negative",
-            "remainder-tau2-negative"])
+            "remainder-tau2-negative", "seed-mode-above-grid-third", "simulate-seed-on-circle",
+            "linearize-seed-on-circle"])
     def test_exit_1_and_nothing_written(self, tmp_path, monkeypatch, args):
         from vortexpatch import cli
 
         def work(*args, **kwargs):  # a run that gets this far checked its input too late
             raise _WorkStarted
 
-        for name in ("run_simulation", "transversality_scan", "excluded_measure",
+        for name in ("run_simulation", "assemble", "transversality_scan", "excluded_measure",
                      "straighten_transport", "synthetic_reversible_remainder"):
             monkeypatch.setattr(cli, name, work)
         d = tmp_path / "out"

@@ -75,7 +75,7 @@ class TestRadialKernels:
             return self.green(l1, l2, delta) * l1 * l2
 
         ref, err = integrate.dblquad(f, 0.0, rho1, 0.0, rho2, epsabs=1e-12, epsrel=1e-12)
-        val = float(_phi_kernel(np.array(rho1), np.array(rho2), np.array(delta)))
+        val = float(_phi_kernel(np.array(rho1), np.array(rho2), _delta_terms(delta)))
         assert abs(val - ref) < 1e-10 + 10 * err
 
     @pytest.mark.parametrize(
@@ -88,19 +88,20 @@ class TestRadialKernels:
 
         ref, err = integrate.quad(f, 0.0, rho2, epsabs=1e-13, epsrel=1e-13,
                                   points=[rho1] if rho1 < rho2 else None)
-        val = float(_psi_kernel(rho1, rho2, delta))
+        val = float(_psi_kernel(rho1, rho2, _delta_terms(delta)))
         assert abs(val - ref) < 1e-10 + 10 * err
 
     def test_phi_symmetric_in_radii(self):
         r1, r2 = np.array(0.3), np.array(0.6)
-        d = np.array(0.8)
-        assert abs(_phi_kernel(r1, r2, d) - _phi_kernel(r2, r1, d)) < 1e-15
+        terms = _delta_terms(np.array(0.8))
+        assert abs(_phi_kernel(r1, r2, terms) - _phi_kernel(r2, r1, terms)) < 1e-15
 
     @pytest.mark.parametrize("delta", [1e-10, 5e-10])
     @pytest.mark.parametrize("rho1,rho2", [(0.3, 0.4), (0.4, 0.3)])
     def test_psi_even_in_delta(self, rho1, rho2, delta):
         # the w = 1 limit applies on both sides of Delta = 0
-        assert _psi_kernel(rho1, rho2, -delta) == _psi_kernel(rho1, rho2, delta)
+        assert (_psi_kernel(rho1, rho2, _delta_terms(-delta))
+                == _psi_kernel(rho1, rho2, _delta_terms(delta)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +151,9 @@ class TestFastPaths:
     def test_scalar_delta_not_cached(self):
         # two scalar angles share a shape but not a table
         for d in (0.4, 1.1, 2.7):
-            assert _phi_kernel(np.array(0.3), np.array(0.5), np.array(d)) \
+            assert _phi_kernel(np.array(0.3), np.array(0.5), _delta_terms(d)) \
                 == ref.phi_kernel(np.array(0.3), np.array(0.5), np.array(d))
-            assert _psi_kernel(0.3, 0.5, d) == ref.psi_kernel(0.3, 0.5, d)
+            assert _psi_kernel(0.3, 0.5, _delta_terms(d)) == ref.psi_kernel(0.3, 0.5, d)
 
     def test_one_spectral_derivative_per_velocity_functional(self, monkeypatch):
         calls = []
@@ -396,7 +397,7 @@ class TestSimulate:
     def test_run_ends_at_final_time(self):
         # 0.3/0.1 = 2.9999999999999996: a whole number of steps up to rounding
         st = PatchState(0.5, PeriodicField(np.zeros(32)))
-        traj = simulate(st, EvolutionConfig(dt=0.1, T=0.3, diagnostics=False))
+        traj = simulate(st, EvolutionConfig(dt=0.1, T=0.3))
         assert len(traj.times) == 4
         assert traj.times[-1] == pytest.approx(0.3, abs=1e-12)
 
@@ -411,8 +412,13 @@ class TestSimulate:
         cfg = EvolutionConfig(dt=0.01, T=0.5, record_stride=7)
         traj = simulate(st, cfg)
         nsteps = int(round(cfg.T / cfg.dt))
-        assert len(traj.snapshots) == nsteps // cfg.record_stride + 1
+        # t = 0, every 7th step, and the final state (50 is off the stride)
+        assert len(traj.snapshots) == nsteps // cfg.record_stride + 2
         assert np.all(np.diff(traj.times) > 0)
+        assert traj.times[-1] == nsteps * cfg.dt
+        aligned = simulate(st, EvolutionConfig(dt=0.01, T=0.5, record_stride=nsteps))
+        assert np.array_equal(traj.snapshots[-1], aligned.snapshots[-1])
+        assert traj.hamiltonians[-1] == aligned.hamiltonians[-1]
         prof = traj.profile
         assert prof["rhs_evaluations"] == 4 * nsteps
         assert prof["energy_evaluations"] == len(traj.snapshots)
@@ -433,19 +439,19 @@ class TestSimulate:
         b = 0.5
         th = theta_grid(64)
         st = PatchState(b, PeriodicField(0.5 * b * b * (1 - 1e-6) * np.cos(2 * th)))
-        traj = simulate(st, EvolutionConfig(dt=0.5, T=50.0, diagnostics=False))
+        traj = simulate(st, EvolutionConfig(dt=0.5, T=50.0))
         assert traj.aborted
         assert traj.abort_reason
         assert len(traj.snapshots) >= 1  # last valid snapshot retained
         # completed evaluations only; the margin stays below the bound
         assert traj.profile["rhs_evaluations"] < 4 * len(traj.mode_times)
-        assert traj.profile["energy_evaluations"] == 0
+        assert traj.profile["energy_evaluations"] == 1  # the t = 0 record
         assert 0.999 < traj.profile["max_admissibility_ratio"] < 1.0
 
     def test_step_matches_simulate(self):
         st = cos_state()
         one = step(st, 1e-2)
-        traj = simulate(st, EvolutionConfig(dt=1e-2, T=1e-2, diagnostics=False))
+        traj = simulate(st, EvolutionConfig(dt=1e-2, T=1e-2))
         assert np.max(np.abs(one.r.values - traj.snapshots[-1])) < 1e-13
 
     def test_flow_reversibility(self):
@@ -492,6 +498,13 @@ class TestQuasiPeriodicSeed:
         with pytest.raises(ValueError):
             quasi_periodic_seed(0.5, {0: 1e-3})
 
+    def test_modes_the_dealiasing_keeps(self):
+        # simulate dealiases its initial state: a mode above M // 3 would vanish
+        st = quasi_periodic_seed(0.5, {21: 1e-4}, M=64)
+        assert np.max(np.abs(dealias(st.r.values) - st.r.values)) < 1e-18
+        with pytest.raises(ValueError, match="1..21"):
+            quasi_periodic_seed(0.5, {22: 1e-4}, M=64)
+
     def test_linear_flow_exact(self):
         # rho(t) = sum a_j cos(j theta - Omega_j t) solves
         # d_t rho = d_theta L(b) rho with multiplier L: e_j -> -Omega_|j|/j e_j
@@ -521,7 +534,7 @@ class TestQuasiPeriodicSeed:
 
 class TestExtractFrequencies:
     def synthetic_trajectory(self, omega, T=200.0, dt=0.05, noise=0.0):
-        cfg = EvolutionConfig(dt=dt, T=T, track_modes=(2,), diagnostics=False)
+        cfg = EvolutionConfig(dt=dt, T=T, track_modes=(2,))
         traj = Trajectory(b=0.5, config=cfg)
         t = np.arange(int(round(T / dt)) + 1) * dt
         s = 1e-3 * np.exp(-1j * omega * t)
@@ -559,8 +572,7 @@ class TestExtractFrequencies:
         # small-amplitude evolution of mode 2 at b=0.5: Omega_2 = 0.53125
         st = quasi_periodic_seed(0.5, {2: 1e-4}, M=64)
         traj = simulate(
-            st, EvolutionConfig(dt=0.05, T=50.0, record_stride=1000,
-                                track_modes=(2,), diagnostics=False)
+            st, EvolutionConfig(dt=0.05, T=50.0, record_stride=1000, track_modes=(2,))
         )
         assert not traj.aborted
         out = extract_frequencies(traj, 2)

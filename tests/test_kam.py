@@ -241,7 +241,7 @@ class TestStraightenTransport:
         res = straighten_transport(self._problem(lambda p, t: 0.0 * t))
         assert res.reducible
         assert res.V_infty == 0.5
-        assert len(res.covs) == 0
+        assert len(res.history) == 1  # stopped at m = 0, before any change of variables
 
     def test_quadratic_convergence(self):
         f = lambda p, t: 1e-3 * (np.cos(p) * np.cos(t) + 0.5 * np.cos(2 * t)
@@ -372,7 +372,7 @@ class TestKamStep:
     def test_invariants_exact(self):
         state = _initial_state()
         nxt = kam_step(state, Ncut=4.0)
-        nxt.assert_invariants(tol=0.0)  # raises on any violation
+        nxt.assert_invariants()  # raises on any violation
 
     def test_remainder_shrinks(self):
         state = _initial_state()
@@ -432,7 +432,7 @@ class TestKamStep:
 class TestRunRemainderKam:
     def test_three_steps(self):
         res = run_remainder_kam(_initial_state(), steps=3)
-        res.assert_invariants(tol=0.0)
+        res.assert_invariants()
         deltas = [row[1] for row in res.history]
         assert deltas[-1] < 1e-10
         logs = [math.log(d) for d in deltas if d > 0]
@@ -454,12 +454,25 @@ class TestRunRemainderKam:
         # mu_j - mu_{j-1} ~ 1/2, so the remainder stalls after step 1
         state = _initial_state(N=8, L=4, d=2)
         res = run_remainder_kam(state, steps=3)
-        res.assert_invariants(tol=0.0)
+        res.assert_invariants()
         deltas = [row[1] for row in res.history]
         assert len(deltas) == 4
         assert deltas[1] < 0.1 * deltas[0]
         assert min(deltas[2:]) > 0.5 * deltas[1]
         assert [G for _, G, _, _ in res.aliasing] == [41, 65, 65]
+
+    def test_runs_own_their_logs(self):
+        # two runs from one state: equal logs of their own, the state untouched
+        s0 = _initial_state(N=4, L=3)
+        first = run_remainder_kam(s0, steps=2)
+        second = run_remainder_kam(s0, steps=2)
+        assert s0.history == [] and s0.aliasing == []
+        assert [row[0] for row in second.history] == [0, 1, 2]
+        assert second.history == first.history
+        assert len(second.aliasing) == 2
+        assert second.aliasing == first.aliasing
+        one = kam_step(s0, Ncut=4.0)
+        assert s0.aliasing == [] and len(one.aliasing) == 1
 
     def test_history_csv(self):
         res = run_remainder_kam(_initial_state(N=4, L=3), steps=2)
