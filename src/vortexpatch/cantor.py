@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +43,8 @@ from .spectrum import (
 
 __all__ = [
     "DiophantineSpec",
-    "SublevelResult",
     "ExcludedReport",
-    "russmann_bound",
-    "sublevel_measure",
     "excluded_measure",
-    "measure_curve",
     "merge_intervals",
     "excluded_to_csv",
     "excluded_summary_json",
@@ -86,21 +82,10 @@ class DiophantineSpec:
         if not 0.0 < self.upsilon <= 1.0:
             raise ValueError("upsilon must lie in (0, 1]")
 
-    def gamma_n(self, n: int) -> "DiophantineSpec":
-        """Step-n member gamma (1 + 2^-n) of the shrinking threshold schedule."""
-        return replace(self, gamma=self.gamma * (1.0 + 2.0 ** (-n)))
-
 
 # ---------------------------------------------------------------------------
 # sublevel sets of a scalar function
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SublevelResult:
-    measure: float
-    intervals: list
-    flags: list
-
 
 def _sublevel_runs(who, node, xs, h, tol):
     """Sublevel intervals of many functions from their inside nodes at once.
@@ -140,55 +125,20 @@ def _sublevel_runs(who, node, xs, h, tol):
     return w[keep], left[keep], right[keep]
 
 
-def sublevel_measure(f, alpha: float, a: float, b: float,
-                     grid: int = 2 ** 14, tol: float = 1e-12) -> SublevelResult:
-    """Measure of {x in [a, b] : |f(x)| <= alpha} by sign-change bisection.
+def _russmann(cnorm: float, beta: float, alpha: float, q0: int, a: float, b: float) -> float:
+    """Quantitative sublevel bound  C alpha^(1/q0) / beta^(1 + 1/q0)  on [a, b].
 
-    ``f`` must accept a numpy array.  The indicator h = |f| - alpha is sampled
-    on ``grid`` + 1 points; every sign change is refined to ``tol`` by
-    bisection.  Features narrower than the grid spacing cannot be detected;
-    nodes where h vanishes to within 1e-13 are flagged (tangency suspicion)
-    rather than silently resolved.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    xs = np.linspace(a, b, grid + 1)
-
-    def h(who, x):
-        return np.abs(np.asarray(f(x), dtype=float)) - alpha
-
-    hx = h(None, xs)
-    flags = ["tangency_suspect"] if np.any(np.abs(hx) < 1e-13) else []
-    node = np.flatnonzero(hx <= 0.0)
-    _, left, right = _sublevel_runs(np.zeros_like(node), node, xs, h, tol)
-    intervals = [(float(l), float(r)) for l, r in zip(left, right)]
-    measure = float(sum(r - l for l, r in intervals))
-    return SublevelResult(measure=measure, intervals=intervals, flags=flags)
-
-
-def russmann_bound(f_derivatives, alpha: float, q0: int, a: float, b: float) -> float:
-    """Quantitative sublevel bound  C alpha^(1/q0) / beta^(1 + 1/q0).
-
-    ``f_derivatives(xs, q)`` returns the q-th derivative on the array ``xs``,
-    the ``_SCREEN_GRID`` nodes of [a, b].  beta = min_x max_{q<=q0} |d^q f| on
-    those nodes is the transversality constant.  The constant is the constructive
+    ``cnorm`` = ||f||_{C^q0} and the transversality constant
+    beta = min_x max_{q<=q0} |d^q f| are taken on the ``_SCREEN_GRID`` nodes of
+    [a, b].  The constant is the constructive
 
         C = 2 (q0 + 1) (b - a + 1) (q0!)^(1/q0) (1 + ||f||_{C^q0})^(1 + 1/q0),
 
     obtained by splitting [a, b] into at most (q0 + 1) * (b - a + 1) * ||f||
     monotonicity cells of the first derivative that attains the lower bound
     beta, and applying the one-cell estimate |{|f| <= alpha}| <=
-    2 (q0! alpha / beta)^(1/q0) on each.
+    2 (q0! alpha / beta)^(1/q0) on each.  Infinite when beta = 0.
     """
-    xs = np.linspace(a, b, _SCREEN_GRID)
-    table = np.stack([np.abs(np.asarray(f_derivatives(xs, q), dtype=float))
-                      for q in range(q0 + 1)])
-    return _russmann(float(np.max(table)), float(np.min(np.max(table, axis=0))),
-                     alpha, q0, a, b)
-
-
-def _russmann(cnorm: float, beta: float, alpha: float, q0: int, a: float, b: float) -> float:
-    """The bound of ``russmann_bound`` from ||f||_{C^q0} and beta on the grid."""
     if beta <= 0:
         return math.inf
     C = (2.0 * (q0 + 1) * (b - a + 1.0) * math.factorial(q0) ** (1.0 / q0)
@@ -281,9 +231,9 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
        every fine node with |f| < threshold + 1e-13, so the kept tuples, their
        inside nodes and their tangency flags are those of the whole grid.
     3. Bisection of every bracket of every kept tuple in lockstep.
-    4. Russmann check of every interval length, from the derivative rows of all
-       tuples with intervals on the screen grid (the grid ``russmann_bound``
-       samples), built in its order of operations.
+    4. Russmann check (``_russmann``) of every interval length, from the
+       derivative rows of all tuples with intervals on the screen grid, built
+       in the order of operations of a per-tuple derivative call.
 
     The kind enters only through the tuples and thresholds it generates, its
     divisors' constant and mode indices (``_divisor``) and the tail bound.
@@ -473,8 +423,9 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
     tw = w[first]
     jtop = max([sys.sites[-1]] + [int(np.max(np.abs(k), initial=0))
                                   for k in _modes(spec.kind, J[tw], J0[tw])])
-    # max over q of |d^q f| per tuple, its rows built in russmann_bound's order
-    # of operations, ``step`` tuples at a time
+    # max over q of |d^q f| per tuple on the screen grid (its max and min are the
+    # ||f||_{C^q0} and beta of ``_russmann``), each row summed in the order of a
+    # per-tuple derivative call, ``step`` tuples at a time
     peak = np.zeros((len(tw), len(xs)))
     step = _BLOCK // len(xs)
     for q in range(q0 + 1):
@@ -511,25 +462,6 @@ def excluded_measure(sys: FrequencySystem, spec: DiophantineSpec) -> ExcludedRep
         flags=flags,
         profile=profile,
     )
-
-
-def measure_curve(sys: FrequencySystem, spec: DiophantineSpec, gammas) -> dict:
-    """Excluded measure as a function of gamma, with a fitted power law."""
-    measures = []
-    reports = []
-    for g in gammas:
-        rep = excluded_measure(sys, replace(spec, gamma=float(g)))
-        reports.append(rep)
-        measures.append(rep.total)
-    gs = np.asarray(list(gammas), dtype=float)
-    ms = np.asarray(measures)
-    mask = ms > 0
-    if np.count_nonzero(mask) >= 2:
-        slope = float(np.polyfit(np.log(gs[mask]), np.log(ms[mask]), 1)[0])
-    else:
-        slope = math.nan
-    return {"gammas": gs.tolist(), "measures": ms.tolist(),
-            "fitted_exponent": slope, "reports": reports}
 
 
 def excluded_to_csv(report: ExcludedReport) -> str:

@@ -44,6 +44,7 @@ from .dynamics import (
 )
 from .geometry import BoundaryContactError, DegeneratePatchError
 from .kam import (
+    _STRAIGHTENED,
     NonReducibleError,
     ReductionState,
     TransportProblem,
@@ -239,15 +240,23 @@ def _command(name: str, table: list):
         def run(config_path, output_dir, **flags):
             t0 = time.time()
             cfg = _load_config(config_path)
+            unknown = sorted(set(cfg) - {row[1] for row in table} - {"output_dir"})
+            if unknown:
+                raise click.ClickException(f"unknown config key(s) {', '.join(unknown)}")
             p = {}
             for flag, key, kind, default, _ in table:
                 value = _resolve(cfg, key, flags[key], default)
+                # click.INT would truncate 3.7 to 3 and read true as 1
+                if isinstance(kind, click.types.IntParamType) and isinstance(value, (bool, float)):
+                    raise click.ClickException(f"{key} must be an integer, got {value!r}")
                 p[key] = None if value is None else kind(value)
                 if isinstance(p[key], float) and not math.isfinite(p[key]):
                     raise click.ClickException(f"{flag} must be a finite number")
             outdir = _resolve(cfg, "output_dir", output_dir, None)
             if outdir is None:
                 outdir = os.environ.get(OUTPUT_DIR_ENV, ".")
+            if not isinstance(outdir, str):
+                raise click.ClickException(f"output_dir must be a string, got {outdir!r}")
             try:
                 os.makedirs(outdir, exist_ok=True)
             except OSError as exc:
@@ -402,16 +411,24 @@ def cantor(p, emit):
 
 @_command("kam-transport", KAM_TRANSPORT)
 def kam_transport(p, emit):
-    """Straighten omega . d_phi + (V0 + amp cos theta) d_theta."""
+    """Straighten omega . d_phi + (V0 + amp cos theta) d_theta.
+
+    The manifest's ``profile`` block holds the last ``delta_s0`` of the history
+    and ``converged``: whether it passed the stop test of the iteration,
+    delta_s0 <= ``kam._STRAIGHTENED``.  ``reducible`` only says that no step
+    cut more than half of the modes.
+    """
     th = theta_grid(p["grid"])
     f0 = PeriodicField(np.broadcast_to(p["amp"] * np.cos(th), (p["K"], p["grid"])).copy())
     prob = TransportProblem(golden_frequency(1), f0, V0=p["V0"], gamma=p["gamma"],
                             upsilon=p["upsilon"], tau1=p["tau1"])
     res = straighten_transport(prob, steps=p["steps"])
+    last = res.history[-1][1]
     emit({"kam_transport_history.csv": transport_history_csv(res),
           "kam_transport_result.json": {"V_infty": res.V_infty,
                                         "reducible": res.reducible,
-                                        "steps": len(res.history)}})
+                                        "steps": len(res.history)}},
+         {"converged": last <= _STRAIGHTENED, "delta_s0": last})
     click.echo(f"kam-transport: V_infty = {res.V_infty:.12f}, "
                f"reducible = {res.reducible}")
 

@@ -62,7 +62,6 @@ __all__ = [
     "stream_gradient",
     "EvolutionConfig",
     "Trajectory",
-    "step",
     "simulate",
     "quasi_periodic_seed",
     "extract_frequencies",
@@ -399,12 +398,6 @@ def _rk4_increment(rhs, r: np.ndarray, dt: float) -> np.ndarray:
     return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step(state: PatchState, dt: float) -> PatchState:
-    """One classical RK4 step of d_t r = -F_b[r], then 2/3 dealiasing."""
-    rn = state.r.values + _rk4_increment(functools.partial(_rhs, state.b), state.r.values, dt)
-    return PatchState(state.b, PeriodicField(dealias(rn)))
-
-
 def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
     """RK4 run of d_t r = -F_b[r], recording the state (with H and the H^s norm)
     at t = 0, every ``record_stride`` steps and at T; ``traj.profile`` counts RHS
@@ -446,11 +439,11 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
         prof["max_admissibility_ratio"] = max(prof["max_admissibility_ratio"], margin)
         prof["max_R"] = max(prof["max_R"], st.max_R)
 
-    # The loop takes step()'s RK4 increment with two refinements that only
-    # matter for long drift diagnostics: compensated (Kahan) accumulation of
-    # the state update, and no per-step re-projection — the right-hand side is
-    # already projected, so with band-limited initial data the post-step 2/3
-    # truncation is the identity and would only inject FFT round-trip noise.
+    # Each step adds the classical RK4 increment with compensated (Kahan)
+    # accumulation, which only matters for long drift diagnostics, and no
+    # post-step 2/3 truncation: the right-hand side is already projected, so
+    # with band-limited initial data that truncation is the identity and would
+    # only inject FFT round-trip noise.
     r = dealias(state.r.values)
     comp = np.zeros_like(r)
     current = PatchState(b, PeriodicField(r))

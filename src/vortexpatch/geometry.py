@@ -36,7 +36,6 @@ __all__ = [
     "DegeneratePatchError",
     "BoundaryContactError",
     "PatchState",
-    "kernel_B",
     "kernel_P",
     "smooth_factor_v1",
     "log_v1",
@@ -82,10 +81,6 @@ class PatchState:
     @property
     def M(self) -> int:
         return self.r.grid_sizes[0]
-
-    @property
-    def theta(self) -> np.ndarray:
-        return theta_grid(self.M)
 
     @functools.cached_property
     def dr(self) -> np.ndarray:
@@ -142,23 +137,6 @@ def _disc_tables(M: int, b: float):
     B0sq = 1.0 + b2 * b2 - 2.0 * b2 * pair_trig(M)[1]
     mult = np.stack([k1_multiplier_coeffs(M), k2_multiplier_coeffs(M, b)])[:, :, None]
     return _read_only(B0sq), _read_only(mult), np.log(2.0 * b)
-
-
-def _pair_grids(state: PatchState):
-    R = state.R
-    Rt = R[:, None]
-    Re = R[None, :]
-    delta = pair_trig(state.M)[0]
-    return Rt, Re, delta
-
-
-def kernel_B(state: PatchState) -> np.ndarray:
-    """B_r = |1 - R(theta) R(eta) e^{i(eta-theta)}| (smooth, bounded below)."""
-    state.require_inside_disc()
-    Rt, Re, _ = _pair_grids(state)
-    cs = pair_trig(state.M)[1]
-    prod = Rt * Re
-    return np.sqrt(prod * prod - 2.0 * prod * cs + 1.0)
 
 
 def kernel_P(state: PatchState) -> np.ndarray:

@@ -20,7 +20,6 @@ imaginary and odd in j; these invariants are asserted after every step.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "golden_frequency",
     "TransportProblem",
     "ChangeOfVariables",
-    "compose_with",
     "evaluate_shifted",
     "solve_transport_homological",
     "straighten_transport",
@@ -63,6 +61,8 @@ __all__ = [
 
 #: base N0 of the truncation schedule N_m = N0^{(3/2)^m} of both engines
 _N0 = 4.0
+#: straighten_transport stops once the remainder's delta_s0 is at most this
+_STRAIGHTENED = 1e-14
 
 
 class NonReducibleError(RuntimeError):
@@ -161,31 +161,6 @@ class ChangeOfVariables:
                              f"(last step {gap:.2g})")
         self.beta_hat = PeriodicField(bh)
 
-    def inverse_residual(self) -> float:
-        """sup |beta_hat + beta(phi, theta + beta_hat)|."""
-        return float(np.max(np.abs(
-            self.beta_hat.values + evaluate_shifted(self.beta, self.beta_hat.values))))
-
-    def oddness_deviation(self) -> float:
-        """sup |beta(-phi, -theta) + beta(phi, theta)|."""
-        v = self.beta.values
-        return float(np.max(np.abs(_reflected(v) + v)))
-
-
-def compose_with(f: PeriodicField, cov: ChangeOfVariables, weighted: bool = False,
-                 inverse: bool = False) -> PeriodicField:
-    """Composition operator of the change of variables.
-
-    weighted=False: (B f)(phi, theta) = f(phi, theta + beta).
-    weighted=True:  the measure-preserving version (1 + d_theta beta) B f,
-    whose inverse is the same formula built from beta_hat.
-    """
-    shift = cov.beta_hat if inverse else cov.beta
-    out = evaluate_shifted(f, shift.values)
-    if weighted:
-        out = (1.0 + spectral_derivative(shift.values)) * out
-    return PeriodicField(out)
-
 
 # ---------------------------------------------------------------------------
 # transport straightening
@@ -265,7 +240,7 @@ def straighten_transport(prob: TransportProblem, steps: int = 8) -> TransportRes
     applying the conjugated operator to the theta-linear probe:
     f_next = B^{-1}[(V + f)(1 + d_theta beta) + omega . d_phi beta] - V_next.
     The history holds the remainder's analytic norms at widths 0 and 0.1; the
-    iteration stops once the first is <= 1e-14.
+    iteration stops once the first is <= ``_STRAIGHTENED``.
     """
     if steps < 1:
         raise ValueError("straighten_transport needs steps >= 1")
@@ -279,7 +254,7 @@ def straighten_transport(prob: TransportProblem, steps: int = 8) -> TransportRes
         d0 = analytic_norm(f - mean_f, 0.0) + abs(mean_f)
         dh = analytic_norm(f - mean_f, 0.1) + abs(mean_f)
         history.append((m, d0, dh, 0.0, V))
-        if d0 <= 1e-14:
+        if d0 <= _STRAIGHTENED:
             break
         V_next = V + mean_f
         rhs = PeriodicField(mean_f - f.values)

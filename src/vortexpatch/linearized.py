@@ -31,14 +31,10 @@ from .spectral import (
     k2_multiplier_coeffs,
     theta_grid,
 )
-from .spectrum import omega
 
 __all__ = [
     "transport_coefficient",
-    "nonlocal_L",
-    "smoothing_S",
     "assemble",
-    "equilibrium_multiplier",
     "operator_spectrum",
     "matrix_to_csv",
     "spectrum_to_csv",
@@ -60,31 +56,6 @@ def transport_coefficient(state: PatchState) -> PeriodicField:
     V1 = -(c * log_A[:, 0] + s * log_A[:, 1]) / R
     V2 = -(c * log_B[:, 0] + s * log_B[:, 1]) / R ** 3
     return PeriodicField(V0 + V1 + V2)
-
-
-def nonlocal_L(state: PatchState, rho: PeriodicField) -> PeriodicField:
-    """L_r(rho)(theta) = int rho(eta) log A_r(theta, eta) deta.
-
-    The constant channel is log(b) * mean(rho): the K1 mean -log 2 combines
-    with the explicit log(2b) of the kernel split.
-    """
-    state.require_inside_disc()
-    return PeriodicField(log_kernel_integrals(state, rho.values[:, None])[0][:, 0])
-
-
-def smoothing_S(state: PatchState, rho: PeriodicField) -> PeriodicField:
-    """S_r(rho)(theta) = int rho(eta) log B_r(theta, eta) deta."""
-    state.require_inside_disc()
-    return PeriodicField(log_kernel_integrals(state, rho.values[:, None])[1][:, 0])
-
-
-def equilibrium_multiplier(b: float, j: int) -> complex:
-    """Multiplier of the equilibrium generator on e_j: -i Omega_j(b)."""
-    if j == 0:
-        raise ValueError("the mean channel is outside the phase space (j != 0)")
-    if not 0.0 < b < 1.0:
-        raise ValueError("b must lie in (0, 1)")
-    return complex(-1j * omega(b, j))
 
 
 def assemble(state: PatchState, N: int) -> LinearOperatorMatrix:

@@ -23,8 +23,6 @@ __all__ = [
     "LinearOperatorMatrix",
     "theta_grid",
     "sobolev_norm",
-    "antiderivative",
-    "symplectic_pairing",
     "offdiag_norm",
     "k1_multiplier_coeffs",
     "k2_multiplier_coeffs",
@@ -126,23 +124,10 @@ class PeriodicField:
         lsum = sum(mats[:-1]) if len(mats) > 1 else np.zeros(shape, dtype=int)
         return np.maximum(1, np.maximum(lsum, mats[-1]))
 
-    def __add__(self, other):
-        if isinstance(other, PeriodicField):
-            return PeriodicField(self.values + other.values)
-        return PeriodicField(self.values + other)
-
     def __sub__(self, other):
         if isinstance(other, PeriodicField):
             return PeriodicField(self.values - other.values)
         return PeriodicField(self.values - other)
-
-    def __mul__(self, c):
-        return PeriodicField(self.values * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PeriodicField(-self.values)
 
 
 def sobolev_norm(field: PeriodicField, s: float) -> float:
@@ -160,32 +145,6 @@ def spectral_derivative(values: np.ndarray, axis: int = -1) -> np.ndarray:
     hat = np.fft.fft(values, axis=axis) * (1j * k.reshape(shape))
     out = np.fft.ifft(hat, axis=axis)
     return out.real if np.isrealobj(values) else out
-
-
-def antiderivative(field: PeriodicField) -> PeriodicField:
-    """The zero-mean theta-antiderivative: coefficient rule c_j -> c_j/(ij)."""
-    if abs(field.mean()) > 1e-12:
-        raise ValueError("antiderivative requires a zero-mean field")
-    c = field.coeffs.copy()
-    j = _mode_numbers(field.grid_sizes[-1])
-    denom = 1j * j
-    denom[0] = 1.0  # mean channel removed below
-    shape = [1] * field.dims
-    shape[-1] = len(j)
-    c = c / denom.reshape(shape)
-    sl = [slice(None)] * field.dims
-    sl[-1] = 0
-    c[tuple(sl)] = 0.0
-    return PeriodicField.from_coeffs(c, real=field.is_real)
-
-
-def symplectic_pairing(r: PeriodicField, h: PeriodicField) -> float:
-    """W(r, h) = int_T (d_theta^{-1} r) h dtheta (normalized measure)."""
-    pr = antiderivative(r)
-    if abs(h.mean()) > 1e-12:
-        raise ValueError("symplectic pairing requires zero-mean fields")
-    val = np.mean(pr.values * h.values)
-    return float(np.real(val))
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +255,6 @@ class LinearOperatorMatrix:
 
     def reversible_deviation(self) -> float:
         return self._mirror_deviation(-1.0, conjugate=False)
-
-    def reversibility_preserving_deviation(self) -> float:
-        return self._mirror_deviation(1.0, conjugate=False)
 
     # -- algebra ----------------------------------------------------------
 

@@ -8,48 +8,68 @@ computes the same integrals from rank-2 / column-block factorizations; these
 functions are the independent path the tests compare against.
 
 The contour references keep the work the package skips: the RK4 right-hand
-side ``rhs`` with two spectral derivatives and two inverse FFTs, the energy
-kernels with their series evaluated over every entry, and the right-hand side
-with every (M, b)-only table rebuilt per call (``rhs_per_call`` and the
-``*_per_call`` kernels it is built from).
+side ``rhs`` with two spectral derivatives and two inverse FFTs, one RK4
+``step`` with the 2/3 dealiasing after it (``simulate`` takes the same
+increment without that projection), the energy kernels with their series
+evaluated over every entry, and the right-hand side with every (M, b)-only
+table rebuilt per call (``rhs_per_call`` and the ``*_per_call`` kernels it is
+built from, on the pair grids ``_pair_grids``).
 
 The operator references are the plain loop forms of the off-diagonal norm,
 the band product and its window projection, the band sum and the mirror by
 band lookup, the per-band remainder homological equation, the Neumann series
-of (Id + Psi)^{-1} in band space, and the shifted evaluation.
+of (Id + Psi)^{-1} in band space, and the shifted evaluation, plus the
+composition ``compose_with`` with a change of variables (plain or weighted,
+forward or inverse).
 
 The test-only helpers follow them: ``identity`` and the entry lookup
 ``entry`` of a truncation, the coefficient-space operator action
 ``apply_operator``, ``e_mode``, ``project``, ``convolve_multiplier``,
 ``from_multiplier``, ``diagonal_difference_quotient`` (2 d_theta f on the
-diagonal), the kernel table ``kernel_A`` and the frequency report
-``check_monotonicity``.
+diagonal), the kernel tables ``kernel_A`` and ``kernel_B`` and the frequency
+report ``check_monotonicity``.
 
-The Cantor references at the end are the node-by-node sublevel loop with its
-scalar bisection, the per-tuple excluded-measure pipeline built on it (a
-closure per tuple, a full-grid filter over an Omega table of every index),
-and two helpers only the tests use: ``intervals_nested`` and
+The Cantor references at the end are the one-function forms of the package's
+runs engine and Russmann bound (``sublevel_measure`` with its
+``SublevelResult``, and ``russmann_bound``), the node-by-node sublevel loop
+with its scalar bisection, the per-tuple excluded-measure pipeline built on
+it (a closure per tuple, a full-grid filter over an Omega table of every
+index), ``measure_curve`` (the excluded measure per gamma with a fitted power
+law), and two helpers only the tests use: ``intervals_nested`` and
 ``linear_cantor_measure``.
 """
 
+import functools
+import math
+from dataclasses import dataclass, replace
+
 import numpy as np
 
+from vortexpatch import kam
 from vortexpatch.cantor import (
     _FINE_GRID,
     _SCREEN_GRID,
     DiophantineSpec,
     ExcludedReport,
-    SublevelResult,
+    _russmann,
+    _sublevel_runs,
     _tail_bound,
     excluded_measure,
     merge_intervals,
-    russmann_bound,
 )
-from vortexpatch.dynamics import _NEAR_ONE, _SA, _SB, _T3, _alias_tail_sum, dealias
+from vortexpatch.dynamics import (
+    _NEAR_ONE,
+    _SA,
+    _SB,
+    _T3,
+    _alias_tail_sum,
+    _rhs,
+    _rk4_increment,
+    dealias,
+)
 from vortexpatch.geometry import (
     PatchState,
     _difference_quotient,
-    _pair_grids,
     eta_factors,
     log_one_plus_P_half,
     log_v1,
@@ -102,6 +122,12 @@ def log_B_integral(state, table):
         shifted_kernel_integral(table, k2_multiplier_coeffs(state.M, state.b))
         + (log_one_plus_P_half(state) * table).mean(axis=1)
     )
+
+
+def _pair_grids(state):
+    """(R(theta) as a column, R(eta) as a row, delta = eta - theta)."""
+    R = state.R
+    return R[:, None], R[None, :], pair_trig(state.M)[0]
 
 
 def _pairwise(state):
@@ -177,10 +203,16 @@ def rhs(b, values):
     log_A = K1C + np.log(2.0 * b) * pq.mean(axis=0) + (lv @ pq) / M
     log_B = K2C + (lp @ pq) / M
     p, q = pq.T
-    c, s = np.cos(state.theta), np.sin(state.theta)
+    c, s = np.cos(theta_grid(M)), np.sin(theta_grid(M))
     F1 = -q * log_A[:, 0] + p * log_A[:, 1]
     F2 = (-(R * s + dR * c) * log_B[:, 0] + (R * c - dR * s) * log_B[:, 1]) / R ** 2
     return -dealias(-F0 - F1 + F2)
+
+
+def step(state, dt):
+    """One classical RK4 step of d_t r = -F_b[r], then 2/3 dealiasing."""
+    rn = state.r.values + _rk4_increment(functools.partial(_rhs, state.b), state.r.values, dt)
+    return PatchState(state.b, PeriodicField(dealias(rn)))
 
 
 # -- the energy kernels with the series over every entry -----------------
@@ -337,7 +369,7 @@ def log_tables_per_call(state):
 
 
 def eta_factors_per_call(state, dR):
-    th = state.theta
+    th = theta_grid(state.M)
     c, s = np.cos(th), np.sin(th)
     R = state.R
     return np.column_stack([dR * s + R * c, R * s - dR * c])
@@ -365,7 +397,7 @@ def velocity_functional_per_call(state):
     pq = eta_factors_per_call(state, dR)
     log_A, log_B = log_kernel_integrals_per_call(state, pq)
     p, q = pq.T
-    th = state.theta
+    th = theta_grid(state.M)
     c, s = np.cos(th), np.sin(th)
     F1 = -q * log_A[:, 0] + p * log_A[:, 1]
     F2 = (-(R * s + dR * c) * log_B[:, 0] + (R * c - dR * s) * log_B[:, 1]) / R ** 2
@@ -518,6 +550,20 @@ def evaluate_shifted(f, shift):
     return out.real if np.isrealobj(vals) else out
 
 
+def compose_with(f, cov, weighted=False, inverse=False):
+    """Composition operator of the change of variables ``cov``.
+
+    weighted=False: (B f)(phi, theta) = f(phi, theta + beta).
+    weighted=True:  the measure-preserving version (1 + d_theta beta) B f,
+    whose inverse is the same formula built from beta_hat.
+    """
+    shift = cov.beta_hat if inverse else cov.beta
+    out = kam.evaluate_shifted(f, shift.values)
+    if weighted:
+        out = (1.0 + spectral_derivative(shift.values)) * out
+    return PeriodicField(out)
+
+
 def identity(N: int) -> LinearOperatorMatrix:
     return LinearOperatorMatrix(N, np.eye(2 * N, dtype=complex))
 
@@ -623,6 +669,15 @@ def kernel_A(state):
     return vals
 
 
+def kernel_B(state):
+    """B_r = |1 - R(theta) R(eta) e^{i(eta-theta)}| (smooth, bounded below)."""
+    state.require_inside_disc()
+    Rt, Re, _ = _pair_grids(state)
+    cs = pair_trig(state.M)[1]
+    prod = Rt * Re
+    return np.sqrt(prod * prod - 2.0 * prod * cs + 1.0)
+
+
 def check_monotonicity(b: float, Jmax: int = 50, b0: float = 0.1, b1: float = 0.9,
                        grid: int = 200) -> dict:
     """Monotonicity and lower-bound report for the frequency family.
@@ -662,6 +717,51 @@ def check_monotonicity(b: float, Jmax: int = 50, b0: float = 0.1, b1: float = 0.
         "pair_bound_ok": bool(pair_margin >= 0.0),
         "pair_bound_margin": float(pair_margin),
     }
+
+
+@dataclass
+class SublevelResult:
+    measure: float
+    intervals: list
+    flags: list
+
+
+def sublevel_measure(f, alpha, a, b, grid=2 ** 14, tol=1e-12):
+    """Measure of {x in [a, b] : |f(x)| <= alpha} from the package's runs engine
+    ``_sublevel_runs`` applied to one function.
+
+    ``f`` must accept a numpy array.  The indicator h = |f| - alpha is sampled
+    on ``grid`` + 1 points; every sign change is refined to ``tol`` by
+    bisection.  Nodes where h vanishes to within 1e-13 are flagged.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    xs = np.linspace(a, b, grid + 1)
+
+    def h(who, x):
+        return np.abs(np.asarray(f(x), dtype=float)) - alpha
+
+    hx = h(None, xs)
+    flags = ["tangency_suspect"] if np.any(np.abs(hx) < 1e-13) else []
+    node = np.flatnonzero(hx <= 0.0)
+    _, left, right = _sublevel_runs(np.zeros_like(node), node, xs, h, tol)
+    intervals = [(float(l), float(r)) for l, r in zip(left, right)]
+    return SublevelResult(measure=float(sum(r - l for l, r in intervals)),
+                          intervals=intervals, flags=flags)
+
+
+def russmann_bound(f_derivatives, alpha, q0, a, b):
+    """The package's Russmann bound ``_russmann`` of one function on [a, b].
+
+    ``f_derivatives(xs, q)`` returns the q-th derivative on the ``_SCREEN_GRID``
+    nodes xs of [a, b]; ||f||_{C^q0} is the largest |d^q f| on them and beta the
+    smallest over x of the largest over q.
+    """
+    xs = np.linspace(a, b, _SCREEN_GRID)
+    table = np.stack([np.abs(np.asarray(f_derivatives(xs, q), dtype=float))
+                      for q in range(q0 + 1)])
+    return _russmann(float(np.max(table)), float(np.min(np.max(table, axis=0))),
+                     alpha, q0, a, b)
 
 
 def _bisect_root(h, lo, hi, tol=1e-12):
@@ -902,3 +1002,17 @@ def linear_cantor_measure(sys: FrequencySystem, gamma: float, tau: float,
                            Lmax=Lmax, kind="first-order-Melnikov")
     rep = excluded_measure(sys, spec)
     return (sys.b1 - sys.b0) - rep.total
+
+
+def measure_curve(sys, spec, gammas):
+    """Excluded measure as a function of gamma, with a fitted power law."""
+    reports = [excluded_measure(sys, replace(spec, gamma=float(g))) for g in gammas]
+    gs = np.asarray(list(gammas), dtype=float)
+    ms = np.array([rep.total for rep in reports])
+    mask = ms > 0
+    if np.count_nonzero(mask) >= 2:
+        slope = float(np.polyfit(np.log(gs[mask]), np.log(ms[mask]), 1)[0])
+    else:
+        slope = math.nan
+    return {"gammas": gs.tolist(), "measures": ms.tolist(),
+            "fitted_exponent": slope, "reports": reports}

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from vortexpatch.cantor import DiophantineSpec, excluded_measure, measure_curve
+from dense_reference import kernel_B, measure_curve
+from vortexpatch.cantor import DiophantineSpec, excluded_measure
 from vortexpatch.cli import main as cli_main
 from vortexpatch.dynamics import (
     EvolutionConfig,
@@ -20,7 +21,7 @@ from vortexpatch.dynamics import (
     simulate,
     velocity_functional,
 )
-from vortexpatch.geometry import PatchState, kernel_B, smooth_factor_v1
+from vortexpatch.geometry import PatchState, smooth_factor_v1
 from vortexpatch.kam import (
     ReductionState,
     TransportProblem,

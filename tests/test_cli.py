@@ -183,6 +183,20 @@ class TestKamCommands:
         csv = (tmp_path / "kam_transport_history.csv").read_text()
         assert csv.splitlines()[0] == "m,delta_s0,delta_sh,cut_fraction,V_m"
 
+    @pytest.mark.parametrize("args,converged", [
+        (["--steps", "2"], False),
+        ([], True),
+    ], ids=["two-steps", "readme-run"])
+    def test_transport_manifest_reports_convergence(self, tmp_path, args, converged):
+        code = run_cli(["kam-transport", "--amp", "0.1", *args, "--output-dir", str(tmp_path)])
+        assert code == 0
+        profile = _read_json(tmp_path, "kam-transport_manifest.json")["profile"]
+        last = float((tmp_path / "kam_transport_history.csv").read_text()
+                     .splitlines()[-1].split(",")[1])
+        assert profile == {"converged": converged, "delta_s0": last}
+        assert (last <= 1e-14) == converged
+        assert _read_json(tmp_path, "kam_transport_result.json")["reducible"]
+
     def test_remainder_requires_seed(self, tmp_path):
         code = run_cli(["kam-remainder", "--output-dir", str(tmp_path)])
         assert code == 1
@@ -280,6 +294,17 @@ class _WorkStarted(Exception):
 class TestValidateBeforeWork:
     """Bad input exits 1 before any computation or file write."""
 
+    @staticmethod
+    def _forbid_work(monkeypatch):
+        from vortexpatch import cli
+
+        def work(*args, **kwargs):  # a run that gets this far checked its input too late
+            raise _WorkStarted
+
+        for name in ("run_simulation", "assemble", "transversality_scan", "excluded_measure",
+                     "straighten_transport", "synthetic_reversible_remainder", "omega"):
+            monkeypatch.setattr(cli, name, work)
+
     @pytest.mark.parametrize("args", [
         ["cantor", "--lmax", "2", "--curve", "1e-2,abc"],
         ["cantor", "--lmax", "2", "--curve", "1e-2,2.0"],
@@ -325,17 +350,27 @@ class TestValidateBeforeWork:
             "remainder-tau2-negative", "seed-mode-above-grid-third", "simulate-seed-on-circle",
             "linearize-seed-on-circle"])
     def test_exit_1_and_nothing_written(self, tmp_path, monkeypatch, args):
-        from vortexpatch import cli
-
-        def work(*args, **kwargs):  # a run that gets this far checked its input too late
-            raise _WorkStarted
-
-        for name in ("run_simulation", "assemble", "transversality_scan", "excluded_measure",
-                     "straighten_transport", "synthetic_reversible_remainder"):
-            monkeypatch.setattr(cli, name, work)
+        self._forbid_work(monkeypatch)
         d = tmp_path / "out"
         d.mkdir()
         assert run_cli(args + ["--output-dir", str(d)]) == 1
+        assert list(d.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd,config", [
+        ("cantor", {"gama": 0.5, "lmax": 3}),
+        ("cantor", {"lmax": 3.7}),
+        ("spectrum", {"jmax": True}),
+        ("spectrum", {"output_dir": 5}),
+    ], ids=["unknown-key", "integer-key-fractional", "integer-key-boolean",
+            "output-dir-not-a-string"])
+    def test_config_exit_1_and_nothing_written(self, tmp_path, monkeypatch, cmd, config):
+        self._forbid_work(monkeypatch)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        d = tmp_path / "out"
+        d.mkdir()
+        monkeypatch.chdir(d)  # where a run without an output directory writes
+        assert run_cli([cmd, "--config", str(cfg)]) == 1
         assert list(d.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["", "a_file"], ids=["empty", "existing-file"])

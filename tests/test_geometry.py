@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-from dense_reference import diagonal_difference_quotient, kernel_A
+from dense_reference import diagonal_difference_quotient, kernel_A, kernel_B
 
 from vortexpatch.geometry import (
     BoundaryContactError,
     DegeneratePatchError,
     PatchState,
-    kernel_B,
     kernel_P,
     log_one_plus_P_half,
     log_v1,
@@ -56,7 +55,7 @@ class TestPatchState:
 
     def test_dR_spectral(self):
         st = make_state(amp=1e-3, mode=3)
-        th = st.theta
+        th = theta_grid(st.M)
         # R' = r'/R with r = a cos(3 theta)
         expected = -3e-3 * np.sin(3 * th) / st.R
         assert np.max(np.abs(st.dR - expected)) < 1e-12
@@ -67,7 +66,7 @@ class TestKernelA:
         for b in (0.25, 0.5, 0.75):
             st = PatchState(b, PeriodicField(np.zeros(64)))
             A = kernel_A(st)
-            th = st.theta
+            th = theta_grid(st.M)
             ref = 2.0 * b * np.abs(np.sin(0.5 * (th[None, :] - th[:, None])))
             assert np.max(np.abs(A - ref)) < 1e-14
 
@@ -77,7 +76,7 @@ class TestKernelA:
 
     def test_direct_complex_modulus_oracle(self):
         st = make_state(amp=1e-3, mode=2)
-        th = st.theta
+        th = theta_grid(st.M)
         z = st.R * np.exp(1j * th)
         ref = np.abs(z[:, None] - z[None, :])
         A = kernel_A(st)
@@ -96,7 +95,7 @@ class TestSmoothFactorV1:
 
     def test_offdiagonal_identity(self):
         st = random_small_state()
-        th = st.theta
+        th = theta_grid(st.M)
         A = kernel_A(st)
         v = smooth_factor_v1(st)
         sin_half = np.abs(np.sin(0.5 * (th[None, :] - th[:, None])))
@@ -114,7 +113,7 @@ class TestSmoothFactorV1:
     def test_diagonal_richardson_limit(self):
         # one-sided limit of A/(2b|sin|) as eta -> theta, Richardson-extrapolated
         st = make_state(amp=2e-3, mode=3, M=64)
-        b, th = st.b, st.theta
+        b, th = st.b, theta_grid(st.M)
         i = 5
         theta_i = th[i]
 
@@ -162,7 +161,7 @@ class TestKernelB:
         for b in (0.25, 0.5, 0.75):
             st = PatchState(b, PeriodicField(np.zeros(64)))
             B = kernel_B(st)
-            th = st.theta
+            th = theta_grid(st.M)
             ref = np.abs(1.0 - b * b * np.exp(1j * (th[None, :] - th[:, None])))
             assert np.max(np.abs(B - ref)) < 1e-14
 
@@ -173,7 +172,7 @@ class TestKernelB:
 
     def test_direct_oracle(self):
         st = make_state(amp=1e-3, mode=2)
-        th = st.theta
+        th = theta_grid(st.M)
         ref = np.abs(1.0 - st.R[:, None] * st.R[None, :] * np.exp(1j * (th[None, :] - th[:, None])))
         B = kernel_B(st)
         assert np.max(np.abs(B - ref)) < 1e-14
@@ -223,7 +222,7 @@ class TestKernelInvariants:
     def test_log_A_decomposition(self):
         # log A_r = log(2b) + K1(eta-theta) + log v1 off-diagonal
         st = random_small_state()
-        th = st.theta
+        th = theta_grid(st.M)
         A = kernel_A(st)
         lv = log_v1(st)
         u = th[None, :] - th[:, None]
@@ -237,7 +236,7 @@ class TestKernelInvariants:
     def test_log_B_decomposition(self):
         # log B_r = K2(eta-theta) + (1/2) log(1+P_r)
         st = random_small_state()
-        th = st.theta
+        th = theta_grid(st.M)
         B = kernel_B(st)
         u = th[None, :] - th[:, None]
         K2 = np.log(np.abs(1.0 - st.b ** 2 * np.exp(1j * u)))

@@ -2,27 +2,21 @@
 
 import numpy as np
 import pytest
-from dense_reference import apply_operator, e_mode, entry
+from dense_reference import apply_operator, e_mode, entry, kernel_B
 from scipy import integrate
 
-from vortexpatch.geometry import PatchState, kernel_B, smooth_factor_v1
+from vortexpatch.geometry import PatchState, log_kernel_integrals, smooth_factor_v1
 from vortexpatch.linearized import (
     assemble,
-    equilibrium_multiplier,
     matrix_to_csv,
-    nonlocal_L,
     operator_spectrum,
-    smoothing_S,
     spectrum_to_csv,
     transport_coefficient,
 )
 from vortexpatch.spectral import PeriodicField, spectral_derivative, theta_grid
+from vortexpatch.spectrum import omega
 
 RNG = np.random.default_rng(41)
-
-
-def omega_eq(b, j):
-    return np.sign(j) * 0.5 * (abs(j) - 1 + b ** (2 * abs(j)))
 
 
 def cos_state(b=0.5, amp=1e-3, mode=2, M=64):
@@ -64,21 +58,30 @@ class TestTransportCoefficient:
 
 
 # ---------------------------------------------------------------------------
-# nonlocal operators
+# nonlocal operators: L_r rho and S_r rho are the log A_r and log B_r columns
+# of geometry.log_kernel_integrals, the integrals that assemble() runs
 # ---------------------------------------------------------------------------
+
+def L(state, rho):
+    return log_kernel_integrals(state, rho[:, None])[0][:, 0]
+
+
+def S(state, rho):
+    return log_kernel_integrals(state, rho[:, None])[1][:, 0]
+
 
 class TestNonlocalL:
     def test_equilibrium_modes(self):
         st = zero_state(0.5)
         th = theta_grid(64)
         for j in (1, 2, 7):
-            out = nonlocal_L(st, PeriodicField(np.cos(j * th))).values
+            out = L(st, np.cos(j * th))
             assert np.max(np.abs(out + np.cos(j * th) / (2 * j))) < 1e-13
 
     def test_constant_channel(self):
         # the K1 mean (-log 2) and the explicit log(2b) combine to log b
         for b in (0.25, 0.5, 0.75):
-            out = nonlocal_L(zero_state(b), PeriodicField(np.ones(64))).values
+            out = L(zero_state(b), np.ones(64))
             assert np.max(np.abs(out - np.log(b))) < 1e-13
 
     def test_self_adjointness(self):
@@ -89,8 +92,8 @@ class TestNonlocalL:
         for _ in range(5):
             r1 = sum(rng.standard_normal() * np.cos(j * th + rng.uniform(0, 7)) for j in range(1, 5))
             r2 = sum(rng.standard_normal() * np.cos(j * th + rng.uniform(0, 7)) for j in range(1, 5))
-            lhs = np.mean(nonlocal_L(st, PeriodicField(r1)).values * r2)
-            rhs = np.mean(r1 * nonlocal_L(st, PeriodicField(r2)).values)
+            lhs = np.mean(L(st, r1) * r2)
+            rhs = np.mean(r1 * L(st, r2))
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -100,13 +103,13 @@ class TestSmoothingS:
         st = zero_state(b)
         th = theta_grid(64)
         for j in (1, 2, 5):
-            out = smoothing_S(st, PeriodicField(np.cos(j * th))).values
+            out = S(st, np.cos(j * th))
             expected = -b ** (2 * j) * np.cos(j * th) / (2 * j)
             assert np.max(np.abs(out - expected)) < 1e-14
 
     def test_constant_channel_zero(self):
         # the K2 kernel has zero mean
-        out = smoothing_S(zero_state(0.5), PeriodicField(np.ones(64))).values
+        out = S(zero_state(0.5), np.ones(64))
         assert np.max(np.abs(out)) < 1e-14
 
     def test_smoothing_decay(self):
@@ -115,8 +118,8 @@ class TestSmoothingS:
         for st in (zero_state(b), cos_state(b=b, amp=2e-3)):
             norms = []
             for j in (1, 2, 4, 8):
-                out = smoothing_S(st, PeriodicField(np.cos(j * th_64())))
-                norms.append(np.max(np.abs(out.values)))
+                out = S(st, np.cos(j * th_64()))
+                norms.append(np.max(np.abs(out)))
             bound = [2.0 * b ** (2 * j) / (2 * j) for j in (1, 2, 4, 8)]
             assert all(n <= bd for n, bd in zip(norms, bound))
 
@@ -164,28 +167,6 @@ class TestMultiplierIdentities:
 
 
 # ---------------------------------------------------------------------------
-# equilibrium multiplier
-# ---------------------------------------------------------------------------
-
-class TestEquilibriumMultiplier:
-    def test_values(self):
-        assert equilibrium_multiplier(0.5, 1) == pytest.approx(-0.125j)
-        assert equilibrium_multiplier(0.5, 2) == pytest.approx(-0.53125j)
-
-    def test_odd_symmetry(self):
-        for j in (1, 2, 5):
-            assert equilibrium_multiplier(0.5, -j) == pytest.approx(
-                -equilibrium_multiplier(0.5, j)
-            )
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            equilibrium_multiplier(0.5, 0)
-        with pytest.raises(ValueError):
-            equilibrium_multiplier(1.5, 2)
-
-
-# ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
 
@@ -195,7 +176,7 @@ class TestAssemble:
         G = assemble(zero_state(b), 16, )
         E = G.entries[0]
         for a, j in enumerate(G.jmodes):
-            assert abs(E[a, a] - equilibrium_multiplier(b, int(j))) < 1e-12
+            assert abs(E[a, a] + 1j * omega(b, int(j))) < 1e-12
         off = E - np.diag(np.diag(E))
         assert np.max(np.abs(off)) <= 1e-9
 
@@ -218,7 +199,7 @@ class TestAssemble:
         for eps in (1e-3, 1e-4):
             G = assemble(cos_state(b=b, amp=eps, M=128), N)
             vals = np.linalg.eigvals(G.entries[0])
-            target = [equilibrium_multiplier(b, int(j)) for j in G.jmodes]
+            target = [-1j * omega(b, int(j)) for j in G.jmodes]
             dists[eps] = max(np.min(np.abs(vals - t)) for t in target)
         assert dists[1e-3] <= 0.5 * 1e-3
         assert dists[1e-4] <= 0.5 * 1e-4
@@ -288,7 +269,7 @@ class TestExport:
         j, j0, re, im = lines[1].split(",")
         assert (int(j), int(j0)) == (-2, -2)
         assert complex(float(re), float(im)) == pytest.approx(
-            equilibrium_multiplier(0.5, -2), abs=1e-12
+            -1j * omega(0.5, -2), abs=1e-12
         )
 
     def test_spectrum_csv(self):
@@ -298,7 +279,7 @@ class TestExport:
         rows = {int(l.split(",")[0]): complex(float(l.split(",")[1]), float(l.split(",")[2]))
                 for l in lines[1:]}
         for j in (-4, -1, 2, 3):
-            assert rows[j] == pytest.approx(equilibrium_multiplier(0.5, j), abs=1e-10)
+            assert rows[j] == pytest.approx(-1j * omega(0.5, j), abs=1e-10)
 
     def test_operator_spectrum_labels(self):
         spec = operator_spectrum(assemble(cos_state(amp=1e-4), 6))

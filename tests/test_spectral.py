@@ -1,4 +1,4 @@
-"""Fourier core: fields, projectors, norms, pairings, operator matrices."""
+"""Fourier core: fields, projectors, norms, operator matrices."""
 
 import numpy as np
 import pytest
@@ -24,13 +24,10 @@ from vortexpatch.spectral import (
     _mirror_project,
     _mirrored,
     _mode_numbers,
-    antiderivative,
     k1_multiplier_coeffs,
     k2_multiplier_coeffs,
     offdiag_norm,
     sobolev_norm,
-    spectral_derivative,
-    symplectic_pairing,
     theta_grid,
 )
 
@@ -144,63 +141,6 @@ class TestSobolevNorm:
                 lhs = sobolev_norm(f, s3)
                 rhs = sobolev_norm(f, s1) ** th * sobolev_norm(f, s2) ** (1 - th)
                 assert lhs <= rhs * (1.0 + 1e-10)
-
-
-# ---------------------------------------------------------------------------
-# antiderivative / symplectic pairing
-# ---------------------------------------------------------------------------
-
-class TestAntiderivative:
-    def test_sin_rule(self):
-        th = theta_grid(64)
-        for j in (1, 2, 5):
-            f = PeriodicField(np.sin(j * th))
-            g = antiderivative(f)
-            assert np.max(np.abs(g.values + np.cos(j * th) / j)) < 1e-13
-
-    def test_cos_rule(self):
-        th = theta_grid(64)
-        g = antiderivative(PeriodicField(np.cos(th)))
-        assert np.max(np.abs(g.values - np.sin(th))) < 1e-13
-
-    def test_inverse_pair(self):
-        f = random_field(64, zero_mean=True)
-        g = antiderivative(f)
-        back = spectral_derivative(g.values)
-        assert np.max(np.abs(back - f.values)) < 1e-13 * max(1.0, np.max(np.abs(f.values)))
-        assert abs(g.values.mean()) < 1e-14
-
-    def test_nonzero_mean_rejected(self):
-        with pytest.raises(ValueError):
-            antiderivative(PeriodicField(np.ones(64)))
-
-
-class TestSymplecticPairing:
-    def test_self_pairing_zero(self):
-        f = random_field(64, zero_mean=True)
-        assert abs(symplectic_pairing(f, f)) < 1e-13
-
-    def test_cos_sin_value(self):
-        # W(cos j theta, sin j theta) = +1/(2j): the antiderivative of cos is
-        # sin(j theta)/j and the normalized mean of sin^2 is 1/2.
-        th = theta_grid(64)
-        for j in (1, 2, 4):
-            val = symplectic_pairing(
-                PeriodicField(np.cos(j * th)), PeriodicField(np.sin(j * th))
-            )
-            assert abs(val - 1.0 / (2 * j)) < 1e-13
-
-    def test_antisymmetry(self):
-        for seed in range(5):
-            rng = np.random.default_rng(seed + 11)
-            f = random_field(64, rng=rng, zero_mean=True)
-            g = random_field(64, rng=rng, zero_mean=True)
-            assert abs(symplectic_pairing(f, g) + symplectic_pairing(g, f)) < 1e-12
-
-    def test_nonzero_mean_rejected(self):
-        f = random_field(64, zero_mean=True)
-        with pytest.raises(ValueError):
-            symplectic_pairing(f, PeriodicField(np.ones(64)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +438,8 @@ class TestReversibilityStructure:
         tol = 1e-10
         assert real_op.real_deviation() <= tol < rev_op.real_deviation()
         assert rev_op.reversible_deviation() <= tol < pres_op.reversible_deviation()
-        assert (pres_op.reversibility_preserving_deviation() <= tol
-                < rev_op.reversibility_preserving_deviation())
+        assert (pres_op._mirror_deviation(1.0, conjugate=False) <= tol
+                < rev_op._mirror_deviation(1.0, conjugate=False))
 
     def test_reversible_matches_action_test(self):
         # T reversible <=> T o S = -S o T on random fields, (S rho)(theta) = rho(-theta)
