@@ -207,6 +207,17 @@ def _resolve(cfg: dict, key: str, flag, default):
     return flag if flag is not None else cfg.get(key, default)
 
 
+def _convert(flag: str, key: str, kind, value):
+    """``value`` converted by ``kind``; raises on bad input or a non-finite float."""
+    # click.INT would truncate 3.7 to 3 and read true as 1
+    if isinstance(kind, click.types.IntParamType) and isinstance(value, (bool, float)):
+        raise click.ClickException(f"{key} must be an integer, got {value!r}")
+    value = None if value is None else kind(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise click.ClickException(f"{flag} must be a finite number")
+    return value
+
+
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -245,18 +256,15 @@ def _command(name: str, table: list):
                 raise click.ClickException(f"unknown config key(s) {', '.join(unknown)}")
             p = {}
             for flag, key, kind, default, _ in table:
-                value = _resolve(cfg, key, flags[key], default)
-                # click.INT would truncate 3.7 to 3 and read true as 1
-                if isinstance(kind, click.types.IntParamType) and isinstance(value, (bool, float)):
-                    raise click.ClickException(f"{key} must be an integer, got {value!r}")
-                p[key] = None if value is None else kind(value)
-                if isinstance(p[key], float) and not math.isfinite(p[key]):
-                    raise click.ClickException(f"{flag} must be a finite number")
+                if key in cfg:  # checked also where a flag overrides it
+                    _convert(flag, key, kind, cfg[key])
+                p[key] = _convert(flag, key, kind, _resolve(cfg, key, flags[key], default))
+            if not isinstance(cfg.get("output_dir", ""), (str, type(None))):
+                raise click.ClickException(
+                    f"output_dir must be a string, got {cfg['output_dir']!r}")
             outdir = _resolve(cfg, "output_dir", output_dir, None)
             if outdir is None:
                 outdir = os.environ.get(OUTPUT_DIR_ENV, ".")
-            if not isinstance(outdir, str):
-                raise click.ClickException(f"output_dir must be a string, got {outdir!r}")
             try:
                 os.makedirs(outdir, exist_ok=True)
             except OSError as exc:
@@ -335,7 +343,13 @@ def linearize_cmd(p, emit):
 
 @_command("spectrum", SPECTRUM)
 def spectrum(p, emit):
-    """Equilibrium frequency table; optional transversality scan."""
+    """Equilibrium frequency table; optional transversality scan.
+
+    With --scan, the manifest's ``profile`` block is the unperturbed scan's
+    profile: the seconds of the coarse and fine passes, the tuples, the order
+    evaluations of each pass, the tuples dropped after each order, the
+    candidates and the (tuple, cell) pairs rescored.
+    """
     perturbed = p["eps_hat"] is not None
     if perturbed and not p["scan"]:
         raise click.ClickException("--eps-hat needs --scan")
@@ -347,11 +361,12 @@ def spectrum(p, emit):
     table = [(j, float(omega(b, j))) for j in range(1, p["jmax"] + 1)]
     for j, val in table:
         click.echo(f"Omega_{j}({b}) = {val:.17g}")
-    artifacts = {"spectrum_omega.csv": _csv("j,omega", table)}
+    artifacts, profile = {"spectrum_omega.csv": _csv("j,omega", table)}, None
     if sysf is not None:
         rep = transversality_scan(sysf, Lmax=p["lmax"], grid_size=p["grid"])
         artifacts["spectrum_scan.json"] = scan_report_json(rep)
         artifacts["spectrum_scan.csv"] = scan_report_csv(rep)
+        profile = rep.profile
         click.echo(f"transversality: rho0_hat = {rep.rho0_hat:.6g} "
                    f"(case {rep.case})")
         if perturbed:
@@ -361,7 +376,7 @@ def spectrum(p, emit):
             artifacts["spectrum_scan_perturbed.json"] = out
             click.echo(f"perturbed: rho0_hat = {out['rho0_hat_perturbed']:.6g}, "
                        f"retains_half = {out['retains_half']}")
-    emit(artifacts)
+    emit(artifacts, profile)
 
 
 def _curve_point(item):

@@ -231,7 +231,8 @@ class LinearOperatorMatrix:
             bands = bands[:, None]
         if bands.shape[0] != entries.shape[0]:
             raise ValueError("band list does not match entry blocks")
-        if not (np.array_equal(np.unique(bands, axis=0), bands)
+        rows = list(map(tuple, bands.tolist()))  # np.unique would import numpy.ma
+        if not (all(x < y for x, y in zip(rows, rows[1:]))
                 and np.array_equal(bands[::-1], -bands)):
             raise ValueError("bands must be sorted, unique and closed under l -> -l")
         self.bands = bands

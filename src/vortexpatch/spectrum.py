@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -148,8 +149,9 @@ class ScanReport:
     rho0_hat: float
     case: str
     witness: dict
-    per_case: dict = field(default_factory=dict)
-    per_l: list = field(default_factory=list)
+    per_case: dict
+    per_l: list
+    profile: dict
 
 
 _COARSE_POINTS = 64  # coarse knots: the per-l scores and the cells of the bound
@@ -161,8 +163,11 @@ _PERTURBED_SAMPLES = 2  # random offsets of the perturbed scan, besides the alig
 def _derivative_table(Jmax: int, bs: np.ndarray, qs) -> np.ndarray:
     """D[i, j, g] = d^q Omega_j (b_g) for 0 < j <= Jmax and the i-th order q of ``qs``;
     row j = 0 is zero (no mode)."""
-    return np.array([[omega_derivative(bs, j, q) if j else np.zeros_like(bs)
-                      for j in range(Jmax + 1)] for q in qs])
+    T = np.zeros((len(qs), Jmax + 1, len(bs)))
+    for i, q in enumerate(qs):
+        for j in range(1, Jmax + 1):
+            T[i, j] = omega_derivative(bs, j, q)
+    return T
 
 
 def _signed(T, k, *at):
@@ -204,41 +209,44 @@ def _block_rows(nj: np.ndarray, jcut: int, lz: bool, half: float) -> dict:
             for k, n in enumerate(names)}
 
 
-def _knot_values(Dk, base, rows):
-    """|F_q| = |(Omega_k1 + (base_q + const)) + Omega_k2| at the knots, shape
-    (q0+1, tuples, knots); const only at q = 0.  The order of operations is
-    that of ``_fine_values``, so equal inputs give equal bits."""
-    A = np.empty((len(base), len(rows["k1"]), Dk.shape[2]))
-    for q, out in enumerate(A):
-        F = _signed(Dk[q], rows["k1"])
-        F += base[0] + rows["const"][:, None] if q == 0 else base[q]
-        F += _signed(Dk[q], rows["k2"])
-        np.abs(F, out=out)
-    return A
+def _presigned(T) -> np.ndarray:
+    """S[i, k] = sign(k) T[i, |k|] from a table with a row per j >= 0: rows k = 0..J,
+    then -J..-1, where numpy's wrapped index k reads them (exact, as ``_signed``)."""
+    S = np.concatenate([T, T[:, :0:-1]], axis=1)
+    np.negative(S[:, T.shape[1]:], out=S[:, T.shape[1]:])
+    return S
 
 
-def _cell_bounds(A, HD, hubase, rows, thr):
-    """Doubled cell bounds max_q |F_q(c_k)| + |F_q(c_k+1)| - h_k U_{q+1}(c_k+1)
-    of the tuples whose smallest one can still be <= ``thr``; h_k U_{q+1} is the
-    ``_cell_sup`` of the l-part ``hubase`` and the table ``HD``, both times h_k."""
-    alive = np.arange(A.shape[1])
-    for q, a in enumerate(A):
-        a = a[alive]
-        hU = _cell_sup(hubase[q], HD[q], (rows["k1"][alive], rows["k2"][alive]))
-        lq = (a[:, :-1] + a[:, 1:]) - hU
-        lb = lq if q == 0 else np.maximum(lb, lq, out=lq)
-        keep = np.min(lb, axis=1) <= thr[alive]
-        alive, lb = alive[keep], lb[keep]
-    return alive, lb
+def _knot_order(Sk, base, q, k1, k2, const, out, tmp):
+    """|F_q| = |(Omega_k1 + (base_q + const)) + Omega_k2| at the knots into ``out``
+    (const only at q = 0), in the order of operations of ``_grid_values``."""
+    Sk[q].take(k1, axis=0, out=out, mode="wrap")
+    if q == 0:
+        out += np.add(base[0], const[:, None], out=tmp)
+    else:
+        out += base[q]
+    out += Sk[q].take(k2, axis=0, out=tmp, mode="wrap")
+    return np.abs(out, out=out)
 
 
-def _fine_values(base, Dj, k1, k2, const, pts):
-    """|F_q| at the grid points ``pts`` (a row per tuple), shape (q0+1, tuples,
-    points), from the table Dj[j, q, g] and the signed mode indices k1, k2."""
-    F = base[:, pts]
-    F[0] += const[:, None]
+def _knot_cells(v, Uk, hubase, q, k1, k2, out, tmp):
+    """Doubled cell bounds |F_q(c_i)| + |F_q(c_i+1)| - h_i U_{q+1}(c_i+1) into
+    ``out``; h_i U_{q+1} is the ``_cell_sup`` enclosure, read by signed k."""
+    u = Uk[q].take(k1, axis=0, out=out, mode="wrap")
+    u += hubase[q]
+    u += Uk[q].take(k2, axis=0, out=tmp, mode="wrap")
+    return np.subtract(np.add(v[:, :-1], v[:, 1:], out=tmp), u, out=u)
+
+
+def _grid_values(base, Dj, qs, k1, k2, const, pts):
+    """|F_q| of the orders ``qs`` at the points ``pts`` (a row per tuple) of the
+    grid of the table Dj[j, q, g] and of the l-part ``base``, shape (orders,
+    tuples, points), from the signed mode indices k1, k2; const only at q = 0."""
+    qs = np.asarray(qs)[:, None, None]
+    F = base[qs, pts[None]]
+    F[qs[:, 0, 0] == 0] += const[:, None]
     for k in (k1, k2):
-        F += _signed(Dj, k[None, :, None], np.arange(len(F))[:, None, None], pts[None])
+        F += _signed(Dj, k[None, :, None], qs, pts[None])
     return np.abs(F, out=F)
 
 
@@ -271,11 +279,23 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
     ascending order of its lowest bound, on the cells whose bound does not
     exceed the best score so far.  ``delta``/``delta_prime`` add constant
     frequency offsets (perturbed-scan mode).
+
+    Orders are evaluated lazily, q = 2 max(S) first.  Then one probe per case
+    of an l, the tuple of the smallest partial score, is scored at every
+    order; it lowers the running minimum of the l and the running cap of its
+    case (the smallest coarse score times 1 + 1e-12).  A tuple is dropped once
+    its partial coarse score exceeds that minimum, the score times 1 + 1e-12
+    exceeds the cap, and every partial cell bound exceeds the cap.  This is
+    exact, bit for bit: a partial value (a maximum over some orders) bounds
+    the full one from below, and the minimum and caps only fall.  The
+    rescoring stops a (tuple, cell) pair once its first order exceeds the
+    best score.  ``report.profile`` counts the work (see ``vpatch spectrum``).
     """
     if Lmax < 1:
         raise ValueError("Lmax must be >= 1")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
+    t_coarse = time.perf_counter()
     bs = np.linspace(sys.b0, sys.b1, grid_size)
     step = max(1, grid_size // _COARSE_POINTS)
     knots = np.arange(0, grid_size, step)
@@ -289,40 +309,92 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
     D = _derivative_table(Jmax, bs, range(q0 + 1))
     Dj = D.transpose(1, 0, 2)  # a row per j
     Dk = np.concatenate([D[:, :, knots], _derivative_table(Jmax, bs[knots], [q0 + 1])])
-    HD = Dk[1:, :, 1:] * h
+    Sk, Uk = _presigned(Dk[:q0 + 1]), np.abs(_presigned(Dk[1:, :, 1:] * h))
+    K = len(knots)
+    Dkj, kpts = Dk.transpose(1, 0, 2), np.broadcast_to(np.arange(K), (4, K))  # 4 probes at most
     delta = np.zeros(sys.d) if delta is None else np.asarray(delta, dtype=float)
     ksites, lsites = Dk[:, list(sys.sites)], D[:, list(sys.sites)]
     nonsites = np.array([j for j in range(1, Jmax + 1) if j not in sys.sites])
     lattice = list(_lattice(sys.d, Lmax))
+    # q = 2 max(S), then the even orders and the odd ones, each from the highest:
+    # of the sequences tried, it drops the most tuples early; it sets only the work
+    top = 2 * sys.sites[-1]
+    orders = [top] + sorted(set(range(q0 + 1)) - {top}, key=lambda q: (q % 2, -q))
 
-    per_l, kept, gen0 = [], [], 0
+    # buffers: one order's values and cell bounds, running maxima (two, to
+    # compact into the other), scratch
+    a, tmp, *vals = (np.empty((_BATCH, K)) for _ in range(4))
+    lq, ltmp, *bnds = (np.empty((_BATCH, K - 1)) for _ in range(4))
+
+    per_l, kept, blocks, gen0 = [], [], {}, 0  # blocks: the rows by (<l>, l = 0)
+    dropped, evals = np.zeros(len(orders) - 1, int), 0
     cap = np.full(4, np.inf)  # smallest coarse score per case, plus slack
     for li, l in enumerate(lattice):
         lv = np.array(l, dtype=float)
         br = _bracket(l)
-        jcut = max(int(np.ceil(C0 * br)), max(sys.sites) + 2)
         base = np.tensordot(lv, ksites[:q0 + 1], axes=([0], [1]))
         # coarse columns from a coarse-only product, so per_l keeps its bits
         base[:, :Pc] = np.tensordot(lv, ksites[:q0 + 1, :, :Pc], axes=([0], [1]))
         base[0] = base[0] + float(np.dot(delta, lv))
         hubase = np.tensordot(np.abs(lv), ksites[1:, :, 1:], axes=([0], [1])) * h
-        rows = _block_rows(nonsites[nonsites <= jcut], jcut, not any(l), 0.5 + delta_prime)
-        lmin = np.inf
-        for s in range(0, len(rows["case"]), _BATCH):
-            sub = {n: v[s:s + _BATCH] for n, v in rows.items()}
-            A = _knot_values(Dk, base, sub)
-            coarse = np.min(np.max(A[:, :, :Pc], axis=0), axis=1) / br
-            lmin = min(lmin, float(np.min(coarse)))
-            np.minimum.at(cap, sub["case"], coarse * (1.0 + _SLACK))
-            alive, lb = _cell_bounds(A, HD, hubase, sub,
-                                     cap[sub["case"]] * (2.0 * br / (1.0 - _SLACK)))
-            cells = lb * ((1.0 - _SLACK) / (2.0 * br))
-            kept.append({"bound": np.min(cells, axis=1), "cells": cells,
-                         "gen": gen0 + s + alive, "coarse": coarse[alive],
-                         "l": np.full(len(alive), li), **{n: v[alive] for n, v in sub.items()}})
+        if (br, not any(l)) not in blocks:
+            jcut = max(int(np.ceil(C0 * br)), max(sys.sites) + 2)
+            blocks[br, not any(l)] = _block_rows(nonsites[nonsites <= jcut], jcut, not any(l),
+                                                 0.5 + delta_prime)
+        rows = blocks[br, not any(l)]
+        n = len(rows["case"])
+        scale = (1.0 - _SLACK) / (2.0 * br)  # doubled cell bound -> cell bound
+
+        def order(q, at, out, cout):
+            """|F_q| at the knots and the doubled cell bounds of the tuples ``at``."""
+            m, k1, k2 = len(at), rows["k1"][at], rows["k2"][at]
+            const = rows["const"][at] if q == 0 else None
+            v = _knot_order(Sk, base, q, k1, k2, const, out[:m], tmp[:m])
+            return v, _knot_cells(v, Uk, hubase, q, k1, k2, cout[:m], ltmp[:m])
+
+        lmin, got = np.inf, []  # got: the chunks' tuples that may be candidates
+        for s0 in range(0, n, _BATCH):
+            at = np.arange(s0, min(s0 + _BATCH, n))
+            amax, lb = order(orders[0], at, vals[0], bnds[0])
+            part = amax[:, :Pc].min(axis=1) / br
+            evals += len(at)
+            if s0 == 0:  # one probe per case of the l, scored on every order
+                edges = np.searchsorted(rows["case"][at], np.arange(5))
+                probe = [e + int(np.argmin(part[e:f])) for e, f in zip(edges[:-1], edges[1:])
+                         if e < f]
+                p = at[probe]
+                rest = _grid_values(base, Dkj, orders[1:], rows["k1"][p], rows["k2"][p],
+                                    rows["const"][p], kpts[:len(p)])
+                full = np.maximum(amax[probe], rest.max(axis=0))[:, :Pc].min(axis=1) / br
+                lmin = float(np.min(full))
+                np.minimum.at(cap, rows["case"][p], full * (1.0 + _SLACK))
+                evals += len(p) * (len(orders) - 1)
+            c = cap[rows["case"][at]]  # the caps stay put until the batch is scored
+            for s, q in enumerate(orders[1:], 1):
+                live = ((part <= lmin) | (part * (1.0 + _SLACK) <= c)
+                        | (lb.min(axis=1) * scale <= c)).nonzero()[0]
+                dropped[s - 1] += len(at) - len(live)
+                at, c, m = at[live], c[live], len(live)
+                amax = amax.take(live, axis=0, out=vals[s % 2][:m], mode="clip")
+                lb = lb.take(live, axis=0, out=bnds[s % 2][:m], mode="clip")
+                v, cells = order(q, at, a, lq)
+                np.maximum(amax, v, out=amax)
+                np.maximum(lb, cells, out=lb)
+                part = amax[:, :Pc].min(axis=1) / br
+                evals += m
+            # the survivors are scored on every order
+            lmin = min(lmin, float(np.min(part, initial=np.inf)))
+            np.minimum.at(cap, rows["case"][at], part * (1.0 + _SLACK))
+            bound = lb.min(axis=1) * scale
+            live = bound <= cap[rows["case"][at]]
+            at = at[live]
+            got.append({"bound": bound[live], "cells": lb[live] * scale, "gen": gen0 + at,
+                        "coarse": part[live], **{name: v[at] for name, v in rows.items()}})
+        kept.append({name: np.concatenate([g[name] for g in got]) for name in got[0]})
         per_l.append((list(l), lmin))
-        gen0 += len(rows["case"])
-    kept = {n: np.concatenate([b[n] for b in kept]) for n in kept[0]}
+        gen0 += n
+    del a, tmp, vals, lq, ltmp, bnds  # the fine pass reuses their memory
+    t_fine = time.perf_counter()
 
     def fine_base(li):
         lv = np.array(lattice[li], dtype=float)
@@ -330,45 +402,62 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
         base[0] += float(np.dot(delta, lv))
         return base
 
-    per_case = {}
+    per_case, candidates, pairs, fine_evals = {}, 0, 0, 0
     for c, name in enumerate(("i", "ii", "iii", "iv")):
-        cand = {n: v[(kept["case"] == c) & (kept["bound"] <= cap[c])] for n, v in kept.items()}
-        best = (cap[c], np.inf)  # (score, coarse score, generation, candidate)
-        ls = np.unique(cand["l"])
-        lows = [np.min(cand["bound"][cand["l"] == li]) for li in ls]
-        for li in ls[np.argsort(lows, kind="stable")]:
-            rs = np.flatnonzero((cand["l"] == li) & (cand["bound"] <= best[0]))
+        cand = [np.flatnonzero((k["case"] == c) & (k["bound"] <= cap[c])) for k in kept]
+        lows = {li: np.min(k["bound"][r]) for li, (k, r) in enumerate(zip(kept, cand)) if len(r)}
+        candidates += sum(map(len, cand))
+        best = (cap[c], np.inf)  # (score, coarse score, generation, l, row)
+        for li in sorted(lows, key=lows.get):
+            k = kept[li]
+            rs = cand[li][k["bound"][cand[li]] <= best[0]]
             if not len(rs):
                 continue
-            base = fine_base(li)
-            rr, kk = np.nonzero(cand["cells"][rs] <= best[0])
-            pair = np.empty(len(rr))
+            base, br = fine_base(li), _bracket(lattice[li])
+            rr, kk = np.nonzero(k["cells"][rs] <= best[0])
+            pair = np.full(len(rr), np.inf)
+            pairs += len(rr)
             for s in range(0, len(rr), _BATCH):
-                p = rs[rr[s:s + _BATCH]]
-                A = _fine_values(base, Dj, cand["k1"][p], cand["k2"][p], cand["const"][p],
-                                 cellpts[kk[s:s + _BATCH]])
-                pair[s:s + _BATCH] = np.min(np.max(A, axis=0), axis=1)
+                # the first order on every pair, the other orders on the pairs it leaves
+                at, prev = np.arange(s, min(s + _BATCH, len(rr))), None
+                for qs in (orders[:1], orders[1:]):
+                    p = rs[rr[at]]
+                    A = _grid_values(base, Dj, qs, k["k1"][p], k["k2"][p], k["const"][p],
+                                     cellpts[kk[at]]).max(axis=0)
+                    if prev is not None:
+                        np.maximum(A, prev, out=A)
+                    score = A.min(axis=1)
+                    live = score / br <= best[0]
+                    at, prev, score = at[live], A[live], score[live]
+                    fine_evals += len(p) * len(qs)
+                pair[at] = score
             starts = np.flatnonzero(np.r_[True, rr[1:] != rr[:-1]])
-            fs = np.minimum.reduceat(pair, starts) / _bracket(lattice[li])
+            fs = np.minimum.reduceat(pair, starts) / br
             rs = rs[rr[starts]]
-            k = np.lexsort((cand["gen"][rs], cand["coarse"][rs], fs))[0]
-            best = min(best, (float(fs[k]), float(cand["coarse"][rs[k]]),
-                              int(cand["gen"][rs[k]]), rs[k]))
-        r = best[3]
-        A = _fine_values(fine_base(cand["l"][r]), Dj, cand["k1"][[r]], cand["k2"][[r]],
-                         cand["const"][[r]], np.arange(grid_size)[None, :])[:, 0]
+            i = np.lexsort((k["gen"][rs], k["coarse"][rs], fs))[0]
+            best = min(best, (float(fs[i]), float(k["coarse"][rs[i]]), int(k["gen"][rs[i]]),
+                              li, rs[i]))
+        li, r = best[3:]
+        k = kept[li]
+        A = _grid_values(fine_base(li), Dj, range(q0 + 1), k["k1"][[r]], k["k2"][[r]],
+                         k["const"][[r]], np.arange(grid_size)[None, :])[:, 0]
         g = int(np.argmin(np.max(A, axis=0)))
-        sigma, j, j0 = (int(cand[n][r]) for n in ("sigma", "j", "j0"))
-        witness = {"b": float(bs[g]), "l": list(lattice[cand["l"][r]]), "j": j or None,
+        sigma, j, j0 = (int(k[n][r]) for n in ("sigma", "j", "j0"))
+        witness = {"b": float(bs[g]), "l": list(lattice[li]), "j": j or None,
                    "j0": j0 or None, "q": int(np.argmax(A[:, g])), "sigma": sigma or None}
         per_case[name] = (best[:3], witness)
     case = min(per_case, key=lambda c: per_case[c][0])
+    profile = {"coarse_s": t_fine - t_coarse, "fine_s": time.perf_counter() - t_fine,
+               "tuples": gen0, "orders": orders, "order_evaluations": evals,
+               "dropped_after_order": dropped.tolist(), "candidates": candidates,
+               "pairs_rescored": pairs, "pair_order_evaluations": fine_evals}
     return ScanReport(
         rho0_hat=per_case[case][0][0],
         case=case,
         witness=per_case[case][1],
         per_case={c: {"rho0_hat": k[0], "witness": w} for c, (k, w) in per_case.items()},
         per_l=sorted(per_l),
+        profile=profile,
     )
 
 

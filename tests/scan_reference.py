@@ -85,4 +85,5 @@ def reference_scan(sys, Lmax, grid_size, delta=None, delta_prime=0.0) -> ScanRep
         witness=best[case][1],
         per_case={c: {"rho0_hat": best[c][0][0], "witness": best[c][1]} for c in CASES},
         per_l=sorted(per_l),
+        profile={"tuples": gen},
     )

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vortexpatch.cli import main
+from vortexpatch.spectrum import FrequencySystem, transversality_scan
 
 
 def run_cli(args):
@@ -42,6 +43,18 @@ class TestSpectrumCommand:
         assert code == 0
         js = json.loads((tmp_path / "spectrum_scan.json").read_text())
         assert js["rho0_hat"] > 0
+
+    def test_scan_manifest_profile(self, tmp_path):
+        # the manifest's profile block is the scan's: its counts repeat exactly
+        code = run_cli(["spectrum", "--scan", "--lmax", "2", "--grid", "400",
+                        "--output-dir", str(tmp_path)])
+        assert code == 0
+        prof = _read_json(tmp_path, "spectrum_manifest.json")["profile"]
+        rep = transversality_scan(FrequencySystem((1, 2), 0.1, 0.9), Lmax=2, grid_size=400)
+        assert ({k: v for k, v in prof.items() if not k.endswith("_s")}
+                == {k: v for k, v in rep.profile.items() if not k.endswith("_s")})
+        assert prof["coarse_s"] > 0 and prof["fine_s"] > 0
+        assert prof["order_evaluations"] < prof["tuples"] * len(prof["orders"])
 
     def test_manifest_written(self, tmp_path):
         run_cli(["spectrum", "--b", "0.5", "--output-dir", str(tmp_path)])
@@ -356,21 +369,26 @@ class TestValidateBeforeWork:
         assert run_cli(args + ["--output-dir", str(d)]) == 1
         assert list(d.iterdir()) == []
 
-    @pytest.mark.parametrize("cmd,config", [
-        ("cantor", {"gama": 0.5, "lmax": 3}),
-        ("cantor", {"lmax": 3.7}),
-        ("spectrum", {"jmax": True}),
-        ("spectrum", {"output_dir": 5}),
+    @pytest.mark.parametrize("cmd,config,flags", [
+        ("cantor", {"gama": 0.5, "lmax": 3}, []),
+        ("cantor", {"lmax": 3.7}, []),
+        ("spectrum", {"jmax": True}, []),
+        ("spectrum", {"output_dir": 5}, []),
+        # a value that a flag overrides is checked too
+        ("spectrum", {"jmax": "abc"}, ["--jmax", "2"]),
+        ("cantor", {"gamma": "nan", "lmax": 2}, ["--gamma", "1e-3"]),
+        ("spectrum", {"output_dir": 5}, ["--output-dir", "."]),
     ], ids=["unknown-key", "integer-key-fractional", "integer-key-boolean",
-            "output-dir-not-a-string"])
-    def test_config_exit_1_and_nothing_written(self, tmp_path, monkeypatch, cmd, config):
+            "output-dir-not-a-string", "overridden-key-not-an-integer",
+            "overridden-key-not-finite", "overridden-output-dir-not-a-string"])
+    def test_config_exit_1_and_nothing_written(self, tmp_path, monkeypatch, cmd, config, flags):
         self._forbid_work(monkeypatch)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
         d = tmp_path / "out"
         d.mkdir()
         monkeypatch.chdir(d)  # where a run without an output directory writes
-        assert run_cli([cmd, "--config", str(cfg)]) == 1
+        assert run_cli([cmd, "--config", str(cfg)] + flags) == 1
         assert list(d.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["", "a_file"], ids=["empty", "existing-file"])
@@ -426,6 +444,30 @@ def test_cli_import_does_not_load_sympy():
     subprocess.run(
         [sys.executable, "-c", "import vortexpatch.cli, sys; assert 'sympy' not in sys.modules"],
         env=env, check=True)
+
+
+def test_runs_do_not_load_numpy_ma(tmp_path):
+    # np.unique and np.setdiff1d import numpy.ma on their first call (numpy 2.4),
+    # at a cost of about 9 ms inside the first run that calls one
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = """if True:
+        import sys
+        from vortexpatch.cli import main
+        runs = [["spectrum", "--scan", "--lmax", "2", "--grid", "200"],
+                ["cantor", "--lmax", "2"],
+                ["cantor", "--lmax", "2", "--kind", "second-order-Melnikov"],
+                ["cantor", "--lmax", "2", "--kind", "transport"],
+                ["linearize", "--grid", "64", "--n", "8"],
+                ["kam-remainder", "--seed", "0", "--n", "4", "--l", "2", "--steps", "1"]]
+        for k, args in enumerate(runs):
+            try:
+                main(args + ["--output-dir", f"{sys.argv[1]}/{k}"])
+            except SystemExit as exc:
+                assert not exc.code, (args, exc.code)
+        assert "numpy.ma" not in sys.modules
+    """
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                   env=dict(os.environ, PYTHONPATH=src), check=True)
 
 
 #: one small run per subcommand and the sha256 of each of its artifacts but the

@@ -395,8 +395,10 @@ class TestFastOperatorPaths:
 class TestBandOrder:
     """Bands are sorted, unique and closed under l -> -l."""
 
-    @pytest.mark.parametrize("bands", [[[1], [0]], [[0], [0]], [[0], [1]], None],
-                             ids=["unsorted", "duplicate", "not-negation-closed", "d0-twice"])
+    @pytest.mark.parametrize("bands", [[[1], [0]], [[0], [0]], [[0], [1]], None,
+                                       [[0, 1], [0, -1]], [[0, 0], [0, 0]]],
+                             ids=["unsorted", "duplicate", "not-negation-closed", "d0-twice",
+                                  "unsorted-d2", "duplicate-d2"])
     def test_rejected(self, bands):
         with pytest.raises(ValueError, match="sorted, unique and closed"):
             LinearOperatorMatrix(2, np.zeros((2, 4, 4)), bands)

@@ -14,10 +14,11 @@ from vortexpatch.spectrum import (
     FrequencySystem,
     _block_rows,
     _bracket,
-    _cell_bounds,
     _cell_sup,
     _derivative_table,
-    _knot_values,
+    _knot_cells,
+    _knot_order,
+    _presigned,
     _rank,
     _signed,
     nondegeneracy_test,
@@ -225,11 +226,17 @@ class TestTransversalityScan:
         (FrequencySystem((1, 2), 0.3, 0.45), 3, 250, {}),
         (SYS, 2, 400, {"delta": np.array([3e-3, -2e-3]), "delta_prime": -1e-3}),
         (FrequencySystem((1, 3), 0.1, 0.9), 3, 129, {}),
+        (FrequencySystem((1, 2), 0.09602679510077404, 0.9019765322236867), 4, 1000, {}),
+        (FrequencySystem((1, 2), 0.02, 0.3), 3, 300, {}),
+        (FrequencySystem((2,), 0.1, 0.9), 4, 400, {}),
     ])
     def test_exact_against_brute_force(self, sysf, Lmax, grid, offsets):
         # the pruned scan returns what scoring every tuple on the full grid gives
         rep = transversality_scan(sysf, Lmax=Lmax, grid_size=grid, **offsets)
         ref = reference_scan(sysf, Lmax, grid, **offsets)
+        # ... with tuples dropped after more than one order, so the drops are exercised
+        assert rep.profile["tuples"] == ref.profile["tuples"]
+        assert sum(n > 0 for n in rep.profile["dropped_after_order"]) > 1
         assert rep.rho0_hat == ref.rho0_hat
         assert rep.case == ref.case
         assert rep.witness == ref.witness
@@ -275,6 +282,11 @@ class TestCellBound:
         want = np.where(zero, 0.0, omega(bs, mixed[:, None] + zero))
         assert np.array_equal(_signed(T[0], mixed), want)
         assert np.array_equal(_signed(T[0], mixed, np.arange(6)), np.diag(want[:, :6]))
+        # the pre-signed table of the coarse scan reads the same bits by signed index
+        S = _presigned(T)
+        for q in range(3):
+            for k in (js, -js, mixed):
+                assert np.array_equal(S[q].take(k, axis=0, mode="wrap"), _signed(T[q], k))
 
     @pytest.mark.parametrize("offset", [False, True])
     def test_below_score_on_finer_grid(self, offset):
@@ -290,6 +302,8 @@ class TestCellBound:
         knots = np.append(np.arange(0, G, G // 64), G - 1)  # with the tail cell
         h = np.diff(bs[knots])
         Dk = _derivative_table(Jmax, bs[knots], range(q0 + 2))
+        HD = Dk[1:, :, 1:] * h
+        Sk, Uk = _presigned(Dk[:q0 + 1]), np.abs(_presigned(HD))
         fine = np.linspace(SYS.b0, SYS.b1, 16 * (G - 1) + 1)
         Df = _derivative_table(Jmax, fine, range(q0 + 2))
         sites = [(0, 0), (1, 0), (-4, 1), (2, -3), (-1, -2), (3, 3)]
@@ -311,9 +325,15 @@ class TestCellBound:
                 sub = {"case": np.full(12, -1), "sigma": np.ones(12, int), "j": j, "j0": j0,
                        "k1": ks[0], "k2": ks[1],
                        "const": -0.5 * j if family == KINDS[0] else np.zeros(12)}
-            alive, lb = _cell_bounds(_knot_values(Dk, base, sub), Dk[1:, :, 1:] * h,
-                                     hubase, sub, np.full(len(sub["j"]), np.inf))
-            assert len(alive) == len(sub["j"])
+            m, k1, k2 = len(sub["j"]), sub["k1"], sub["k2"]
+            lb = np.full((m, len(h)), -np.inf)
+            for q in range(q0 + 1):
+                v = _knot_order(Sk, base, q, k1, k2, sub["const"], *np.empty((2, m, len(knots))))
+                lq = _knot_cells(v, Uk, hubase, q, k1, k2, *np.empty((2, m, len(h))))
+                # the scan's cell bound is the one of the _cell_sup enclosure, bit for bit
+                hU = _cell_sup(hubase[q], HD[q], (k1, k2))
+                assert np.array_equal(lq, (v[:, :-1] + v[:, 1:]) - hU)
+                lb = np.maximum(lb, lq)
             cells = lb * (1.0 - 1e-12) / (2.0 * br)
             U = np.array([_cell_sup(np.abs(lv) @ Dk[q + 1, 1:3, 1:], Dk[q + 1, :, 1:],
                                     (sub["k1"], sub["k2"])) for q in range(q0 + 1)])
