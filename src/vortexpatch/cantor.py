@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,12 +172,12 @@ class ExcludedReport:
     gamma: float
     total: float
     merged: list
-    rows: list = field(default_factory=list)  # (l, j, j0, left, right, length)
-    tail_bound: float = 0.0
-    tail_divergent: bool = False
-    russmann_violations: int = 0
-    flags: list = field(default_factory=list)
-    profile: dict = field(default_factory=dict)  # stage seconds and counts of the run
+    rows: list  # (l, j, j0, left, right, length)
+    tail_bound: float
+    tail_divergent: bool
+    russmann_violations: int
+    flags: list
+    profile: dict  # stage seconds and counts of the run
 
 
 def _ragged(start, n):

@@ -294,13 +294,12 @@ def _command(name: str, table: list):
 
 
 def _seed_state(p: dict):
-    """The seed of ``simulate`` and ``linearize``, admissible and inside the disc."""
+    """The seed of ``simulate`` and ``linearize``; one that the ``PatchState``
+    constructor refuses is a config error."""
     try:
-        state = quasi_periodic_seed(p["b"], p["amplitudes"], M=p["grid"])
-        state.require_inside_disc()
+        return quasi_periodic_seed(p["b"], p["amplitudes"], M=p["grid"])
     except (DegeneratePatchError, BoundaryContactError) as exc:
         raise click.ClickException(str(exc))
-    return state
 
 
 # ---------------------------------------------------------------------------

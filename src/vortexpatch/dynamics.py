@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    RADIUS_MARGIN,
     BoundaryContactError,
     DegeneratePatchError,
     PatchState,
@@ -78,13 +79,12 @@ __all__ = [
 
 def velocity_functional(state: PatchState) -> PeriodicField:
     """F_b[r] on the state's grid."""
-    state.require_inside_disc()
     R = state.R
     R2 = R ** 2
     dR = state.dR
     F0 = 0.5 * state.dr * np.mean(R2) / R2
 
-    pq = eta_factors(state, dR)
+    pq = eta_factors(state)
     log_A, log_B = log_kernel_integrals(state, pq)
     p, q = pq.T
     c, s, _ = _grid_tables(state.M)
@@ -298,7 +298,6 @@ def _alias_tail_sum(M: int) -> float:
 
 def energy(state: PatchState) -> float:
     """Kinetic energy E(r); the radial integrals are evaluated in closed form."""
-    state.require_inside_disc()
     R = state.R
     table = _phi_kernel(R[:, None], R[None, :], _delta_tables(state.M))
     # extended-precision accumulation: the M^2-term sum is the only place
@@ -315,7 +314,6 @@ def hamiltonian(state: PatchState) -> float:
 
 def stream_gradient(state: PatchState) -> PeriodicField:
     """nabla E(theta) = 2 Psi(R(theta) e^{i theta}) with the matching alias correction."""
-    state.require_inside_disc()
     R = state.R
     psi = _psi_kernel(R[:, None], R[None, :], _delta_tables(state.M))
     grad = 2.0 * psi.mean(axis=1) + 2.0 * R ** 2 * _alias_tail_sum(state.M)
@@ -402,7 +400,8 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
     """RK4 run of d_t r = -F_b[r], recording the state (with H and the H^s norm)
     at t = 0, every ``record_stride`` steps and at T; ``traj.profile`` counts RHS
     and energy evaluations, the largest sup|r|/(b^2/2) and max R of the
-    accepted states, and the seconds spent stepping and on diagnostics."""
+    accepted states, and the seconds spent stepping and on diagnostics.  A step
+    whose stages or result ``PatchState`` refuses ends the run with ``aborted``."""
     traj = Trajectory(b=state.b, config=config)
     b = state.b
     dt = config.dt
@@ -435,8 +434,8 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
         mode_times.append(t)
         for j in config.track_modes:
             series[j].append(complex(np.mean(st.r.values * probes[j])))
-        margin = float(np.max(np.abs(st.r.values))) / (0.5 * b * b)
-        prof["max_admissibility_ratio"] = max(prof["max_admissibility_ratio"], margin)
+        prof["max_admissibility_ratio"] = max(prof["max_admissibility_ratio"],
+                                              st.admissibility_ratio)
         prof["max_R"] = max(prof["max_R"], st.max_R)
 
     # Each step adds the classical RK4 increment with compensated (Kahan)
@@ -478,7 +477,7 @@ def quasi_periodic_seed(b: float, amplitudes: dict, M: int = 128) -> PatchState:
     """Even (reversible) initial data r0 = sum_j a_j cos(j theta) over the tangential
     set, whose modes must lie in 1 <= j <= M // 3: ``dealias`` removes the others."""
     total = sum(abs(a) for a in amplitudes.values())
-    if total >= 0.5 * b * b * (1.0 - 1e-9):
+    if total >= 0.5 * b * b * (1.0 - RADIUS_MARGIN):
         raise DegeneratePatchError("seed amplitudes exceed the admissibility margin b^2/2")
     th = theta_grid(M)
     r0 = np.zeros(M)

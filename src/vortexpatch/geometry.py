@@ -59,7 +59,8 @@ class BoundaryContactError(ValueError):
 
 
 class PatchState:
-    """Radius parameter b plus deformation field r(theta)."""
+    """Radius parameter b plus deformation field r(theta); admissible and
+    inside the disc by construction."""
 
     def __init__(self, b: float, r: PeriodicField):
         if not 0.0 < b < 1.0:
@@ -77,6 +78,10 @@ class PatchState:
         self.R = np.sqrt(b * b + 2.0 * r.values)
         if not np.all(self.R > 0.0):
             raise DegeneratePatchError("boundary radius R fails positivity on the grid")
+        self.max_R = float(np.max(self.R))
+        if self.max_R > 1.0 - DISC_MARGIN:
+            raise BoundaryContactError("patch touches the unit circle: max R > 1 - 1e-6")
+        self.admissibility_ratio = rmax / bound  # sup|r|/(b^2/2)
 
     @property
     def M(self) -> int:
@@ -91,16 +96,6 @@ class PatchState:
     def dR(self) -> np.ndarray:
         """d_theta R = r'/R; computed once per state, read-only."""
         return _read_only(self.dr / self.R)
-
-    @functools.cached_property
-    def max_R(self) -> float:
-        """max R over the grid; computed once per state."""
-        return float(np.max(self.R))
-
-    def require_inside_disc(self):
-        """Raise ``BoundaryContactError`` (on every call) unless max R <= 1 - DISC_MARGIN."""
-        if self.max_R > 1.0 - DISC_MARGIN:
-            raise BoundaryContactError("patch touches the unit circle: max R > 1 - 1e-6")
 
     @functools.cached_property
     def log_tables(self):
@@ -144,7 +139,6 @@ def kernel_P(state: PatchState) -> np.ndarray:
 
     P_r = ((R R)^2 - b^4 - 2 (R R - b^2) cos) / (1 + b^4 - 2 b^2 cos).
     """
-    state.require_inside_disc()
     b2 = state.b ** 2
     # the quotient above, in its order of operations, on two M x M buffers
     prod = np.multiply.outer(state.R, state.R)
@@ -199,14 +193,14 @@ def log_one_plus_P_half(state: PatchState) -> np.ndarray:
     return P
 
 
-def eta_factors(state: PatchState, dR: np.ndarray) -> np.ndarray:
-    """The M x 2 block [p, q], p = R' sin + R cos, q = R sin - R' cos (``dR`` = R').
+def eta_factors(state: PatchState) -> np.ndarray:
+    """The M x 2 block [p, q], p = R' sin + R cos, q = R sin - R' cos.
 
     Expanding sin/cos(eta - theta) splits every two-point factor of F_b and
     V_r into a(theta) p(eta) + c(theta) q(eta).
     """
     c, s, _ = _grid_tables(state.M)
-    R = state.R
+    R, dR = state.R, state.dR
     return np.column_stack([dR * s + R * c, R * s - dR * c])
 
 

@@ -380,8 +380,8 @@ def _window(R: LinearOperatorMatrix) -> int:
     return int(max(np.max(np.abs(R.bands), initial=0), 2 * R.N))
 
 
-def kam_step(state: ReductionState, gamma: float = 1e-2, tau2: float = 2.5,
-             Ncut: float | None = None) -> ReductionState:
+def kam_step(state: ReductionState, Ncut: float, gamma: float = 1e-2,
+             tau2: float = 2.5) -> ReductionState:
     """One reduction step: frequency correction, conjugation, new remainder.
 
     mu_next = mu + r with r_j the (real) l = 0 diagonal coefficient of the
@@ -399,8 +399,6 @@ def kam_step(state: ReductionState, gamma: float = 1e-2, tau2: float = 2.5,
     """
     R = state.R
     W = _window(R)
-    if Ncut is None:
-        Ncut = W
     zi = R.zero_band
     # the l = 0 diagonal entries are i r_j with r real
     r = np.diag(R.entries[zi]).imag if zi is not None else np.zeros(2 * R.N)

@@ -48,9 +48,8 @@ def transport_coefficient(state: PatchState) -> PeriodicField:
     log B_r channel, each against d/deta [R(eta) sin(eta - theta)].
     At r = 0 they contribute -1/2 + 1/2 + 1/2 = 1/2.
     """
-    state.require_inside_disc()
     R = state.R
-    log_A, log_B = log_kernel_integrals(state, eta_factors(state, state.dR))
+    log_A, log_B = log_kernel_integrals(state, eta_factors(state))
     c, s, _ = _grid_tables(state.M)
     V0 = -0.5 * np.mean(R ** 2) / R ** 2
     V1 = -(c * log_A[:, 0] + s * log_A[:, 1]) / R
@@ -65,7 +64,6 @@ def assemble(state: PatchState, N: int) -> LinearOperatorMatrix:
     On e_j the mean vanishes and K1, K2 are the multipliers khat(j), so
     (L_r - S_r) e_j = (k1hat(j) - k2hat(j)) e_j + ((log v1 - (1/2) log(1+P_r)) @ e_j)/M.
     """
-    state.require_inside_disc()
     M = state.M
     if N < 1:
         raise ValueError("truncation must be >= 1")

@@ -456,7 +456,7 @@ def transversality_scan(sys: FrequencySystem, Lmax: int, grid_size: int,
         case=case,
         witness=per_case[case][1],
         per_case={c: {"rho0_hat": k[0], "witness": w} for c, (k, w) in per_case.items()},
-        per_l=sorted(per_l),
+        per_l=per_l,
         profile=profile,
     )
 

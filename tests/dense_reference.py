@@ -70,7 +70,6 @@ from vortexpatch.dynamics import (
 from vortexpatch.geometry import (
     PatchState,
     _difference_quotient,
-    eta_factors,
     log_one_plus_P_half,
     log_v1,
     pair_trig,
@@ -187,12 +186,11 @@ def rhs(b, values):
     d_theta R on the diagonal of v1 and as r'/R, and K1, K2 applied by two
     separate inverse FFTs."""
     state = PatchState(b, PeriodicField(values))
-    state.require_inside_disc()
     R, M = state.R, state.M
     drdth = spectral_derivative(state.r.values)
     dR = drdth / R
     F0 = 0.5 * drdth * np.mean(R ** 2) / R ** 2
-    pq = eta_factors(state, dR)
+    pq = eta_factors_per_call(state, dR)
     g = diagonal_difference_quotient(PeriodicField(R))
     Rt, Re, _ = _pair_grids(state)
     lv = np.log(np.sqrt((g / (2.0 * b)) ** 2 + Rt * Re / (b * b)))
@@ -334,11 +332,10 @@ def stream_gradient(state):
 # -- the RK4 right-hand side with its per-call tables -----------------------
 # The right-hand side as it was before the (M, b)-only tables were cached:
 # every call rebuilds 1 + b^4 - 2 b^2 cos Delta, the sin(Delta/2) divisor with
-# a unit diagonal, the stacked K1/K2 multipliers, cos theta and sin theta, and
-# the disc check runs once per kernel.  The package must equal these bit for bit.
+# a unit diagonal, the stacked K1/K2 multipliers, cos theta and sin theta.  The
+# package must equal these bit for bit.
 
 def kernel_P_per_call(state):
-    state.require_inside_disc()
     b2 = state.b ** 2
     Rt, Re, _ = _pair_grids(state)
     prod = Rt * Re
@@ -389,7 +386,6 @@ def log_kernel_integrals_per_call(state, C):
 
 
 def velocity_functional_per_call(state):
-    state.require_inside_disc()
     R = state.R
     dR = state.dR
     F0 = 0.5 * state.dr * np.mean(R ** 2) / R ** 2
@@ -671,7 +667,6 @@ def kernel_A(state):
 
 def kernel_B(state):
     """B_r = |1 - R(theta) R(eta) e^{i(eta-theta)}| (smooth, bounded below)."""
-    state.require_inside_disc()
     Rt, Re, _ = _pair_grids(state)
     cs = pair_trig(state.M)[1]
     prod = Rt * Re
@@ -990,6 +985,7 @@ def excluded_measure_per_tuple(sys: FrequencySystem,
         tail_divergent=divergent,
         russmann_violations=violations,
         flags=flags,
+        profile={},
     )
 
 

@@ -109,6 +109,22 @@ class TestSimulateCommand:
         assert code == 1
 
 
+    @pytest.mark.parametrize("stride", ["1", "1000"])
+    def test_boundary_contact_aborts_at_any_stride(self, tmp_path, capsys, stride):
+        # a step of this seed reaches the circle: the run aborts with exit 2 and
+        # writes its artifacts, whether or not that step is a record step
+        code = run_cli(["simulate", "--b", "0.7508216406058041",
+                        "--amplitudes", "4:0.12646316189948498,3:-0.054734360079358786",
+                        "--grid", "32", "--dt", "0.2", "--t", "6", "--stride", stride,
+                        "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "simulation aborted" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["simulate_manifest.json",
+                                                "simulate_summary.json",
+                                                "simulate_trajectory.csv"]
+        assert _read_json(tmp_path, "simulate_summary.json")["aborted"]
+
+
 class TestLinearizeCommand:
     def test_equilibrium_matrix(self, tmp_path):
         code = run_cli(["linearize", "--b", "0.5", "--n", "4", "--grid", "128",

@@ -447,6 +447,17 @@ class TestSimulate:
         assert traj.profile["energy_evaluations"] == 1  # the t = 0 record
         assert 0.999 < traj.profile["max_admissibility_ratio"] < 1.0
 
+    @pytest.mark.parametrize("stride", [1, 1000])
+    def test_abort_on_boundary_contact(self, stride):
+        # an RK4 step of this seed leaves the disc; the step aborts the run at
+        # any stride, and every accepted state stays inside the disc
+        st = quasi_periodic_seed(0.7508216406058041,
+                                 {4: 0.12646316189948498, 3: -0.054734360079358786}, M=32)
+        traj = simulate(st, EvolutionConfig(dt=0.2, T=6.0, record_stride=stride))
+        assert traj.aborted
+        assert "unit circle" in traj.abort_reason
+        assert traj.profile["max_R"] <= 1.0 - 1e-6
+
     def test_step_matches_simulate(self):
         st = cos_state()
         one = ref.step(st, 1e-2)

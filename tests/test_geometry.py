@@ -49,9 +49,8 @@ class TestPatchState:
         assert np.max(np.abs(st.R ** 2 - (st.b ** 2 + 2.0 * st.r.values))) < 1e-15
 
     def test_inside_disc_margin(self):
-        st = PatchState(0.999999999, PeriodicField(np.zeros(64)))
         with pytest.raises(BoundaryContactError):
-            st.require_inside_disc()
+            PatchState(0.999999999, PeriodicField(np.zeros(64)))
 
     def test_dR_spectral(self):
         st = make_state(amp=1e-3, mode=3)
@@ -178,9 +177,8 @@ class TestKernelB:
         assert np.max(np.abs(B - ref)) < 1e-14
 
     def test_boundary_contact_rejected(self):
-        st = PatchState(0.9999995, PeriodicField(np.zeros(64)))
         with pytest.raises(BoundaryContactError):
-            kernel_B(st)
+            PatchState(0.9999995, PeriodicField(np.zeros(64)))
 
 
 class TestKernelP:

@@ -18,6 +18,7 @@ from vortexpatch.kam import (
     ReductionState,
     TransportProblem,
     _reflected,
+    _window,
     analytic_norm,
     evaluate_shifted,
     golden_frequency,
@@ -396,7 +397,7 @@ class TestKamStep:
         # a remainder of size 1 gives |Psi| >= 1/2: Id + Psi is not inverted
         state = _initial_state(N=4, L=3, delta0=1.0)
         with pytest.raises(NonReducibleError, match="1/2"):
-            kam_step(state, gamma=1e-6)
+            kam_step(state, gamma=1e-6, Ncut=_window(state.R))
 
     @pytest.mark.parametrize("d,N,L", [(1, 6, 4), (2, 4, 3)])
     def test_grid_conjugation_matches_neumann(self, d, N, L):
