@@ -21,7 +21,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from importlib import metadata
 
@@ -413,6 +412,7 @@ def cantor(p, emit):
     if curve:
         items = [(sysf, s) for s in curve]
         if p["jobs"] > 1:
+            from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
             with ProcessPoolExecutor(max_workers=p["jobs"]) as pool:
                 totals = list(pool.map(_curve_point, items))
         else:

@@ -99,6 +99,7 @@ def velocity_functional(state: PatchState) -> PeriodicField:
 # ---------------------------------------------------------------------------
 
 _NEAR_ONE = 1e-9
+_ROW_BLOCK = 32  # rows of the psi table evaluated at once: 128 KB complex at M = 256
 
 
 def _SA(z, lg=None):
@@ -200,9 +201,31 @@ def _delta_terms(delta):
 
 
 @functools.lru_cache(maxsize=32)
+def _triangle(M: int):
+    """The pairs i <= k (``np.triu_indices(M)``) and ``_delta_terms`` on them; cached
+    per M, hence read-only.  Delta[k, i] = -Delta[i, k] exactly, so below the
+    diagonal e^{i Delta} is conjugated and the two real terms are the same."""
+    iu = np.triu_indices(M)
+    terms = _delta_terms(pair_trig(M)[0][iu])
+    return tuple(_read_only(a) for a in iu), tuple(_read_only(t) for t in terms)
+
+
+def _mirror(M: int, upper, lower):
+    """The M x M table with ``upper`` on the pairs i <= k and ``lower`` at their
+    mirrors (k, i).  The mirror is written first, so the diagonal holds ``upper``."""
+    i, k = _triangle(M)[0]
+    full = np.empty((M, M), dtype=upper.dtype)
+    full[k, i] = lower
+    full[i, k] = upper
+    return full
+
+
+@functools.lru_cache(maxsize=32)
 def _delta_tables(M: int):
-    """``_delta_terms`` on the pair grid ``pair_trig(M)[0]``; cached per M, hence read-only."""
-    return tuple(_read_only(t) for t in _delta_terms(pair_trig(M)[0]))
+    """``_delta_terms`` on the pair grid ``pair_trig(M)[0]``, mirrored from ``_triangle``."""
+    eid, cos2, sbc = _triangle(M)[1]
+    return tuple(_read_only(t) for t in (
+        _mirror(M, eid, eid.conj()), _mirror(M, cos2, cos2), _mirror(M, sbc, sbc)))
 
 
 def _phi_kernel(rho1, rho2, terms):
@@ -297,9 +320,12 @@ def _alias_tail_sum(M: int) -> float:
 
 
 def energy(state: PatchState) -> float:
-    """Kinetic energy E(r); the radial integrals are evaluated in closed form."""
+    """Kinetic energy E(r); the radial integrals are evaluated in closed form.  Phi
+    is symmetric bit for bit, so it is evaluated on the pairs i <= k and mirrored."""
     R = state.R
-    table = _phi_kernel(R[:, None], R[None, :], _delta_tables(state.M))
+    (i, k), terms = _triangle(state.M)
+    upper = _phi_kernel(R[i], R[k], terms)
+    table = _mirror(state.M, upper, upper)
     # extended-precision accumulation: the M^2-term sum is the only place
     # where rounding noise would be visible in drift diagnostics
     mean = np.sum(table, dtype=np.longdouble) / table.size
@@ -315,8 +341,12 @@ def hamiltonian(state: PatchState) -> float:
 def stream_gradient(state: PatchState) -> PeriodicField:
     """nabla E(theta) = 2 Psi(R(theta) e^{i theta}) with the matching alias correction."""
     R = state.R
-    psi = _psi_kernel(R[:, None], R[None, :], _delta_tables(state.M))
-    grad = 2.0 * psi.mean(axis=1) + 2.0 * R ** 2 * _alias_tail_sum(state.M)
+    tables = _delta_tables(state.M)
+    means = np.empty(state.M)
+    for lo in range(0, state.M, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        means[rows] = _psi_kernel(R[rows, None], R, [t[rows] for t in tables]).mean(axis=1)
+    grad = 2.0 * means + 2.0 * R ** 2 * _alias_tail_sum(state.M)
     return PeriodicField(grad)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, config handling, exit codes,
 deterministic artifacts."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -442,7 +443,7 @@ class TestJobsBound:
     ])
     def test_worker_count(self, tmp_path, monkeypatch, jobs, cpus, workers):
         from vortexpatch import cli
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(_RecordingExecutor, "started", [])
         code = run_cli(["cantor", "--gamma", "1e-2", "--lmax", "2",
@@ -458,7 +459,8 @@ def test_cli_import_does_not_load_sympy():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run(
-        [sys.executable, "-c", "import vortexpatch.cli, sys; assert 'sympy' not in sys.modules"],
+        [sys.executable, "-c", "import vortexpatch.cli, sys; assert 'sympy' not in sys.modules; "
+         "assert 'concurrent.futures.process' not in sys.modules"],
         env=env, check=True)
 
 

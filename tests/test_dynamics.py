@@ -1,6 +1,7 @@
 """Contour dynamics: velocity functional, energy/Hamiltonian, time stepping."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,7 +131,8 @@ class TestFastPaths:
             assert got.shape == want.shape
             assert np.all(got == want)
 
-    @pytest.mark.parametrize("M", [32, 64, 256])
+    # M = 16 is one partial row block of stream_gradient, M = 512 sixteen full ones
+    @pytest.mark.parametrize("M", [16, 32, 64, 256, 512])
     def test_energy_and_gradient_bit_equal(self, M):
         th = theta_grid(M)
         for r in (_criterion5_r0(M), 1e-3 * np.cos(2 * th) + 4e-4 * np.sin(3 * th)):
@@ -146,6 +148,38 @@ class TestFastPaths:
             with pytest.raises(ValueError):
                 t[0, 1] = 0.0
         assert _delta_tables(32)[0].shape == (32, 32)
+
+    @pytest.mark.parametrize("M", [16, 64, 256])
+    def test_phi_table_symmetric(self, M):
+        # energy evaluates Phi on the pairs i <= k only and mirrors it
+        th = theta_grid(M)
+        terms = _delta_terms(pair_trig(M)[0])
+        for r in (np.zeros(M), _criterion5_r0(M), 1e-3 * np.cos(2 * th) + 4e-4 * np.sin(3 * th)):
+            R = PatchState(0.5, PeriodicField(r)).R
+            table = _phi_kernel(R[:, None], R[None, :], terms)
+            assert np.all(table == table.T)
+
+    @pytest.mark.parametrize("M", [16, 64, 256])
+    def test_delta_tables_from_triangle_bit_equal(self, M):
+        # the mirrored tables, signed zeros included (e^{i0} = 1 + 0j on the diagonal)
+        for t, want in zip(_delta_tables(M), _delta_terms(pair_trig(M)[0])):
+            assert t.dtype == want.dtype and t.shape == want.shape
+            for part in (np.real, np.imag):
+                assert np.all(part(t) == part(want))
+                assert np.all(np.signbit(part(t)) == np.signbit(part(want)))
+
+    def test_energy_and_gradient_peak_memory(self):
+        # warm caches at M = 256: Phi on the triangle, psi in row blocks
+        st = PatchState(0.5, PeriodicField(_criterion5_r0(256)))
+        for fn, limit in ((energy, 6 * 2 ** 20), (stream_gradient, 2 * 2 ** 20)):
+            fn(st)
+            tracemalloc.start()
+            try:
+                fn(st)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit, (fn.__name__, peak)
 
     def test_scalar_delta_not_cached(self):
         # two scalar angles share a shape but not a table
