@@ -430,7 +430,10 @@ def kam_transport(p, emit):
     The manifest's ``profile`` block holds the last ``delta_s0`` of the history
     and ``converged``: whether it passed the stop test of the iteration,
     delta_s0 <= ``kam._STRAIGHTENED``.  ``reducible`` only says that no step
-    cut more than half of the modes.
+    cut more than half of the modes.  Per change of variables it also lists
+    the fixed-point iterations of the inverse shift and beta's Horner band,
+    the theta modes per side that they sum.  The speed V0 + amp cos(theta)
+    must keep one strict sign on the grid.
     """
     th = theta_grid(p["grid"])
     f0 = PeriodicField(np.broadcast_to(p["amp"] * np.cos(th), (p["K"], p["grid"])).copy())
@@ -442,7 +445,9 @@ def kam_transport(p, emit):
           "kam_transport_result.json": {"V_infty": res.V_infty,
                                         "reducible": res.reducible,
                                         "steps": len(res.history)}},
-         {"converged": last <= _STRAIGHTENED, "delta_s0": last})
+         {"converged": last <= _STRAIGHTENED, "delta_s0": last,
+          "inverse_shift_iterations": [k for k, _ in res.shifts],
+          "horner_band": [band for _, band in res.shifts]})
     click.echo(f"kam-transport: V_infty = {res.V_infty:.12f}, "
                f"reducible = {res.reducible}")
 

@@ -32,6 +32,7 @@ from .spectral import (
     _mirror_project,
     _mirrored,
     _mode_numbers,
+    _support,
     offdiag_norm,
     spectral_derivative,
     theta_grid,
@@ -116,19 +117,31 @@ def analytic_norm(f: PeriodicField, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _power_series(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_{m >= 1} a[..., m-1] z^m by Horner's rule, one z per sample point."""
-    acc = 0.0
-    for m in range(a.shape[-1] - 1, -1, -1):
-        acc = (acc + a[..., m, None]) * z
+    """sum_{m >= 1} a[..., m-1] z^m by Horner's rule, one z per sample point.
+
+    The loop starts at the highest nonzero a[..., m-1]: exact-zero top terms
+    add exactly nothing, so the sum is bit-identical to the one over all of a.
+    """
+    acc = np.zeros(np.broadcast_shapes(a.shape[:-1] + (1,), z.shape), dtype=complex)
+    nonzero = np.flatnonzero(_support(a))
+    for m in range(nonzero[-1] if nonzero.size else -1, -1, -1):
+        acc += a[..., m, None]
+        acc *= z
     return acc
 
 
-def evaluate_shifted(f: PeriodicField, shift: np.ndarray) -> np.ndarray:
+def evaluate_shifted(f, shift: np.ndarray) -> np.ndarray:
     """Samples of f(phi, theta + shift(phi, theta)): sum_m c_m z^m in z = e^{i(theta + shift)},
-    each side of the spectrum summed by Horner's rule."""
+    each side of the spectrum summed by Horner's rule from its highest nonzero c_m.
+
+    ``f`` is a PeriodicField, whose cached ``theta_coeffs`` are summed (exact
+    zeros off its theta band), or any holder of samples ``.values`` on a grid
+    of any size M >= 1, whose theta FFT is taken here.
+    """
     vals = f.values
     M = vals.shape[-1]
-    c = np.fft.fft(vals, axis=-1, norm="forward")
+    c = (f.theta_coeffs if isinstance(f, PeriodicField)
+         else np.fft.fft(vals, axis=-1, norm="forward"))
     z = np.exp(1j * (theta_grid(M) + shift))  # broadcast over leading axes
     h = (M + 1) // 2
     # c_1, ..., c_{h-1} in z and c_{-1}, ..., c_{h-M} in conj(z); for even M
@@ -137,21 +150,27 @@ def evaluate_shifted(f: PeriodicField, shift: np.ndarray) -> np.ndarray:
     return out.real if np.isrealobj(vals) else out
 
 
-@dataclass
 class ChangeOfVariables:
-    """theta -> theta + beta, with the inverse shift beta_hat precomputed."""
+    """theta -> theta + beta, with the inverse shift beta_hat precomputed.
 
-    beta: PeriodicField
-    beta_hat: PeriodicField = field(init=False)
+    The fixed point sums beta on its theta band (``PeriodicField.theta_coeffs``,
+    taken once): for a beta from ``solve_transport_homological`` the modes
+    |j| <= Ncut, for a beta built from samples every mode.  ``iterations``
+    counts the fixed-point steps and ``band`` the Horner terms per side, the
+    largest |j| of a nonzero theta coefficient of beta.
+    """
 
-    def __post_init__(self):
-        db = spectral_derivative(self.beta.values)
+    def __init__(self, beta: PeriodicField):
+        db = spectral_derivative(beta.values)
         if np.max(np.abs(db)) >= 1.0:
             raise ValueError("the change of variables must satisfy |d_theta beta| < 1")
+        modes = np.abs(_mode_numbers(beta.grid_sizes[-1]))
+        self.beta = beta
+        self.band = int(np.max(modes[_support(beta.theta_coeffs)], initial=0))
         # fixed point beta_hat = -beta(phi, theta + beta_hat): a contraction
-        bh = -self.beta.values.copy()
-        for _ in range(200):
-            nxt = -evaluate_shifted(self.beta, bh)
+        bh = -beta.values.copy()
+        for k in range(1, 201):
+            nxt = -evaluate_shifted(beta, bh)
             gap = np.max(np.abs(nxt - bh))
             bh = nxt
             if gap < 1e-14:
@@ -159,6 +178,7 @@ class ChangeOfVariables:
         else:
             raise ValueError("the inverse shift did not converge in 200 iterations "
                              f"(last step {gap:.2g})")
+        self.iterations = k
         self.beta_hat = PeriodicField(bh)
 
 
@@ -182,6 +202,10 @@ class TransportProblem:
         v = self.f0.values
         if np.max(np.abs(_reflected(v) - v)) > 1e-12:
             raise ValueError("f0 must be even under (phi, theta) -> (-phi, -theta)")
+        # a speed that vanishes or changes sign has no rotation number
+        speed = self.V0 + v
+        if not (np.all(speed > 0.0) or np.all(speed < 0.0)):
+            raise ValueError("the speed V0 + f0 must keep one strict sign on the grid")
 
 
 def _mode_lattice(shape):
@@ -197,7 +221,9 @@ def solve_transport_homological(rhs: PeriodicField, omega: np.ndarray, V: float,
     Modes with |omega . l + j V| below the threshold gamma^upsilon <j>/<l>^tau1
     (smoothly cut) or outside the truncation <l, j> <= Ncut are dropped.
     Returns (beta, cut_fraction) where the fraction counts significant rhs
-    modes inside the truncation whose cutoff factor is < 1.
+    modes inside the truncation whose cutoff factor is < 1.  beta is built
+    from its coefficients, so its theta band is the modes j at which some
+    solved coefficient is nonzero, |j| <= Ncut.
     """
     shape = rhs.grid_sizes
     mats = _mode_lattice(shape)
@@ -229,6 +255,7 @@ class TransportResult:
     V_infty: float
     reducible: bool
     history: list  # (m, delta_s0, delta_sh, cut_fraction, V_m)
+    shifts: list   # per change of variables: (inverse-shift iterations, Horner band)
 
 
 def straighten_transport(prob: TransportProblem, steps: int = 8) -> TransportResult:
@@ -241,13 +268,21 @@ def straighten_transport(prob: TransportProblem, steps: int = 8) -> TransportRes
     f_next = B^{-1}[(V + f)(1 + d_theta beta) + omega . d_phi beta] - V_next.
     The history holds the remainder's analytic norms at widths 0 and 0.1; the
     iteration stops once the first is <= ``_STRAIGHTENED``.
+
+    beta has no theta mode beyond N_m, and each change of variables sums it on
+    that band alone (see ``ChangeOfVariables``).  Dropping the round-off that
+    the samples hold off the band moves the history by round-off only: every
+    cell stays within 1e-12 times its column's row 0 and V_infty within a few
+    ulp (``tests/test_kam.py``, ``TestTransportTolerance``).  That bound is
+    the history's tolerance: from row 2 on, the last of the 17 printed digits
+    of the delta columns are round-off.
     """
     if steps < 1:
         raise ValueError("straighten_transport needs steps >= 1")
     V = float(prob.V0)
     f = prob.f0
     omega = prob.omega
-    history = []
+    history, shifts = [], []
     nyquist = max(n // 2 for n in f.grid_sizes)
     for m in range(steps):
         mean_f = float(np.real(f.mean()))
@@ -263,15 +298,16 @@ def straighten_transport(prob: TransportProblem, steps: int = 8) -> TransportRes
             rhs, omega, V, prob.gamma, prob.upsilon, prob.tau1, Ncut)
         history[-1] = (m, d0, dh, frac, V)
         if frac > 0.5:
-            return TransportResult(V, False, history)
+            return TransportResult(V, False, history, shifts)
         cov = ChangeOfVariables(beta)
+        shifts.append((cov.iterations, cov.band))
         u = (V + f.values) * (1.0 + spectral_derivative(beta.values))
         for k in range(len(omega)):
             u = u + omega[k] * spectral_derivative(beta.values, axis=k)
         f_next = evaluate_shifted(PeriodicField(u), cov.beta_hat.values) - V_next
         V = V_next
         f = PeriodicField(f_next)
-    return TransportResult(V, True, history)
+    return TransportResult(V, True, history, shifts)
 
 
 def transport_history_csv(result: TransportResult) -> str:

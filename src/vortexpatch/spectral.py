@@ -66,6 +66,11 @@ def _mode_numbers(n: int) -> np.ndarray:
     return _read_only(np.fft.fftfreq(n, 1.0 / n).astype(int))
 
 
+def _support(a: np.ndarray) -> np.ndarray:
+    """Boolean per index of the last axis: whether some entry of a there is nonzero."""
+    return np.any(a != 0, axis=tuple(range(a.ndim - 1)))
+
+
 class PeriodicField:
     """A function on the torus, held as real samples on a uniform grid.
 
@@ -73,6 +78,10 @@ class PeriodicField:
     values are tolerated (needed when operators are applied to the complex
     exponential basis during matrix assembly); ``is_real`` reports which
     case we are in.
+
+    A field built by ``from_coeffs`` records its theta band, the theta modes
+    j at which some coefficient c_{l, j} is nonzero; a field built from
+    samples has the full band.
     """
 
     def __init__(self, values):
@@ -84,15 +93,22 @@ class PeriodicField:
                 raise ValueError(f"grid sizes must be powers of two, got {values.shape}")
         self.values = values
         self._coeffs = None
+        self._theta_coeffs = None
+        self._theta_band = None  # boolean per theta mode (FFT order); None: every mode
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_coeffs(cls, coeffs, real: bool = True) -> "PeriodicField":
-        vals = np.fft.ifftn(np.asarray(coeffs, dtype=complex), norm="forward")
+        coeffs = np.asarray(coeffs, dtype=complex)
+        vals = np.fft.ifftn(coeffs, norm="forward")
         if real:
             vals = vals.real
-        return cls(vals)
+        out = cls(vals)
+        band = _support(coeffs)
+        # the real part also holds the mirror -j of each mode j
+        out._theta_band = band | band[-_mode_numbers(len(band))] if real else band
+        return out
 
     # -- basic structure ----------------------------------------------
 
@@ -113,6 +129,20 @@ class PeriodicField:
         if self._coeffs is None:
             self._coeffs = np.fft.fftn(self.values, norm="forward")
         return self._coeffs
+
+    @property
+    def theta_coeffs(self) -> np.ndarray:
+        """Fourier coefficients in theta alone, per phi point (FFT order along the
+        last axis).  They are the theta FFT of the samples on the theta band and
+        exact zeros off it, where the FFT holds only the round-off of the
+        samples (<= 1e-16 sup|f| for a field built by ``from_coeffs``).
+        Cached, hence read-only."""
+        if self._theta_coeffs is None:
+            c = np.fft.fft(self.values, axis=-1, norm="forward")
+            if self._theta_band is not None:
+                c[..., ~self._theta_band] = 0.0
+            self._theta_coeffs = _read_only(c)
+        return self._theta_coeffs
 
     def mean(self) -> float:
         return self.values.mean()

@@ -18,9 +18,11 @@ built from, on the pair grids ``_pair_grids``).
 The operator references are the plain loop forms of the off-diagonal norm,
 the band product and its window projection, the band sum and the mirror by
 band lookup, the per-band remainder homological equation, the Neumann series
-of (Id + Psi)^{-1} in band space, and the shifted evaluation, plus the
-composition ``compose_with`` with a change of variables (plain or weighted,
-forward or inverse).
+of (Id + Psi)^{-1} in band space, and the shifted evaluation (as the full
+exp-sum, and as ``horner_shifted``, Horner's rule over every given
+coefficient), the per-iteration full-band inverse shift ``inverse_shift``,
+plus the composition ``compose_with`` with a change of variables (plain or
+weighted, forward or inverse).
 
 The test-only helpers follow them: ``identity`` and the entry lookup
 ``entry`` of a truncation, the coefficient-space operator action
@@ -544,6 +546,38 @@ def evaluate_shifted(f, shift):
     phase = np.exp(1j * angles[..., None] * _mode_numbers(M))
     out = np.sum(c[..., None, :] * phase, axis=-1)
     return out.real if np.isrealobj(vals) else out
+
+
+def horner_shifted(c, shift, real):
+    """sum_m c_m e^{i m (theta + shift)} from the theta coefficients c (FFT order),
+    each side summed by Horner's rule over all of its terms, zero or not."""
+    M = c.shape[-1]
+    z = np.exp(1j * (theta_grid(M) + shift))
+
+    def side(a, z):
+        acc = 0.0
+        for m in range(a.shape[-1] - 1, -1, -1):
+            acc = (acc + a[..., m, None]) * z
+        return acc
+
+    h = (M + 1) // 2
+    out = c[..., :1] + side(c[..., 1:h], z) + side(c[..., :h - 1:-1], z.conj())
+    return out.real if real else out
+
+
+def inverse_shift(beta_values):
+    """beta_hat = -beta(phi, theta + beta_hat) by the fixed point of
+    ``kam.ChangeOfVariables``, with beta's theta FFT taken anew and summed over
+    every mode in each iteration."""
+    bh = -beta_values.copy()
+    for _ in range(200):
+        c = np.fft.fft(beta_values, axis=-1, norm="forward")
+        nxt = -horner_shifted(c, bh, np.isrealobj(beta_values))
+        gap = np.max(np.abs(nxt - bh))
+        bh = nxt
+        if gap < 1e-14:
+            return bh
+    raise ValueError("the inverse shift did not converge in 200 iterations")
 
 
 def compose_with(f, cov, weighted=False, inverse=False):

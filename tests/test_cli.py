@@ -213,19 +213,30 @@ class TestKamCommands:
         csv = (tmp_path / "kam_transport_history.csv").read_text()
         assert csv.splitlines()[0] == "m,delta_s0,delta_sh,cut_fraction,V_m"
 
-    @pytest.mark.parametrize("args,converged", [
-        (["--steps", "2"], False),
-        ([], True),
+    @pytest.mark.parametrize("args,converged,band", [
+        (["--steps", "2"], False, [4, 8]),
+        ([], True, [4, 8, 22, 32, 32]),
     ], ids=["two-steps", "readme-run"])
-    def test_transport_manifest_reports_convergence(self, tmp_path, args, converged):
+    def test_transport_manifest_reports_convergence(self, tmp_path, args, converged, band):
         code = run_cli(["kam-transport", "--amp", "0.1", *args, "--output-dir", str(tmp_path)])
         assert code == 0
         profile = _read_json(tmp_path, "kam-transport_manifest.json")["profile"]
         last = float((tmp_path / "kam_transport_history.csv").read_text()
                      .splitlines()[-1].split(",")[1])
-        assert profile == {"converged": converged, "delta_s0": last}
+        iterations = profile.pop("inverse_shift_iterations")
+        # one entry per change of variables; beta's band is N_m = 4^(1.5^m),
+        # capped at the Nyquist mode 32 of the default grid
+        assert profile == {"converged": converged, "delta_s0": last, "horner_band": band}
+        assert len(iterations) == len(band) and all(k >= 1 for k in iterations)
         assert (last <= 1e-14) == converged
         assert _read_json(tmp_path, "kam_transport_result.json")["reducible"]
+
+    def test_transport_negative_speed_runs(self, tmp_path):
+        # V0 + amp cos(theta) < 0 everywhere has a rotation number too
+        assert run_cli(["kam-transport", "--v0", "-0.5", "--output-dir", str(tmp_path)]) == 0
+        js = _read_json(tmp_path, "kam_transport_result.json")
+        assert js["reducible"]
+        assert abs(js["V_infty"] + np.sqrt(0.24)) < 1e-8
 
     def test_remainder_requires_seed(self, tmp_path):
         code = run_cli(["kam-remainder", "--output-dir", str(tmp_path)])
@@ -368,6 +379,9 @@ class TestValidateBeforeWork:
         ["simulate", "--amplitudes", "30:1e-4", "--grid", "64"],
         ["simulate", "--b", "0.9999999"],
         ["linearize", "--b", "0.9999999"],
+        ["kam-transport", "--amp", "0.6"],
+        ["kam-transport", "--amp", "0.5"],
+        ["kam-transport", "--v0", "0"],
     ], ids=["curve-not-a-number", "curve-gamma-out-of-range", "jobs-zero", "tau2-infinite",
             "perturbed-scan-without-seed", "final-time-not-a-whole-number-of-steps",
             "remainder-steps-negative", "transport-steps-negative", "transport-gamma-zero",
@@ -378,7 +392,8 @@ class TestValidateBeforeWork:
             "final-time-infinite", "eps-hat-nan", "eps-hat-negative", "eps-hat-without-scan",
             "transport-steps-zero", "remainder-l-negative", "transport-tau1-negative",
             "remainder-tau2-negative", "seed-mode-above-grid-third", "simulate-seed-on-circle",
-            "linearize-seed-on-circle"])
+            "linearize-seed-on-circle", "transport-speed-changes-sign",
+            "transport-speed-vanishes", "transport-v0-zero"])
     def test_exit_1_and_nothing_written(self, tmp_path, monkeypatch, args):
         self._forbid_work(monkeypatch)
         d = tmp_path / "out"

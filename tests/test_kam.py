@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import dense_reference
 from dense_reference import compose_with
+from vortexpatch import kam
 from vortexpatch.kam import (
     ChangeOfVariables,
     NonReducibleError,
@@ -37,6 +38,7 @@ from vortexpatch.spectral import (
     LinearOperatorMatrix,
     PeriodicField,
     _mirror_project,
+    _mode_numbers,
     offdiag_norm,
     theta_grid,
 )
@@ -140,6 +142,41 @@ class TestEvaluateShifted:
         scale = np.sum(np.abs(np.fft.fft(vals, axis=-1, norm="forward")), axis=-1)
         assert np.all(np.max(np.abs(out - ref), axis=-1) <= 1e-13 * scale)
 
+    @pytest.mark.parametrize("real", [True, False])
+    def test_zero_padded_top_bit_identical(self, real):
+        # coefficients at -2 <= j <= 5 give a field on that theta band (on
+        # |j| <= 5 for its real part), with exact zeros off it; the Horner
+        # loops start at the highest nonzero coefficient: bit-identical to
+        # Horner over every coefficient, the zero top terms included
+        rng = np.random.default_rng(5)
+        K, M = 8, 32
+        j = _mode_numbers(M)
+        coeffs = rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M))
+        coeffs[:, (j < -2) | (j > 5)] = 0.0
+        band = (np.abs(j) <= 5) if real else (j >= -2) & (j <= 5)
+        f = PeriodicField.from_coeffs(coeffs, real=real)
+        c = f.theta_coeffs
+        assert np.all(c[:, ~band] == 0.0)
+        assert np.array_equal(c[:, band],
+                              np.fft.fft(f.values, axis=-1, norm="forward")[:, band])
+        shift = 0.5 * rng.standard_normal((K, M))
+        assert (evaluate_shifted(f, shift).tobytes()
+                == dense_reference.horner_shifted(c, shift, real).tobytes())
+
+    @pytest.mark.parametrize("shape,shift_shape", [((8, 64), (8, 64)), ((32,), (4, 32)),
+                                                   ((4, 8, 16), (4, 8, 16))])
+    def test_sample_built_field_keeps_every_mode(self, shape, shift_shape):
+        # samples have the full theta band: Horner over the whole FFT, in place,
+        # bit-identical to the out-of-place loop
+        rng = np.random.default_rng(len(shape))
+        vals = rng.standard_normal(shape)
+        f = PeriodicField(vals)
+        c = np.fft.fft(vals, axis=-1, norm="forward")
+        assert np.array_equal(f.theta_coeffs, c)
+        shift = 0.5 * rng.standard_normal(shift_shape)
+        assert (evaluate_shifted(f, shift).tobytes()
+                == dense_reference.horner_shifted(c, shift, True).tobytes())
+
     def test_shift_broadcasts_over_field(self):
         th = theta_grid(32)
         f = PeriodicField(np.cos(th) + 0.5 * np.sin(3 * th))
@@ -163,6 +200,38 @@ class TestChangeOfVariables:
     def test_odd_shift(self):
         v = self._cov().beta.values
         assert np.max(np.abs(_reflected(v) + v)) < 1e-14
+
+    def test_sample_built_equals_full_band_fixed_point(self):
+        cov = self._cov()
+        assert np.array_equal(cov.beta_hat.values,
+                              dense_reference.inverse_shift(cov.beta.values))
+        assert cov.band == 32
+
+    def test_solver_band_matches_full_band(self, monkeypatch):
+        # the betas of kam-transport at K 32, grid 128: the solve's band
+        # |j| <= Ncut = 4, 8, 22, summed alone, against the full band
+        seen = []
+        solve = kam.solve_transport_homological
+
+        def record(rhs, omega, V, gamma, upsilon, tau1, Ncut):
+            beta, frac = solve(rhs, omega, V, gamma, upsilon, tau1, Ncut)
+            seen.append((Ncut, beta))
+            return beta, frac
+
+        monkeypatch.setattr(kam, "solve_transport_homological", record)
+        for amp in (0.1, 0.2):
+            straighten_transport(TransportProblem(
+                golden_frequency(1), _field_2d(32, 128, lambda p, t: amp * np.cos(t))))
+        checked = 0
+        for Ncut, beta in seen:
+            if Ncut < 64:
+                cov = ChangeOfVariables(beta)
+                assert cov.band == int(Ncut)
+                ref = dense_reference.inverse_shift(beta.values)
+                sup = np.max(np.abs(beta.values))
+                assert np.max(np.abs(cov.beta_hat.values - ref)) <= 1e-15 * sup
+                checked += 1
+        assert checked == 6
 
     def test_large_slope_rejected(self):
         th = theta_grid(64)
@@ -263,6 +332,18 @@ class TestStraightenTransport:
         assert not res.reducible
         assert res.history[-1][3] > 0.5
 
+    @pytest.mark.parametrize("V0,amp", [(0.5, 0.6), (0.5, 0.5), (0.0, 0.1)],
+                             ids=["changes-sign", "vanishes", "zero-mean"])
+    def test_speed_without_one_sign_rejected(self, V0, amp):
+        # V0 + amp cos(theta) has no rotation number to straighten to
+        with pytest.raises(ValueError, match="one strict sign"):
+            self._problem(lambda p, t: amp * np.cos(t), V0=V0)
+
+    def test_negative_speed_straightens(self):
+        res = straighten_transport(self._problem(lambda p, t: 0.1 * np.cos(t), V0=-0.5))
+        assert res.reducible
+        assert abs(res.V_infty + np.sqrt(0.24)) < 1e-8
+
     def test_odd_f0_rejected(self):
         with pytest.raises(ValueError):
             self._problem(lambda p, t: 0.1 * np.sin(t))
@@ -285,6 +366,88 @@ class TestStraightenTransport:
         lines = csv.strip().split("\n")
         assert lines[0] == "m,delta_s0,delta_sh,cut_fraction,V_m"
         assert len(lines) - 1 == len(res.history)
+
+
+# kam-transport at K 32, grid 128, 8 steps, as recorded when each change of
+# variables still summed beta over every theta mode: amp -> (V_infty,
+# reducible, history rows (m, delta_s0, delta_sh, cut_fraction, V_m))
+_RECORDED_TRANSPORT = {
+    0.095: (0.49089204515860707, True, [
+        (0, 0.09500000000000014, 0.10499123721720036, 0.0, 0.5),
+        (1, 0.021469194552790706, 0.024357328007446746, 0.0, 0.5),
+        (2, 0.0003884053419268242, 0.0004908048718681922, 0.0, 0.490975),
+        (3, 1.9214476060657547e-07, 2.779866619583346e-07, 0.0, 0.4908920791912657),
+        (4, 5.0339231400154285e-14, 2.7736573416953465e-13, 0.0, 0.49089204515861257),
+        (5, 4.55077828367239e-16, 1.5270968531418395e-13, 0.0, 0.49089204515860707),
+    ]),
+    0.0975: (0.49040162112293223, True, [
+        (0, 0.09750000000000014, 0.10775416451238964, 0.0, 0.5),
+        (1, 0.022708203508441344, 0.02577894390123356, 0.0, 0.5),
+        (2, 0.0004328121143192779, 0.0005473250923020177, 0.0, 0.49049375),
+        (3, 2.3771957526371056e-07, 3.443898551617096e-07, 0.0, 0.4904016630744098),
+        (4, 7.62523740822095e-14, 2.026710299114073e-13, 0.0, 0.4904016211229405),
+        (5, 1.970964674438459e-16, 4.839043273460572e-14, 0.0, 0.49040162112293223),
+    ]),
+    0.1: (0.4898979485566356, True, [
+        (0, 0.10000000000000014, 0.11051709180757974, 0.0, 0.5),
+        (1, 0.02398668332222915, 0.027247271583089695, 0.0, 0.5),
+        (2, 0.0004810253362911768, 0.0006087524945353395, 0.0, 0.49),
+        (3, 2.925654179134615e-07, 4.244304122909996e-07, 0.0, 0.4898980000001163),
+        (4, 1.1480575481414799e-13, 2.547160985917448e-13, 0.0, 0.489897948556648),
+        (5, 0.0, 0.0, 0.0, 0.4898979485566356),
+    ]),
+    0.1025: (0.4893809865534214, True, [
+        (0, 0.10250000000000015, 0.11328001910276835, 0.0, 0.5),
+        (1, 0.02530499685472405, 0.028762833623815473, 0.0, 0.5),
+        (2, 0.0005332704404119111, 0.0006753858620581584, 0.0, 0.48949375),
+        (3, 3.5827457244650024e-07, 5.204831605470683e-07, 0.0, 0.489381049324281),
+        (4, 1.715612404972171e-13, 3.5618570939319006e-13, 0.0, 0.48938098655343987),
+        (5, 5.302864260403283e-16, 8.09136779801303e-14, 0.0, 0.4893809865534214),
+    ]),
+    0.105: (0.4888506929523574, True, [
+        (0, 0.10500000000000016, 0.11604294639795802, 0.0, 0.5),
+        (1, 0.026663506346948695, 0.030326155345096445, 0.0, 0.5),
+        (2, 0.0005897808876671844, 0.0007475355286388625, 0.0, 0.488975),
+        (3, 4.366657023027457e-07, 6.35266268901469e-07, 0.0, 0.4888507691839941),
+        (4, 2.536379716378872e-13, 5.064471152393753e-13, 0.0, 0.4888506929523847),
+        (5, 2.6522522405801907e-16, 2.986403428506881e-14, 0.0, 0.4888506929523574),
+    ]),
+    0.2: (0.458257569495584, True, [
+        (0, 0.2000000000000003, 0.22103418361515947, 0.0, 0.5),
+        (1, 0.11157546098725084, 0.1307195342549643, 0.0, 0.5),
+        (2, 0.009168259064202454, 0.01214881936158155, 0.0, 0.45999999999999996),
+        (3, 9.400079721037848e-05, 0.00014806432957605628, 0.0, 0.45827201856611277),
+        (4, 1.046931811688132e-08, 2.2275819626887227e-08, 0.0, 0.4582575704981549),
+        (5, 2.5166849646135337e-16, 4.83325757614011e-14, 0.0, 0.458257569495584),
+    ]),
+    0.3: (0.40000000000000013, True, [
+        (0, 0.30000000000000054, 0.33155127542275253, 0.0, 0.5),
+        (1, 0.28479623211802385, 0.3544174586932825, 0.0, 0.5),
+        (2, 0.05628875537774229, 0.08285943477562238, 0.0, 0.41000000000000014),
+        (3, 0.0032551945428716603, 0.006144001572298144, 0.0, 0.40045341938321544),
+        (4, 1.2418129232176391e-05, 3.91586169974512e-05, 0.0, 0.4000010301341745),
+        (5, 2.2936596048830105e-10, 5.115733709057256e-09, 0.0, 0.400000000010954),
+        (6, 5.377826208055941e-12, 3.2364897764261113e-09, 0.0, 0.4000000000000001),
+        (7, 5.377587264376871e-12, 3.2364742107893247e-09, 0.0, 0.40000000000000013),
+    ]),
+}
+
+
+class TestTransportTolerance:
+    """The stated tolerance of the history: summing beta on its band drops
+    only round-off, which moves V_infty by at most 4 ulp and every history
+    cell by at most 1e-12 times its column's row 0 (exact where that is 0)."""
+
+    @pytest.mark.parametrize("amp", list(_RECORDED_TRANSPORT))
+    def test_within_tolerance_of_recorded_run(self, amp):
+        V, reducible, rows = _RECORDED_TRANSPORT[amp]
+        res = straighten_transport(TransportProblem(
+            golden_frequency(1), _field_2d(32, 128, lambda p, t: amp * np.cos(t))), steps=8)
+        assert res.reducible == reducible
+        assert len(res.history) == len(rows)
+        assert abs(res.V_infty - V) <= 4 * np.spacing(V)
+        got, want = np.array(res.history), np.array(rows)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want[0]))
 
 
 def _initial_state(N=8, L=8, delta0=1e-3, seed=0, b=0.5, d=1):
