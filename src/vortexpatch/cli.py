@@ -46,6 +46,7 @@ from .kam import (
     _STRAIGHTENED,
     NonReducibleError,
     ReductionState,
+    SymmetryError,
     TransportProblem,
     golden_frequency,
     remainder_history_csv,
@@ -461,10 +462,7 @@ def kam_remainder(p, emit):
     R = synthetic_reversible_remainder(p["N"], p["L"], p["delta0"], seed=p["seed"])
     mu = np.array([float(omega(b, int(j))) for j in R.jmodes])
     state = ReductionState(omega=golden_frequency(1), mu=mu, R=R)
-    try:
-        res = run_remainder_kam(state, steps=p["steps"], gamma=p["gamma"], tau2=p["tau2"])
-    except AssertionError as exc:
-        raise InvariantViolation(str(exc))
+    res = run_remainder_kam(state, steps=p["steps"], gamma=p["gamma"], tau2=p["tau2"])
     emit({"kam_remainder_history.csv": remainder_history_csv(res),
           "kam_remainder_spectrum.json": spectrum_table_json(res, b)},
          {"phi_grid": [{"step": m, "G": G, "shell_max": shell, "sup_R_next": sup}
@@ -482,7 +480,7 @@ def main(argv=None):
     except click.ClickException as exc:
         click.echo(f"invalid config: {exc.format_message()}", err=True)
         sys.exit(1)
-    except (InvariantViolation, NonReducibleError, DegeneratePatchError,
+    except (InvariantViolation, NonReducibleError, SymmetryError, DegeneratePatchError,
             BoundaryContactError) as exc:
         click.echo(f"invariant violation: {exc}", err=True)
         sys.exit(2)

@@ -10,11 +10,15 @@ the conjugated operator to the linear probe theta.
 Part 2 (kam_step / run_remainder_kam): eliminate the off-normal part of
 omega . d_phi + diag(i mu_j) + R(phi) by conjugation with Id + Psi, where Psi
 solves the matrix homological equation behind a second-order divisor cutoff.
-The conjugation is pointwise on a phi grid (d = 1 or 2): products of
-Toeplitz-in-time operators are products of matrix functions of phi, and
-(Id + Psi)^{-1} is one 2N x 2N solve per grid point.  The remainder R is real
-and reversible, Psi is real and reversibility preserving, and mu stays purely
-imaginary and odd in j; these invariants are asserted after every step.
+The conjugation is pointwise on a phi grid (d = 1 or 2) of the smallest
+5-smooth size G >= 2(W + max|l|) + 1: products of Toeplitz-in-time operators
+are products of matrix functions of phi, exact on the kept bands for every
+such G, and (Id + Psi)^{-1} is one 2N x 2N solve per grid point.  The
+remainder R is real and reversible (every entry i a with a real), Psi is real
+and reversibility preserving, and mu stays purely imaginary and odd in j;
+ReductionState checks these invariants on construction.  They make the
+conjugated remainder take -conj values at -phi, so kam_step samples only half
+of the grid (the last phi axis on G//2 + 1 points) and transforms by real FFTs.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
     "remainder_history_csv",
     "spectrum_table_json",
     "NonReducibleError",
+    "SymmetryError",
 ]
 
 
@@ -68,6 +73,11 @@ _STRAIGHTENED = 1e-14
 
 class NonReducibleError(RuntimeError):
     """Raised when the divisor cutoff removes most modes or |Psi| >= 1/2."""
+
+
+class SymmetryError(ValueError):
+    """A ReductionState whose mu is not exactly odd in j, or whose R is not
+    exactly real and reversible."""
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +347,22 @@ class ReductionState:
             raise ValueError("mu must list one frequency per mode in jmodes order")
         if len(self.omega) != self.R.d:
             raise ValueError(f"omega must list one frequency per phi angle of R ({self.R.d})")
+        self.assert_invariants()
 
     def mu_oddness_deviation(self) -> float:
         return float(np.max(np.abs(self.mu + _mirrored(self.mu))))
 
     def assert_invariants(self):
-        """Raise unless mu is exactly odd and R exactly real and reversible."""
+        """Raise SymmetryError unless mu is exactly odd and R exactly real and
+        reversible, i.e. every entry of R is i a with a real and odd under the
+        mirror (kam_step's half grid rests on this); the constructor calls it."""
         if self.mu_oddness_deviation() > 0.0:
-            raise AssertionError("mu lost oddness in j")
-        if self.R.real_deviation() > 0.0:
-            raise AssertionError("remainder lost realness")
+            raise SymmetryError("mu is not exactly odd in j")
+        if np.any(self.R.entries.real):
+            raise SymmetryError("the remainder has an entry with a real part")
+        # for imaginary entries the realness and reversibility deviations are equal
         if self.R.reversible_deviation() > 0.0:
-            raise AssertionError("remainder lost reversibility")
+            raise SymmetryError("the remainder is not exactly real and reversible")
 
 
 def synthetic_reversible_remainder(N: int, L: int, delta0: float,
@@ -416,6 +430,18 @@ def _window(R: LinearOperatorMatrix) -> int:
     return int(max(np.max(np.abs(R.bands), initial=0), 2 * R.N))
 
 
+def _smooth(n: int) -> int:
+    """The smallest 5-smooth integer >= n: an FFT size with no prime factor above 5."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def kam_step(state: ReductionState, Ncut: float, gamma: float = 1e-2,
              tau2: float = 2.5) -> ReductionState:
     """One reduction step: frequency correction, conjugation, new remainder.
@@ -426,12 +452,25 @@ def kam_step(state: ReductionState, Ncut: float, gamma: float = 1e-2,
 
     Psi, R and the leftover are Toeplitz in time, i.e. matrix functions of
     phi: products are pointwise on a G^d phi grid and Phi^{-1} is one
-    2N x 2N solve per point.  With G = 2(W + max|l|) + 1 the products are
-    exact on the kept bands, and only the terms of Phi^{-1} beyond
-    |l|_inf = W + 2 max|l| alias onto them.  The new state's ``aliasing`` is
-    that of ``state`` plus (step, G, largest |Y_l| on the outermost band shell
-    of the grid, sup |R_next|): the shell is an aliasing estimate, not a bound.
-    The new state owns copies of the logs; ``state`` is left as it is.
+    2N x 2N solve per point.  G is the smallest 5-smooth size >= 2(W + max|l|)
+    + 1, so the transforms run at sizes with no prime factor above 5.  For
+    every such G the products are exact on the kept bands, and only the terms
+    of Phi^{-1} beyond |l|_inf = G - W - 1 alias onto them.
+
+    Only half of the grid is sampled: the last phi axis on its G//2 + 1
+    points, the others in full.  The rest follows exactly.  R = i A and the
+    leftover i B have real coefficients A_l, B_l (``ReductionState`` holds R
+    exactly real and reversible) and Psi has real ones, so each of A, B and
+    Psi takes conj values at -phi.  So do X' = B + A Psi - Psi diag(r) and
+    Y' = Phi^{-1} X', and R_next = i Y' has the real coefficients a of Y'.
+    One real FFT pair carries them: with each band l placed at -l mod G the
+    forward real FFT is the sampling sum_l c_l e^{i l phi}, and the inverse
+    returns a_l at -l mod G.
+
+    The new state's ``aliasing`` is that of ``state`` plus (step, G, largest
+    |a_l| on the outermost band shell of the grid, sup |R_next|): the shell is
+    an aliasing estimate, not a bound.  The new state owns copies of the logs;
+    ``state`` is left as it is.
     """
     R = state.R
     W = _window(R)
@@ -445,35 +484,40 @@ def kam_step(state: ReductionState, Ncut: float, gamma: float = 1e-2,
     norm = offdiag_norm(psi, 0.0)
     if norm >= 0.5:
         raise NonReducibleError(f"Id + Psi requires |Psi| < 1/2, got {norm:.3g}")
-    # unsolved part of R (outside P_N, behind the cutoff, or normal-form diagonal,
-    # minus the diagonal correction that moved into mu)
-    leftover = R.entries - resolved
+    # B: the unsolved part of R (outside P_N, behind the cutoff, or normal-form
+    # diagonal, minus the diagonal correction that moved into mu), divided by i
+    B = R.entries.imag - resolved.imag
     if zi is not None:
-        np.fill_diagonal(leftover[zi], np.diag(leftover[zi]) - 1j * r)
-    # Psi, R and the leftover sampled on the phi grid by one inverse FFT
-    G = 2 * (W + int(np.max(np.abs(R.bands)))) + 1
+        np.fill_diagonal(B[zi], np.diag(B[zi]) - r)
+    G = _smooth(2 * (W + int(np.max(np.abs(R.bands)))) + 1)
     phi = tuple(range(R.d))
-    grid = np.zeros((3,) + (G,) * R.d + R.entries.shape[1:], dtype=complex)
-    grid[(slice(None),) + tuple((R.bands % G).T)] = np.stack([psi.entries, R.entries, leftover])
-    grid = np.fft.ifftn(grid, axes=[a + 1 for a in phi], norm="forward")
-    Psi, Rv, X = grid
-    # in place: each full-grid temporary is one more G^d (2N)^2 array
-    X += Rv @ Psi
-    X -= Psi * (1j * r)  # Psi diag(i r): column scaling
+
+    def sampled(c):
+        """The half-grid samples of sum_l c_l e^{i l phi}, c real and band-stacked."""
+        grid = np.zeros((G,) * R.d + c.shape[1:])
+        grid[tuple((-R.bands % G).T)] = c
+        return np.fft.rfftn(grid, axes=phi)
+
+    # one at a time: a zero-filled grid and its transform live only while their
+    # array is sampled
+    Psi, A, X = (sampled(c) for c in (psi.entries.real, R.entries.imag, B))
+    # in place: each grid temporary is one more G^(d-1) (G//2+1) (2N)^2 array
+    X += A @ Psi
+    X -= Psi * r  # Psi diag(r): column scaling
     Psi += np.eye(2 * R.N)  # now Phi = Id + Psi
-    Y = np.fft.fftn(np.linalg.solve(Psi, X), axes=phi, norm="forward")
+    Y = np.linalg.solve(Psi, X)
+    del Psi, A, X  # the inverse transform's two grids take their place
+    a = np.fft.irfftn(Y, s=(G,) * R.d, axes=phi)
     bands = np.indices((2 * W + 1,) * R.d).reshape(R.d, -1).T - W
-    # real and reversible (entries i a, a odd): round-off in the FFTs and the solve
-    # breaks the mirror symmetry at the 1e-16 sup|R| level
-    a = _mirror_project(Y[tuple((bands % G).T)].imag, -1)
-    R_next = LinearOperatorMatrix(R.N, 1j * a, bands)
+    # exactly real and reversible (entries i a, a odd): round-off in the FFTs and
+    # the solve breaks the mirror symmetry at the 1e-16 sup|R| level
+    R_next = LinearOperatorMatrix(R.N, 1j * _mirror_project(a[tuple((-bands % G).T)], -1),
+                                  bands)
     shell = functools.reduce(np.maximum, np.ix_(*[np.abs(_mode_numbers(G))] * R.d))
-    row = (state.step, G, float(np.max(np.abs(Y[shell == shell.max()]))),
+    row = (state.step, G, float(np.max(np.abs(a[shell == shell.max()]))),
            float(np.max(np.abs(R_next.entries))))
-    nxt = ReductionState(state.omega, mu_next, R_next, state.step + 1,
-                         history=list(state.history), aliasing=state.aliasing + [row])
-    nxt.assert_invariants()
-    return nxt
+    return ReductionState(state.omega, mu_next, R_next, state.step + 1,
+                          history=list(state.history), aliasing=state.aliasing + [row])
 
 
 def run_remainder_kam(state: ReductionState, steps: int, gamma: float = 1e-2,

@@ -18,8 +18,9 @@ built from, on the pair grids ``_pair_grids``).
 The operator references are the plain loop forms of the off-diagonal norm,
 the band product and its window projection, the band sum and the mirror by
 band lookup, the per-band remainder homological equation, the Neumann series
-of (Id + Psi)^{-1} in band space, and the shifted evaluation (as the full
-exp-sum, and as ``horner_shifted``, Horner's rule over every given
+of (Id + Psi)^{-1} in band space, the conjugation of a reduction step on
+the full complex phi grid (``full_grid_step``), and the shifted evaluation (as
+the full exp-sum, and as ``horner_shifted``, Horner's rule over every given
 coefficient), the per-iteration full-band inverse shift ``inverse_shift``,
 plus the composition ``compose_with`` with a change of variables (plain or
 weighted, forward or inverse).
@@ -81,6 +82,7 @@ from vortexpatch.spectral import (
     LinearOperatorMatrix,
     PeriodicField,
     _jmodes,
+    _mirror_project,
     _mode_numbers,
     k1_multiplier_coeffs,
     k2_multiplier_coeffs,
@@ -535,6 +537,31 @@ def neumann_inverse(psi, tail=1e-14):
             return out
         term = neg @ term
     raise NonReducibleError(f"Neumann series did not reach tail {tail:.3g} in 200 terms")
+
+
+def full_grid_step(state, Ncut, G, gamma=1e-2, tau2=2.5):
+    """The conjugation of ``kam.kam_step`` by the complex path on the full G^d
+    phi grid: Psi, R and the leftover sampled at every point by one complex
+    inverse FFT, Y = (Id + Psi)^{-1} (leftover + R Psi - Psi diag(i r)) solved
+    at every point, and R_next read from Y's complex forward FFT on the bands
+    |l|_inf <= W.  Returns (R_next, the samples of Y)."""
+    R = state.R
+    W = kam._window(R)
+    zi = R.zero_band
+    r = np.diag(R.entries[zi]).imag
+    psi, resolved, _ = kam.solve_remainder_homological(state, gamma, tau2, Ncut)
+    leftover = R.entries - resolved
+    np.fill_diagonal(leftover[zi], np.diag(leftover[zi]) - 1j * r)
+    phi = tuple(range(R.d))
+    grid = np.zeros((3,) + (G,) * R.d + R.entries.shape[1:], dtype=complex)
+    grid[(slice(None),) + tuple((R.bands % G).T)] = np.stack([psi.entries, R.entries, leftover])
+    Psi, Rv, X = np.fft.ifftn(grid, axes=[a + 1 for a in phi], norm="forward")
+    X = X + Rv @ Psi - Psi * (1j * r)
+    Y = np.linalg.solve(Psi + np.eye(2 * R.N), X)
+    coeffs = np.fft.fftn(Y, axes=phi, norm="forward")
+    bands = np.indices((2 * W + 1,) * R.d).reshape(R.d, -1).T - W
+    a = _mirror_project(coeffs[tuple((bands % G).T)].imag, -1)
+    return LinearOperatorMatrix(R.N, 1j * a, bands), Y
 
 
 def evaluate_shifted(f, shift):

@@ -3,6 +3,7 @@ remainder elimination."""
 
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,8 +18,10 @@ from vortexpatch.kam import (
     ChangeOfVariables,
     NonReducibleError,
     ReductionState,
+    SymmetryError,
     TransportProblem,
     _reflected,
+    _smooth,
     _window,
     analytic_norm,
     evaluate_shifted,
@@ -465,6 +468,29 @@ class TestReductionState:
             ReductionState(omega=golden_frequency(1), mu=mu, R=R)
         assert ReductionState(omega=golden_frequency(2), mu=mu, R=R).R is R
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_entry_with_real_part_refused(self, d):
+        # one entry i a + x: kam_step's half grid needs every entry imaginary
+        state = _initial_state(N=4, L=3, d=d)
+        entries = state.R.entries.copy()
+        entries[1, 2, 5] += 1e-300
+        with pytest.raises(SymmetryError, match="real part"):
+            ReductionState(state.omega, state.mu, LinearOperatorMatrix(4, entries, state.R.bands))
+
+    def test_broken_mirror_refused(self):
+        state = _initial_state(N=4, L=3)
+        entries = state.R.entries.copy()
+        entries[1, 2, 5] += 1e-20j
+        with pytest.raises(SymmetryError, match="real and reversible"):
+            ReductionState(state.omega, state.mu, LinearOperatorMatrix(4, entries, state.R.bands))
+
+    def test_mu_not_odd_refused(self):
+        state = _initial_state(N=4, L=3)
+        mu = state.mu.copy()
+        mu[0] = np.nextafter(mu[0], 0.0)
+        with pytest.raises(SymmetryError, match="odd"):
+            ReductionState(state.omega, mu, state.R)
+
 
 class TestSyntheticRemainder:
     def test_structure_exact(self):
@@ -536,6 +562,20 @@ class TestRemainderHomological:
             dense_reference.neumann_inverse(psi, tail=0.0)
 
 
+class TestSmooth:
+    @pytest.mark.parametrize("n,G", [(33, 36), (41, 45), (49, 50), (65, 72), (77, 80),
+                                     (113, 120)])
+    def test_next_smooth_size(self, n, G):
+        assert _smooth(n) == G
+
+    def test_smooth_sizes_fixed(self):
+        smooth = [2 ** a * 3 ** b * 5 ** c
+                  for a in range(8) for b in range(5) for c in range(4)]
+        assert all(_smooth(n) == n for n in smooth)
+        assert [_smooth(n) for n in range(1, 17)] == [1, 2, 3, 4, 5, 6, 8, 8, 9, 10,
+                                                       12, 12, 15, 15, 15, 16]
+
+
 class TestKamStep:
     def test_invariants_exact(self):
         state = _initial_state()
@@ -587,6 +627,43 @@ class TestKamStep:
         worst = max([worst] + [np.max(np.abs(e)) for e in got.values()])
         assert worst <= 1e-13 * np.max(np.abs(R.entries))
 
+    @pytest.mark.parametrize("d,N,L", [(1, 6, 4), (1, 14, 10), (2, 4, 3), (2, 8, 4)])
+    def test_full_grid_identity(self, d, N, L):
+        # on the full grid Y = Phi^{-1} X takes -conj values at -phi, the
+        # identity that lets kam_step sample half of it
+        state = _initial_state(N, L, seed=3, d=d)
+        for cur, Ncut in ((state, 4.0), (kam_step(state, Ncut=4.0), 8.0)):
+            G = kam_step(cur, Ncut=Ncut).aliasing[-1][1]
+            _, Y = dense_reference.full_grid_step(cur, Ncut, G)
+            mirror = Y[np.ix_(*[-np.arange(G) % G] * d)]
+            assert np.max(np.abs(mirror + Y.conj())) <= 1e-14 * np.max(np.abs(Y))
+
+    @pytest.mark.parametrize("d,N,L", [(1, 6, 4), (1, 14, 10), (2, 4, 3), (2, 8, 4)])
+    def test_half_grid_matches_full_grid(self, d, N, L):
+        # the same G, the same bands: only round-off apart
+        state = _initial_state(N, L, seed=3, d=d)
+        for cur, Ncut in ((state, 4.0), (kam_step(state, Ncut=4.0), 8.0)):
+            nxt = kam_step(cur, Ncut=Ncut)
+            ref, _ = dense_reference.full_grid_step(cur, Ncut, nxt.aliasing[-1][1])
+            assert np.array_equal(nxt.R.bands, ref.bands)
+            assert (np.max(np.abs(nxt.R.entries - ref.entries))
+                    <= 1e-15 * np.max(np.abs(cur.R.entries)))
+
+    def test_two_frequency_step_peak_memory(self):
+        # one d = 2 step at N 8, L 4 on the 72 x 72 grid: the three sampled
+        # arrays are half-grid (72 x 37) and made one at a time; the measured
+        # peak was 62.4 MB (the full complex grid held 161 MB)
+        state = kam_step(_initial_state(N=8, L=4, d=2), Ncut=4.0)
+        kam_step(state, Ncut=8.0)
+        tracemalloc.start()
+        try:
+            nxt = kam_step(state, Ncut=8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nxt.aliasing[-1][1] == 72
+        assert peak <= 69 * 2 ** 20, peak
+
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10 ** 6))
     def test_invariants_property(self, seed):
@@ -627,7 +704,7 @@ class TestRunRemainderKam:
         assert len(deltas) == 4
         assert deltas[1] < 0.1 * deltas[0]
         assert min(deltas[2:]) > 0.5 * deltas[1]
-        assert [G for _, G, _, _ in res.aliasing] == [41, 65, 65]
+        assert [G for _, G, _, _ in res.aliasing] == [45, 72, 72]
 
     def test_runs_own_their_logs(self):
         # two runs from one state: equal logs of their own, the state untouched
@@ -655,3 +732,62 @@ class TestRunRemainderKam:
         assert set(tab["mu"]) == set(int(j) for j in res.R.jmodes)
         worst = max(abs(v["residual"]) for v in tab["mu"].values())
         assert worst < 1e-2
+
+
+# run_remainder_kam for 3 steps, as recorded when kam_step sampled the full
+# complex grid of size 2(W + max|l|) + 1: (d, N, L, seed) -> (history rows
+# (m, delta_s0, delta_sh), mu_j for j = 1..N)
+_RECORDED_REMAINDER = {
+    (1, 14, 10, 0): ([
+        (0, 0.0008978713049109896, 0.000932997113715274),
+        (1, 0.00015373934180713033, 0.0001825448666090513),
+        (2, 1.925257756707157e-05, 2.406338251489487e-05),
+        (3, 3.936090931978143e-07, 5.424653378553188e-07),
+    ], [
+        0.12513523487811418, 0.5312776106719941, 1.0077424095315766,
+        1.5020763296166386, 2.0004681625153538, 2.500225527227538,
+        3.0001301593364653, 3.5000617640335623, 3.9999460694913385,
+        4.499926912369034, 4.999994878562045, 5.500005635568356,
+        5.9999835614384835, 6.4999767692748,
+    ]),
+    (1, 14, 10, 1): ([
+        (0, 0.0010063958192531738, 0.0010489908851344673),
+        (1, 0.00013112384104646576, 0.00015592069054116563),
+        (2, 2.125882227817927e-05, 2.6576779891769733e-05),
+        (3, 4.552584982967844e-07, 6.272239524053635e-07),
+    ], [
+        0.12465121344311907, 0.5312157337176473, 1.0079210565540138,
+        1.5020579494073047, 2.0004511801752924, 2.500163995701607,
+        2.999909044773825, 3.50002697721196, 4.000040173295085,
+        4.500022150344412, 5.000020132242233, 5.500040051927021,
+        5.999996912027365, 6.499991873310396,
+    ]),
+    (2, 8, 4, 0): ([
+        (0, 0.00173396995870745, 0.0018271689229711406),
+        (1, 0.00012836059863391837, 0.0001309807096406423),
+        (2, 0.0001216965925206331, 0.00012203303517337229),
+        (3, 0.00012144986251307592, 0.00012164078137848032),
+    ], [
+        0.12491059343331344, 0.5312373408654183, 1.0078920632620316,
+        1.5019904483840152, 2.000506737666056, 2.5000613288041875,
+        2.999960249936575, 3.499973320910314,
+    ]),
+}
+
+
+class TestRemainderTolerance:
+    """The stated tolerance of the remainder history: the half grid and the
+    5-smooth G move only round-off and the aliasing of Phi^{-1}, which moves
+    mu by at most 4 ulp and every history cell by at most 1e-14 times its
+    column's row 0."""
+
+    @pytest.mark.parametrize("key", list(_RECORDED_REMAINDER),
+                             ids=lambda k: "d{}-N{}-L{}-seed{}".format(*k))
+    def test_within_tolerance_of_recorded_run(self, key):
+        d, N, L, seed = key
+        rows, mu = _RECORDED_REMAINDER[key]
+        res = run_remainder_kam(_initial_state(N, L, seed=seed, d=d), steps=3)
+        got, want = np.array(res.history), np.array(rows)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want[0]))
+        assert np.all(np.abs(res.mu[N:] - mu) <= 4 * np.spacing(np.array(mu)))
