@@ -97,15 +97,19 @@ def _list_of(kind):
 
 
 def _amplitudes(value) -> dict:
-    """'2:1e-3,5:2e-4' or {"2": 1e-3, "5": 2e-4} -> {2: 1e-3, 5: 2e-4}; '' -> {}."""
+    """'2:1e-3,5:2e-4' or {"2": 1e-3, "5": 2e-4} -> {2: 1e-3, 5: 2e-4}; '' -> {}.
+    A mode given twice is refused."""
     if isinstance(value, dict):
         pairs = value.items()
     else:
         pairs = [part.split(":") for part in str(value).split(",")] if value != "" else []
     try:
-        return {int(j): float(a) for j, a in pairs}
+        out = {int(j): float(a) for j, a in pairs}
     except (TypeError, ValueError):
         raise click.ClickException(f"bad amplitudes {value!r}; expected mode:value pairs")
+    if len(out) != len(pairs):
+        raise click.ClickException(f"amplitudes {value!r} give a mode twice")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +162,6 @@ CANTOR = [
     ("--b0", "b0", _UNIT, 0.1, None),
     ("--b1", "b1", _UNIT, 0.9, None),
     ("--curve", "curve", _list_of(float), "", "comma list of gammas for a measure curve"),
-    ("--jobs", "jobs", _POSITIVE, 1,
-     "parallel workers for the measure curve (at most one per CPU and gamma)"),
 ]
 
 KAM_TRANSPORT = [
@@ -189,12 +191,20 @@ KAM_REMAINDER = [
 # resolution, artifacts and the manifest
 # ---------------------------------------------------------------------------
 
+def _unique_keys(pairs) -> dict:
+    """JSON object hook: a key given twice is refused, not overwritten."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        raise click.ClickException(f"config file gives a key twice in {[k for k, _ in pairs]}")
+    return out
+
+
 def _load_config(path):
     if path is None:
         return {}
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise click.ClickException(f"cannot read config file: {exc}")
     if not isinstance(cfg, dict):
@@ -379,7 +389,7 @@ def spectrum(p, emit):
 
 
 def _curve_point(item):
-    """Excluded measure for one (system, spec) pair (picklable --jobs work item)."""
+    """Excluded measure for one (system, spec) pair (picklable pool work item)."""
     sysf, spec = item
     return excluded_measure(sysf, spec).total
 
@@ -392,12 +402,13 @@ def cantor(p, emit):
     the screen, filter, bisection and Russmann stages, the (l, m) families the
     second-order family bound skips, the tuples screened, kept by the filter
     and with brackets bisected, and the window nodes the filter evaluates.
+    With --curve it also holds ``curve_workers``, min(CPU count, number of
+    gammas): the curve's processes, or 1 when it runs in-process.
     """
     sysf = FrequencySystem(p["sites"], p["b0"], p["b1"])
     spec = DiophantineSpec(gamma=p["gamma"], tau1=p["tau1"], tau2=p["tau2"],
                            upsilon=p["upsilon"], Lmax=p["lmax"], kind=p["kind"])
     curve = [replace(spec, gamma=g) for g in p["curve"]]
-    p["jobs"] = min(p["jobs"], os.cpu_count() or 1, max(len(curve), 1))
 
     rep = excluded_measure(sysf, spec)
     artifacts = {"cantor_intervals.csv": excluded_to_csv(rep),
@@ -410,18 +421,21 @@ def cantor(p, emit):
     click.echo(f"cantor: excluded measure {rep.total:.17g} "
                f"({len(rep.rows)} intervals, 0 Russmann violations)")
 
+    profile = rep.profile
     if curve:
         items = [(sysf, s) for s in curve]
-        if p["jobs"] > 1:
+        workers = min(os.cpu_count() or 1, len(curve))
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
-            with ProcessPoolExecutor(max_workers=p["jobs"]) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 totals = list(pool.map(_curve_point, items))
         else:
             totals = [_curve_point(it) for it in items]
         # canonical ordering: by input index, independent of worker order
         artifacts["cantor_curve.csv"] = _csv(
             "gamma,excluded_measure", [(s.gamma, m) for s, m in zip(curve, totals)])
-    emit(artifacts, rep.profile)
+        profile = {**profile, "curve_workers": workers}
+    emit(artifacts, profile)
 
 
 @_command("kam-transport", KAM_TRANSPORT)

@@ -390,6 +390,8 @@ class EvolutionConfig:
                              f"steps dt = {self.dt!r} (T/dt = {steps!r})")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        if len(set(self.track_modes)) != len(self.track_modes):
+            raise ValueError(f"track modes {list(self.track_modes)} repeat a mode")
 
 
 @dataclass

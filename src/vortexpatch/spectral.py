@@ -74,10 +74,9 @@ def _support(a: np.ndarray) -> np.ndarray:
 class PeriodicField:
     """A function on the torus, held as real samples on a uniform grid.
 
-    The last axis is theta; any leading axes are the phi angles. Complex
-    values are tolerated (needed when operators are applied to the complex
-    exponential basis during matrix assembly); ``is_real`` reports which
-    case we are in.
+    The last axis is theta; any leading axes are the phi angles. The program
+    builds real fields only; complex values are tolerated for the test
+    oracles, and ``is_real`` reports which case we are in.
 
     A field built by ``from_coeffs`` records its theta band, the theta modes
     j at which some coefficient c_{l, j} is nonzero; a field built from
@@ -257,10 +256,8 @@ class LinearOperatorMatrix:
         if bands is None:
             bands = np.zeros((entries.shape[0], 0), dtype=int)
         bands = np.asarray(bands, dtype=int)
-        if bands.ndim == 1:
-            bands = bands[:, None]
-        if bands.shape[0] != entries.shape[0]:
-            raise ValueError("band list does not match entry blocks")
+        if bands.ndim != 2 or bands.shape[0] != entries.shape[0]:
+            raise ValueError("bands must hold one row l per entry block")
         rows = list(map(tuple, bands.tolist()))  # np.unique would import numpy.ma
         if not (all(x < y for x, y in zip(rows, rows[1:]))
                 and np.array_equal(bands[::-1], -bands)):
@@ -276,16 +273,9 @@ class LinearOperatorMatrix:
         """Index of the band l = 0, None when it is absent."""
         return len(self.bands) // 2 if len(self.bands) % 2 else None
 
-    def _mirror_deviation(self, sign: float, conjugate: bool) -> float:
-        """sup |T^{-l,-j}_{-l0,-j0} - sign * (conj)T^{l,j}_{l0,j0}|."""
-        ref = np.conj(self.entries) if conjugate else self.entries
-        return float(np.max(np.abs(_mirrored(self.entries) - sign * ref), initial=0.0))
-
-    def real_deviation(self) -> float:
-        return self._mirror_deviation(1.0, conjugate=True)
-
     def reversible_deviation(self) -> float:
-        return self._mirror_deviation(-1.0, conjugate=False)
+        """sup |T^{-l,-j}_{-l0,-j0} + T^{l,j}_{l0,j0}|: zero for a reversible operator."""
+        return float(np.max(np.abs(_mirrored(self.entries) + self.entries), initial=0.0))
 
     # -- algebra ----------------------------------------------------------
 
@@ -320,17 +310,6 @@ class LinearOperatorMatrix:
         entries[inv[:nl]] += self.entries
         entries[inv[nl:]] += other.entries
         return LinearOperatorMatrix(self.N, entries, bands)
-
-    def __sub__(self, other: "LinearOperatorMatrix") -> "LinearOperatorMatrix":
-        return self + (-other)
-
-    def __mul__(self, c):
-        return LinearOperatorMatrix(self.N, self.entries * c, self.bands)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return LinearOperatorMatrix(self.N, -self.entries, self.bands)
 
 
 def offdiag_norm(op: LinearOperatorMatrix, s: float) -> float:

@@ -25,8 +25,9 @@ coefficient), the per-iteration full-band inverse shift ``inverse_shift``,
 plus the composition ``compose_with`` with a change of variables (plain or
 weighted, forward or inverse).
 
-The test-only helpers follow them: ``identity`` and the entry lookup
-``entry`` of a truncation, the coefficient-space operator action
+The test-only helpers follow them: ``identity``, the multiple ``scaled``,
+the entry lookup ``entry`` and the symmetry measure ``mirror_deviation`` of a
+truncation, the coefficient-space operator action
 ``apply_operator``, ``e_mode``, ``project``, ``convolve_multiplier``,
 ``from_multiplier``, ``diagonal_difference_quotient`` (2 d_theta f on the
 diagonal), the kernel tables ``kernel_A`` and ``kernel_B`` and the frequency
@@ -83,6 +84,7 @@ from vortexpatch.spectral import (
     PeriodicField,
     _jmodes,
     _mirror_project,
+    _mirrored,
     _mode_numbers,
     k1_multiplier_coeffs,
     k2_multiplier_coeffs,
@@ -530,7 +532,7 @@ def neumann_inverse(psi, tail=1e-14):
     N = psi.N
     out = LinearOperatorMatrix(N, np.eye(2 * N, dtype=complex),
                                np.zeros((1, psi.d), dtype=int))
-    term = neg = -1.0 * psi
+    term = neg = scaled(psi, -1.0)
     for _ in range(200):
         out = out + term
         if offdiag_norm(term, 0.0) <= tail:
@@ -623,6 +625,19 @@ def compose_with(f, cov, weighted=False, inverse=False):
 
 def identity(N: int) -> LinearOperatorMatrix:
     return LinearOperatorMatrix(N, np.eye(2 * N, dtype=complex))
+
+
+def scaled(op: LinearOperatorMatrix, c) -> LinearOperatorMatrix:
+    """c T on the bands of T."""
+    return LinearOperatorMatrix(op.N, op.entries * c, op.bands)
+
+
+def mirror_deviation(op: LinearOperatorMatrix, sign: float, conjugate: bool) -> float:
+    """sup |T^{-l,-j}_{-l0,-j0} - sign * (conj)T^{l,j}_{l0,j0}|: zero for a real
+    operator at (1, conjugate), a reversible one at (-1, plain) and a
+    reversibility-preserving one at (1, plain)."""
+    ref = np.conj(op.entries) if conjugate else op.entries
+    return float(np.max(np.abs(_mirrored(op.entries) - sign * ref), initial=0.0))
 
 
 def entry(op: LinearOperatorMatrix, m, j: int, j0: int) -> complex:

@@ -187,13 +187,15 @@ class TestCantorCommand:
             ))
         assert outs[0] == outs[1]
 
-    def test_curve_with_jobs_canonical_order(self, tmp_path):
-        for jobs, name in (("1", "serial"), ("2", "parallel")):
+    def test_curve_with_jobs_canonical_order(self, tmp_path, monkeypatch):
+        from vortexpatch import cli
+        for cpus, name in ((1, "serial"), (2, "parallel")):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
             d = tmp_path / name
             code = run_cli(["cantor", "--gamma", "1e-2", "--lmax", "2",
-                            "--curve", "1e-2,1e-3", "--jobs", jobs,
-                            "--output-dir", str(d)])
+                            "--curve", "1e-2,1e-3", "--output-dir", str(d)])
             assert code == 0
+            assert _read_json(d, "cantor_manifest.json")["profile"]["curve_workers"] == cpus
         serial = (tmp_path / "serial" / "cantor_curve.csv").read_bytes()
         parallel = (tmp_path / "parallel" / "cantor_curve.csv").read_bytes()
         assert serial == parallel
@@ -365,7 +367,7 @@ class TestValidateBeforeWork:
     @pytest.mark.parametrize("args", [
         ["cantor", "--lmax", "2", "--curve", "1e-2,abc"],
         ["cantor", "--lmax", "2", "--curve", "1e-2,2.0"],
-        ["cantor", "--lmax", "2", "--curve", "1e-2,1e-3", "--jobs", "0"],
+        ["cantor", "--lmax", "2", "--curve", "1e-2,1e-3", "--jobs", "2"],
         ["cantor", "--lmax", "2", "--tau2", "inf"],
         ["spectrum", "--scan", "--lmax", "2", "--grid", "200", "--eps-hat", "1e-4"],
         ["simulate", "--dt", "0.3", "--t", "1"],
@@ -398,7 +400,9 @@ class TestValidateBeforeWork:
         ["kam-transport", "--amp", "0.6"],
         ["kam-transport", "--amp", "0.5"],
         ["kam-transport", "--v0", "0"],
-    ], ids=["curve-not-a-number", "curve-gamma-out-of-range", "jobs-zero", "tau2-infinite",
+        ["simulate", "--track", "2,2"],
+        ["simulate", "--amplitudes", "2:1e-3,2:2e-3"],
+    ], ids=["curve-not-a-number", "curve-gamma-out-of-range", "jobs-flag", "tau2-infinite",
             "perturbed-scan-without-seed", "final-time-not-a-whole-number-of-steps",
             "remainder-steps-negative", "transport-steps-negative", "transport-gamma-zero",
             "remainder-gamma-zero", "remainder-gamma-negative", "remainder-gamma-above-one",
@@ -409,7 +413,8 @@ class TestValidateBeforeWork:
             "transport-steps-zero", "remainder-l-negative", "transport-tau1-negative",
             "remainder-tau2-negative", "seed-mode-above-grid-third", "simulate-seed-on-circle",
             "linearize-seed-on-circle", "transport-speed-changes-sign",
-            "transport-speed-vanishes", "transport-v0-zero"])
+            "transport-speed-vanishes", "transport-v0-zero", "track-mode-repeated",
+            "amplitude-mode-repeated"])
     def test_exit_1_and_nothing_written(self, tmp_path, monkeypatch, args):
         self._forbid_work(monkeypatch)
         d = tmp_path / "out"
@@ -419,6 +424,9 @@ class TestValidateBeforeWork:
 
     @pytest.mark.parametrize("cmd,config,flags", [
         ("cantor", {"gama": 0.5, "lmax": 3}, []),
+        ("cantor", {"jobs": 2, "lmax": 2, "curve": "1e-2,1e-3"}, []),
+        ("simulate", {"amplitudes": {"2": 1e-3, "02": 2e-3}}, []),
+        ("simulate", {"track": "2,3,2"}, []),
         ("cantor", {"lmax": 3.7}, []),
         ("spectrum", {"jmax": True}, []),
         ("spectrum", {"output_dir": 5}, []),
@@ -426,7 +434,8 @@ class TestValidateBeforeWork:
         ("spectrum", {"jmax": "abc"}, ["--jmax", "2"]),
         ("cantor", {"gamma": "nan", "lmax": 2}, ["--gamma", "1e-3"]),
         ("spectrum", {"output_dir": 5}, ["--output-dir", "."]),
-    ], ids=["unknown-key", "integer-key-fractional", "integer-key-boolean",
+    ], ids=["unknown-key", "unknown-key-jobs", "amplitude-mode-repeated",
+            "track-mode-repeated", "integer-key-fractional", "integer-key-boolean",
             "output-dir-not-a-string", "overridden-key-not-an-integer",
             "overridden-key-not-finite", "overridden-output-dir-not-a-string"])
     def test_config_exit_1_and_nothing_written(self, tmp_path, monkeypatch, cmd, config, flags):
@@ -437,6 +446,20 @@ class TestValidateBeforeWork:
         d.mkdir()
         monkeypatch.chdir(d)  # where a run without an output directory writes
         assert run_cli([cmd, "--config", str(cfg)] + flags) == 1
+        assert list(d.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd,text", [
+        ("cantor", '{"lmax": 3, "lmax": 2}'),
+        ("simulate", '{"amplitudes": {"2": 1e-3, "2": 2e-3}}'),
+    ], ids=["top-level", "amplitude-mode"])
+    def test_config_key_given_twice(self, tmp_path, monkeypatch, cmd, text):
+        # json.load alone keeps the last value of a repeated key
+        self._forbid_work(monkeypatch)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        d = tmp_path / "out"
+        d.mkdir()
+        assert run_cli([cmd, "--config", str(cfg), "--output-dir", str(d)]) == 1
         assert list(d.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["", "a_file"], ids=["empty", "existing-file"])
@@ -466,24 +489,29 @@ class _RecordingExecutor:
 
 
 class TestJobsBound:
-    @pytest.mark.parametrize("jobs,cpus,workers", [
-        (8, 64, 3),   # capped by the number of gammas
-        (8, 2, 2),    # capped by the CPU count
-        (2, 64, 2),   # as requested
-        (4, 1, 1),    # one CPU: serial, no pool
-    ])
-    def test_worker_count(self, tmp_path, monkeypatch, jobs, cpus, workers):
+    """A measure curve runs on min(CPU count, number of gammas) workers."""
+
+    @pytest.mark.parametrize("cpus,gammas,workers", [
+        (64, "1e-2,1e-3,1e-4", 3),  # capped by the number of gammas
+        (2, "1e-2,1e-3,1e-4", 2),   # capped by the CPU count
+        (None, "1e-2,1e-3,1e-4", 1),  # CPU count unknown: serial, no pool
+        (1, "1e-2,1e-3,1e-4", 1),   # one CPU: serial, no pool
+        (64, "1e-3", 1),            # one gamma: serial, no pool
+    ], ids=["cpus64-gammas3", "cpus2-gammas3", "cpus-unknown-gammas3", "cpus1-gammas3",
+            "cpus64-gammas1"])
+    def test_worker_count(self, tmp_path, monkeypatch, cpus, gammas, workers):
         from vortexpatch import cli
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(_RecordingExecutor, "started", [])
         code = run_cli(["cantor", "--gamma", "1e-2", "--lmax", "2",
-                        "--curve", "1e-2,1e-3,1e-4", "--jobs", str(jobs),
-                        "--output-dir", str(tmp_path)])
+                        "--curve", gammas, "--output-dir", str(tmp_path)])
         assert code == 0
         assert _RecordingExecutor.started == ([workers] if workers > 1 else [])
-        assert _read_json(tmp_path, "cantor_manifest.json")["config"]["jobs"] == workers
-        assert _csv_rows(tmp_path, "cantor_curve.csv") == 3
+        manifest = _read_json(tmp_path, "cantor_manifest.json")
+        assert manifest["profile"]["curve_workers"] == workers
+        assert "jobs" not in manifest["config"]
+        assert _csv_rows(tmp_path, "cantor_curve.csv") == len(gammas.split(","))
 
 
 def test_cli_import_does_not_load_sympy():

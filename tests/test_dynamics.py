@@ -417,6 +417,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             EvolutionConfig(dt=0.1, T=1.0, record_stride=0)
 
+    def test_repeated_track_mode_refused(self):
+        # each listed mode appends one sample per step to the same series
+        with pytest.raises(ValueError, match="repeat a mode"):
+            EvolutionConfig(dt=0.1, T=1.0, track_modes=(2, 3, 2))
+        assert EvolutionConfig(dt=0.1, T=1.0, track_modes=(2, -2)).track_modes == (2, -2)
+
     @pytest.mark.parametrize("dt,T", [(0.3, 1.0), (0.4, 1.0), (1e-3, 0.0105)])
     def test_final_time_not_a_whole_number_of_steps(self, dt, T):
         # round(T/dt) steps would stop short of (or past) T

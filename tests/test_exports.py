@@ -1,8 +1,10 @@
 """Each library module exports only what the program runs: every name in the
 ``__all__`` of the seven library modules exists and is used as code (an AST
 ``Name`` or ``Attribute``, not a string) in ``src/vortexpatch`` or in the
-benchmark's ``perfbench/passes.py``.  And no module of ``src/vortexpatch``
-imports a name that it never uses."""
+benchmark's ``perfbench/passes.py``.  No module of ``src/vortexpatch`` imports
+a name that it never uses.  Every key of a ``cli.py`` parameter table is read
+by its subcommand, so no flag sits idle.  And the operator algebra of
+``LinearOperatorMatrix`` is exactly what the benchmark's tracer wraps."""
 
 import ast
 import importlib
@@ -60,3 +62,57 @@ def test_unused_import_is_caught():
     tree = ast.parse("from dataclasses import dataclass, field\nimport numpy as np\n"
                      "@dataclass\nclass A:\n    x: int\n")
     assert _unused_imports(tree) == ["field", "np"]
+
+
+def _table_reads() -> list:
+    """(subcommand, table keys, keys read as ``p["<key>"]``) per ``_command``
+    of ``cli.py``; a module function called with ``p`` reads for its caller."""
+    tree = ast.parse((ROOT / "src" / "vortexpatch" / "cli.py").read_text())
+    tables, functions = {}, {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List):
+            tables[node.targets[0].id] = {row.elts[1].value for row in node.value.elts}
+        elif isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+
+    def reads(fn, seen):
+        keys = set()
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id == "p" and isinstance(node.slice, ast.Constant)):
+                keys.add(node.slice.value)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in functions and node.func.id not in seen
+                    and any(isinstance(a, ast.Name) and a.id == "p" for a in node.args)):
+                keys |= reads(functions[node.func.id], seen | {node.func.id})
+        return keys
+
+    out = []
+    for fn in functions.values():
+        for dec in fn.decorator_list:
+            if isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "_command":
+                name, table = dec.args[0].value, dec.args[1].id
+                out.append((name, tables[table], reads(fn, {fn.name})))
+    return out
+
+
+def test_every_table_key_is_read():
+    commands = _table_reads()
+    assert sorted(name for name, _, _ in commands) == [
+        "cantor", "kam-remainder", "kam-transport", "linearize", "simulate", "spectrum"]
+    assert [(name, sorted(keys - read)) for name, keys, read in commands
+            if keys - read] == []
+
+
+def test_operator_algebra_is_what_the_tracer_wraps():
+    from vortexpatch.spectral import LinearOperatorMatrix
+
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    wrapped = next(ast.literal_eval(node.value) for node in tracer.body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "CLASS_METHODS")
+    dunders = {name for name, value in vars(LinearOperatorMatrix).items()
+               if name.startswith("__") and name.endswith("__") and callable(value)
+               and name != "__init__"}
+    assert dunders == {meth for module, cls, meth in wrapped
+                       if (module, cls) == ("spectral", "LinearOperatorMatrix")}

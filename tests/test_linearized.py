@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from dense_reference import apply_operator, e_mode, entry, kernel_B
+from dense_reference import apply_operator, e_mode, entry, kernel_B, mirror_deviation
 from scipy import integrate
 
 from vortexpatch.geometry import PatchState, log_kernel_integrals, smooth_factor_v1
@@ -183,7 +183,7 @@ class TestAssemble:
     def test_structure_predicates(self):
         for st in (zero_state(0.5), cos_state(amp=2e-3)):
             G = assemble(st, 8)
-            assert G.real_deviation() <= 1e-12
+            assert mirror_deviation(G, 1.0, conjugate=True) <= 1e-12
             assert G.reversible_deviation() <= 1e-12
 
     def test_truncation_guard(self):

@@ -13,7 +13,9 @@ from dense_reference import (
     entry,
     from_multiplier,
     identity,
+    mirror_deviation,
     project,
+    scaled,
     shifted_kernel_integral,
 )
 from vortexpatch.geometry import pair_trig
@@ -217,11 +219,11 @@ def random_toeplitz_operator(N, nbands=2, rng=RNG, decay=1.5):
         block = rng.standard_normal((2 * N, 2 * N)) + 1j * rng.standard_normal((2 * N, 2 * N))
         block /= np.maximum(1, np.abs(diff)) ** decay
         return LinearOperatorMatrix(N, block)
-    bands = np.arange(-nbands, nbands + 1)
+    bands = np.arange(-nbands, nbands + 1)[:, None]
     entries = []
     jm = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
     diff = jm[:, None] - jm[None, :]
-    for m in bands:
+    for (m,) in bands:
         block = (rng.standard_normal((2 * N, 2 * N)) + 1j * rng.standard_normal((2 * N, 2 * N)))
         block /= np.maximum(1, np.abs(diff)) ** decay * max(1, abs(m)) ** decay
         entries.append(block)
@@ -363,7 +365,7 @@ class TestFastOperatorPaths:
         rng = np.random.default_rng(13)
         for d, a, b, zeroed in self._operators(rng):
             # the outermost band of -(zeroed @ b) is all -0.0 and absent from a
-            for left, right in ((a, b), (zeroed, a), (a, a @ b), (-1.0 * (zeroed @ b), a)):
+            for left, right in ((a, b), (zeroed, a), (a, a @ b), (scaled(zeroed @ b, -1.0), a)):
                 got, ref = left + right, dense_reference.band_sum(left, right)
                 assert np.array_equal(got.bands, ref.bands)
                 assert got.entries.tobytes() == ref.entries.tobytes()
@@ -403,6 +405,11 @@ class TestBandOrder:
         with pytest.raises(ValueError, match="sorted, unique and closed"):
             LinearOperatorMatrix(2, np.zeros((2, 4, 4)), bands)
 
+    def test_flat_band_list_rejected(self):
+        # a band is a row l of length d, also for d = 1
+        with pytest.raises(ValueError, match="one row l per entry block"):
+            LinearOperatorMatrix(2, np.zeros((3, 4, 4)), [-1, 0, 1])
+
     @pytest.mark.parametrize("d,L", [(0, 0), (1, 3), (2, 2)])
     def test_zero_band_is_middle(self, d, L):
         op = random_lattice_operator(2, d, L, np.random.default_rng(15))
@@ -438,10 +445,12 @@ class TestReversibilityStructure:
         rev_op = self.make_structured(N, "reversible", rng)
         pres_op = self.make_structured(N, "preserving", rng)
         tol = 1e-10
-        assert real_op.real_deviation() <= tol < rev_op.real_deviation()
+        assert (mirror_deviation(real_op, 1.0, conjugate=True) <= tol
+                < mirror_deviation(rev_op, 1.0, conjugate=True))
         assert rev_op.reversible_deviation() <= tol < pres_op.reversible_deviation()
-        assert (pres_op._mirror_deviation(1.0, conjugate=False) <= tol
-                < rev_op._mirror_deviation(1.0, conjugate=False))
+        assert rev_op.reversible_deviation() == mirror_deviation(rev_op, -1.0, conjugate=False)
+        assert (mirror_deviation(pres_op, 1.0, conjugate=False) <= tol
+                < mirror_deviation(rev_op, 1.0, conjugate=False))
 
     def test_reversible_matches_action_test(self):
         # T reversible <=> T o S = -S o T on random fields, (S rho)(theta) = rho(-theta)
@@ -465,10 +474,11 @@ class TestReversibilityStructure:
         rng = np.random.default_rng(4)
         a = random_toeplitz_operator(4, rng=rng)
         b = random_toeplitz_operator(4, rng=rng)
-        c = (a + b) @ (2.0 * a - b)
+        two_a, minus_b = scaled(a, 2.0), scaled(b, -1.0)
+        c = (a + b) @ (two_a + minus_b)
         assert c.N == 4
         # distributivity spot-check against dense arithmetic on the zero band
-        direct = (a @ (2.0 * a)) + (b @ (2.0 * a)) + (a @ (-1.0 * b)) + (b @ (-1.0 * b))
+        direct = (a @ two_a) + (b @ two_a) + (a @ minus_b) + (b @ minus_b)
         for m in range(-4, 5):
             lhs = entry(c, (m,), 2, 1)
             rhs = entry(direct, (m,), 2, 1)
