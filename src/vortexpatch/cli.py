@@ -321,6 +321,7 @@ def simulate(p, emit):
     """Nonlinear contour-dynamics run; writes trajectory CSV and summary."""
     config = EvolutionConfig(dt=p["dt"], T=p["T"], record_stride=p["stride"],
                              track_modes=p["track"])
+    config.check_grid(p["grid"])
     state = _seed_state(p)
     traj = run_simulation(state, config)
     outdir = emit({"simulate_trajectory.csv": trajectory_to_csv(traj),

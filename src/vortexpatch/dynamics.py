@@ -11,7 +11,8 @@ Both mixed derivatives are rank 2: with p = R' sin + R cos, q = R sin - R' cos
 they are -q(theta) p(eta) + p(theta) q(eta) and b_p(theta) p(eta) + b_q(theta) q(eta),
 b_p = -(R sin + R' cos)/R^2, b_q = (R cos - R' sin)/R^2.  So F1 and F2 need only
 log A_r and log B_r integrated against p and q (``log_kernel_integrals``), where
-the singular K1 and the image kernel K2 act as exact Fourier multipliers.
+the singular K1 and the image kernel K2 act as cached real circulant matrices,
+the matrix form of their Fourier multipliers.
 
 The kinetic energy
 
@@ -51,6 +52,7 @@ from .spectral import (
     PeriodicField,
     _csv,
     _mode_numbers,
+    _multiplier_matrix,
     _read_only,
     sobolev_norm,
     theta_grid,
@@ -355,16 +357,15 @@ def stream_gradient(state: PatchState) -> PeriodicField:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=32)
-def _dealias_mask(M: int) -> np.ndarray:
-    """The modes |j| > M/3 that the 2/3 rule removes; cached per M, hence read-only."""
-    return _read_only(np.abs(_mode_numbers(M)) > M // 3)
+def _dealias_projector(M: int) -> np.ndarray:
+    """The real M x M projector onto the modes |j| <= M // 3 that the 2/3 rule
+    keeps; cached per M, hence read-only."""
+    return _read_only(_multiplier_matrix((np.abs(_mode_numbers(M)) <= M // 3).astype(float)))
 
 
 def dealias(values: np.ndarray) -> np.ndarray:
-    """2/3-rule truncation of a theta-only sample vector."""
-    c = np.fft.fft(values, norm="forward")
-    c[_dealias_mask(len(values))] = 0.0
-    return np.fft.ifft(c, norm="forward").real
+    """2/3-rule truncation of a theta-only sample vector, as one matrix product."""
+    return _dealias_projector(len(values)) @ values
 
 
 _SOBOLEV_S = 2.0  # order s of the H^s norm recorded with each snapshot
@@ -392,6 +393,14 @@ class EvolutionConfig:
             raise ValueError("record_stride must be >= 1")
         if len(set(self.track_modes)) != len(self.track_modes):
             raise ValueError(f"track modes {list(self.track_modes)} repeat a mode")
+
+    def check_grid(self, M: int):
+        """Refuse a track mode |j| > M // 3: ``dealias`` keeps no other mode on a
+        grid of M, and above M / 2 the probe exp(-i j theta) reads an alias."""
+        outside = [j for j in self.track_modes if abs(j) > M // 3]
+        if outside:
+            raise ValueError(f"track modes {outside} are not in |j| <= {M // 3}, the modes "
+                             f"that the 2/3 rule keeps on a grid of {M}")
 
 
 @dataclass
@@ -434,6 +443,7 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
     and energy evaluations, the largest sup|r|/(b^2/2) and max R of the
     accepted states, and the seconds spent stepping and on diagnostics.  A step
     whose stages or result ``PatchState`` refuses ends the run with ``aborted``."""
+    config.check_grid(state.M)
     traj = Trajectory(b=state.b, config=config)
     b = state.b
     dt = config.dt

@@ -25,6 +25,7 @@ import numpy as np
 
 from .spectral import (
     PeriodicField,
+    _multiplier_matrix,
     _read_only,
     k1_multiplier_coeffs,
     k2_multiplier_coeffs,
@@ -126,12 +127,16 @@ def _grid_tables(M: int):
 
 @functools.lru_cache(maxsize=8)
 def _disc_tables(M: int, b: float):
-    """Cached tables of one (M, b): B_0^2 = 1 + b^4 - 2 b^2 cos(eta - theta),
-    the K1/K2 multipliers stacked as a 2 x M x 1 block, and log(2b); read-only."""
+    """Cached tables of one (M, b), read-only: B_0^2 = 1 + b^4 - 2 b^2 cos(eta - theta),
+    and the 2 x M x M stack of the ``_multiplier_matrix`` of K1 and of K2.  The
+    mean multiplier of K1 takes in the constant log(2b) of log A_r:
+    -log 2 + log 2b = log b."""
     b2 = b ** 2
     B0sq = 1.0 + b2 * b2 - 2.0 * b2 * pair_trig(M)[1]
-    mult = np.stack([k1_multiplier_coeffs(M), k2_multiplier_coeffs(M, b)])[:, :, None]
-    return _read_only(B0sq), _read_only(mult), np.log(2.0 * b)
+    k1 = k1_multiplier_coeffs(M).copy()
+    k1[0] = np.log(b)
+    K = np.stack([_multiplier_matrix(k1), _multiplier_matrix(k2_multiplier_coeffs(M, b))])
+    return _read_only(B0sq), _read_only(K)
 
 
 def kernel_P(state: PatchState) -> np.ndarray:
@@ -209,16 +214,11 @@ def log_kernel_integrals(state: PatchState, C: np.ndarray):
     every column c of the M x k block C (real or complex).
 
     log A_r = log(2b) + K1(eta - theta) + log v1, log B_r = K2(eta - theta) +
-    (1/2) log(1 + P_r): K1/K2 act as exact multipliers on one FFT of C, the
-    smooth parts as matrix products.  One forward and one (batched) inverse FFT.
+    (1/2) log(1 + P_r): K1 (with the constant log(2b)) and K2 act as the cached
+    real circulants of ``_disc_tables``, the smooth parts as the state's
+    tables; four matrix products and no FFT.
     """
     M = state.M
     lv, lp = state.log_tables
-    _, mult, log2b = _disc_tables(M, state.b)
-    chat = np.fft.fft(C, axis=0, norm="forward")
-    K1C, K2C = np.fft.ifft(chat * mult, axis=1, norm="forward")
-    if np.isrealobj(C):
-        K1C, K2C = K1C.real, K2C.real
-    log_A = K1C + log2b * C.mean(axis=0) + (lv @ C) / M
-    log_B = K2C + (lp @ C) / M
-    return log_A, log_B
+    K1, K2 = _disc_tables(M, state.b)[1]
+    return K1 @ C + (lv @ C) / M, K2 @ C + (lp @ C) / M

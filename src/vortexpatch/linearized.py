@@ -7,8 +7,9 @@ The linearization of d_t r = -F_b[r] at r is the time-dependent system
 with a variable transport coefficient V_r, the order-zero nonlocal operator
 L_r rho = int rho(eta) log A_r(., eta) deta, and the smoothing operator
 S_r rho = int rho(eta) log B_r(., eta) deta.  All three go through
-``geometry.log_kernel_integrals`` (K1/K2 as exact Fourier multipliers, the
-smooth factors as matrix products); V_r integrates against the rank-2 factor
+``geometry.log_kernel_integrals`` (K1/K2 as cached circulant matrices, the
+matrix form of their Fourier multipliers, and the smooth factors as matrix
+products); V_r integrates against the rank-2 factor
 d/deta [R(eta) sin(eta - theta)] = cos(theta) p(eta) + sin(theta) q(eta).
 Since K * e_j = khat(j) e_j, ``assemble`` needs one V_r, one build of each log
 table and one M x M @ M x 2N product for the whole matrix.

@@ -204,6 +204,18 @@ def k2_multiplier_coeffs(M: int, b: float) -> np.ndarray:
     return _read_only(out)
 
 
+def _multiplier_matrix(mult: np.ndarray) -> np.ndarray:
+    """The real M x M matrix that acts on a column of samples as the even
+    multiplier ``mult`` (mult[m] = mult[-m], FFT order) acts on its Fourier
+    coefficients.  It is circulant, [i, k] = c[(i - k) mod M], with c the inverse
+    FFT of ``mult``, so it is built from one column and no M x M complex array."""
+    M = len(mult)
+    c = np.fft.ifft(mult).real
+    idx = np.subtract.outer(np.arange(M), np.arange(M))
+    idx %= M
+    return c[idx]
+
+
 # ---------------------------------------------------------------------------
 # Truncated operator matrices
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ computes the same integrals from rank-2 / column-block factorizations; these
 functions are the independent path the tests compare against.
 
 The contour references keep the work the package skips: the RK4 right-hand
-side ``rhs`` with two spectral derivatives and two inverse FFTs, one RK4
-``step`` with the 2/3 dealiasing after it (``simulate`` takes the same
-increment without that projection), the energy kernels with their series
+side ``rhs`` with two spectral derivatives, K1 and K2 as two inverse FFTs and
+the 2/3 rule on the FFT coefficients (``truncate_two_thirds``; the package
+applies all three as cached matrices), one RK4 ``step`` with the 2/3
+dealiasing after it (``simulate`` takes the same increment without that
+projection), the energy kernels with their series
 evaluated over every entry, and the right-hand side with every (M, b)-only
 table rebuilt per call (``rhs_per_call`` and the ``*_per_call`` kernels it is
 built from, on the pair grids ``_pair_grids``).
@@ -48,6 +50,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from vortexpatch import kam
 from vortexpatch.cantor import (
@@ -69,7 +72,6 @@ from vortexpatch.dynamics import (
     _alias_tail_sum,
     _rhs,
     _rk4_increment,
-    dealias,
 )
 from vortexpatch.geometry import (
     PatchState,
@@ -188,7 +190,7 @@ def assemble(state, N):
 
 
 def rhs(b, values):
-    """The RK4 right-hand side -dealias(F_b[r]) with R' taken twice, as
+    """The RK4 right-hand side -truncate_two_thirds(F_b[r]) with R' taken twice, as
     d_theta R on the diagonal of v1 and as r'/R, and K1, K2 applied by two
     separate inverse FFTs."""
     state = PatchState(b, PeriodicField(values))
@@ -210,13 +212,21 @@ def rhs(b, values):
     c, s = np.cos(theta_grid(M)), np.sin(theta_grid(M))
     F1 = -q * log_A[:, 0] + p * log_A[:, 1]
     F2 = (-(R * s + dR * c) * log_B[:, 0] + (R * c - dR * s) * log_B[:, 1]) / R ** 2
-    return -dealias(-F0 - F1 + F2)
+    return -truncate_two_thirds(-F0 - F1 + F2)
+
+
+def truncate_two_thirds(values):
+    """The 2/3 rule on the Fourier coefficients: zero every mode |j| > M // 3."""
+    M = len(values)
+    c = np.fft.fft(values, norm="forward")
+    c[np.abs(_mode_numbers(M)) > M // 3] = 0.0
+    return np.fft.ifft(c, norm="forward").real
 
 
 def step(state, dt):
     """One classical RK4 step of d_t r = -F_b[r], then 2/3 dealiasing."""
     rn = state.r.values + _rk4_increment(functools.partial(_rhs, state.b), state.r.values, dt)
-    return PatchState(state.b, PeriodicField(dealias(rn)))
+    return PatchState(state.b, PeriodicField(truncate_two_thirds(rn)))
 
 
 # -- the energy kernels with the series over every entry -----------------
@@ -378,17 +388,19 @@ def eta_factors_per_call(state, dR):
     return np.column_stack([dR * s + R * c, R * s - dR * c])
 
 
+def multiplier_matrix_per_call(mult):
+    """The circulant [i, k] = ifft(mult)[(i - k) mod M] of an even multiplier."""
+    return scipy.linalg.circulant(np.fft.ifft(mult).real)
+
+
 def log_kernel_integrals_per_call(state, C):
     M = state.M
     lv, lp = log_tables_per_call(state)
-    chat = np.fft.fft(C, axis=0, norm="forward")
-    mult = np.stack([k1_multiplier_coeffs(M), k2_multiplier_coeffs(M, state.b)])
-    K1C, K2C = np.fft.ifft(chat * mult[:, :, None], axis=1, norm="forward")
-    if np.isrealobj(C):
-        K1C, K2C = K1C.real, K2C.real
-    log_A = K1C + np.log(2.0 * state.b) * C.mean(axis=0) + (lv @ C) / M
-    log_B = K2C + (lp @ C) / M
-    return log_A, log_B
+    k1 = k1_multiplier_coeffs(M).copy()
+    k1[0] = np.log(state.b)  # -log 2 + log 2b: the constant of log A_r
+    K1 = multiplier_matrix_per_call(k1)
+    K2 = multiplier_matrix_per_call(k2_multiplier_coeffs(M, state.b))
+    return K1 @ C + (lv @ C) / M, K2 @ C + (lp @ C) / M
 
 
 def velocity_functional_per_call(state):
@@ -408,10 +420,8 @@ def velocity_functional_per_call(state):
 
 
 def dealias_per_call(values):
-    M = len(values)
-    c = np.fft.fft(values, norm="forward")
-    c[np.abs(_mode_numbers(M)) > M // 3] = 0.0
-    return np.fft.ifft(c, norm="forward").real
+    keep = np.abs(_mode_numbers(len(values))) <= len(values) // 3
+    return multiplier_matrix_per_call(keep.astype(float)) @ values
 
 
 def rhs_per_call(b, values):

@@ -5,6 +5,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -402,6 +403,7 @@ class TestValidateBeforeWork:
         ["kam-transport", "--v0", "0"],
         ["simulate", "--track", "2,2"],
         ["simulate", "--amplitudes", "2:1e-3,2:2e-3"],
+        ["simulate", "--grid", "64", "--track", "66,2"],
     ], ids=["curve-not-a-number", "curve-gamma-out-of-range", "jobs-flag", "tau2-infinite",
             "perturbed-scan-without-seed", "final-time-not-a-whole-number-of-steps",
             "remainder-steps-negative", "transport-steps-negative", "transport-gamma-zero",
@@ -414,7 +416,7 @@ class TestValidateBeforeWork:
             "remainder-tau2-negative", "seed-mode-above-grid-third", "simulate-seed-on-circle",
             "linearize-seed-on-circle", "transport-speed-changes-sign",
             "transport-speed-vanishes", "transport-v0-zero", "track-mode-repeated",
-            "amplitude-mode-repeated"])
+            "amplitude-mode-repeated", "track-mode-above-grid-third"])
     def test_exit_1_and_nothing_written(self, tmp_path, monkeypatch, args):
         self._forbid_work(monkeypatch)
         d = tmp_path / "out"
@@ -551,22 +553,24 @@ def test_runs_do_not_load_numpy_ma(tmp_path):
 #: manifest, as an earlier version of the package wrote them: a refactor keeps
 #: every artifact byte-identical
 PINNED = {
+    # simulate and linearize re-pinned for K1/K2 and the 2/3 projection as
+    # matrices: they move in their last digits, within TestContourArtifactTolerance
     "simulate": (
         ["simulate", "--b", "0.5", "--amplitudes", "2:1e-3", "--dt", "1e-2", "--t", "0.1",
          "--stride", "2", "--track", "2"],
         {
             "simulate_summary.json":
-                "a271f0d52c472eff29b28361961fb597572d078d4e7ca0d0fad0d57be2debd0a",
+                "c107bbabe2cd32c2fbbc0c1e113ceb7703d6f6fceae0e9200f2fe5d762254773",
             "simulate_trajectory.csv":
-                "b6bc0eb77bc133ed0515384da052816f889c52e24555729cb6512d6300151ba3",
+                "5f39bfd4800f44c49955ad1cc9544d710187daaacc8f8927caa6a77c1b75e181",
         }),
     "linearize": (
         ["linearize", "--b", "0.5", "--grid", "64", "--n", "4"],
         {
             "linearize_matrix.csv":
-                "2eb59d96a2ceac45ce64f03cad2de63a5556128624036fb8cb06909bc754f20b",
+                "cf6f20d6d8816150e5513ebdd89c4f68085eb0196993d445fd34c38e85f9565d",
             "linearize_spectrum.csv":
-                "6071c00b6b3bc84c765f8cc33087037676751792b2e4ce2ee8533a73708b2ae0",
+                "bdb54b4a7990e5a0affab2ff26180c336aa2501c337f968e4e8008ab1a0f19c9",
         }),
     "spectrum": (
         ["spectrum", "--b", "0.5", "--jmax", "5", "--scan", "--lmax", "2", "--grid", "400",
@@ -619,3 +623,64 @@ def test_artifact_bytes_pinned(tmp_path, name):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.iterdir() if not p.name.endswith("_manifest.json")}
     assert got == want
+
+
+#: the simulate and linearize artifacts as a version that applied K1/K2 and the
+#: 2/3 projection by FFT wrote them (the hashes in PINNED before it was re-pinned)
+RECORDED = pathlib.Path(__file__).parent / "recorded"
+
+
+def _csv_columns(path) -> dict:
+    lines = pathlib.Path(path).read_text().splitlines()
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    return dict(zip(lines[0].split(","), np.array(rows).T))
+
+
+class TestContourArtifactTolerance:
+    """The stated tolerance of the contour artifacts against the recorded FFT-form
+    run: the matrix form of K1/K2 and of the 2/3 projection moves only round-off.
+    Every trajectory column moves by at most 1e-13 of its largest |value|, but the
+    mean of r, which is round-off about 0, by at most 1e-13 sup|r0|; each summary
+    float by at most 1e-13 of itself (the mean and the drift as the columns they
+    come from); every matrix entry by at most 1e-13 of the largest |entry|, and
+    every eigenvalue by at most 1e-12."""
+
+    def test_simulate(self, tmp_path):
+        args, _ = PINNED["simulate"]
+        assert run_cli(args + ["--output-dir", str(tmp_path)]) == 0
+        sup_r0 = 1e-3  # the seed 2:1e-3
+        got = _csv_columns(tmp_path / "simulate_trajectory.csv")
+        want = _csv_columns(RECORDED / "simulate" / "simulate_trajectory.csv")
+        assert list(got) == list(want)
+        assert np.all(got["time"] == want["time"])
+        for name, col in want.items():
+            scale = sup_r0 if name == "mean" else np.max(np.abs(col))
+            assert np.all(np.abs(got[name] - col) <= 1e-13 * scale), name
+        got = _read_json(tmp_path, "simulate_summary.json")
+        want = _read_json(RECORDED / "simulate", "simulate_summary.json")
+        assert got.keys() == want.keys()
+        scales = {"final_mean": sup_r0, "hamiltonian_drift": abs(want["initial_hamiltonian"])}
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert abs(got[key] - value) <= 1e-13 * scales.get(key, abs(value)), key
+            else:
+                assert got[key] == value, key
+
+    @pytest.mark.parametrize("name,args", [
+        ("linearize_deformed", ["linearize", "--b", "0.5", "--n", "16",
+                                "--amplitudes", "2:1e-3,3:5e-4"]),
+        ("linearize_equilibrium", PINNED["linearize"][0]),
+    ], ids=["deformed", "equilibrium"])
+    def test_linearize(self, tmp_path, name, args):
+        assert run_cli(args + ["--output-dir", str(tmp_path)]) == 0
+        got = _csv_columns(tmp_path / "linearize_matrix.csv")
+        want = _csv_columns(RECORDED / name / "linearize_matrix.csv")
+        assert np.all(got["j"] == want["j"]) and np.all(got["j0"] == want["j0"])
+        entries = want["re"] + 1j * want["im"]
+        assert np.all(np.abs(got["re"] + 1j * got["im"] - entries)
+                      <= 1e-13 * np.max(np.abs(entries)))
+        got = _csv_columns(tmp_path / "linearize_spectrum.csv")
+        want = _csv_columns(RECORDED / name / "linearize_spectrum.csv")
+        assert np.all(got["j"] == want["j"])
+        assert np.all(np.abs(got["re_lambda"] + 1j * got["im_lambda"]
+                             - want["re_lambda"] - 1j * want["im_lambda"]) <= 1e-12)

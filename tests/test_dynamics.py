@@ -13,7 +13,7 @@ from vortexpatch.dynamics import (
     EvolutionConfig,
     NoFrequencyError,
     Trajectory,
-    _dealias_mask,
+    _dealias_projector,
     _delta_tables,
     _delta_terms,
     _Fmm2,
@@ -232,8 +232,8 @@ class TestPerCallOracle:
         lambda: _grid_tables(16)[2],
         lambda: _disc_tables(16, 0.5)[0],
         lambda: _disc_tables(16, 0.5)[1],
-        lambda: _dealias_mask(16),
-    ], ids=["cos", "sin", "sin_half_unit_diag", "B0sq", "multipliers", "dealias_mask"])
+        lambda: _dealias_projector(16),
+    ], ids=["cos", "sin", "sin_half_unit_diag", "B0sq", "multipliers", "dealias_projector"])
     def test_tables_read_only(self, table):
         with pytest.raises(ValueError):
             table()[1] = 0
@@ -246,12 +246,12 @@ class TestPerCallOracle:
         b1 = float(np.nextafter(b0, 1.0))
         t0, t1 = _disc_tables(64, b0), _disc_tables(64, b1)
         assert t0 is not t1
-        assert not np.all(t0[1] == t1[1])
-        for b, (B0sq, _, _) in ((b0, t0), (b1, t1)):
+        assert not np.all(t0[1][1] == t1[1][1])  # the K2 matrix
+        for b, (B0sq, _) in ((b0, t0), (b1, t1)):
             b2 = b ** 2
             assert np.all(B0sq == 1.0 + b2 * b2 - 2.0 * b2 * pair_trig(64)[1])
 
-    @pytest.mark.parametrize("cache", [_grid_tables, _disc_tables, _dealias_mask])
+    @pytest.mark.parametrize("cache", [_grid_tables, _disc_tables, _dealias_projector])
     def test_cache_bounded(self, cache):
         assert cache.cache_info().maxsize is not None
         assert cache.cache_info().maxsize <= 32
@@ -272,16 +272,16 @@ class TestRhsStructure:
             monkeypatch.setattr(np.fft, name, counted)
         r = _criterion5_r0(64)
         _rhs(0.5, r)
-        # r' (fft, ifft), the K1/K2 contraction (fft, one batched ifft), dealias (fft, ifft)
-        assert len(calls) == 6
+        # r' (fft, ifft); the K1/K2 contraction and dealias are matrix products
+        assert len(calls) == 2
 
     def test_tables_built_once(self):
-        for cache in (_grid_tables, _disc_tables, _dealias_mask):
+        for cache in (_grid_tables, _disc_tables, _dealias_projector):
             cache.cache_clear()
         r = _criterion5_r0(64)
         for _ in range(20):
             _rhs(0.5, r)
-        for cache in (_grid_tables, _disc_tables, _dealias_mask):
+        for cache in (_grid_tables, _disc_tables, _dealias_projector):
             info = cache.cache_info()
             assert info.misses == 1
             assert info.currsize == 1
@@ -422,6 +422,14 @@ class TestSimulate:
         with pytest.raises(ValueError, match="repeat a mode"):
             EvolutionConfig(dt=0.1, T=1.0, track_modes=(2, 3, 2))
         assert EvolutionConfig(dt=0.1, T=1.0, track_modes=(2, -2)).track_modes == (2, -2)
+
+    @pytest.mark.parametrize("modes", [(66, 2), (2, 22), (-22,)], ids=["66", "22", "minus-22"])
+    def test_track_mode_outside_dealias_band_refused(self, modes):
+        # on a grid of 64, mode 66 is sampled as mode 2, and 2/3 rule keeps |j| <= 21
+        with pytest.raises(ValueError, match=r"\|j\| <= 21"):
+            simulate(cos_state(M=64), EvolutionConfig(dt=0.1, T=0.1, track_modes=modes))
+        traj = simulate(cos_state(M=64), EvolutionConfig(dt=0.1, T=0.1, track_modes=(21, -21)))
+        assert sorted(traj.mode_series) == [-21, 21]
 
     @pytest.mark.parametrize("dt,T", [(0.3, 1.0), (0.4, 1.0), (1e-3, 0.0105)])
     def test_final_time_not_a_whole_number_of_steps(self, dt, T):
