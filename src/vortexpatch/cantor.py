@@ -56,17 +56,17 @@ _FINE_GRID = 2 ** 14  # cells of the measurement grid (filter and bisection)
 _BLOCK = 2 ** 16  # fine-filter window nodes evaluated at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DiophantineSpec:
     """Exclusion thresholds: gamma scale, exponents, lattice/mode cutoffs."""
 
     gamma: float
     upsilon: float = 0.5
     tau1: float = 3.0
-    tau2: float = 13.0
-    Lmax: int = 20
+    tau2: float
+    Lmax: int
     Jmax: int = 100
-    kind: str = "first-order-Melnikov"
+    kind: str
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:

@@ -22,11 +22,11 @@ import platform
 import sys
 import time
 from dataclasses import replace
-from importlib import metadata
 
 import click
 import numpy as np
 
+from . import __version__
 from .cantor import (
     KINDS,
     DiophantineSpec,
@@ -233,13 +233,8 @@ def _json(obj) -> str:
 
 
 def _versions():
-    vers = {"python": platform.python_version(), "numpy": np.__version__}
-    for pkg in ("click", "artifact"):
-        try:
-            vers[pkg] = metadata.version(pkg)
-        except metadata.PackageNotFoundError:
-            pass
-    return vers
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "vortexpatch": __version__}
 
 
 @click.group()
@@ -253,9 +248,10 @@ def _command(name: str, table: list):
     row plus --config and --output-dir.
 
     ``p`` maps each config key to its resolved, converted value before ``fn``
-    runs, and is what the manifest records.  ``emit(artifacts)`` writes
-    {file name: CSV text or JSON object} and the manifest, with an optional
-    ``profile`` block, into the output directory and returns its path.
+    runs, and is what the manifest records.  ``emit(artifacts, profile)``
+    writes {file name: CSV text or JSON object} and the manifest, with the
+    ``profile`` block unless it is None, into the output directory and returns
+    its path.
     """
     def register(fn):
         def run(config_path, output_dir, **flags):
@@ -280,7 +276,7 @@ def _command(name: str, table: list):
             except OSError as exc:
                 raise click.ClickException(f"cannot create the output directory: {exc}")
 
-            def emit(artifacts: dict, profile: dict | None = None) -> str:
+            def emit(artifacts: dict, profile: dict | None) -> str:
                 manifest = {"subcommand": name, "config": p, "versions": _versions(),
                             "wall_time_s": time.time() - t0}
                 if profile is not None:
@@ -403,8 +399,10 @@ def cantor(p, emit):
     the screen, filter, bisection and Russmann stages, the (l, m) families the
     second-order family bound skips, the tuples screened, kept by the filter
     and with brackets bisected, and the window nodes the filter evaluates.
-    With --curve it also holds ``curve_workers``, min(CPU count, number of
-    gammas): the curve's processes, or 1 when it runs in-process.
+    With --curve it also holds ``curve_workers``, min(CPUs the process may run
+    on, number of gammas): the curve's processes, or 1 when it runs in-process.
+    The CPUs are the affinity set where ``os.sched_getaffinity`` exists (under
+    ``taskset`` it is smaller than the host's count), else ``os.cpu_count()``.
     """
     sysf = FrequencySystem(p["sites"], p["b0"], p["b1"])
     spec = DiophantineSpec(gamma=p["gamma"], tau1=p["tau1"], tau2=p["tau2"],
@@ -425,7 +423,9 @@ def cantor(p, emit):
     profile = rep.profile
     if curve:
         items = [(sysf, s) for s in curve]
-        workers = min(os.cpu_count() or 1, len(curve))
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(cpus, len(curve))
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,15 +104,14 @@ _NEAR_ONE = 1e-9
 _ROW_BLOCK = 32  # rows of the psi table evaluated at once: 128 KB complex at M = 256
 
 
-def _SA(z, lg=None):
-    """sum_{m>=1, m!=2} z^m / m = -log(1-z) - z^2/2; ``lg`` is log(1-z) when
-    the caller holds it already."""
-    lg = np.log(1.0 - z) if lg is None else lg
+def _SA(z, lg):
+    """sum_{m>=1, m!=2} z^m / m = -log(1-z) - z^2/2; ``lg`` is log(1-z)."""
     return -lg - 0.5 * z * z
 
 
 def _SB(z, lg=None):
-    """sum_{m>=1, m!=2} z^m / (2-m) = z + z^2 log(1-z); ``lg`` as in ``_SA``."""
+    """sum_{m>=1, m!=2} z^m / (2-m) = z + z^2 log(1-z); ``lg`` is log(1-z) when
+    the caller holds it already."""
     lg = np.log(1.0 - z) if lg is None else lg
     return z + z * z * lg
 
@@ -375,8 +374,8 @@ _SOBOLEV_S = 2.0  # order s of the H^s norm recorded with each snapshot
 class EvolutionConfig:
     dt: float
     T: float
-    record_stride: int = 1
-    track_modes: tuple = ()
+    record_stride: int
+    track_modes: tuple
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and math.isfinite(self.T)):
@@ -407,16 +406,16 @@ class EvolutionConfig:
 class Trajectory:
     b: float
     config: EvolutionConfig
-    times: np.ndarray = field(default_factory=lambda: np.array([]))
-    snapshots: list = field(default_factory=list)
-    means: list = field(default_factory=list)
-    hamiltonians: list = field(default_factory=list)
-    hs_norms: list = field(default_factory=list)
-    mode_times: np.ndarray = field(default_factory=lambda: np.array([]))
-    mode_series: dict = field(default_factory=dict)
-    aborted: bool = False
-    abort_reason: str = ""
-    profile: dict = field(default_factory=dict)
+    times: np.ndarray
+    snapshots: list
+    means: list
+    hamiltonians: list
+    hs_norms: list
+    mode_times: np.ndarray
+    mode_series: dict
+    aborted: bool
+    abort_reason: str
+    profile: dict
 
 
 def _rhs(b: float, values: np.ndarray) -> np.ndarray:
@@ -444,18 +443,16 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
     accepted states, and the seconds spent stepping and on diagnostics.  A step
     whose stages or result ``PatchState`` refuses ends the run with ``aborted``."""
     config.check_grid(state.M)
-    traj = Trajectory(b=state.b, config=config)
     b = state.b
     dt = config.dt
     nsteps = int(round(config.T / dt))
     th = theta_grid(state.M)
     probes = {j: np.exp(-1j * j * th) for j in config.track_modes}
-    prof = traj.profile
-    prof.update(rhs_evaluations=0, energy_evaluations=0, max_admissibility_ratio=0.0,
+    prof = dict(rhs_evaluations=0, energy_evaluations=0, max_admissibility_ratio=0.0,
                 max_R=0.0, stepping_s=0.0, diagnostics_s=0.0)
-
-    times, mode_times = [], []
+    times, snapshots, means, hamiltonians, hs_norms, mode_times = [], [], [], [], [], []
     series = {j: [] for j in config.track_modes}
+    aborted, abort_reason = False, ""
 
     def rhs(values):
         out = _rhs(b, values)
@@ -464,11 +461,11 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
 
     def record(t, st):
         times.append(t)
-        traj.snapshots.append(st.r.values.copy())
-        traj.means.append(float(st.r.values.mean()))
+        snapshots.append(st.r.values.copy())
+        means.append(float(st.r.values.mean()))
         t0 = time.perf_counter()
-        traj.hamiltonians.append(hamiltonian(st))
-        traj.hs_norms.append(sobolev_norm(st.r, _SOBOLEV_S))
+        hamiltonians.append(hamiltonian(st))
+        hs_norms.append(sobolev_norm(st.r, _SOBOLEV_S))
         prof["energy_evaluations"] += 1
         prof["diagnostics_s"] += time.perf_counter() - t0
 
@@ -499,8 +496,7 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
             r = rn
             current = PatchState(b, PeriodicField(r))
         except (DegeneratePatchError, BoundaryContactError) as exc:
-            traj.aborted = True
-            traj.abort_reason = str(exc)
+            aborted, abort_reason = True, str(exc)
             break
         finally:
             prof["stepping_s"] += time.perf_counter() - t0
@@ -509,13 +505,14 @@ def simulate(state: PatchState, config: EvolutionConfig) -> Trajectory:
         if n % config.record_stride == 0 or n == nsteps:
             record(t, current)
 
-    traj.times = np.array(times)
-    traj.mode_times = np.array(mode_times)
-    traj.mode_series = {j: np.array(series[j]) for j in config.track_modes}
-    return traj
+    return Trajectory(b=b, config=config, times=np.array(times), snapshots=snapshots,
+                      means=means, hamiltonians=hamiltonians, hs_norms=hs_norms,
+                      mode_times=np.array(mode_times),
+                      mode_series={j: np.array(v) for j, v in series.items()},
+                      aborted=aborted, abort_reason=abort_reason, profile=prof)
 
 
-def quasi_periodic_seed(b: float, amplitudes: dict, M: int = 128) -> PatchState:
+def quasi_periodic_seed(b: float, amplitudes: dict, M: int) -> PatchState:
     """Even (reversible) initial data r0 = sum_j a_j cos(j theta) over the tangential
     set, whose modes must lie in 1 <= j <= M // 3: ``dealias`` removes the others."""
     total = sum(abs(a) for a in amplitudes.values())

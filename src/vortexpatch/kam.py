@@ -140,18 +140,13 @@ def _power_series(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def evaluate_shifted(f, shift: np.ndarray) -> np.ndarray:
+def evaluate_shifted(f: PeriodicField, shift: np.ndarray) -> np.ndarray:
     """Samples of f(phi, theta + shift(phi, theta)): sum_m c_m z^m in z = e^{i(theta + shift)},
-    each side of the spectrum summed by Horner's rule from its highest nonzero c_m.
-
-    ``f`` is a PeriodicField, whose cached ``theta_coeffs`` are summed (exact
-    zeros off its theta band), or any holder of samples ``.values`` on a grid
-    of any size M >= 1, whose theta FFT is taken here.
-    """
+    each side of the spectrum summed by Horner's rule from its highest nonzero c_m
+    of the cached ``theta_coeffs`` (exact zeros off f's theta band)."""
     vals = f.values
     M = vals.shape[-1]
-    c = (f.theta_coeffs if isinstance(f, PeriodicField)
-         else np.fft.fft(vals, axis=-1, norm="forward"))
+    c = f.theta_coeffs
     z = np.exp(1j * (theta_grid(M) + shift))  # broadcast over leading axes
     h = (M + 1) // 2
     # c_1, ..., c_{h-1} in z and c_{-1}, ..., c_{h-M} in conj(z); for even M
@@ -200,10 +195,10 @@ class ChangeOfVariables:
 class TransportProblem:
     omega: np.ndarray
     f0: PeriodicField
-    V0: float = 0.5
-    gamma: float = 1e-3
-    upsilon: float = 0.5
-    tau1: float = 3.0
+    V0: float
+    gamma: float
+    upsilon: float
+    tau1: float
 
     def __post_init__(self):
         self.omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
@@ -268,7 +263,7 @@ class TransportResult:
     shifts: list   # per change of variables: (inverse-shift iterations, Horner band)
 
 
-def straighten_transport(prob: TransportProblem, steps: int = 8) -> TransportResult:
+def straighten_transport(prob: TransportProblem, steps: int) -> TransportResult:
     """Iterated straightening of omega . d_phi + (V0 + f0(phi, theta)) d_theta.
 
     Each step absorbs the average of the remainder into the constant V,
@@ -366,7 +361,7 @@ class ReductionState:
 
 
 def synthetic_reversible_remainder(N: int, L: int, delta0: float,
-                                   seed: int = 0, d: int = 1) -> LinearOperatorMatrix:
+                                   seed: int, d: int = 1) -> LinearOperatorMatrix:
     """Random real reversible remainder of size delta0 with smoothing decay.
 
     Entries are i a(l, j, j0) with a real and odd under (l, j, j0) ->
@@ -442,8 +437,7 @@ def _smooth(n: int) -> int:
         n += 1
 
 
-def kam_step(state: ReductionState, Ncut: float, gamma: float = 1e-2,
-             tau2: float = 2.5) -> ReductionState:
+def kam_step(state: ReductionState, Ncut: float, gamma: float, tau2: float) -> ReductionState:
     """One reduction step: frequency correction, conjugation, new remainder.
 
     mu_next = mu + r with r_j the (real) l = 0 diagonal coefficient of the
@@ -520,8 +514,8 @@ def kam_step(state: ReductionState, Ncut: float, gamma: float = 1e-2,
                           history=list(state.history), aliasing=state.aliasing + [row])
 
 
-def run_remainder_kam(state: ReductionState, steps: int, gamma: float = 1e-2,
-                      tau2: float = 2.5) -> ReductionState:
+def run_remainder_kam(state: ReductionState, steps: int, gamma: float,
+                      tau2: float) -> ReductionState:
     """Iterate kam_step with the truncation schedule N_n = N0^{(3/2)^n} (``_N0``),
     capped at the window.  The result's history extends that of ``state`` by one
     row per state of the run; ``state`` itself is left as it is."""

@@ -98,7 +98,7 @@ class PeriodicField:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, coeffs, real: bool = True) -> "PeriodicField":
+    def from_coeffs(cls, coeffs, real: bool) -> "PeriodicField":
         coeffs = np.asarray(coeffs, dtype=complex)
         vals = np.fft.ifftn(coeffs, norm="forward")
         if real:

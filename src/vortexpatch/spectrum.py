@@ -71,8 +71,8 @@ class FrequencySystem:
     """Tangential set S, parameter interval, and the derived order q0 = 2 j_d + 2."""
 
     sites: tuple
-    b0: float = 0.1
-    b1: float = 0.9
+    b0: float
+    b1: float
 
     def __post_init__(self):
         sites = tuple(int(j) for j in self.sites)

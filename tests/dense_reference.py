@@ -286,7 +286,7 @@ def phi_kernel(rho1, rho2, delta):
     term1 = 0.25 * r2s2 * np.log(sig) - 0.125 * r2s2 + r4 / 16.0
     zdiag = np.abs(1.0 - z) < _NEAR_ONE
     zs = np.where(zdiag, 0.0, z)
-    PA = _SA(zs).real / 4.0 + _SB(zs).real / 8.0 - series_SC(zs).real / 8.0
+    PA = _SA(zs, np.log(1.0 - zs)).real / 4.0 + _SB(zs).real / 8.0 - series_SC(zs).real / 8.0
     wone = np.abs(1.0 - w) < _NEAR_ONE
     ws = np.where(wone, 0.0, w)
     PW = np.where(wone, -0.75, (_SB(ws) + series_SC(ws)).real)
@@ -318,7 +318,7 @@ def psi_kernel(rho1, rho2, delta):
         piece1 = 0.5 * r2 ** 2 * np.log(r2) - 0.25 * r2 ** 2 + 0.25 * r1 ** 2
         vone = np.abs(1.0 - v) < _NEAR_ONE
         vs = np.where(vone, 0.0, v)
-        AB = np.where(vone, 0.5, (_SA(vs) + _SB(vs)).real)
+        AB = np.where(vone, 0.5, (_SA(vs, np.log(1.0 - vs)) + _SB(vs)).real)
         wone = np.abs(delta % (2.0 * np.pi)) < _NEAR_ONE
         ws = np.where(wone, 0.0, eid)
         BC = np.where(wone, -0.75, (_SB(ws) + series_SC(ws)).real)

@@ -152,7 +152,7 @@ def test_criterion_04_linear_flow():
 
 def test_criterion_05_conservation():
     st = quasi_periodic_seed(0.5, {2: 1e-3}, M=64)
-    traj = simulate(st, EvolutionConfig(dt=1e-3, T=5.0, record_stride=5000))
+    traj = simulate(st, EvolutionConfig(dt=1e-3, T=5.0, record_stride=5000, track_modes=()))
     assert not traj.aborted
     rel = abs(traj.hamiltonians[-1] - traj.hamiltonians[0]) / abs(traj.hamiltonians[0])
     mean = abs(traj.means[-1] - traj.means[0])
@@ -167,7 +167,7 @@ def test_criterion_05_conservation():
     def final_H(dt):
         nsteps = int(round(2.0 / dt))
         tr = simulate(PatchState(0.5, PeriodicField(r0.copy())),
-                      EvolutionConfig(dt=dt, T=2.0, record_stride=nsteps))
+                      EvolutionConfig(dt=dt, T=2.0, record_stride=nsteps, track_modes=()))
         assert not tr.aborted
         return tr.hamiltonians[-1]
 
@@ -295,7 +295,7 @@ def test_criterion_10_russmann():
     totals = {}
     for kind in ("transport", "first-order-Melnikov", "second-order-Melnikov"):
         rep = excluded_measure(sysf, DiophantineSpec(gamma=1e-3, kind=kind,
-                                                     Lmax=20))
+                                                     Lmax=20, tau2=13.0))
         assert rep.russmann_violations == 0, kind
         totals[kind] = rep.total
     report(10, "zero interval-bound violations at Lmax = 20 for all three "
@@ -310,7 +310,7 @@ def test_criterion_10_russmann():
 
 def test_criterion_11_measure_asymptotics():
     sysf = FrequencySystem((1, 2), 0.1, 0.9)
-    spec = DiophantineSpec(gamma=1e-2, kind="first-order-Melnikov", Lmax=20)
+    spec = DiophantineSpec(gamma=1e-2, kind="first-order-Melnikov", Lmax=20, tau2=13.0)
     gammas = [1e-2, 1e-3, 1e-4, 1e-5]
     out = measure_curve(sysf, spec, gammas)
     ms = out["measures"]
@@ -330,7 +330,8 @@ def test_criterion_12_transport():
     K, M = 16, 64
     th = theta_grid(M)
     f0 = PeriodicField(np.broadcast_to(0.1 * np.cos(th), (K, M)).copy())
-    res = straighten_transport(TransportProblem(golden_frequency(1), f0))
+    res = straighten_transport(TransportProblem(golden_frequency(1), f0, V0=0.5, gamma=1e-3,
+                                                upsilon=0.5, tau1=3.0), steps=8)
     assert res.reducible
     err = abs(res.V_infty - np.sqrt(0.24))
     assert err < 1e-8
@@ -341,7 +342,8 @@ def test_criterion_12_transport():
                     + 0.5 * np.cos(2 * th)[None, :]
                     + 0.3 * np.sin(ph)[:, None] * np.sin(th)[None, :])
     res2 = straighten_transport(
-        TransportProblem(golden_frequency(1), PeriodicField(small)), steps=6)
+        TransportProblem(golden_frequency(1), PeriodicField(small), V0=0.5, gamma=1e-3,
+                         upsilon=0.5, tau1=3.0), steps=6)
     # fit only above the round-off floor: once delta hits ~1e-15 the history
     # measures machine noise, not the contraction rate
     deltas = [row[1] for row in res2.history if row[1] > 1e-13]
@@ -362,7 +364,7 @@ def test_criterion_13_remainder():
     jm = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
     mu0 = np.array([float(omega(b, int(j))) for j in jm])
     state = ReductionState(omega=golden_frequency(1), mu=mu0.copy(), R=R)
-    res = run_remainder_kam(state, steps=3)
+    res = run_remainder_kam(state, steps=3, gamma=1e-2, tau2=2.5)
     res.assert_invariants()  # realness/reversibility/oddness exact
     deltas = [row[1] for row in res.history]
     assert deltas[-1] < deltas[0]

@@ -135,23 +135,25 @@ class TestIntervalBookkeeping:
 class TestDiophantineSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DiophantineSpec(gamma=0.0)
+            DiophantineSpec(gamma=0.0, tau2=13.0, Lmax=20, kind="first-order-Melnikov")
         with pytest.raises(ValueError):
-            DiophantineSpec(gamma=1e-3, tau1=5.0, tau2=4.0)
+            DiophantineSpec(gamma=1e-3, tau1=5.0, tau2=4.0, Lmax=20,
+                            kind="first-order-Melnikov")
         with pytest.raises(ValueError):
-            DiophantineSpec(gamma=1e-3, kind="bogus")
+            DiophantineSpec(gamma=1e-3, kind="bogus", tau2=13.0, Lmax=20)
 
     @pytest.mark.parametrize("field", ["tau1", "tau2", "upsilon"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
-            DiophantineSpec(gamma=1e-3, **{field: value})
+            DiophantineSpec(**{"gamma": 1e-3, "tau2": 13.0, "Lmax": 20,
+                               "kind": "first-order-Melnikov", field: value})
 
 
 class TestExcludedMeasure:
     def test_all_kinds_run_clean(self):
         for kind in ("transport", "first-order-Melnikov", "second-order-Melnikov"):
-            rep = excluded_measure(SYS, DiophantineSpec(gamma=1e-3, kind=kind, Lmax=3))
+            rep = excluded_measure(SYS, DiophantineSpec(gamma=1e-3, kind=kind, Lmax=3, tau2=13.0))
             assert rep.russmann_violations == 0
             # merged list is sorted and disjoint
             for (l1, r1), (l2, r2) in zip(rep.merged, rep.merged[1:]):
@@ -163,24 +165,26 @@ class TestExcludedMeasure:
                 assert abs(row[5] - (row[4] - row[3])) < 1e-15
 
     def test_gamma_nesting(self):
-        spec = DiophantineSpec(gamma=1e-2, kind="first-order-Melnikov", Lmax=3)
+        spec = DiophantineSpec(gamma=1e-2, kind="first-order-Melnikov", Lmax=3, tau2=13.0)
         big = excluded_measure(SYS, spec)
         small = excluded_measure(SYS, DiophantineSpec(gamma=1e-3,
-                                                      kind="first-order-Melnikov", Lmax=3))
+                                                      kind="first-order-Melnikov", Lmax=3,
+                                                      tau2=13.0))
         assert intervals_nested(small.merged, big.merged)
         assert small.total <= big.total
 
     def test_tail_bound_reporting(self):
         rep = excluded_measure(SYS, DiophantineSpec(gamma=1e-3, kind="first-order-Melnikov",
-                                                    Lmax=2))
+                                                    Lmax=2, tau2=13.0))
         assert rep.tail_divergent  # tau1 = 3 < 2 q0: the reported lattice tail diverges
         rep2 = excluded_measure(SYS, DiophantineSpec(gamma=1e-3,
-                                                     kind="second-order-Melnikov", Lmax=2))
+                                                     kind="second-order-Melnikov", Lmax=2,
+                                                     tau2=13.0))
         assert not rep2.tail_divergent
         assert np.isfinite(rep2.tail_bound)
 
     def test_measure_curve_decreasing(self):
-        spec = DiophantineSpec(gamma=1e-2, kind="first-order-Melnikov", Lmax=3)
+        spec = DiophantineSpec(gamma=1e-2, kind="first-order-Melnikov", Lmax=3, tau2=13.0)
         out = measure_curve(SYS, spec, [1e-2, 1e-3, 1e-4])
         ms = out["measures"]
         assert all(a > b for a, b in zip(ms, ms[1:]))
@@ -188,7 +192,8 @@ class TestExcludedMeasure:
 
     def test_tau1_must_exceed_dimension(self):
         with pytest.raises(ValueError):
-            excluded_measure(SYS, DiophantineSpec(gamma=1e-3, tau1=1.5, tau2=13.0))
+            excluded_measure(SYS, DiophantineSpec(gamma=1e-3, tau1=1.5, tau2=13.0, Lmax=20,
+                                                  kind="first-order-Melnikov"))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -212,7 +217,7 @@ class TestExcludedOracle:
     @pytest.mark.parametrize("sites,Lmax,gamma", CONFIGS)
     def test_equal_to_per_tuple(self, kind, sites, Lmax, gamma):
         sysf = sites if isinstance(sites, FrequencySystem) else FrequencySystem(sites, 0.1, 0.9)
-        spec = DiophantineSpec(gamma=gamma, kind=kind, Lmax=Lmax)
+        spec = DiophantineSpec(gamma=gamma, kind=kind, Lmax=Lmax, tau2=13.0)
         fast = excluded_measure(sysf, spec)
         ref = dense_reference.excluded_measure_per_tuple(sysf, spec)
         assert fast.rows == ref.rows
@@ -225,7 +230,7 @@ class TestExcludedOracle:
         for sites, Lmax, kind in (((1,), 8, "second-order-Melnikov"),
                                   ((2, 3), 4, "transport")):
             rep = excluded_measure(FrequencySystem(sites, 0.1, 0.9),
-                                   DiophantineSpec(gamma=1e-2, kind=kind, Lmax=Lmax))
+                                   DiophantineSpec(gamma=1e-2, kind=kind, Lmax=Lmax, tau2=13.0))
             assert rep.flags
 
     def test_window_nodes_of_the_benchmark_case(self):
@@ -233,7 +238,7 @@ class TestExcludedOracle:
         reach the threshold: 0.36 M window nodes, against 4.0 M with windows
         of dx/2 around every coarse node within the sup-Lipschitz margin."""
         rep = excluded_measure(SYS, DiophantineSpec(gamma=9.66e-4, Lmax=8,
-                                                    kind="second-order-Melnikov"))
+                                                    kind="second-order-Melnikov", tau2=13.0))
         prof = rep.profile
         assert prof["window_nodes"] <= 500_000
         assert prof["tuples_screened"] >= prof["tuples_kept"] >= prof["tuples_bisected"] > 0
@@ -255,7 +260,8 @@ class TestLinearCantorMeasure:
 class TestExports:
     def test_csv_and_json(self):
         rep = excluded_measure(SYS, DiophantineSpec(gamma=1e-2,
-                                                    kind="first-order-Melnikov", Lmax=3))
+                                                    kind="first-order-Melnikov", Lmax=3,
+                                                    tau2=13.0))
         csv = excluded_to_csv(rep)
         lines = csv.strip().split("\n")
         assert lines[0] == "l,j,j0,left,right,length"

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import vortexpatch
 from vortexpatch.cli import main
 from vortexpatch.spectrum import FrequencySystem, transversality_scan
 
@@ -64,6 +65,7 @@ class TestSpectrumCommand:
         assert man["subcommand"] == "spectrum"
         assert man["config"]["b"] == 0.5
         assert "numpy" in man["versions"]
+        assert man["versions"]["vortexpatch"] == vortexpatch.__version__
         assert man["wall_time_s"] >= 0
 
 
@@ -191,7 +193,7 @@ class TestCantorCommand:
     def test_curve_with_jobs_canonical_order(self, tmp_path, monkeypatch):
         from vortexpatch import cli
         for cpus, name in ((1, "serial"), (2, "parallel")):
-            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
             d = tmp_path / name
             code = run_cli(["cantor", "--gamma", "1e-2", "--lmax", "2",
                             "--curve", "1e-2,1e-3", "--output-dir", str(d)])
@@ -491,20 +493,25 @@ class _RecordingExecutor:
 
 
 class TestJobsBound:
-    """A measure curve runs on min(CPU count, number of gammas) workers."""
+    """A measure curve runs on min(CPUs in the affinity set, number of gammas) workers."""
 
-    @pytest.mark.parametrize("cpus,gammas,workers", [
-        (64, "1e-2,1e-3,1e-4", 3),  # capped by the number of gammas
-        (2, "1e-2,1e-3,1e-4", 2),   # capped by the CPU count
-        (None, "1e-2,1e-3,1e-4", 1),  # CPU count unknown: serial, no pool
-        (1, "1e-2,1e-3,1e-4", 1),   # one CPU: serial, no pool
-        (64, "1e-3", 1),            # one gamma: serial, no pool
+    @pytest.mark.parametrize("affinity,cpus,gammas,workers", [
+        (64, 64, "1e-2,1e-3,1e-4", 3),  # capped by the number of gammas
+        (2, 2, "1e-2,1e-3,1e-4", 2),    # capped by the CPU count
+        (None, None, "1e-2,1e-3,1e-4", 1),  # no affinity, CPU count unknown: serial
+        (1, 1, "1e-2,1e-3,1e-4", 1),    # one CPU: serial, no pool
+        (64, 64, "1e-3", 1),            # one gamma: serial, no pool
+        (1, 2, "1e-2,1e-3,1e-4", 1),    # pinned to one of two CPUs: serial, no pool
     ], ids=["cpus64-gammas3", "cpus2-gammas3", "cpus-unknown-gammas3", "cpus1-gammas3",
-            "cpus64-gammas1"])
-    def test_worker_count(self, tmp_path, monkeypatch, cpus, gammas, workers):
+            "cpus64-gammas1", "affinity1-cpus2-gammas3"])
+    def test_worker_count(self, tmp_path, monkeypatch, affinity, cpus, gammas, workers):
         from vortexpatch import cli
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(affinity)))
         monkeypatch.setattr(_RecordingExecutor, "started", [])
         code = run_cli(["cantor", "--gamma", "1e-2", "--lmax", "2",
                         "--curve", gammas, "--output-dir", str(tmp_path)])

@@ -411,59 +411,63 @@ class TestEnergy:
 class TestSimulate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EvolutionConfig(dt=0.0, T=1.0)
+            EvolutionConfig(dt=0.0, T=1.0, record_stride=1, track_modes=())
         with pytest.raises(ValueError):
-            EvolutionConfig(dt=0.1, T=0.05)
+            EvolutionConfig(dt=0.1, T=0.05, record_stride=1, track_modes=())
         with pytest.raises(ValueError):
-            EvolutionConfig(dt=0.1, T=1.0, record_stride=0)
+            EvolutionConfig(dt=0.1, T=1.0, record_stride=0, track_modes=())
 
     def test_repeated_track_mode_refused(self):
         # each listed mode appends one sample per step to the same series
         with pytest.raises(ValueError, match="repeat a mode"):
-            EvolutionConfig(dt=0.1, T=1.0, track_modes=(2, 3, 2))
-        assert EvolutionConfig(dt=0.1, T=1.0, track_modes=(2, -2)).track_modes == (2, -2)
+            EvolutionConfig(dt=0.1, T=1.0, record_stride=1, track_modes=(2, 3, 2))
+        cfg = EvolutionConfig(dt=0.1, T=1.0, record_stride=1, track_modes=(2, -2))
+        assert cfg.track_modes == (2, -2)
 
     @pytest.mark.parametrize("modes", [(66, 2), (2, 22), (-22,)], ids=["66", "22", "minus-22"])
     def test_track_mode_outside_dealias_band_refused(self, modes):
         # on a grid of 64, mode 66 is sampled as mode 2, and 2/3 rule keeps |j| <= 21
         with pytest.raises(ValueError, match=r"\|j\| <= 21"):
-            simulate(cos_state(M=64), EvolutionConfig(dt=0.1, T=0.1, track_modes=modes))
-        traj = simulate(cos_state(M=64), EvolutionConfig(dt=0.1, T=0.1, track_modes=(21, -21)))
+            simulate(cos_state(M=64),
+                     EvolutionConfig(dt=0.1, T=0.1, record_stride=1, track_modes=modes))
+        traj = simulate(cos_state(M=64),
+                        EvolutionConfig(dt=0.1, T=0.1, record_stride=1, track_modes=(21, -21)))
         assert sorted(traj.mode_series) == [-21, 21]
 
     @pytest.mark.parametrize("dt,T", [(0.3, 1.0), (0.4, 1.0), (1e-3, 0.0105)])
     def test_final_time_not_a_whole_number_of_steps(self, dt, T):
         # round(T/dt) steps would stop short of (or past) T
         with pytest.raises(ValueError, match="whole number of steps"):
-            EvolutionConfig(dt=dt, T=T)
+            EvolutionConfig(dt=dt, T=T, record_stride=1, track_modes=())
 
     @pytest.mark.parametrize("dt,T", [(0.01, 0.5), (1.25e-4, 2.0), (0.05, 16.0)])
     def test_final_time_within_rounding_of_a_step(self, dt, T):
-        EvolutionConfig(dt=dt, T=T)
+        EvolutionConfig(dt=dt, T=T, record_stride=1, track_modes=())
 
     def test_run_ends_at_final_time(self):
         # 0.3/0.1 = 2.9999999999999996: a whole number of steps up to rounding
         st = PatchState(0.5, PeriodicField(np.zeros(32)))
-        traj = simulate(st, EvolutionConfig(dt=0.1, T=0.3))
+        traj = simulate(st, EvolutionConfig(dt=0.1, T=0.3, record_stride=1, track_modes=()))
         assert len(traj.times) == 4
         assert traj.times[-1] == pytest.approx(0.3, abs=1e-12)
 
     def test_equilibrium_stays_fixed(self):
         st = PatchState(0.5, PeriodicField(np.zeros(64)))
-        traj = simulate(st, EvolutionConfig(dt=0.05, T=0.5))
+        traj = simulate(st, EvolutionConfig(dt=0.05, T=0.5, record_stride=1, track_modes=()))
         assert not traj.aborted
         assert np.max(np.abs(traj.snapshots[-1])) < 1e-13
 
     def test_trajectory_invariants(self):
         st = cos_state()
-        cfg = EvolutionConfig(dt=0.01, T=0.5, record_stride=7)
+        cfg = EvolutionConfig(dt=0.01, T=0.5, record_stride=7, track_modes=())
         traj = simulate(st, cfg)
         nsteps = int(round(cfg.T / cfg.dt))
         # t = 0, every 7th step, and the final state (50 is off the stride)
         assert len(traj.snapshots) == nsteps // cfg.record_stride + 2
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[-1] == nsteps * cfg.dt
-        aligned = simulate(st, EvolutionConfig(dt=0.01, T=0.5, record_stride=nsteps))
+        aligned = simulate(st, EvolutionConfig(dt=0.01, T=0.5, record_stride=nsteps,
+                                               track_modes=()))
         assert np.array_equal(traj.snapshots[-1], aligned.snapshots[-1])
         assert traj.hamiltonians[-1] == aligned.hamiltonians[-1]
         prof = traj.profile
@@ -475,7 +479,7 @@ class TestSimulate:
 
     def test_short_conservation(self):
         st = cos_state(b=0.5, amp=1e-3, mode=2, M=64)
-        traj = simulate(st, EvolutionConfig(dt=1e-3, T=0.5, record_stride=500))
+        traj = simulate(st, EvolutionConfig(dt=1e-3, T=0.5, record_stride=500, track_modes=()))
         assert not traj.aborted
         drift = abs(traj.hamiltonians[-1] - traj.hamiltonians[0])
         assert drift <= 1e-8 * abs(traj.hamiltonians[0])
@@ -486,7 +490,7 @@ class TestSimulate:
         b = 0.5
         th = theta_grid(64)
         st = PatchState(b, PeriodicField(0.5 * b * b * (1 - 1e-6) * np.cos(2 * th)))
-        traj = simulate(st, EvolutionConfig(dt=0.5, T=50.0))
+        traj = simulate(st, EvolutionConfig(dt=0.5, T=50.0, record_stride=1, track_modes=()))
         assert traj.aborted
         assert traj.abort_reason
         assert len(traj.snapshots) >= 1  # last valid snapshot retained
@@ -501,7 +505,7 @@ class TestSimulate:
         # any stride, and every accepted state stays inside the disc
         st = quasi_periodic_seed(0.7508216406058041,
                                  {4: 0.12646316189948498, 3: -0.054734360079358786}, M=32)
-        traj = simulate(st, EvolutionConfig(dt=0.2, T=6.0, record_stride=stride))
+        traj = simulate(st, EvolutionConfig(dt=0.2, T=6.0, record_stride=stride, track_modes=()))
         assert traj.aborted
         assert "unit circle" in traj.abort_reason
         assert traj.profile["max_R"] <= 1.0 - 1e-6
@@ -509,7 +513,7 @@ class TestSimulate:
     def test_step_matches_simulate(self):
         st = cos_state()
         one = ref.step(st, 1e-2)
-        traj = simulate(st, EvolutionConfig(dt=1e-2, T=1e-2))
+        traj = simulate(st, EvolutionConfig(dt=1e-2, T=1e-2, record_stride=1, track_modes=()))
         assert np.max(np.abs(one.r.values - traj.snapshots[-1])) < 1e-13
 
     def test_flow_reversibility(self):
@@ -552,9 +556,9 @@ class TestQuasiPeriodicSeed:
 
     def test_amplitude_guard(self):
         with pytest.raises(DegeneratePatchError):
-            quasi_periodic_seed(0.5, {2: 0.2})
+            quasi_periodic_seed(0.5, {2: 0.2}, M=128)
         with pytest.raises(ValueError):
-            quasi_periodic_seed(0.5, {0: 1e-3})
+            quasi_periodic_seed(0.5, {0: 1e-3}, M=128)
 
     def test_modes_the_dealiasing_keeps(self):
         # simulate dealiases its initial state: a mode above M // 3 would vanish
@@ -592,16 +596,16 @@ class TestQuasiPeriodicSeed:
 
 class TestExtractFrequencies:
     def synthetic_trajectory(self, omega, T=200.0, dt=0.05, noise=0.0):
-        cfg = EvolutionConfig(dt=dt, T=T, track_modes=(2,))
-        traj = Trajectory(b=0.5, config=cfg)
+        cfg = EvolutionConfig(dt=dt, T=T, record_stride=1, track_modes=(2,))
         t = np.arange(int(round(T / dt)) + 1) * dt
         s = 1e-3 * np.exp(-1j * omega * t)
         if noise:
             rng = np.random.default_rng(0)
             s = s + noise * (rng.standard_normal(len(t)) + 1j * rng.standard_normal(len(t)))
-        traj.mode_times = t
-        traj.mode_series = {2: s}
-        return traj
+        # only the mode series: no state is recorded
+        return Trajectory(b=0.5, config=cfg, times=np.array([]), snapshots=[], means=[],
+                          hamiltonians=[], hs_norms=[], mode_times=t, mode_series={2: s},
+                          aborted=False, abort_reason="", profile={})
 
     def test_synthetic_recovery(self):
         omega = 0.53125

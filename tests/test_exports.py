@@ -3,8 +3,11 @@
 ``Name`` or ``Attribute``, not a string) in ``src/vortexpatch`` or in the
 benchmark's ``perfbench/passes.py``.  No module of ``src/vortexpatch`` imports
 a name that it never uses.  Every key of a ``cli.py`` parameter table is read
-by its subcommand, so no flag sits idle.  And the operator algebra of
-``LinearOperatorMatrix`` is exactly what the benchmark's tracer wraps."""
+by its subcommand, so no flag sits idle.  The operator algebra of
+``LinearOperatorMatrix`` is exactly what the benchmark's tracer wraps.  And a
+library default exists only where a program caller omits it or an open item
+of ROADMAP.md names its second caller: every other default lives in the
+``cli.py`` parameter tables."""
 
 import ast
 import importlib
@@ -116,3 +119,55 @@ def test_operator_algebra_is_what_the_tracer_wraps():
                and name != "__init__"}
     assert dunders == {meth for module, cls, meth in wrapped
                        if (module, cls) == ("spectral", "LinearOperatorMatrix")}
+
+
+#: (module, function or class, parameter or field) of every default in
+#: ``src/vortexpatch``, each with the program caller that omits it
+DEFAULTS = {
+    ("cantor", "DiophantineSpec", "upsilon"),  # perfbench/record_reference.py
+    ("cantor", "DiophantineSpec", "tau1"),  # perfbench/record_reference.py
+    ("cantor", "DiophantineSpec", "Jmax"),  # cli cantor; a spec matched to the reduction sets it
+    ("cantor", "_divisor", "q"),  # excluded_measure's screen, filter and bisection
+    ("cli", "main", "argv"),  # the vpatch console script
+    ("dynamics", "_SB", "lg"),  # _delta_terms
+    ("dynamics", "_SC", "lg"),  # _delta_terms
+    ("kam", "ReductionState", "step"),  # cli kam-remainder
+    ("kam", "ReductionState", "history"),  # cli kam-remainder
+    ("kam", "ReductionState", "aliasing"),  # cli kam-remainder
+    ("kam", "synthetic_reversible_remainder", "d"),  # cli kam-remainder; a d = 2 run sets it
+    ("spectral", "spectral_derivative", "axis"),  # PatchState.dr, kam.ChangeOfVariables
+    ("spectral", "__init__", "bands"),  # LinearOperatorMatrix: linearized.assemble
+    ("spectrum", "transversality_scan", "delta"),  # cli spectrum --scan
+    ("spectrum", "transversality_scan", "delta_prime"),  # cli spectrum --scan
+}
+
+
+def _defaults(module: str, tree) -> set:
+    """(module, owner, name) of each defaulted parameter of a function or
+    lambda and each class-body field with a value, by AST."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a, owner = node.args, getattr(node, "name", "<lambda>")
+            positional = a.posonlyargs + a.args
+            named = positional[len(positional) - len(a.defaults):]
+            named += [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            out |= {(module, owner, arg.arg) for arg in named}
+        elif isinstance(node, ast.ClassDef):
+            out |= {(module, node.name, st.target.id) for st in node.body
+                    if isinstance(st, ast.AnnAssign) and st.value is not None}
+    return out
+
+
+def test_every_default_is_justified():
+    found = set()
+    for path in (ROOT / "src" / "vortexpatch").glob("*.py"):
+        found |= _defaults(path.stem, ast.parse(path.read_text()))
+    assert sorted(found - DEFAULTS) == [] and sorted(DEFAULTS - found) == []
+
+
+def test_default_is_caught():
+    tree = ast.parse("@dataclass\nclass A:\n    x: int\n    y: int = 1\n"
+                     "def f(a, b=2, *, c=3, d):\n    return lambda e=4: e\n")
+    assert _defaults("m", tree) == {("m", "A", "y"), ("m", "f", "b"), ("m", "f", "c"),
+                                    ("m", "<lambda>", "e")}
