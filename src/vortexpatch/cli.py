@@ -361,6 +361,8 @@ def spectrum(p, emit):
         raise click.ClickException("--eps-hat needs --scan")
     if perturbed and p["seed"] is None:
         raise click.ClickException("--seed is required for the perturbed scan")
+    if not perturbed and p["seed"] is not None:
+        raise click.ClickException("--seed needs --eps-hat")
     sysf = FrequencySystem(p["sites"], p["b0"], p["b1"]) if p["scan"] else None
 
     b = p["b"]

@@ -70,7 +70,7 @@ class PatchState:
             raise ValueError("patch deformation must be a theta-only field")
         self.b = float(b)
         self.r = r
-        rmax = float(np.max(np.abs(r.values.real)))
+        rmax = float(np.max(np.abs(r.values)))
         bound = 0.5 * b * b
         if rmax >= bound * (1.0 - RADIUS_MARGIN):
             raise DegeneratePatchError(
@@ -107,22 +107,21 @@ class PatchState:
 
 @functools.lru_cache(maxsize=32)
 def pair_trig(M: int):
-    """Cached (delta, cos delta, sin(delta/2)) tables with
-    delta[i, k] = theta_k - theta_i (eta minus theta); read-only."""
+    """Cached (delta, cos delta, sin(delta/2) with a unit diagonal) tables with
+    delta[i, k] = theta_k - theta_i (eta minus theta); read-only.  The last is
+    the divisor of the difference quotient."""
     th = theta_grid(M)
     delta = th[None, :] - th[:, None]
-    return tuple(_read_only(t) for t in (delta, np.cos(delta), np.sin(0.5 * delta)))
+    s = np.sin(0.5 * delta)
+    np.fill_diagonal(s, 1.0)  # placeholder, the quotient's diagonal is set apart
+    return tuple(_read_only(t) for t in (delta, np.cos(delta), s))
 
 
 @functools.lru_cache(maxsize=32)
 def _grid_tables(M: int):
-    """Cached (cos theta, sin theta, sin((eta - theta)/2) with a unit diagonal)
-    on the M-point grid; read-only.  The last is the divisor of the difference
-    quotient."""
+    """Cached (cos theta, sin theta) on the M-point grid; read-only."""
     th = theta_grid(M)
-    s = pair_trig(M)[2].copy()
-    np.fill_diagonal(s, 1.0)  # placeholder, the quotient's diagonal is set apart
-    return tuple(_read_only(t) for t in (np.cos(th), np.sin(th), s))
+    return _read_only(np.cos(th)), _read_only(np.sin(th))
 
 
 @functools.lru_cache(maxsize=8)
@@ -161,7 +160,7 @@ def _difference_quotient(vals: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """g(theta, eta) = (vals(eta) - vals(theta))/sin((eta-theta)/2) off the
     diagonal and ``diag`` on it (2 f' for the difference quotient of f)."""
     g = vals[None, :] - vals[:, None]
-    g /= _grid_tables(len(vals))[2]
+    g /= pair_trig(len(vals))[2]
     np.fill_diagonal(g, diag)
     return g
 
@@ -204,7 +203,7 @@ def eta_factors(state: PatchState) -> np.ndarray:
     Expanding sin/cos(eta - theta) splits every two-point factor of F_b and
     V_r into a(theta) p(eta) + c(theta) q(eta).
     """
-    c, s, _ = _grid_tables(state.M)
+    c, s = _grid_tables(state.M)
     R, dR = state.R, state.dR
     return np.column_stack([dR * s + R * c, R * s - dR * c])
 

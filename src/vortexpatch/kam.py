@@ -144,15 +144,14 @@ def evaluate_shifted(f: PeriodicField, shift: np.ndarray) -> np.ndarray:
     """Samples of f(phi, theta + shift(phi, theta)): sum_m c_m z^m in z = e^{i(theta + shift)},
     each side of the spectrum summed by Horner's rule from its highest nonzero c_m
     of the cached ``theta_coeffs`` (exact zeros off f's theta band)."""
-    vals = f.values
-    M = vals.shape[-1]
+    M = f.grid_sizes[-1]
     c = f.theta_coeffs
     z = np.exp(1j * (theta_grid(M) + shift))  # broadcast over leading axes
     h = (M + 1) // 2
     # c_1, ..., c_{h-1} in z and c_{-1}, ..., c_{h-M} in conj(z); for even M
     # the Nyquist mode is c_{-M/2}, as in the frequency order of the FFT
     out = c[..., :1] + _power_series(c[..., 1:h], z) + _power_series(c[..., :h - 1:-1], z.conj())
-    return out.real if np.isrealobj(vals) else out
+    return out.real
 
 
 class ChangeOfVariables:
@@ -252,7 +251,7 @@ def solve_transport_homological(rhs: PeriodicField, omega: np.ndarray, V: float,
     nsig = int(np.count_nonzero(significant))
     ncut = int(np.count_nonzero(significant & (chi < 1.0)))
     frac = ncut / nsig if nsig else 0.0
-    return PeriodicField.from_coeffs(bhat, real=rhs.is_real), frac
+    return PeriodicField.from_coeffs(bhat), frac
 
 
 @dataclass
@@ -290,9 +289,10 @@ def straighten_transport(prob: TransportProblem, steps: int) -> TransportResult:
     history, shifts = [], []
     nyquist = max(n // 2 for n in f.grid_sizes)
     for m in range(steps):
-        mean_f = float(np.real(f.mean()))
-        d0 = analytic_norm(f - mean_f, 0.0) + abs(mean_f)
-        dh = analytic_norm(f - mean_f, 0.1) + abs(mean_f)
+        mean_f = float(f.values.mean())
+        centred = PeriodicField(f.values - mean_f)  # one field: its FFT serves both norms
+        d0 = analytic_norm(centred, 0.0) + abs(mean_f)
+        dh = analytic_norm(centred, 0.1) + abs(mean_f)
         history.append((m, d0, dh, 0.0, V))
         if d0 <= _STRAIGHTENED:
             break
@@ -470,7 +470,7 @@ def kam_step(state: ReductionState, Ncut: float, gamma: float, tau2: float) -> R
     W = _window(R)
     zi = R.zero_band
     # the l = 0 diagonal entries are i r_j with r real
-    r = np.diag(R.entries[zi]).imag if zi is not None else np.zeros(2 * R.N)
+    r = np.diag(R.entries[zi]).imag
     mu_next = _mirror_project(state.mu + r, -1)  # exact oddness
     psi, resolved, frac = solve_remainder_homological(state, gamma, tau2, Ncut)
     if frac > 0.5:
@@ -481,8 +481,7 @@ def kam_step(state: ReductionState, Ncut: float, gamma: float, tau2: float) -> R
     # B: the unsolved part of R (outside P_N, behind the cutoff, or normal-form
     # diagonal, minus the diagonal correction that moved into mu), divided by i
     B = R.entries.imag - resolved.imag
-    if zi is not None:
-        np.fill_diagonal(B[zi], np.diag(B[zi]) - r)
+    np.fill_diagonal(B[zi], np.diag(B[zi]) - r)
     G = _smooth(2 * (W + int(np.max(np.abs(R.bands)))) + 1)
     phi = tuple(range(R.d))
 
@@ -537,8 +536,7 @@ def _delta_row(state: ReductionState) -> tuple:
 
 def _offnormal(R: LinearOperatorMatrix) -> LinearOperatorMatrix:
     entries = R.entries.copy()
-    if R.zero_band is not None:
-        np.fill_diagonal(entries[R.zero_band], 0.0)
+    np.fill_diagonal(entries[R.zero_band], 0.0)
     return LinearOperatorMatrix(R.N, entries, R.bands)
 
 

@@ -51,7 +51,7 @@ def transport_coefficient(state: PatchState) -> PeriodicField:
     """
     R = state.R
     log_A, log_B = log_kernel_integrals(state, eta_factors(state))
-    c, s, _ = _grid_tables(state.M)
+    c, s = _grid_tables(state.M)
     V0 = -0.5 * np.mean(R ** 2) / R ** 2
     V1 = -(c * log_A[:, 0] + s * log_A[:, 1]) / R
     V2 = -(c * log_B[:, 0] + s * log_B[:, 1]) / R ** 3
@@ -78,7 +78,7 @@ def assemble(state: PatchState, N: int) -> LinearOperatorMatrix:
     khat = k1_multiplier_coeffs(M)[rows] - k2_multiplier_coeffs(M, state.b)[rows]
     total = (V[:, None] + khat) * E + ((lv - lp) @ E) / M
     chat = np.fft.fft(total, axis=0, norm="forward")[rows]
-    return LinearOperatorMatrix(N, -1j * jmodes[:, None] * chat)
+    return LinearOperatorMatrix(N, (-1j * jmodes[:, None] * chat)[None], np.zeros((1, 0), int))
 
 
 def operator_spectrum(op: LinearOperatorMatrix):

@@ -74,18 +74,20 @@ def _support(a: np.ndarray) -> np.ndarray:
 class PeriodicField:
     """A function on the torus, held as real samples on a uniform grid.
 
-    The last axis is theta; any leading axes are the phi angles. The program
-    builds real fields only; complex values are tolerated for the test
-    oracles, and ``is_real`` reports which case we are in.
+    The last axis is theta; any leading axes are the phi angles.  Samples are
+    real: the constructor refuses complex values, so the coefficients are
+    Hermitian, c_{-l, -j} = conj(c_{l, j}).
 
     A field built by ``from_coeffs`` records its theta band, the theta modes
-    j at which some coefficient c_{l, j} is nonzero; a field built from
-    samples has the full band.
+    j at which some coefficient c_{l, j} or its mirror c_{-l, -j} is nonzero;
+    a field built from samples has the full band.
     """
 
     def __init__(self, values):
         values = np.asarray(values)
-        if values.dtype.kind not in "fc":
+        if values.dtype.kind == "c":
+            raise ValueError("a PeriodicField holds real samples, got complex values")
+        if values.dtype.kind != "f":
             values = values.astype(float)
         for n in values.shape:
             if n < 2 or (n & (n - 1)) != 0:
@@ -98,15 +100,13 @@ class PeriodicField:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, coeffs, real: bool) -> "PeriodicField":
+    def from_coeffs(cls, coeffs) -> "PeriodicField":
+        """The real part of the field with these coefficients."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        vals = np.fft.ifftn(coeffs, norm="forward")
-        if real:
-            vals = vals.real
-        out = cls(vals)
+        out = cls(np.fft.ifftn(coeffs, norm="forward").real)
         band = _support(coeffs)
         # the real part also holds the mirror -j of each mode j
-        out._theta_band = band | band[-_mode_numbers(len(band))] if real else band
+        out._theta_band = band | band[-_mode_numbers(len(band))]
         return out
 
     # -- basic structure ----------------------------------------------
@@ -118,10 +118,6 @@ class PeriodicField:
     @property
     def grid_sizes(self):
         return self.values.shape
-
-    @property
-    def is_real(self) -> bool:
-        return self.values.dtype.kind == "f"
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -143,20 +139,12 @@ class PeriodicField:
             self._theta_coeffs = _read_only(c)
         return self._theta_coeffs
 
-    def mean(self) -> float:
-        return self.values.mean()
-
     def mode_weights(self) -> np.ndarray:
         """The lattice weight <l, j> = max(1, |l|_1, |j|) on the coeff grid."""
         shape = self.values.shape
         mats = np.meshgrid(*[np.abs(_mode_numbers(n)) for n in shape], indexing="ij")
         lsum = sum(mats[:-1]) if len(mats) > 1 else np.zeros(shape, dtype=int)
         return np.maximum(1, np.maximum(lsum, mats[-1]))
-
-    def __sub__(self, other):
-        if isinstance(other, PeriodicField):
-            return PeriodicField(self.values - other.values)
-        return PeriodicField(self.values - other)
 
 
 def sobolev_norm(field: PeriodicField, s: float) -> float:
@@ -166,14 +154,13 @@ def sobolev_norm(field: PeriodicField, s: float) -> float:
 
 
 def spectral_derivative(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """d/dtheta (or d/dphi_i) by exact Fourier differentiation."""
+    """d/dtheta (or d/dphi_i) of real samples by exact Fourier differentiation."""
     n = values.shape[axis]
     k = _mode_numbers(n)
     shape = [1] * values.ndim
     shape[axis] = n
     hat = np.fft.fft(values, axis=axis) * (1j * k.reshape(shape))
-    out = np.fft.ifft(hat, axis=axis)
-    return out.real if np.isrealobj(values) else out
+    return np.fft.ifft(hat, axis=axis).real
 
 
 # ---------------------------------------------------------------------------
@@ -249,31 +236,35 @@ class LinearOperatorMatrix:
 
         entries[b, a, c] = T^{l0 + bands[b], jmodes[a]}_{l0, jmodes[c]}
 
-    with ``jmodes = [-N, ..., -1, 1, ..., N]``. ``d = 0`` (no phi angle,
-    a single zero band) covers the operators of the linearized-patch module.
+    with ``jmodes = [-N, ..., -1, 1, ..., N]`` and N >= 1.  ``entries`` has the
+    shape (len(bands), 2N, 2N) and ``bands`` the shape (len(bands), d); ``d = 0``
+    (no phi angle, the one band l = () of shape (1, 0)) covers the operators of
+    the linearized-patch module.
 
     Band order, checked on construction: ``bands`` is sorted lexicographically,
-    unique and closed under l -> -l.  So -l sits at the reversed position of l
-    (``_mirrored``), and l = 0 is the middle band when the count is odd (``zero_band``).
+    unique, closed under l -> -l and holds l = 0.  So -l sits at the reversed
+    position of l (``_mirrored``), and l = 0 is the middle band (``zero_band``).
     """
 
-    def __init__(self, N: int, entries: np.ndarray, bands=None):
+    def __init__(self, N: int, entries: np.ndarray, bands: np.ndarray):
         entries = np.asarray(entries, dtype=complex)
-        if entries.ndim == 2:
-            entries = entries[None, :, :]
-        self.N = int(N)
-        self.jmodes = _jmodes(self.N)
-        if entries.shape[1:] != (2 * N, 2 * N):
-            raise ValueError("entry block shape does not match truncation")
-        if bands is None:
-            bands = np.zeros((entries.shape[0], 0), dtype=int)
         bands = np.asarray(bands, dtype=int)
+        self.N = int(N)
+        if self.N < 1:
+            raise ValueError(f"truncation N must be >= 1, got {N}")
+        self.jmodes = _jmodes(self.N)
+        if entries.ndim != 3 or entries.shape[1:] != (2 * N, 2 * N):
+            raise ValueError(f"entries must be band-stacked (bands, 2N, 2N) blocks, "
+                             f"got {entries.shape} at N = {N}")
         if bands.ndim != 2 or bands.shape[0] != entries.shape[0]:
             raise ValueError("bands must hold one row l per entry block")
         rows = list(map(tuple, bands.tolist()))  # np.unique would import numpy.ma
         if not (all(x < y for x, y in zip(rows, rows[1:]))
                 and np.array_equal(bands[::-1], -bands)):
             raise ValueError("bands must be sorted, unique and closed under l -> -l")
+        # sorted, unique and closed: every band but l = 0 comes with its mirror
+        if len(bands) % 2 == 0:
+            raise ValueError("bands must hold l = 0")
         self.bands = bands
         self.d = bands.shape[1]
         self.entries = entries
@@ -281,13 +272,13 @@ class LinearOperatorMatrix:
     # -- structure ------------------------------------------------------
 
     @property
-    def zero_band(self) -> int | None:
-        """Index of the band l = 0, None when it is absent."""
-        return len(self.bands) // 2 if len(self.bands) % 2 else None
+    def zero_band(self) -> int:
+        """Index of the band l = 0, the middle one."""
+        return len(self.bands) // 2
 
     def reversible_deviation(self) -> float:
         """sup |T^{-l,-j}_{-l0,-j0} + T^{l,j}_{l0,j0}|: zero for a reversible operator."""
-        return float(np.max(np.abs(_mirrored(self.entries) + self.entries), initial=0.0))
+        return float(np.max(np.abs(_mirrored(self.entries) + self.entries)))
 
     # -- algebra ----------------------------------------------------------
 
@@ -336,6 +327,6 @@ def offdiag_norm(op: LinearOperatorMatrix, s: float) -> float:
     sups = np.maximum.reduceat(blocks, starts, axis=1)
     w = np.maximum(np.abs(op.bands).sum(axis=1)[:, None], np.maximum(1, np.abs(diags)))
     # scalar (libm) powers: a vectorised pow may round differently
-    weights = np.array([float(k) ** (2.0 * s) for k in range(int(w.max(initial=0)) + 1)])
+    weights = np.array([float(k) ** (2.0 * s) for k in range(int(w.max()) + 1)])
     terms = (weights[w] * sups ** 2).ravel()
-    return float(np.sqrt(np.cumsum(terms)[-1])) if terms.size else 0.0
+    return float(np.sqrt(np.cumsum(terms)[-1]))

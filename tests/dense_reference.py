@@ -29,8 +29,9 @@ weighted, forward or inverse).
 
 The test-only helpers follow them: ``identity``, the multiple ``scaled``,
 the entry lookup ``entry`` and the symmetry measure ``mirror_deviation`` of a
-truncation, the coefficient-space operator action
-``apply_operator``, ``e_mode``, ``project``, ``convolve_multiplier``,
+truncation, the coefficient-space operator action ``apply_operator`` and the
+exponential ``e_mode`` (both on complex samples, which a ``PeriodicField``
+does not hold), ``project``, ``convolve_multiplier``,
 ``from_multiplier``, ``diagonal_difference_quotient`` (2 d_theta f on the
 diagonal), the kernel tables ``kernel_A`` and ``kernel_B`` and the frequency
 report ``check_monotonicity``.
@@ -184,7 +185,8 @@ def assemble(state, N):
     entries = np.zeros((2 * N, 2 * N), dtype=complex)
     for c, j0 in enumerate(jmodes):
         rho = np.exp(1j * j0 * th)
-        col = -spectral_derivative(V * rho + nonlocal_L(state, rho) - smoothing_S(state, rho))
+        g = V * rho + nonlocal_L(state, rho) - smoothing_S(state, rho)
+        col = -(spectral_derivative(g.real) + 1j * spectral_derivative(g.imag))
         entries[:, c] = np.fft.fft(col, norm="forward")[jmodes % M]
     return entries
 
@@ -286,10 +288,11 @@ def phi_kernel(rho1, rho2, delta):
     term1 = 0.25 * r2s2 * np.log(sig) - 0.125 * r2s2 + r4 / 16.0
     zdiag = np.abs(1.0 - z) < _NEAR_ONE
     zs = np.where(zdiag, 0.0, z)
-    PA = _SA(zs, np.log(1.0 - zs)).real / 4.0 + _SB(zs).real / 8.0 - series_SC(zs).real / 8.0
+    lz = np.log(1.0 - zs)
+    PA = _SA(zs, lz).real / 4.0 + _SB(zs, lz).real / 8.0 - series_SC(zs).real / 8.0
     wone = np.abs(1.0 - w) < _NEAR_ONE
     ws = np.where(wone, 0.0, w)
-    PW = np.where(wone, -0.75, (_SB(ws) + series_SC(ws)).real)
+    PW = np.where(wone, -0.75, (_SB(ws, np.log(1.0 - ws)) + series_SC(ws)).real)
     S2 = r2s2 * PA - 0.125 * r4 * PW + np.cos(2.0 * delta) * r4 * (lq + 0.5) / 8.0
     S2 = np.where(zdiag, 0.375 * r4, S2)
     term3 = r2s2 * _T3(rho * sig * eid)
@@ -318,10 +321,11 @@ def psi_kernel(rho1, rho2, delta):
         piece1 = 0.5 * r2 ** 2 * np.log(r2) - 0.25 * r2 ** 2 + 0.25 * r1 ** 2
         vone = np.abs(1.0 - v) < _NEAR_ONE
         vs = np.where(vone, 0.0, v)
-        AB = np.where(vone, 0.5, (_SA(vs, np.log(1.0 - vs)) + _SB(vs)).real)
+        lv = np.log(1.0 - vs)
+        AB = np.where(vone, 0.5, (_SA(vs, lv) + _SB(vs, lv)).real)
         wone = np.abs(delta % (2.0 * np.pi)) < _NEAR_ONE
         ws = np.where(wone, 0.0, eid)
-        BC = np.where(wone, -0.75, (_SB(ws) + series_SC(ws)).real)
+        BC = np.where(wone, -0.75, (_SB(ws, np.log(1.0 - ws)) + series_SC(ws)).real)
         series = -(
             0.5 * r2 ** 2 * AB
             - 0.5 * r1 ** 2 * BC
@@ -362,7 +366,7 @@ def kernel_P_per_call(state):
 
 
 def difference_quotient_per_call(vals, diag):
-    s = pair_trig(len(vals))[2].copy()
+    s = np.sin(0.5 * pair_trig(len(vals))[0])
     np.fill_diagonal(s, 1.0)  # placeholder, diagonal overwritten below
     g = (vals[None, :] - vals[:, None]) / s
     np.fill_diagonal(g, diag)
@@ -540,7 +544,7 @@ def neumann_inverse(psi, tail=1e-14):
     if norm >= 0.5:
         raise NonReducibleError(f"Neumann series requires |Psi| < 1/2, got {norm:.3g}")
     N = psi.N
-    out = LinearOperatorMatrix(N, np.eye(2 * N, dtype=complex),
+    out = LinearOperatorMatrix(N, np.eye(2 * N, dtype=complex)[None],
                                np.zeros((1, psi.d), dtype=int))
     term = neg = scaled(psi, -1.0)
     for _ in range(200):
@@ -583,11 +587,10 @@ def evaluate_shifted(f, shift):
     c = np.fft.fft(vals, axis=-1, norm="forward")
     angles = theta_grid(M) + shift
     phase = np.exp(1j * angles[..., None] * _mode_numbers(M))
-    out = np.sum(c[..., None, :] * phase, axis=-1)
-    return out.real if np.isrealobj(vals) else out
+    return np.sum(c[..., None, :] * phase, axis=-1).real
 
 
-def horner_shifted(c, shift, real):
+def horner_shifted(c, shift):
     """sum_m c_m e^{i m (theta + shift)} from the theta coefficients c (FFT order),
     each side summed by Horner's rule over all of its terms, zero or not."""
     M = c.shape[-1]
@@ -601,7 +604,7 @@ def horner_shifted(c, shift, real):
 
     h = (M + 1) // 2
     out = c[..., :1] + side(c[..., 1:h], z) + side(c[..., :h - 1:-1], z.conj())
-    return out.real if real else out
+    return out.real
 
 
 def inverse_shift(beta_values):
@@ -611,7 +614,7 @@ def inverse_shift(beta_values):
     bh = -beta_values.copy()
     for _ in range(200):
         c = np.fft.fft(beta_values, axis=-1, norm="forward")
-        nxt = -horner_shifted(c, bh, np.isrealobj(beta_values))
+        nxt = -horner_shifted(c, bh)
         gap = np.max(np.abs(nxt - bh))
         bh = nxt
         if gap < 1e-14:
@@ -634,7 +637,8 @@ def compose_with(f, cov, weighted=False, inverse=False):
 
 
 def identity(N: int) -> LinearOperatorMatrix:
-    return LinearOperatorMatrix(N, np.eye(2 * N, dtype=complex))
+    """The identity on the zero-mean modes |j| <= N, with no phi angle (d = 0)."""
+    return LinearOperatorMatrix(N, np.eye(2 * N, dtype=complex)[None], np.zeros((1, 0), int))
 
 
 def scaled(op: LinearOperatorMatrix, c) -> LinearOperatorMatrix:
@@ -659,14 +663,15 @@ def entry(op: LinearOperatorMatrix, m, j: int, j0: int) -> complex:
     return complex(op.entries[bands.index(key), jm.index(j), jm.index(j0)])
 
 
-def apply_operator(op: LinearOperatorMatrix, field: PeriodicField) -> PeriodicField:
-    """Matrix-vector product in coefficient space (modes outside the truncation drop)."""
-    shape = field.grid_sizes
-    if field.dims != op.d + 1:
+def apply_operator(op: LinearOperatorMatrix, values: np.ndarray) -> np.ndarray:
+    """Matrix-vector product in coefficient space (modes outside the truncation
+    drop) on real or complex samples; returns complex samples."""
+    shape = values.shape
+    if values.ndim != op.d + 1:
         raise ValueError("field dimensionality does not match operator")
     if op.N > shape[-1] // 2 - 1:
         raise ValueError("operator truncation exceeds field grid")
-    c = field.coeffs
+    c = np.fft.fftn(values, norm="forward")
     jnums = _mode_numbers(shape[-1])
     jsel = [np.where(jnums == j)[0][0] for j in op.jmodes]
     out = np.zeros_like(c)
@@ -681,7 +686,7 @@ def apply_operator(op: LinearOperatorMatrix, field: PeriodicField) -> PeriodicFi
             for ax, shift in enumerate(m):
                 contrib = _shift_no_wrap(contrib, int(shift), ax, _mode_numbers(shape[ax]))
             out[..., jsel] += contrib
-    return PeriodicField.from_coeffs(out, real=field.is_real)
+    return np.fft.ifftn(out, norm="forward")
 
 
 def _shift_no_wrap(arr: np.ndarray, shift: int, axis: int, modes: np.ndarray) -> np.ndarray:
@@ -701,15 +706,15 @@ def _shift_no_wrap(arr: np.ndarray, shift: int, axis: int, modes: np.ndarray) ->
     return np.take(rolled, inv, axis=axis)
 
 
-def e_mode(shape, l, j) -> PeriodicField:
-    """The complex exponential e_{l,j}(phi, theta) = exp(i(l.phi + j theta))."""
+def e_mode(shape, l, j) -> np.ndarray:
+    """Samples of the complex exponential e_{l,j}(phi, theta) = exp(i(l.phi + j theta))."""
     shape = tuple(shape)
     l = np.atleast_1d(np.asarray(l, dtype=int)) if l is not None else np.array([], dtype=int)
     grids = np.meshgrid(*[theta_grid(n) for n in shape], indexing="ij")
     phase = j * grids[-1]
     for li, g in zip(l, grids[:-1]):
         phase = phase + li * g
-    return PeriodicField(np.exp(1j * phase))
+    return np.exp(1j * phase)
 
 
 def project(field: PeriodicField, N: int) -> PeriodicField:
@@ -720,7 +725,7 @@ def project(field: PeriodicField, N: int) -> PeriodicField:
     if N > limit:
         raise ValueError(f"cutoff N={N} exceeds grid truncation {limit}")
     keep = field.mode_weights() <= N
-    return PeriodicField.from_coeffs(field.coeffs * keep, real=field.is_real)
+    return PeriodicField.from_coeffs(field.coeffs * keep)
 
 
 def convolve_multiplier(values: np.ndarray, khat: np.ndarray) -> np.ndarray:
@@ -733,7 +738,7 @@ def convolve_multiplier(values: np.ndarray, khat: np.ndarray) -> np.ndarray:
 def from_multiplier(N: int, values) -> LinearOperatorMatrix:
     """Diagonal operator e_j -> a_j e_j; ``values`` maps j to a_j."""
     diag = np.array([values(int(j)) for j in _jmodes(N)], dtype=complex)
-    return LinearOperatorMatrix(N, np.diag(diag))
+    return LinearOperatorMatrix(N, np.diag(diag)[None], np.zeros((1, 0), int))
 
 
 def diagonal_difference_quotient(f: PeriodicField) -> np.ndarray:

@@ -255,7 +255,8 @@ def test_criterion_08_kress_oracle():
         rho = np.exp(1j * j0 * th)
         Lr = KW @ rho + (log_smooth_A * rho[None, :]).mean(axis=1)
         Sr = (logB * rho[None, :]).mean(axis=1)
-        col = -spectral_derivative(V * rho + Lr - Sr)
+        g = V * rho + Lr - Sr  # complex: d_theta of each part
+        col = -(spectral_derivative(g.real) + 1j * spectral_derivative(g.imag))
         ch = np.fft.fft(col, norm="forward")
         for a, j in enumerate(jmodes):
             E[a, c] = ch[int(j) % M]

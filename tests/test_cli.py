@@ -406,6 +406,7 @@ class TestValidateBeforeWork:
         ["simulate", "--track", "2,2"],
         ["simulate", "--amplitudes", "2:1e-3,2:2e-3"],
         ["simulate", "--grid", "64", "--track", "66,2"],
+        ["spectrum", "--b", "0.5", "--seed", "3"],
     ], ids=["curve-not-a-number", "curve-gamma-out-of-range", "jobs-flag", "tau2-infinite",
             "perturbed-scan-without-seed", "final-time-not-a-whole-number-of-steps",
             "remainder-steps-negative", "transport-steps-negative", "transport-gamma-zero",
@@ -418,7 +419,7 @@ class TestValidateBeforeWork:
             "remainder-tau2-negative", "seed-mode-above-grid-third", "simulate-seed-on-circle",
             "linearize-seed-on-circle", "transport-speed-changes-sign",
             "transport-speed-vanishes", "transport-v0-zero", "track-mode-repeated",
-            "amplitude-mode-repeated", "track-mode-above-grid-third"])
+            "amplitude-mode-repeated", "track-mode-above-grid-third", "seed-without-eps-hat"])
     def test_exit_1_and_nothing_written(self, tmp_path, monkeypatch, args):
         self._forbid_work(monkeypatch)
         d = tmp_path / "out"

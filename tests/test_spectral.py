@@ -64,6 +64,12 @@ class TestPeriodicField:
         with pytest.raises(ValueError):
             PeriodicField(np.zeros(48))
 
+    @pytest.mark.parametrize("values", [np.exp(1j * theta_grid(16)), np.zeros(16, complex)],
+                             ids=["complex", "zero-imaginary-part"])
+    def test_complex_values_refused(self, values):
+        with pytest.raises(ValueError, match="real samples"):
+            PeriodicField(values)
+
     @given(hst.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=20, deadline=None)
     def test_parseval(self, seed):
@@ -73,11 +79,13 @@ class TestPeriodicField:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
 
     def test_two_dimensional_field(self):
-        f = e_mode((32, 64), l=[2], j=-3)
+        # cos(2 phi - 3 theta): 1/2 at (l, j) = (2, -3) and at its mirror (-2, 3)
+        f = PeriodicField(e_mode((32, 64), l=[2], j=-3).real)
         c = f.coeffs
         idx = np.unravel_index(np.argmax(np.abs(c)), c.shape)
         assert idx == (2, 64 - 3)
-        assert abs(c[idx] - 1.0) < 1e-12
+        assert abs(c[idx] - 0.5) < 1e-12
+        assert abs(c[32 - 2, 3] - 0.5) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +94,12 @@ class TestPeriodicField:
 
 class TestProject:
     def test_mode_below_cutoff_kept(self):
-        f = e_mode((64,), l=None, j=3)
+        f = PeriodicField(e_mode((64,), l=None, j=3).real)
         g = project(f, 5)
         assert np.max(np.abs(g.values - f.values)) < 1e-13
 
     def test_mode_above_cutoff_dropped(self):
-        f = e_mode((64,), l=None, j=7)
+        f = PeriodicField(e_mode((64,), l=None, j=7).real)
         g = project(f, 5)
         assert np.max(np.abs(g.values)) < 1e-13
 
@@ -105,7 +113,7 @@ class TestProject:
     def test_complement_projector(self):
         f = random_field(64)
         g = project(f, 5)
-        comp = f - g
+        comp = PeriodicField(f.values - g.values)
         assert np.max(np.abs(project(comp, 5).values)) < 1e-12
 
     def test_smoothing_bound(self):
@@ -129,10 +137,11 @@ class TestSobolevNorm:
             assert abs(sobolev_norm(f, s) - 2.5) < 1e-12
 
     def test_single_mode(self):
+        # cos(j theta): coefficients 1/2 at +-j
         for j in (1, 3, 7):
-            f = e_mode((64,), l=None, j=j)
+            f = PeriodicField(e_mode((64,), l=None, j=j).real)
             for s in (0.0, 1.0, 2.5):
-                assert abs(sobolev_norm(f, s) - abs(j) ** s) < 1e-10
+                assert abs(sobolev_norm(f, s) - abs(j) ** s / np.sqrt(2.0)) < 1e-10
 
     def test_interpolation_inequality(self):
         # |rho|_{s3} <= |rho|_{s1}^theta |rho|_{s2}^(1-theta), s3 = theta s1 + (1-theta) s2
@@ -218,7 +227,7 @@ def random_toeplitz_operator(N, nbands=2, rng=RNG, decay=1.5):
         diff = jm[:, None] - jm[None, :]
         block = rng.standard_normal((2 * N, 2 * N)) + 1j * rng.standard_normal((2 * N, 2 * N))
         block /= np.maximum(1, np.abs(diff)) ** decay
-        return LinearOperatorMatrix(N, block)
+        return LinearOperatorMatrix(N, block[None], np.zeros((1, 0), int))
     bands = np.arange(-nbands, nbands + 1)[:, None]
     entries = []
     jm = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
@@ -268,8 +277,8 @@ class TestOperatorMatrix:
 
     def test_apply_identity(self):
         f = random_field(64, zero_mean=True)
-        g = apply_operator(identity(16), project(f, 16))
-        assert np.max(np.abs(g.values - project(f, 16).values)) < 1e-12
+        g = apply_operator(identity(16), project(f, 16).values)
+        assert np.max(np.abs(g - project(f, 16).values)) < 1e-12
 
     def test_apply_equilibrium_multiplier(self):
         # multiplier -i Omega_j(b) acting on e_{0,j}
@@ -282,8 +291,8 @@ class TestOperatorMatrix:
         op = from_multiplier(8, lambda j: -1j * omega(j))
         for j in (2, -3, 5):
             f = e_mode((64,), l=None, j=j)
-            g = apply_operator(op, PeriodicField(f.values))
-            assert np.max(np.abs(g.values - (-1j * omega(j)) * f.values)) < 1e-12
+            g = apply_operator(op, f)
+            assert np.max(np.abs(g - (-1j * omega(j)) * f)) < 1e-12
 
     def test_apply_operator_link_bound(self):
         # |T rho|_s <= C(|T|_{s0}|rho|_s + |T|_s |rho|_{s0})
@@ -293,7 +302,7 @@ class TestOperatorMatrix:
         for _ in range(10):
             op = random_toeplitz_operator(N, nbands=0, rng=rng)
             f = project(random_field(64, rng=rng, zero_mean=True), N)
-            lhs = sobolev_norm(apply_operator(op, f), s)
+            lhs = sobolev_norm(PeriodicField(apply_operator(op, f.values).real), s)
             C = 2.0 ** s * np.sqrt(4 * N + 1)
             rhs = C * (
                 offdiag_norm(op, s0) * sobolev_norm(f, s)
@@ -304,7 +313,7 @@ class TestOperatorMatrix:
     def test_truncation_mismatch_rejected(self):
         op = identity(40)
         with pytest.raises(ValueError):
-            apply_operator(op, random_field(64))
+            apply_operator(op, random_field(64).values)
 
     def test_entry_accessor(self):
         op = from_multiplier(4, lambda j: 2.0 * j)
@@ -345,8 +354,9 @@ class TestFastOperatorPaths:
                     assert offdiag_norm(op, s) == dense_reference.offdiag_norm(op, s)
 
     def test_empty_operator_norm(self):
-        op = LinearOperatorMatrix(2, np.zeros((0, 4, 4)), np.zeros((0, 1), dtype=int))
-        assert offdiag_norm(op, 1.0) == 0.0
+        # an operator without bands lacks l = 0: refused, so no norm of one is taken
+        with pytest.raises(ValueError, match="hold l = 0"):
+            LinearOperatorMatrix(2, np.zeros((0, 4, 4)), np.zeros((0, 1), dtype=int))
 
     def test_matmul_bit_equal(self):
         rng = np.random.default_rng(12)
@@ -397,7 +407,7 @@ class TestFastOperatorPaths:
 class TestBandOrder:
     """Bands are sorted, unique and closed under l -> -l."""
 
-    @pytest.mark.parametrize("bands", [[[1], [0]], [[0], [0]], [[0], [1]], None,
+    @pytest.mark.parametrize("bands", [[[1], [0]], [[0], [0]], [[0], [1]], np.zeros((2, 0), int),
                                        [[0, 1], [0, -1]], [[0, 0], [0, 0]]],
                              ids=["unsorted", "duplicate", "not-negation-closed", "d0-twice",
                                   "unsorted-d2", "duplicate-d2"])
@@ -417,10 +427,18 @@ class TestBandOrder:
         assert entry(op, op.bands[op.zero_band], 1, -2) == op.entries[op.zero_band, 2, 0]
 
     def test_no_zero_band(self):
-        op = LinearOperatorMatrix(2, np.ones((2, 4, 4)), [[-1], [1]])
-        assert op.zero_band is None
-        assert entry(op, (0,), 1, 1) == 0.0
-        assert entry(op, (1,), 2, -2) == 1.0
+        # sorted, unique and closed under l -> -l, but without l = 0
+        with pytest.raises(ValueError, match="hold l = 0"):
+            LinearOperatorMatrix(2, np.ones((2, 4, 4)), [[-1], [1]])
+
+    def test_unstacked_entries_refused(self):
+        # a d = 0 operator is one band of shape (1, 2N, 2N), not a bare 2N x 2N block
+        with pytest.raises(ValueError, match="band-stacked"):
+            LinearOperatorMatrix(2, np.zeros((4, 4)), np.zeros((1, 0), int))
+
+    def test_empty_truncation_refused(self):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            LinearOperatorMatrix(0, np.zeros((1, 0, 0)), np.zeros((1, 0), int))
 
     def test_jmodes_shared_and_read_only(self):
         a, b = identity(3), identity(3)
@@ -436,7 +454,7 @@ class TestReversibilityStructure:
         flip = np.conj(A[::-1, ::-1]) if kind == "real" else A[::-1, ::-1]
         sign = -1.0 if kind == "reversible" else 1.0
         B = 0.5 * (A + sign * flip)
-        return LinearOperatorMatrix(N, B)
+        return LinearOperatorMatrix(N, B[None], np.zeros((1, 0), int))
 
     def test_predicates(self):
         rng = np.random.default_rng(3)
@@ -461,9 +479,9 @@ class TestReversibilityStructure:
         for op, expect in ((rev_op, True), (non_rev, False)):
             devs = []
             for _ in range(20):
-                f = PeriodicField(random_field(64, rng=rng).values)
-                lhs = apply_operator(op, PeriodicField(reflect_values(f.values))).values
-                rhs = -reflect_values(apply_operator(op, f).values)
+                f = random_field(64, rng=rng)
+                lhs = apply_operator(op, reflect_values(f.values)).real
+                rhs = -reflect_values(apply_operator(op, f.values).real)
                 devs.append(np.max(np.abs(lhs - rhs)))
             if expect:
                 assert max(devs) < 1e-10
