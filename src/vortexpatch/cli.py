@@ -478,13 +478,14 @@ def kam_remainder(p, emit):
     b = p["b"]
     R = synthetic_reversible_remainder(p["N"], p["L"], p["delta0"], seed=p["seed"])
     mu = np.array([float(omega(b, int(j))) for j in R.jmodes])
-    state = ReductionState(omega=golden_frequency(1), mu=mu, R=R)
-    res = run_remainder_kam(state, steps=p["steps"], gamma=p["gamma"], tau2=p["tau2"])
-    emit({"kam_remainder_history.csv": remainder_history_csv(res),
+    state = ReductionState(omega=golden_frequency(1), mu=mu, R=R, step=0)
+    res, history, aliasing = run_remainder_kam(state, steps=p["steps"], gamma=p["gamma"],
+                                               tau2=p["tau2"])
+    emit({"kam_remainder_history.csv": remainder_history_csv(history),
           "kam_remainder_spectrum.json": spectrum_table_json(res, b)},
          {"phi_grid": [{"step": m, "G": G, "shell_max": shell, "sup_R_next": sup}
-                       for m, G, shell, sup in res.aliasing]})
-    final = res.history[-1][1]
+                       for m, G, shell, sup in aliasing]})
+    final = history[-1][1]
     click.echo(f"kam-remainder: delta after {p['steps']} steps = {final:.6e}")
 
 

@@ -24,7 +24,7 @@ of the grid (the last phi axis on G//2 + 1 points) and transforms by real FFTs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,7 @@ _STRAIGHTENED = 1e-14
 
 
 class NonReducibleError(RuntimeError):
-    """Raised when the divisor cutoff removes most modes or |Psi| >= 1/2."""
+    """The divisor cutoff removed most modes, |Psi| >= 1/2, or a change of variables failed."""
 
 
 class SymmetryError(ValueError):
@@ -304,7 +304,10 @@ def straighten_transport(prob: TransportProblem, steps: int) -> TransportResult:
         history[-1] = (m, d0, dh, frac, V)
         if frac > 0.5:
             return TransportResult(V, False, history, shifts)
-        cov = ChangeOfVariables(beta)
+        try:
+            cov = ChangeOfVariables(beta)
+        except ValueError as exc:  # a numerical failure of a valid problem
+            raise NonReducibleError(str(exc)) from exc
         shifts.append((cov.iterations, cov.band))
         u = (V + f.values) * (1.0 + spectral_derivative(beta.values))
         for k in range(len(omega)):
@@ -331,9 +334,7 @@ class ReductionState:
     omega: np.ndarray
     mu: np.ndarray            # real; operator diagonal is i mu_j
     R: LinearOperatorMatrix
-    step: int = 0
-    history: list = field(default_factory=list)
-    aliasing: list = field(default_factory=list)  # kam_step: (step, G, shell, sup|R|)
+    step: int
 
     def __post_init__(self):
         self.omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
@@ -437,7 +438,8 @@ def _smooth(n: int) -> int:
         n += 1
 
 
-def kam_step(state: ReductionState, Ncut: float, gamma: float, tau2: float) -> ReductionState:
+def kam_step(state: ReductionState, Ncut: float, gamma: float,
+             tau2: float) -> tuple[ReductionState, tuple]:
     """One reduction step: frequency correction, conjugation, new remainder.
 
     mu_next = mu + r with r_j the (real) l = 0 diagonal coefficient of the
@@ -461,10 +463,9 @@ def kam_step(state: ReductionState, Ncut: float, gamma: float, tau2: float) -> R
     forward real FFT is the sampling sum_l c_l e^{i l phi}, and the inverse
     returns a_l at -l mod G.
 
-    The new state's ``aliasing`` is that of ``state`` plus (step, G, largest
-    |a_l| on the outermost band shell of the grid, sup |R_next|): the shell is
-    an aliasing estimate, not a bound.  The new state owns copies of the logs;
-    ``state`` is left as it is.
+    Returns the new state and its aliasing row (step, G, largest |a_l| on the
+    outermost band shell of the grid, sup |R_next|): the shell is an aliasing
+    estimate, not a bound.  ``state`` is left as it is.
     """
     R = state.R
     W = _window(R)
@@ -509,23 +510,23 @@ def kam_step(state: ReductionState, Ncut: float, gamma: float, tau2: float) -> R
     shell = functools.reduce(np.maximum, np.ix_(*[np.abs(_mode_numbers(G))] * R.d))
     row = (state.step, G, float(np.max(np.abs(a[shell == shell.max()]))),
            float(np.max(np.abs(R_next.entries))))
-    return ReductionState(state.omega, mu_next, R_next, state.step + 1,
-                          history=list(state.history), aliasing=state.aliasing + [row])
+    return ReductionState(state.omega, mu_next, R_next, state.step + 1), row
 
 
 def run_remainder_kam(state: ReductionState, steps: int, gamma: float,
-                      tau2: float) -> ReductionState:
+                      tau2: float) -> tuple[ReductionState, list, list]:
     """Iterate kam_step with the truncation schedule N_n = N0^{(3/2)^n} (``_N0``),
-    capped at the window.  The result's history extends that of ``state`` by one
-    row per state of the run; ``state`` itself is left as it is."""
-    cur = replace(state, history=state.history + [_delta_row(state)],
-                  aliasing=list(state.aliasing))
+    capped at the window.  Returns the final state, the history (one
+    ``_delta_row`` per state of the run, ``state`` first) and the aliasing rows
+    of the steps; ``state`` itself is left as it is."""
+    cur, history, aliasing = state, [_delta_row(state)], []
     cap = _window(state.R)
     for n in range(steps):
         Ncut = min(_N0 ** (1.5 ** n), cap)
-        cur = kam_step(cur, gamma=gamma, tau2=tau2, Ncut=Ncut)
-        cur.history.append(_delta_row(cur))
-    return cur
+        cur, row = kam_step(cur, gamma=gamma, tau2=tau2, Ncut=Ncut)
+        history.append(_delta_row(cur))
+        aliasing.append(row)
+    return cur, history, aliasing
 
 
 def _delta_row(state: ReductionState) -> tuple:
@@ -540,8 +541,8 @@ def _offnormal(R: LinearOperatorMatrix) -> LinearOperatorMatrix:
     return LinearOperatorMatrix(R.N, entries, R.bands)
 
 
-def remainder_history_csv(state: ReductionState) -> str:
-    return _csv("m,delta_s0,delta_sh", state.history)
+def remainder_history_csv(history: list) -> str:
+    return _csv("m,delta_s0,delta_sh", history)
 
 
 def spectrum_table_json(state: ReductionState, b: float) -> dict:

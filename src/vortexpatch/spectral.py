@@ -155,6 +155,8 @@ def sobolev_norm(field: PeriodicField, s: float) -> float:
 
 def spectral_derivative(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """d/dtheta (or d/dphi_i) of real samples by exact Fourier differentiation."""
+    if np.iscomplexobj(values):
+        raise ValueError("spectral_derivative takes real samples, got complex values")
     n = values.shape[axis]
     k = _mode_numbers(n)
     shape = [1] * values.ndim

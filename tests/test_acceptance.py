@@ -364,10 +364,10 @@ def test_criterion_13_remainder():
     R = synthetic_reversible_remainder(N, L, delta0, seed=0)
     jm = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
     mu0 = np.array([float(omega(b, int(j))) for j in jm])
-    state = ReductionState(omega=golden_frequency(1), mu=mu0.copy(), R=R)
-    res = run_remainder_kam(state, steps=3, gamma=1e-2, tau2=2.5)
+    state = ReductionState(omega=golden_frequency(1), mu=mu0.copy(), R=R, step=0)
+    res, history, _ = run_remainder_kam(state, steps=3, gamma=1e-2, tau2=2.5)
     res.assert_invariants()  # realness/reversibility/oddness exact
-    deltas = [row[1] for row in res.history]
+    deltas = [row[1] for row in history]
     assert deltas[-1] < deltas[0]
     logs = np.log(np.array([d for d in deltas if d > 0]))
     slope = np.polyfit(logs[:-1], logs[1:], 1)[0]

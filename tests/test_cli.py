@@ -243,6 +243,15 @@ class TestKamCommands:
         assert js["reducible"]
         assert abs(js["V_infty"] + np.sqrt(0.24)) < 1e-8
 
+    def test_transport_unconverged_inverse_shift_exit_2(self, tmp_path, capsys):
+        # a valid speed, V0 + amp cos(theta) in [0.05, 0.95], whose change of
+        # variables fails numerically: an invariant violation, not a bad config
+        code = run_cli(["kam-transport", "--amp", "0.45", "--output-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: the inverse shift did not converge")
+        assert list(tmp_path.iterdir()) == []
+
     def test_remainder_requires_seed(self, tmp_path):
         code = run_cli(["kam-remainder", "--output-dir", str(tmp_path)])
         assert code == 1

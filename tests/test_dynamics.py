@@ -496,7 +496,7 @@ class TestSimulate:
         assert traj.abort_reason
         assert len(traj.snapshots) >= 1  # last valid snapshot retained
         # completed evaluations only; the margin stays below the bound
-        assert traj.profile["rhs_evaluations"] < 4 * len(traj.mode_times)
+        assert traj.profile["rhs_evaluations"] < 4 * len(traj.times)  # record_stride 1
         assert traj.profile["energy_evaluations"] == 1  # the t = 0 record
         assert 0.999 < traj.profile["max_admissibility_ratio"] < 1.0
 
@@ -596,16 +596,14 @@ class TestQuasiPeriodicSeed:
 # ---------------------------------------------------------------------------
 
 class TestExtractFrequencies:
-    def synthetic_trajectory(self, omega, T=200.0, dt=0.05, noise=0.0):
+    def synthetic_trajectory(self, omega, T=200.0, dt=0.05, second=0.0):
+        # 1e-3 e^{-i omega t}, plus ``second`` e^{-i 1.7 omega t}; sample n at t = n dt
         cfg = EvolutionConfig(dt=dt, T=T, record_stride=1, track_modes=(2,))
         t = np.arange(int(round(T / dt)) + 1) * dt
-        s = 1e-3 * np.exp(-1j * omega * t)
-        if noise:
-            rng = np.random.default_rng(0)
-            s = s + noise * (rng.standard_normal(len(t)) + 1j * rng.standard_normal(len(t)))
+        s = 1e-3 * np.exp(-1j * omega * t) + second * np.exp(-1j * 1.7 * omega * t)
         # only the mode series: no state is recorded
         return Trajectory(b=0.5, config=cfg, times=np.array([]), snapshots=[], means=[],
-                          hamiltonians=[], hs_norms=[], mode_times=t, mode_series={2: s},
+                          hamiltonians=[], hs_norms=[], mode_series={2: s},
                           aborted=False, abort_reason="", profile={})
 
     def test_synthetic_recovery(self):
@@ -614,6 +612,13 @@ class TestExtractFrequencies:
         traj = self.synthetic_trajectory(omega, T=T)
         out = extract_frequencies(traj, 2)
         assert abs(out - omega) <= 2.0 * np.pi / (T * 1e3)
+
+    @pytest.mark.parametrize("omega", [0.53125, -0.8])
+    def test_two_component_recovery(self, omega):
+        # the dominant component outweighs the other: the phase winds at its
+        # rate, and the weighted average reads it, sign included
+        traj = self.synthetic_trajectory(omega, T=1000.0, second=3e-4)
+        assert abs(extract_frequencies(traj, 2) - omega) <= 1e-10
 
     def test_untracked_mode_rejected(self):
         traj = self.synthetic_trajectory(0.5)
@@ -628,6 +633,12 @@ class TestExtractFrequencies:
     def test_no_peak(self):
         traj = self.synthetic_trajectory(0.5)
         traj.mode_series[2] = np.zeros_like(traj.mode_series[2])
+        with pytest.raises(NoFrequencyError):
+            extract_frequencies(traj, 2)
+
+    def test_zero_sample_has_no_phase(self):
+        traj = self.synthetic_trajectory(0.5)
+        traj.mode_series[2][100] = 0.0
         with pytest.raises(NoFrequencyError):
             extract_frequencies(traj, 2)
 

@@ -129,9 +129,6 @@ DEFAULTS = {
     ("cantor", "DiophantineSpec", "Jmax"),  # cli cantor; a spec matched to the reduction sets it
     ("cantor", "_divisor", "q"),  # excluded_measure's screen, filter and bisection
     ("cli", "main", "argv"),  # the vpatch console script
-    ("kam", "ReductionState", "step"),  # cli kam-remainder
-    ("kam", "ReductionState", "history"),  # cli kam-remainder
-    ("kam", "ReductionState", "aliasing"),  # cli kam-remainder
     ("kam", "synthetic_reversible_remainder", "d"),  # cli kam-remainder; a d = 2 run sets it
     ("spectral", "spectral_derivative", "axis"),  # PatchState.dr, kam.ChangeOfVariables
     ("spectrum", "transversality_scan", "delta"),  # cli spectrum --scan

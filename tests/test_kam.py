@@ -449,7 +449,7 @@ def _initial_state(N=8, L=8, delta0=1e-3, seed=0, b=0.5, d=1):
     R = synthetic_reversible_remainder(N, L, delta0, seed=seed, d=d)
     jm = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
     mu = np.array([float(omega(b, int(j))) for j in jm])
-    return ReductionState(omega=golden_frequency(d), mu=mu, R=R)
+    return ReductionState(omega=golden_frequency(d), mu=mu, R=R, step=0)
 
 
 class TestReductionState:
@@ -457,8 +457,8 @@ class TestReductionState:
         R = synthetic_reversible_remainder(4, 3, 1e-3, seed=2, d=2)
         mu = np.zeros(2 * R.N)
         with pytest.raises(ValueError, match="per phi angle"):
-            ReductionState(omega=golden_frequency(1), mu=mu, R=R)
-        assert ReductionState(omega=golden_frequency(2), mu=mu, R=R).R is R
+            ReductionState(omega=golden_frequency(1), mu=mu, R=R, step=0)
+        assert ReductionState(omega=golden_frequency(2), mu=mu, R=R, step=0).R is R
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_entry_with_real_part_refused(self, d):
@@ -467,21 +467,23 @@ class TestReductionState:
         entries = state.R.entries.copy()
         entries[1, 2, 5] += 1e-300
         with pytest.raises(SymmetryError, match="real part"):
-            ReductionState(state.omega, state.mu, LinearOperatorMatrix(4, entries, state.R.bands))
+            ReductionState(state.omega, state.mu,
+                           LinearOperatorMatrix(4, entries, state.R.bands), 0)
 
     def test_broken_mirror_refused(self):
         state = _initial_state(N=4, L=3)
         entries = state.R.entries.copy()
         entries[1, 2, 5] += 1e-20j
         with pytest.raises(SymmetryError, match="real and reversible"):
-            ReductionState(state.omega, state.mu, LinearOperatorMatrix(4, entries, state.R.bands))
+            ReductionState(state.omega, state.mu,
+                           LinearOperatorMatrix(4, entries, state.R.bands), 0)
 
     def test_mu_not_odd_refused(self):
         state = _initial_state(N=4, L=3)
         mu = state.mu.copy()
         mu[0] = np.nextafter(mu[0], 0.0)
         with pytest.raises(SymmetryError, match="odd"):
-            ReductionState(state.omega, mu, state.R)
+            ReductionState(state.omega, mu, state.R, 0)
 
 
 class TestSyntheticRemainder:
@@ -520,7 +522,7 @@ class TestRemainderHomological:
         # gamma 30 puts many entries in the transition of the cutoff, where a
         # last-bit change of a threshold <l>^tau2 changes chi
         state = _initial_state(N, L, d=d)
-        for cur in (state, kam_step(state, Ncut=2.0 * N, gamma=1e-2, tau2=2.5)):
+        for cur in (state, kam_step(state, Ncut=2.0 * N, gamma=1e-2, tau2=2.5)[0]):
             for Ncut, gamma in itertools.product((4.0, 2.0 * N, 64.0), (1e-2, 30.0)):
                 psi, resolved, frac = solve_remainder_homological(cur, gamma, 2.5, Ncut)
                 ref = dense_reference.solve_remainder_homological(cur, gamma, 2.5, Ncut)
@@ -571,13 +573,13 @@ class TestSmooth:
 class TestKamStep:
     def test_invariants_exact(self):
         state = _initial_state()
-        nxt = kam_step(state, Ncut=4.0, gamma=1e-2, tau2=2.5)
+        nxt, _ = kam_step(state, Ncut=4.0, gamma=1e-2, tau2=2.5)
         nxt.assert_invariants()  # raises on any violation
 
     def test_remainder_shrinks(self):
         state = _initial_state()
         d_before = offdiag_norm(state.R, 0.0)
-        nxt = kam_step(state, Ncut=64.0, gamma=1e-2, tau2=2.5)
+        nxt, _ = kam_step(state, Ncut=64.0, gamma=1e-2, tau2=2.5)
         # with the full truncation one step is nearly quadratic
         from vortexpatch.kam import _offnormal
         d_after = offdiag_norm(_offnormal(nxt.R), 0.0)
@@ -600,7 +602,7 @@ class TestKamStep:
         # (Id + Psi)^{-1} times X, cut to the window |l|_inf <= W and projected
         state = _initial_state(N, L, seed=3, d=d)
         R, Ncut = state.R, 2.0 * N
-        nxt = kam_step(state, Ncut=Ncut, gamma=1e-2, tau2=2.5)
+        nxt, _ = kam_step(state, Ncut=Ncut, gamma=1e-2, tau2=2.5)
         psi, resolved, _ = solve_remainder_homological(state, 1e-2, 2.5, Ncut)
         r = np.diag(R.entries[R.zero_band]).imag
         zero = np.zeros((1, d), dtype=int)
@@ -624,8 +626,9 @@ class TestKamStep:
         # on the full grid Y = Phi^{-1} X takes -conj values at -phi, the
         # identity that lets kam_step sample half of it
         state = _initial_state(N, L, seed=3, d=d)
-        for cur, Ncut in ((state, 4.0), (kam_step(state, Ncut=4.0, gamma=1e-2, tau2=2.5), 8.0)):
-            G = kam_step(cur, Ncut=Ncut, gamma=1e-2, tau2=2.5).aliasing[-1][1]
+        step1, _ = kam_step(state, Ncut=4.0, gamma=1e-2, tau2=2.5)
+        for cur, Ncut in ((state, 4.0), (step1, 8.0)):
+            _, (_, G, _, _) = kam_step(cur, Ncut=Ncut, gamma=1e-2, tau2=2.5)
             _, Y = dense_reference.full_grid_step(cur, Ncut, G)
             mirror = Y[np.ix_(*[-np.arange(G) % G] * d)]
             assert np.max(np.abs(mirror + Y.conj())) <= 1e-14 * np.max(np.abs(Y))
@@ -634,9 +637,10 @@ class TestKamStep:
     def test_half_grid_matches_full_grid(self, d, N, L):
         # the same G, the same bands: only round-off apart
         state = _initial_state(N, L, seed=3, d=d)
-        for cur, Ncut in ((state, 4.0), (kam_step(state, Ncut=4.0, gamma=1e-2, tau2=2.5), 8.0)):
-            nxt = kam_step(cur, Ncut=Ncut, gamma=1e-2, tau2=2.5)
-            ref, _ = dense_reference.full_grid_step(cur, Ncut, nxt.aliasing[-1][1])
+        step1, _ = kam_step(state, Ncut=4.0, gamma=1e-2, tau2=2.5)
+        for cur, Ncut in ((state, 4.0), (step1, 8.0)):
+            nxt, (_, G, _, _) = kam_step(cur, Ncut=Ncut, gamma=1e-2, tau2=2.5)
+            ref, _ = dense_reference.full_grid_step(cur, Ncut, G)
             assert np.array_equal(nxt.R.bands, ref.bands)
             assert (np.max(np.abs(nxt.R.entries - ref.entries))
                     <= 1e-15 * np.max(np.abs(cur.R.entries)))
@@ -645,22 +649,22 @@ class TestKamStep:
         # one d = 2 step at N 8, L 4 on the 72 x 72 grid: the three sampled
         # arrays are half-grid (72 x 37) and made one at a time; the measured
         # peak was 62.4 MB (the full complex grid held 161 MB)
-        state = kam_step(_initial_state(N=8, L=4, d=2), Ncut=4.0, gamma=1e-2, tau2=2.5)
+        state, _ = kam_step(_initial_state(N=8, L=4, d=2), Ncut=4.0, gamma=1e-2, tau2=2.5)
         kam_step(state, Ncut=8.0, gamma=1e-2, tau2=2.5)
         tracemalloc.start()
         try:
-            nxt = kam_step(state, Ncut=8.0, gamma=1e-2, tau2=2.5)
+            _, row = kam_step(state, Ncut=8.0, gamma=1e-2, tau2=2.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert nxt.aliasing[-1][1] == 72
+        assert row[1] == 72
         assert peak <= 69 * 2 ** 20, peak
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10 ** 6))
     def test_invariants_property(self, seed):
         state = _initial_state(N=4, L=3, seed=seed)
-        nxt = kam_step(state, Ncut=8.0, gamma=1e-2, tau2=2.5)
+        nxt, _ = kam_step(state, Ncut=8.0, gamma=1e-2, tau2=2.5)
         assert nxt.mu_oddness_deviation() == 0.0
         assert dense_reference.mirror_deviation(nxt.R, 1.0, conjugate=True) == 0.0
         assert nxt.R.reversible_deviation() == 0.0
@@ -668,9 +672,9 @@ class TestKamStep:
 
 class TestRunRemainderKam:
     def test_three_steps(self):
-        res = run_remainder_kam(_initial_state(), steps=3, gamma=1e-2, tau2=2.5)
+        res, history, _ = run_remainder_kam(_initial_state(), steps=3, gamma=1e-2, tau2=2.5)
         res.assert_invariants()
-        deltas = [row[1] for row in res.history]
+        deltas = [row[1] for row in history]
         assert deltas[-1] < 1e-10
         logs = [math.log(d) for d in deltas if d > 0]
         x = np.array(logs[:-1])
@@ -682,7 +686,7 @@ class TestRunRemainderKam:
         delta0 = 1e-3
         state = _initial_state(delta0=delta0)
         mu0 = state.mu.copy()
-        res = run_remainder_kam(state, steps=3, gamma=1e-2, tau2=2.5)
+        res, _, _ = run_remainder_kam(state, steps=3, gamma=1e-2, tau2=2.5)
         jm = state.R.jmodes
         assert np.max(np.abs(jm) * np.abs(res.mu - mu0)) <= 10 * delta0
 
@@ -690,36 +694,34 @@ class TestRunRemainderKam:
         # d = 2 runs; golden_frequency(2) has omega_1 = 1/2, resonant with
         # mu_j - mu_{j-1} ~ 1/2, so the remainder stalls after step 1
         state = _initial_state(N=8, L=4, d=2)
-        res = run_remainder_kam(state, steps=3, gamma=1e-2, tau2=2.5)
+        res, history, aliasing = run_remainder_kam(state, steps=3, gamma=1e-2, tau2=2.5)
         res.assert_invariants()
-        deltas = [row[1] for row in res.history]
+        deltas = [row[1] for row in history]
         assert len(deltas) == 4
         assert deltas[1] < 0.1 * deltas[0]
         assert min(deltas[2:]) > 0.5 * deltas[1]
-        assert [G for _, G, _, _ in res.aliasing] == [45, 72, 72]
+        assert [G for _, G, _, _ in aliasing] == [45, 72, 72]
 
     def test_runs_own_their_logs(self):
-        # two runs from one state: equal logs of their own, the state untouched
+        # two runs from one state return equal logs and leave its mu and R as they were
         s0 = _initial_state(N=4, L=3)
-        first = run_remainder_kam(s0, steps=2, gamma=1e-2, tau2=2.5)
-        second = run_remainder_kam(s0, steps=2, gamma=1e-2, tau2=2.5)
-        assert s0.history == [] and s0.aliasing == []
-        assert [row[0] for row in second.history] == [0, 1, 2]
-        assert second.history == first.history
-        assert len(second.aliasing) == 2
-        assert second.aliasing == first.aliasing
-        one = kam_step(s0, Ncut=4.0, gamma=1e-2, tau2=2.5)
-        assert s0.aliasing == [] and len(one.aliasing) == 1
+        mu, entries = s0.mu.copy(), s0.R.entries.copy()
+        _, history, aliasing = run_remainder_kam(s0, steps=2, gamma=1e-2, tau2=2.5)
+        assert [row[0] for row in history] == [0, 1, 2]
+        assert [row[0] for row in aliasing] == [0, 1]
+        assert run_remainder_kam(s0, steps=2, gamma=1e-2, tau2=2.5)[1:] == (history, aliasing)
+        assert s0.mu.tobytes() == mu.tobytes() and s0.R.entries.tobytes() == entries.tobytes()
 
     def test_history_csv(self):
-        res = run_remainder_kam(_initial_state(N=4, L=3), steps=2, gamma=1e-2, tau2=2.5)
-        csv = remainder_history_csv(res)
+        _, history, _ = run_remainder_kam(_initial_state(N=4, L=3), steps=2, gamma=1e-2,
+                                          tau2=2.5)
+        csv = remainder_history_csv(history)
         lines = csv.strip().split("\n")
         assert lines[0] == "m,delta_s0,delta_sh"
         assert len(lines) - 1 == 3
 
     def test_spectrum_table(self):
-        res = run_remainder_kam(_initial_state(), steps=3, gamma=1e-2, tau2=2.5)
+        res, _, _ = run_remainder_kam(_initial_state(), steps=3, gamma=1e-2, tau2=2.5)
         tab = spectrum_table_json(res, b=0.5)
         assert set(tab["mu"]) == set(int(j) for j in res.R.jmodes)
         worst = max(abs(v["residual"]) for v in tab["mu"].values())
@@ -778,9 +780,9 @@ class TestRemainderTolerance:
     def test_within_tolerance_of_recorded_run(self, key):
         d, N, L, seed = key
         rows, mu = _RECORDED_REMAINDER[key]
-        res = run_remainder_kam(_initial_state(N, L, seed=seed, d=d), steps=3,
-                                gamma=1e-2, tau2=2.5)
-        got, want = np.array(res.history), np.array(rows)
+        res, history, _ = run_remainder_kam(_initial_state(N, L, seed=seed, d=d), steps=3,
+                                            gamma=1e-2, tau2=2.5)
+        got, want = np.array(history), np.array(rows)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want[0]))
         assert np.all(np.abs(res.mu[N:] - mu) <= 4 * np.spacing(np.array(mu)))

@@ -30,6 +30,7 @@ from vortexpatch.spectral import (
     k2_multiplier_coeffs,
     offdiag_norm,
     sobolev_norm,
+    spectral_derivative,
     theta_grid,
 )
 
@@ -69,6 +70,10 @@ class TestPeriodicField:
     def test_complex_values_refused(self, values):
         with pytest.raises(ValueError, match="real samples"):
             PeriodicField(values)
+
+    def test_derivative_refuses_complex_values(self):
+        with pytest.raises(ValueError, match="real samples"):
+            spectral_derivative(np.exp(1j * theta_grid(16)))
 
     @given(hst.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=20, deadline=None)
