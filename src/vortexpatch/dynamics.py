@@ -10,9 +10,13 @@ d_t r + F_b[r] = 0 with F_b = -F0 - F1 + F2:
 Both mixed derivatives are rank 2: with p = R' sin + R cos, q = R sin - R' cos
 they are -q(theta) p(eta) + p(theta) q(eta) and b_p(theta) p(eta) + b_q(theta) q(eta),
 b_p = -(R sin + R' cos)/R^2, b_q = (R cos - R' sin)/R^2.  So F1 and F2 need only
-log A_r and log B_r integrated against p and q (``log_kernel_integrals``), where
-the singular K1 and the image kernel K2 act as cached real circulant matrices,
-the matrix form of their Fourier multipliers.
+log A_r and log B_r integrated against p and q (``log_kernel_integrals``), with
+log A_r = log 2 + K1 + T0/2 and log B_r = K2 + T1/2: log 2 + K1 (K1 the
+singular kernel) and the image kernel K2 act as cached real circulant
+matrices, the matrix form of their Fourier multipliers, and the smooth tables
+T0, T1 of the state as one 2 x M x M stack (one batched product).  In the
+complex column z = p + i q = (R - i R') e^{i theta}, -F1 + F2 is one imaginary
+part (``velocity_functional``).
 
 The kinetic energy
 
@@ -46,7 +50,6 @@ from .geometry import (
     _grid_tables,
     eta_factors,
     log_kernel_integrals,
-    pair_trig,
 )
 from .spectral import (
     PeriodicField,
@@ -80,20 +83,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def velocity_functional(state: PatchState) -> PeriodicField:
-    """F_b[r] on the state's grid."""
-    R = state.R
-    R2 = R ** 2
-    dR = state.dR
-    F0 = 0.5 * state.dr * np.mean(R2) / R2
-
+    """F_b[r] on the state's grid: with z = p + i q = (R - i R') e^{i theta} and
+    the integrals L_A, L_B of log A_r, log B_r against z,
+    -F1 + F2 = Im(e^{-2 i theta} z L_B / R^2 - conj(z) L_A)."""
+    R2 = state.R ** 2
     pq = eta_factors(state)
-    log_A, log_B = log_kernel_integrals(state, pq)
-    p, q = pq.T
-    c, s = _grid_tables(state.M)
-    F1 = -q * log_A[:, 0] + p * log_A[:, 1]
-    F2 = (-(R * s + dR * c) * log_B[:, 0] + (R * c - dR * s) * log_B[:, 1]) / R2
-
-    return PeriodicField(-F0 - F1 + F2)
+    z = pq.view(complex)[:, 0]
+    L_A, L_B = log_kernel_integrals(state, pq).view(complex)[..., 0]
+    G = z * _grid_tables(state.M)[1] * L_B / R2 - z.conj() * L_A
+    F0 = 0.5 * state.dr * (R2.sum() / state.M) / R2  # the mean, without np.mean's overhead
+    return PeriodicField(G.imag - F0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +205,13 @@ def _delta_terms(delta):
 
 @functools.lru_cache(maxsize=32)
 def _triangle(M: int):
-    """The pairs i <= k (``np.triu_indices(M)``) and ``_delta_terms`` on them; cached
-    per M, hence read-only.  Delta[k, i] = -Delta[i, k] exactly, so below the
-    diagonal e^{i Delta} is conjugated and the two real terms are the same."""
+    """The pairs i <= k (``np.triu_indices(M)``) and ``_delta_terms`` of
+    Delta = theta_k - theta_i on them; cached per M, hence read-only.
+    Delta[k, i] = -Delta[i, k] exactly, so below the diagonal e^{i Delta} is
+    conjugated and the two real terms are the same."""
     iu = np.triu_indices(M)
-    terms = _delta_terms(pair_trig(M)[0][iu])
+    th = theta_grid(M)
+    terms = _delta_terms(th[iu[1]] - th[iu[0]])
     return tuple(_read_only(a) for a in iu), tuple(_read_only(t) for t in terms)
 
 
@@ -226,7 +227,7 @@ def _mirror(M: int, upper, lower):
 
 @functools.lru_cache(maxsize=32)
 def _delta_tables(M: int):
-    """``_delta_terms`` on the pair grid ``pair_trig(M)[0]``, mirrored from ``_triangle``."""
+    """``_delta_terms`` on the pair grid theta_k - theta_i, mirrored from ``_triangle``."""
     eid, cos2, sbc = _triangle(M)[1]
     return tuple(_read_only(t) for t in (
         _mirror(M, eid, eid.conj()), _mirror(M, cos2, cos2), _mirror(M, sbc, sbc)))

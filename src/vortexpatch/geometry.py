@@ -7,14 +7,15 @@ sqrt(b^2 + 2 r(theta)).  The kernels
     A_r(theta, eta) = |R(theta) e^{i theta} - R(eta) e^{i eta}|
     B_r(theta, eta) = |1 - R(theta) R(eta) e^{i (eta - theta)}|
 
-are evaluated through cancellation-free algebraic forms, and the log-singular
-kernel A_r is factorized as
+are evaluated through cancellation-free algebraic forms.  With the singular
+K1(u) = log|sin(u/2)| and the image kernel K2(u) = log|1 - b^2 e^{iu}|,
 
-    A_r = 2 b |sin((eta - theta)/2)| * v1(theta, eta)
+    log A_r = log 2 + K1(eta - theta) + T0 / 2,   T0 = log(b^2 v1^2),
+    log B_r = K2(eta - theta) + T1 / 2,           T1 = log(1 + P_r),
 
-with the smooth factor v1 carried across the diagonal by the difference
-quotient g(theta, eta) = (f(eta) - f(theta)) / sin((eta - theta)/2),
-g(theta, theta) = 2 f'(theta).
+where A_r = 2 b |sin((eta - theta)/2)| v1 and B_r^2 = B_0^2 (1 + P_r).  The
+smooth factor b v1 is carried across the diagonal by the difference quotient
+(R(eta) - R(theta)) / (2 sin((eta - theta)/2)), R'(theta) on the diagonal.
 """
 
 from __future__ import annotations
@@ -37,10 +38,7 @@ __all__ = [
     "DegeneratePatchError",
     "BoundaryContactError",
     "PatchState",
-    "kernel_P",
-    "smooth_factor_v1",
-    "log_v1",
-    "log_one_plus_P_half",
+    "smooth_log_tables",
     "eta_factors",
     "log_kernel_integrals",
 ]
@@ -70,16 +68,18 @@ class PatchState:
             raise ValueError("patch deformation must be a theta-only field")
         self.b = float(b)
         self.r = r
-        rmax = float(np.max(np.abs(r.values)))
+        # ndarray methods, not np.max/np.all: the same checks with about half the
+        # call overhead, paid on every RK4 stage
+        rmax = float(np.abs(r.values).max())
         bound = 0.5 * b * b
         if rmax >= bound * (1.0 - RADIUS_MARGIN):
             raise DegeneratePatchError(
                 f"sup|r| = {rmax:.3e} reaches the positivity bound b^2/2 = {bound:.3e}"
             )
         self.R = np.sqrt(b * b + 2.0 * r.values)
-        if not np.all(self.R > 0.0):
+        if not (self.R > 0.0).all():
             raise DegeneratePatchError("boundary radius R fails positivity on the grid")
-        self.max_R = float(np.max(self.R))
+        self.max_R = float(self.R.max())
         if self.max_R > 1.0 - DISC_MARGIN:
             raise BoundaryContactError("patch touches the unit circle: max R > 1 - 1e-6")
         self.admissibility_ratio = rmax / bound  # sup|r|/(b^2/2)
@@ -100,124 +100,103 @@ class PatchState:
 
     @functools.cached_property
     def log_tables(self):
-        """(log v1, (1/2) log(1 + P_r)): the smooth M x M parts of log A_r and
-        log B_r, built once per state and shared by every integral over it."""
-        return log_v1(self), log_one_plus_P_half(self)
+        """The 2 x M x M stack ``smooth_log_tables(self)``, built once per state
+        and shared by every integral over it."""
+        return smooth_log_tables(self)
+
+
+def _pair_delta(M: int) -> np.ndarray:
+    """delta[i, k] = theta_k - theta_i (eta minus theta) on the M-point grid."""
+    th = theta_grid(M)
+    return th[None, :] - th[:, None]
 
 
 @functools.lru_cache(maxsize=32)
 def pair_trig(M: int):
-    """Cached (delta, cos delta, sin(delta/2) with a unit diagonal) tables with
-    delta[i, k] = theta_k - theta_i (eta minus theta); read-only.  The last is
-    the divisor of the difference quotient."""
-    th = theta_grid(M)
-    delta = th[None, :] - th[:, None]
-    s = np.sin(0.5 * delta)
+    """Cached tables of the pair angle delta = eta - theta, read-only: sin(delta/2)
+    with a unit diagonal (the divisor of the difference quotient) and the
+    ``_multiplier_matrix`` of log 2 + K1, whose mean multiplier -log 2 + log 2 is 0."""
+    s = np.sin(0.5 * _pair_delta(M))
     np.fill_diagonal(s, 1.0)  # placeholder, the quotient's diagonal is set apart
-    return tuple(_read_only(t) for t in (delta, np.cos(delta), s))
+    k1 = k1_multiplier_coeffs(M).copy()
+    k1[0] = 0.0
+    return _read_only(s), _read_only(_multiplier_matrix(k1))
 
 
 @functools.lru_cache(maxsize=32)
 def _grid_tables(M: int):
-    """Cached (cos theta, sin theta) on the M-point grid; read-only."""
+    """Cached (e^{i theta}, e^{-2 i theta}) on the M-point grid; read-only."""
     th = theta_grid(M)
-    return _read_only(np.cos(th)), _read_only(np.sin(th))
+    return _read_only(np.exp(1j * th)), _read_only(np.exp(-2j * th))
 
 
 @functools.lru_cache(maxsize=8)
 def _disc_tables(M: int, b: float):
     """Cached tables of one (M, b), read-only: B_0^2 = 1 + b^4 - 2 b^2 cos(eta - theta),
-    and the 2 x M x M stack of the ``_multiplier_matrix`` of K1 and of K2.  The
-    mean multiplier of K1 takes in the constant log(2b) of log A_r:
-    -log 2 + log 2b = log b."""
+    b^2 - 2 cos(eta - theta), and the ``_multiplier_matrix`` of K2."""
     b2 = b ** 2
-    B0sq = 1.0 + b2 * b2 - 2.0 * b2 * pair_trig(M)[1]
-    k1 = k1_multiplier_coeffs(M).copy()
-    k1[0] = np.log(b)
-    K = np.stack([_multiplier_matrix(k1), _multiplier_matrix(k2_multiplier_coeffs(M, b))])
-    return _read_only(B0sq), _read_only(K)
+    cos = np.cos(_pair_delta(M))
+    B0sq = 1.0 + b2 * b2 - 2.0 * b2 * cos
+    return tuple(_read_only(t) for t in (
+        B0sq, b2 - 2.0 * cos, _multiplier_matrix(k2_multiplier_coeffs(M, b))))
 
 
-def kernel_P(state: PatchState) -> np.ndarray:
-    """P_r with B_r^2 = B_0^2 (1 + P_r); P_0 = 0.
+def smooth_log_tables(state: PatchState) -> np.ndarray:
+    """The smooth parts T0, T1 of 2 log A_r and 2 log B_r as one 2 x M x M stack:
 
-    P_r = ((R R)^2 - b^4 - 2 (R R - b^2) cos) / (1 + b^4 - 2 b^2 cos).
+        log A_r = log 2 + K1(eta - theta) + T0 / 2,
+        T0 = log((dR / (2 sin((eta - theta)/2)))^2 + R(theta) R(eta)),
+        log B_r = K2(eta - theta) + T1 / 2,
+        T1 = log(1 + P_r),  P_r = (R R - b^2)(R R + b^2 - 2 cos) / B_0^2,
+
+    with dR = R(eta) - R(theta), so that B_r^2 = B_0^2 (1 + P_r), and R' on the
+    diagonal of the quotient.  (T0 / 2 is log b + log v1 with A_r = 2 b
+    |sin((eta - theta)/2)| v1.)  Eleven M x M passes on the stack and one temporary.
     """
-    b2 = state.b ** 2
-    # the quotient above, in its order of operations, on two M x M buffers
-    prod = np.multiply.outer(state.R, state.R)
-    num = prod * prod
-    num -= b2 * b2
-    prod -= b2
-    prod *= 2.0
-    prod *= pair_trig(state.M)[1]
-    num -= prod
-    num /= _disc_tables(state.M, state.b)[0]
-    return num
-
-
-def _difference_quotient(vals: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """g(theta, eta) = (vals(eta) - vals(theta))/sin((eta-theta)/2) off the
-    diagonal and ``diag`` on it (2 f' for the difference quotient of f)."""
-    g = vals[None, :] - vals[:, None]
-    g /= pair_trig(len(vals))[2]
-    np.fill_diagonal(g, diag)
-    return g
-
-
-def smooth_factor_v1(state: PatchState) -> np.ndarray:
-    """The smooth factor v1 with A_r = 2 b |sin((eta-theta)/2)| v1.
-
-    v1 = sqrt((g/(2b))^2 + R(theta) R(eta)/b^2) where g is the difference
-    quotient of R, with the state's 2R' on the diagonal; there v1 is
-    sqrt(R'^2 + R^2)/b.
-    """
-    b = state.b
-    # sqrt((g/(2b))^2 + R(theta) R(eta)/b^2), formed in place on g
-    v = _difference_quotient(state.R, 2.0 * state.dR)
-    v /= 2.0 * b
-    np.square(v, out=v)
-    prod = np.multiply.outer(state.R, state.R)
-    prod /= b * b
-    v += prod
-    return np.sqrt(v, out=v)
-
-
-def log_v1(state: PatchState) -> np.ndarray:
-    """log v1: the smooth part of log A_r = log(2b) + K1(eta-theta) + log v1."""
-    v = smooth_factor_v1(state)
-    return np.log(v, out=v)
-
-
-def log_one_plus_P_half(state: PatchState) -> np.ndarray:
-    """(1/2) log(1 + P_r): the smooth part of log B_r = K2(eta-theta) + (1/2)log(1+P_r)."""
-    P = kernel_P(state)
-    np.log1p(P, out=P)
-    P *= 0.5
-    return P
+    M, b2, R = state.M, state.b ** 2, state.R
+    B0sq, shift, _ = _disc_tables(M, state.b)
+    T = np.empty((2, M, M))
+    t0, t1 = T
+    half = 0.5 * R
+    np.subtract(half[None, :], half[:, None], out=t0)
+    t0 /= pair_trig(M)[0]
+    np.fill_diagonal(t0, state.dR)
+    np.square(t0, out=t0)
+    np.multiply.outer(R, R, out=t1)
+    t0 += t1
+    np.log(t0, out=t0)
+    # P_r on t1 with the factor R R + b^2 - 2 cos in one temporary
+    factor = np.add(t1, shift)
+    t1 -= b2
+    t1 *= factor
+    t1 /= B0sq
+    np.log1p(t1, out=t1)
+    return _read_only(T)
 
 
 def eta_factors(state: PatchState) -> np.ndarray:
-    """The M x 2 block [p, q], p = R' sin + R cos, q = R sin - R' cos.
+    """The M x 2 block [p, q], p = R' sin + R cos, q = R sin - R' cos: the real
+    view of the column z = p + i q = (R - i R') e^{i theta}.
 
     Expanding sin/cos(eta - theta) splits every two-point factor of F_b and
     V_r into a(theta) p(eta) + c(theta) q(eta).
     """
-    c, s = _grid_tables(state.M)
-    R, dR = state.R, state.dR
-    return np.column_stack([dR * s + R * c, R * s - dR * c])
+    z = (state.R - 1j * state.dR) * _grid_tables(state.M)[0]
+    return z.view(float).reshape(state.M, 2)
 
 
-def log_kernel_integrals(state: PatchState, C: np.ndarray):
-    """int log A_r(., eta) c(eta) deta and int log B_r(., eta) c(eta) deta for
-    every column c of the M x k block C (real or complex).
+def log_kernel_integrals(state: PatchState, C: np.ndarray) -> np.ndarray:
+    """The 2 x M x k stack of int log A_r(., eta) c(eta) deta and int log B_r(.,
+    eta) c(eta) deta for every column c of the M x k block C (real or complex).
 
-    log A_r = log(2b) + K1(eta - theta) + log v1, log B_r = K2(eta - theta) +
-    (1/2) log(1 + P_r): K1 (with the constant log(2b)) and K2 act as the cached
-    real circulants of ``_disc_tables``, the smooth parts as the state's
-    tables; four matrix products and no FFT.
+    log A_r = log 2 + K1(eta - theta) + T0 / 2 and log B_r = K2(eta - theta) +
+    T1 / 2: the stack (T0, T1) acts as one batched product with the 1/2 in its
+    scale 0.5/M, log 2 + K1 and K2 as the cached real circulants of ``pair_trig``
+    and ``_disc_tables``; three matrix products and no FFT.
     """
     M = state.M
-    lv, lp = state.log_tables
-    K1, K2 = _disc_tables(M, state.b)[1]
-    return K1 @ C + (lv @ C) / M, K2 @ C + (lp @ C) / M
+    out = state.log_tables @ C
+    out *= 0.5 / M
+    out[0] += pair_trig(M)[1] @ C
+    out[1] += _disc_tables(M, state.b)[2] @ C
+    return out

@@ -24,6 +24,7 @@ of the grid (the last phi axis on G//2 + 1 points) and transforms by real FFTs.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,26 +163,35 @@ class ChangeOfVariables:
     |j| <= Ncut, for a beta built from samples every mode.  ``iterations``
     counts the fixed-point steps and ``band`` the Horner terms per side, the
     largest |j| of a nonzero theta coefficient of beta.
+
+    The fixed point beta_hat = -beta(phi, theta + beta_hat) contracts at the
+    rate q = max|d_theta beta| < 1 of the grid.  Between the nodes the
+    derivative of the interpolant can exceed q, so the step cap assumes the
+    slower rate rho = (1 + q)/2: from beta_hat = -beta the k-th step is then at
+    most rho^k max|beta|, below the 1e-14 stop test once k > log(1e-14 /
+    max|beta|) / log(rho).  The cap is that bound plus one step; a shift that
+    has not passed the stop test by then raises ``ValueError``.
     """
 
     def __init__(self, beta: PeriodicField):
-        db = spectral_derivative(beta.values)
-        if np.max(np.abs(db)) >= 1.0:
+        q = float(np.max(np.abs(spectral_derivative(beta.values))))
+        if q >= 1.0:
             raise ValueError("the change of variables must satisfy |d_theta beta| < 1")
         modes = np.abs(_mode_numbers(beta.grid_sizes[-1]))
         self.beta = beta
         self.band = int(np.max(modes[_support(beta.theta_coeffs)], initial=0))
-        # fixed point beta_hat = -beta(phi, theta + beta_hat): a contraction
+        size = max(float(np.max(np.abs(beta.values))), 1e-14)
+        cap = 1 + math.ceil(math.log(1e-14 / size) / math.log(0.5 * (1.0 + q)))
         bh = -beta.values.copy()
-        for k in range(1, 201):
+        for k in range(1, cap + 1):
             nxt = -evaluate_shifted(beta, bh)
             gap = np.max(np.abs(nxt - bh))
             bh = nxt
             if gap < 1e-14:
                 break
         else:
-            raise ValueError("the inverse shift did not converge in 200 iterations "
-                             f"(last step {gap:.2g})")
+            raise ValueError(f"the inverse shift did not converge in {cap} iterations "
+                             f"(last step {gap:.2g}, contraction bound {q:.3g})")
         self.iterations = k
         self.beta_hat = PeriodicField(bh)
 

@@ -8,11 +8,13 @@ with a variable transport coefficient V_r, the order-zero nonlocal operator
 L_r rho = int rho(eta) log A_r(., eta) deta, and the smoothing operator
 S_r rho = int rho(eta) log B_r(., eta) deta.  All three go through
 ``geometry.log_kernel_integrals`` (K1/K2 as cached circulant matrices, the
-matrix form of their Fourier multipliers, and the smooth factors as matrix
-products); V_r integrates against the rank-2 factor
-d/deta [R(eta) sin(eta - theta)] = cos(theta) p(eta) + sin(theta) q(eta).
-Since K * e_j = khat(j) e_j, ``assemble`` needs one V_r, one build of each log
-table and one M x M @ M x 2N product for the whole matrix.
+matrix form of their Fourier multipliers, and the smooth tables T0, T1 of
+log A_r = log 2 + K1 + T0/2 and log B_r = K2 + T1/2 as one batched product);
+V_r integrates against the rank-2 factor
+d/deta [R(eta) sin(eta - theta)] = cos(theta) p(eta) + sin(theta) q(eta),
+the real part of e^{-i theta} (p + i q)(eta).  Since K * e_j = khat(j) e_j,
+``assemble`` needs one V_r, one build of the table stack (read as
+(T0 - T1) 0.5/M) and one M x M @ M x 2N product for the whole matrix.
 
 At r = 0 the generator is the Fourier multiplier e_j -> -i Omega_j(b) e_j
 with Omega_j(b) = sgn(j)(|j| - 1 + b^(2|j|))/2.
@@ -50,12 +52,10 @@ def transport_coefficient(state: PatchState) -> PeriodicField:
     At r = 0 they contribute -1/2 + 1/2 + 1/2 = 1/2.
     """
     R = state.R
-    log_A, log_B = log_kernel_integrals(state, eta_factors(state))
-    c, s = _grid_tables(state.M)
+    L_A, L_B = log_kernel_integrals(state, eta_factors(state)).view(complex)[..., 0]
     V0 = -0.5 * np.mean(R ** 2) / R ** 2
-    V1 = -(c * log_A[:, 0] + s * log_A[:, 1]) / R
-    V2 = -(c * log_B[:, 0] + s * log_B[:, 1]) / R ** 3
-    return PeriodicField(V0 + V1 + V2)
+    V12 = -(_grid_tables(state.M)[0].conj() * (L_A / R + L_B / R ** 3)).real
+    return PeriodicField(V0 + V12)
 
 
 def assemble(state: PatchState, N: int) -> LinearOperatorMatrix:
@@ -63,7 +63,7 @@ def assemble(state: PatchState, N: int) -> LinearOperatorMatrix:
     zero-mean modes |j| <= N; entry [a, c] is the e_{j_a} coefficient of G_r e_{j_c}.
 
     On e_j the mean vanishes and K1, K2 are the multipliers khat(j), so
-    (L_r - S_r) e_j = (k1hat(j) - k2hat(j)) e_j + ((log v1 - (1/2) log(1+P_r)) @ e_j)/M.
+    (L_r - S_r) e_j = (k1hat(j) - k2hat(j)) e_j + ((T0 - T1) @ e_j) 0.5/M.
     """
     M = state.M
     if N < 1:
@@ -74,9 +74,9 @@ def assemble(state: PatchState, N: int) -> LinearOperatorMatrix:
     rows = jmodes % M
     E = np.exp(1j * np.outer(theta_grid(M), jmodes))
     V = transport_coefficient(state).values
-    lv, lp = state.log_tables
+    T0, T1 = state.log_tables
     khat = k1_multiplier_coeffs(M)[rows] - k2_multiplier_coeffs(M, state.b)[rows]
-    total = (V[:, None] + khat) * E + ((lv - lp) @ E) / M
+    total = (V[:, None] + khat) * E + ((T0 - T1) @ E) * (0.5 / M)
     chat = np.fft.fft(total, axis=0, norm="forward")[rows]
     return LinearOperatorMatrix(N, (-1j * jmodes[:, None] * chat)[None], np.zeros((1, 0), int))
 

@@ -34,7 +34,11 @@ exponential ``e_mode`` (both on complex samples, which a ``PeriodicField``
 does not hold), ``project``, ``convolve_multiplier``,
 ``from_multiplier``, ``diagonal_difference_quotient`` (2 d_theta f on the
 diagonal), the kernel tables ``kernel_A`` and ``kernel_B`` and the frequency
-report ``check_monotonicity``.
+report ``check_monotonicity``.  The pair angle ``pair_delta`` and the kernel
+factors in their defining forms (``kernel_P``, ``difference_quotient``,
+``smooth_factor_v1``, ``log_v1`` and ``log_one_plus_P_half``) serve the dense
+integrals and the geometry tests; the package builds only the stack of
+``geometry.smooth_log_tables``.
 
 The Cantor references at the end are the one-function forms of the package's
 runs engine and Russmann bound (``sublevel_measure`` with its
@@ -74,13 +78,7 @@ from vortexpatch.dynamics import (
     _rhs,
     _rk4_increment,
 )
-from vortexpatch.geometry import (
-    PatchState,
-    _difference_quotient,
-    log_one_plus_P_half,
-    log_v1,
-    pair_trig,
-)
+from vortexpatch.geometry import PatchState, _disc_tables, pair_trig
 from vortexpatch.kam import NonReducibleError, smooth_cutoff
 from vortexpatch.spectral import (
     LinearOperatorMatrix,
@@ -132,16 +130,66 @@ def log_B_integral(state, table):
     )
 
 
+def pair_delta(M):
+    """delta[i, k] = theta_k - theta_i (eta minus theta) on the M-point grid."""
+    th = theta_grid(M)
+    return th[None, :] - th[:, None]
+
+
 def _pair_grids(state):
     """(R(theta) as a column, R(eta) as a row, delta = eta - theta)."""
     R = state.R
-    return R[:, None], R[None, :], pair_trig(state.M)[0]
+    return R[:, None], R[None, :], pair_delta(state.M)
 
 
 def _pairwise(state):
     R, dR = state.R, state.dR
-    delta, cd, _ = pair_trig(state.M)
-    return R[:, None], R[None, :], dR[:, None], dR[None, :], np.sin(delta), cd
+    delta = pair_delta(state.M)
+    return R[:, None], R[None, :], dR[:, None], dR[None, :], np.sin(delta), np.cos(delta)
+
+
+# -- the kernel tables of log A_r and log B_r in their defining forms ---------
+
+def kernel_P(state):
+    """P_r with B_r^2 = B_0^2 (1 + P_r); P_0 = 0.
+
+    P_r = ((R R)^2 - b^4 - 2 (R R - b^2) cos) / (1 + b^4 - 2 b^2 cos).
+    """
+    b2 = state.b ** 2
+    prod = np.multiply.outer(state.R, state.R)
+    cs = np.cos(pair_delta(state.M))
+    num = (prod * prod - b2 * b2) - 2.0 * (prod - b2) * cs
+    return num / _disc_tables(state.M, state.b)[0]
+
+
+def difference_quotient(vals, diag):
+    """g(theta, eta) = (vals(eta) - vals(theta))/sin((eta-theta)/2) off the
+    diagonal and ``diag`` on it (2 f' for the difference quotient of f)."""
+    g = (vals[None, :] - vals[:, None]) / pair_trig(len(vals))[0]
+    np.fill_diagonal(g, diag)
+    return g
+
+
+def smooth_factor_v1(state):
+    """The smooth factor v1 with A_r = 2 b |sin((eta-theta)/2)| v1.
+
+    v1 = sqrt((g/(2b))^2 + R(theta) R(eta)/b^2) where g is the difference
+    quotient of R, with the state's 2R' on the diagonal; there v1 is
+    sqrt(R'^2 + R^2)/b.
+    """
+    b = state.b
+    g = difference_quotient(state.R, 2.0 * state.dR)
+    return np.sqrt((g / (2.0 * b)) ** 2 + np.multiply.outer(state.R, state.R) / (b * b))
+
+
+def log_v1(state):
+    """log v1: the smooth part of log A_r = log(2b) + K1(eta-theta) + log v1."""
+    return np.log(smooth_factor_v1(state))
+
+
+def log_one_plus_P_half(state):
+    """(1/2) log(1 + P_r): the smooth part of log B_r = K2(eta-theta) + (1/2)log(1+P_r)."""
+    return 0.5 * np.log1p(kernel_P(state))
 
 
 def velocity_functional(state):
@@ -200,7 +248,8 @@ def rhs(b, values):
     drdth = spectral_derivative(state.r.values)
     dR = drdth / R
     F0 = 0.5 * drdth * np.mean(R ** 2) / R ** 2
-    pq = eta_factors_per_call(state, dR)
+    c, s = np.cos(theta_grid(M)), np.sin(theta_grid(M))
+    pq = np.column_stack([dR * s + R * c, R * s - dR * c])
     g = diagonal_difference_quotient(PeriodicField(R))
     Rt, Re, _ = _pair_grids(state)
     lv = np.log(np.sqrt((g / (2.0 * b)) ** 2 + Rt * Re / (b * b)))
@@ -211,7 +260,6 @@ def rhs(b, values):
     log_A = K1C + np.log(2.0 * b) * pq.mean(axis=0) + (lv @ pq) / M
     log_B = K2C + (lp @ pq) / M
     p, q = pq.T
-    c, s = np.cos(theta_grid(M)), np.sin(theta_grid(M))
     F1 = -q * log_A[:, 0] + p * log_A[:, 1]
     F2 = (-(R * s + dR * c) * log_B[:, 0] + (R * c - dR * s) * log_B[:, 1]) / R ** 2
     return -truncate_two_thirds(-F0 - F1 + F2)
@@ -338,58 +386,44 @@ def psi_kernel(rho1, rho2, delta):
 
 def energy(state):
     R = state.R
-    table = phi_kernel(R[:, None], R[None, :], pair_trig(state.M)[0])
+    table = phi_kernel(R[:, None], R[None, :], pair_delta(state.M))
     mean = np.sum(table, dtype=np.longdouble) / table.size
     return float(mean + 0.5 * np.mean(R ** 4) * _alias_tail_sum(state.M))
 
 
 def stream_gradient(state):
     R = state.R
-    psi = psi_kernel(R[:, None], R[None, :], pair_trig(state.M)[0])
+    psi = psi_kernel(R[:, None], R[None, :], pair_delta(state.M))
     return 2.0 * psi.mean(axis=1) + 2.0 * R ** 2 * _alias_tail_sum(state.M)
 
 
 # -- the RK4 right-hand side with its per-call tables -----------------------
 # The right-hand side as it was before the (M, b)-only tables were cached:
-# every call rebuilds 1 + b^4 - 2 b^2 cos Delta, the sin(Delta/2) divisor with
-# a unit diagonal, the stacked K1/K2 multipliers, cos theta and sin theta.  The
-# package must equal these bit for bit.
-
-def kernel_P_per_call(state):
-    b2 = state.b ** 2
-    Rt, Re, _ = _pair_grids(state)
-    prod = Rt * Re
-    cs = pair_trig(state.M)[1]
-    B0sq = 1.0 + b2 * b2 - 2.0 * b2 * cs
-    num = (prod * prod - b2 * b2) - 2.0 * (prod - b2) * cs
-    return num / B0sq
-
-
-def difference_quotient_per_call(vals, diag):
-    s = np.sin(0.5 * pair_trig(len(vals))[0])
-    np.fill_diagonal(s, 1.0)  # placeholder, diagonal overwritten below
-    g = (vals[None, :] - vals[:, None]) / s
-    np.fill_diagonal(g, diag)
-    return g
-
-
-def smooth_factor_v1_per_call(state):
-    g = difference_quotient_per_call(state.R, 2.0 * state.dR)
-    Rt, Re, _ = _pair_grids(state)
-    b = state.b
-    return np.sqrt((g / (2.0 * b)) ** 2 + Rt * Re / (b * b))
-
+# every call rebuilds the sin(Delta/2) divisor with a unit diagonal,
+# b^2 - 2 cos Delta, 1 + b^4 - 2 b^2 cos Delta, the log 2 + K1 and K2
+# circulants, e^{i theta} and e^{-2 i theta}.  The package must equal these
+# bit for bit.
 
 def log_tables_per_call(state):
-    return (np.log(smooth_factor_v1_per_call(state)),
-            0.5 * np.log1p(kernel_P_per_call(state)))
+    """The stack (T0, T1): T0 = log((dR / (2 sin(Delta/2)))^2 + R R) with R' on
+    the diagonal, T1 = log1p((R R - b^2)(R R + b^2 - 2 cos Delta) / B_0^2)."""
+    M, b2, R = state.M, state.b ** 2, state.R
+    delta = pair_delta(M)
+    s = np.sin(0.5 * delta)
+    np.fill_diagonal(s, 1.0)  # placeholder, diagonal overwritten below
+    cs = np.cos(delta)
+    half = 0.5 * R
+    g = (half[None, :] - half[:, None]) / s
+    np.fill_diagonal(g, state.dR)
+    RR = np.multiply.outer(R, R)
+    B0sq = 1.0 + b2 * b2 - 2.0 * b2 * cs
+    return np.stack([np.log(g ** 2 + RR),
+                     np.log1p((RR - b2) * (RR + (b2 - 2.0 * cs)) / B0sq)])
 
 
-def eta_factors_per_call(state, dR):
-    th = theta_grid(state.M)
-    c, s = np.cos(th), np.sin(th)
-    R = state.R
-    return np.column_stack([dR * s + R * c, R * s - dR * c])
+def eta_factors_per_call(state):
+    z = (state.R - 1j * state.dR) * np.exp(1j * theta_grid(state.M))
+    return z.view(float).reshape(state.M, 2)
 
 
 def multiplier_matrix_per_call(mult):
@@ -399,28 +433,23 @@ def multiplier_matrix_per_call(mult):
 
 def log_kernel_integrals_per_call(state, C):
     M = state.M
-    lv, lp = log_tables_per_call(state)
+    out = log_tables_per_call(state) @ C
+    out *= 0.5 / M
     k1 = k1_multiplier_coeffs(M).copy()
-    k1[0] = np.log(state.b)  # -log 2 + log 2b: the constant of log A_r
-    K1 = multiplier_matrix_per_call(k1)
-    K2 = multiplier_matrix_per_call(k2_multiplier_coeffs(M, state.b))
-    return K1 @ C + (lv @ C) / M, K2 @ C + (lp @ C) / M
+    k1[0] = 0.0  # -log 2 + log 2: the constant log 2 of log A_r
+    out[0] += multiplier_matrix_per_call(k1) @ C
+    out[1] += multiplier_matrix_per_call(k2_multiplier_coeffs(M, state.b)) @ C
+    return out
 
 
 def velocity_functional_per_call(state):
-    R = state.R
-    dR = state.dR
-    F0 = 0.5 * state.dr * np.mean(R ** 2) / R ** 2
-
-    pq = eta_factors_per_call(state, dR)
-    log_A, log_B = log_kernel_integrals_per_call(state, pq)
-    p, q = pq.T
-    th = theta_grid(state.M)
-    c, s = np.cos(th), np.sin(th)
-    F1 = -q * log_A[:, 0] + p * log_A[:, 1]
-    F2 = (-(R * s + dR * c) * log_B[:, 0] + (R * c - dR * s) * log_B[:, 1]) / R ** 2
-
-    return -F0 - F1 + F2
+    R2 = state.R ** 2
+    pq = eta_factors_per_call(state)
+    z = pq.view(complex)[:, 0]
+    L_A, L_B = log_kernel_integrals_per_call(state, pq).view(complex)[..., 0]
+    G = z * np.exp(-2j * theta_grid(state.M)) * L_B / R2 - z.conj() * L_A
+    F0 = 0.5 * state.dr * np.mean(R2) / R2
+    return G.imag - F0
 
 
 def dealias_per_call(values):
@@ -743,13 +772,13 @@ def from_multiplier(N: int, values) -> LinearOperatorMatrix:
 
 def diagonal_difference_quotient(f: PeriodicField) -> np.ndarray:
     """g(theta, eta) = (f(eta) - f(theta))/sin((eta-theta)/2), g(theta,theta) = 2 f'(theta)."""
-    return _difference_quotient(f.values, 2.0 * spectral_derivative(f.values))
+    return difference_quotient(f.values, 2.0 * spectral_derivative(f.values))
 
 
 def kernel_A(state):
     """A_r via the stable form ((R(theta)-R(eta))^2 + 4 R R sin^2((eta-theta)/2))^{1/2}."""
     Rt, Re, _ = _pair_grids(state)
-    sh = pair_trig(state.M)[2]
+    sh = pair_trig(state.M)[0]
     diff2 = (Rt - Re) ** 2
     vals = np.sqrt(diff2 + 4.0 * Rt * Re * sh * sh)
     np.fill_diagonal(vals, 0.0)
@@ -758,8 +787,8 @@ def kernel_A(state):
 
 def kernel_B(state):
     """B_r = |1 - R(theta) R(eta) e^{i(eta-theta)}| (smooth, bounded below)."""
-    Rt, Re, _ = _pair_grids(state)
-    cs = pair_trig(state.M)[1]
+    Rt, Re, delta = _pair_grids(state)
+    cs = np.cos(delta)
     prod = Rt * Re
     return np.sqrt(prod * prod - 2.0 * prod * cs + 1.0)
 

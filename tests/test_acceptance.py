@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from dense_reference import kernel_B, measure_curve
+from dense_reference import kernel_B, measure_curve, smooth_factor_v1
 from vortexpatch.cantor import DiophantineSpec, excluded_measure
 from vortexpatch.cli import main as cli_main
 from vortexpatch.dynamics import (
@@ -21,7 +21,7 @@ from vortexpatch.dynamics import (
     simulate,
     velocity_functional,
 )
-from vortexpatch.geometry import PatchState, smooth_factor_v1
+from vortexpatch.geometry import PatchState
 from vortexpatch.kam import (
     ReductionState,
     TransportProblem,

@@ -243,14 +243,19 @@ class TestKamCommands:
         assert js["reducible"]
         assert abs(js["V_infty"] + np.sqrt(0.24)) < 1e-8
 
-    def test_transport_unconverged_inverse_shift_exit_2(self, tmp_path, capsys):
-        # a valid speed, V0 + amp cos(theta) in [0.05, 0.95], whose change of
-        # variables fails numerically: an invariant violation, not a bad config
+    def test_transport_slow_inverse_shift_runs_unconverged(self, tmp_path):
+        # a valid speed, V0 + amp cos(theta) in [0.05, 0.95]: the first inverse
+        # shift contracts at max|d_theta beta| = 0.9 and takes more than 200
+        # steps within its derived cap.  The default grid of 64 is too coarse for
+        # the stop test: the run ends unconverged, V_infty about 3e-4 off sqrt(0.0475)
         code = run_cli(["kam-transport", "--amp", "0.45", "--output-dir", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invariant violation: the inverse shift did not converge")
-        assert list(tmp_path.iterdir()) == []
+        assert code == 0
+        profile = _read_json(tmp_path, "kam-transport_manifest.json")["profile"]
+        assert profile["inverse_shift_iterations"][0] > 200
+        assert not profile["converged"]
+        js = _read_json(tmp_path, "kam_transport_result.json")
+        assert js["reducible"]
+        assert abs(js["V_infty"] - np.sqrt(0.0475)) < 1e-3
 
     def test_remainder_requires_seed(self, tmp_path):
         code = run_cli(["kam-remainder", "--output-dir", str(tmp_path)])
@@ -571,23 +576,24 @@ def test_runs_do_not_load_numpy_ma(tmp_path):
 #: every artifact byte-identical
 PINNED = {
     # simulate and linearize re-pinned for K1/K2 and the 2/3 projection as
-    # matrices: they move in their last digits, within TestContourArtifactTolerance
+    # matrices, and again for the fused log-table stack and the complex F
+    # assembly: they move in their last digits, within TestContourArtifactTolerance
     "simulate": (
         ["simulate", "--b", "0.5", "--amplitudes", "2:1e-3", "--dt", "1e-2", "--t", "0.1",
          "--stride", "2", "--track", "2"],
         {
             "simulate_summary.json":
-                "c107bbabe2cd32c2fbbc0c1e113ceb7703d6f6fceae0e9200f2fe5d762254773",
+                "976b46c9c8f5a24ec35c32ac25cfe0028c552cd3e709091df8e4766130949322",
             "simulate_trajectory.csv":
-                "5f39bfd4800f44c49955ad1cc9544d710187daaacc8f8927caa6a77c1b75e181",
+                "e9080b791b9cc84364f3a983514a7b33c1bdc98242ebc12755801811c9adabaa",
         }),
     "linearize": (
         ["linearize", "--b", "0.5", "--grid", "64", "--n", "4"],
         {
             "linearize_matrix.csv":
-                "cf6f20d6d8816150e5513ebdd89c4f68085eb0196993d445fd34c38e85f9565d",
+                "ac3ff70e14fb76da15ab64c1b588e2b18ec911edc744060f8542bac8deebabb3",
             "linearize_spectrum.csv":
-                "bdb54b4a7990e5a0affab2ff26180c336aa2501c337f968e4e8008ab1a0f19c9",
+                "7f77daa478e2021c6105113babdb556e7545f8ad56e4e1e6913b823c0576a120",
         }),
     "spectrum": (
         ["spectrum", "--b", "0.5", "--jmax", "5", "--scan", "--lmax", "2", "--grid", "400",

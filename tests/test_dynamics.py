@@ -37,9 +37,7 @@ from vortexpatch.geometry import (
     PatchState,
     _disc_tables,
     _grid_tables,
-    kernel_P,
     pair_trig,
-    smooth_factor_v1,
 )
 from vortexpatch.spectral import PeriodicField, spectral_derivative, theta_grid
 
@@ -144,7 +142,7 @@ class TestFastPaths:
     def test_delta_tables_read_only(self):
         tables = _delta_tables(64)
         assert _delta_tables(64) is tables
-        for t, want in zip(tables, _delta_terms(pair_trig(64)[0])):
+        for t, want in zip(tables, _delta_terms(ref.pair_delta(64))):
             assert np.all(t == want)
             with pytest.raises(ValueError):
                 t[0, 1] = 0.0
@@ -154,7 +152,7 @@ class TestFastPaths:
     def test_phi_table_symmetric(self, M):
         # energy evaluates Phi on the pairs i <= k only and mirrors it
         th = theta_grid(M)
-        terms = _delta_terms(pair_trig(M)[0])
+        terms = _delta_terms(ref.pair_delta(M))
         for r in (np.zeros(M), _criterion5_r0(M), 1e-3 * np.cos(2 * th) + 4e-4 * np.sin(3 * th)):
             R = PatchState(0.5, PeriodicField(r)).R
             table = _phi_kernel(R[:, None], R[None, :], terms)
@@ -163,7 +161,7 @@ class TestFastPaths:
     @pytest.mark.parametrize("M", [16, 64, 256])
     def test_delta_tables_from_triangle_bit_equal(self, M):
         # the mirrored tables, signed zeros included (e^{i0} = 1 + 0j on the diagonal)
-        for t, want in zip(_delta_tables(M), _delta_terms(pair_trig(M)[0])):
+        for t, want in zip(_delta_tables(M), _delta_terms(ref.pair_delta(M))):
             assert t.dtype == want.dtype and t.shape == want.shape
             for part in (np.real, np.imag):
                 assert np.all(part(t) == part(want))
@@ -209,6 +207,20 @@ class TestFastPaths:
         got, want = _rhs(0.5, r0), ref.rhs(0.5, r0)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    def test_rhs_peak_memory(self):
+        # warm caches at M = 256: the state's 2 x M x M log-table stack and the
+        # one M x M temporary of its build, no more than 4 tables at any time
+        M = 256
+        r0 = _criterion5_r0(M)
+        _rhs(0.5, r0)
+        tracemalloc.start()
+        try:
+            _rhs(0.5, r0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * M * M * 8, peak
+
 
 class TestPerCallOracle:
     """The RK4 right-hand side and its kernels equal, bit for bit, the forms
@@ -222,19 +234,20 @@ class TestPerCallOracle:
         st = PatchState(b, PeriodicField(r))
         assert np.all(_rhs(b, r) == ref.rhs_per_call(b, r))
         assert np.all(velocity_functional(st).values == ref.velocity_functional_per_call(st))
-        for got, want in zip(st.log_tables, ref.log_tables_per_call(st)):
-            assert np.all(got == want)
-        assert np.all(kernel_P(st) == ref.kernel_P_per_call(st))
-        assert np.all(smooth_factor_v1(st) == ref.smooth_factor_v1_per_call(st))
+        assert np.all(st.log_tables == ref.log_tables_per_call(st))
 
     @pytest.mark.parametrize("table", [
         lambda: _grid_tables(16)[0],
         lambda: _grid_tables(16)[1],
-        lambda: pair_trig(16)[2],
+        lambda: pair_trig(16)[0],
+        lambda: pair_trig(16)[1],
         lambda: _disc_tables(16, 0.5)[0],
         lambda: _disc_tables(16, 0.5)[1],
+        lambda: _disc_tables(16, 0.5)[2],
         lambda: _dealias_projector(16),
-    ], ids=["cos", "sin", "sin_half_unit_diag", "B0sq", "multipliers", "dealias_projector"])
+        lambda: PatchState(0.5, PeriodicField(_criterion5_r0(16))).log_tables,
+    ], ids=["exp_i_theta", "exp_minus_2i_theta", "sin_half_unit_diag", "log2_plus_k1",
+            "B0sq", "b2_minus_2cos", "multipliers", "dealias_projector", "log_tables"])
     def test_tables_read_only(self, table):
         with pytest.raises(ValueError):
             table()[1] = 0
@@ -247,10 +260,20 @@ class TestPerCallOracle:
         b1 = float(np.nextafter(b0, 1.0))
         t0, t1 = _disc_tables(64, b0), _disc_tables(64, b1)
         assert t0 is not t1
-        assert not np.all(t0[1][1] == t1[1][1])  # the K2 matrix
-        for b, (B0sq, _) in ((b0, t0), (b1, t1)):
+        assert not np.all(t0[2] == t1[2])  # the K2 matrix
+        cos = np.cos(ref.pair_delta(64))
+        for b, (B0sq, shift, _) in ((b0, t0), (b1, t1)):
             b2 = b ** 2
-            assert np.all(B0sq == 1.0 + b2 * b2 - 2.0 * b2 * pair_trig(64)[1])
+            assert np.all(B0sq == 1.0 + b2 * b2 - 2.0 * b2 * cos)
+            assert np.all(shift == b2 - 2.0 * cos)
+
+    @pytest.mark.parametrize("M", [16, 64])
+    def test_cached_tables_per_entry(self, M):
+        # the state's 2 x M x M stack adds no cached table: one pair_trig entry
+        # (sin(Delta/2), log 2 + K1) and one _disc_tables entry (B0^2,
+        # b^2 - 2 cos, K2) hold no more than 3 M x M tables each
+        for entry in (pair_trig(M), _disc_tables(M, 0.5)):
+            assert sum(t.size for t in entry) <= 3 * M * M
 
     @pytest.mark.parametrize("cache", [_grid_tables, _disc_tables, _dealias_projector])
     def test_cache_bounded(self, cache):

@@ -2,17 +2,17 @@
 
 import numpy as np
 import pytest
-from dense_reference import diagonal_difference_quotient, kernel_A, kernel_B
-
-from vortexpatch.geometry import (
-    BoundaryContactError,
-    DegeneratePatchError,
-    PatchState,
+from dense_reference import (
+    diagonal_difference_quotient,
+    kernel_A,
+    kernel_B,
     kernel_P,
     log_one_plus_P_half,
     log_v1,
     smooth_factor_v1,
 )
+
+from vortexpatch.geometry import BoundaryContactError, DegeneratePatchError, PatchState
 from vortexpatch.spectral import PeriodicField, theta_grid
 
 RNG = np.random.default_rng(21)
@@ -230,6 +230,13 @@ class TestKernelInvariants:
         lhs = np.log(A[mask])
         rhs = (np.log(2.0 * st.b) + K1 + lv)[mask]
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    def test_fused_tables_match_defining_forms(self):
+        # the state's stack: T0 = 2 (log b + log v1), T1 = log(1 + P_r)
+        for st in (random_small_state(scale=5e-3), random_small_state(b=0.8, M=256)):
+            T0, T1 = st.log_tables
+            assert np.max(np.abs(T0 - 2.0 * (np.log(st.b) + log_v1(st)))) < 1e-14
+            assert np.max(np.abs(T1 - 2.0 * log_one_plus_P_half(st))) < 1e-14
 
     def test_log_B_decomposition(self):
         # log B_r = K2(eta-theta) + (1/2) log(1+P_r)

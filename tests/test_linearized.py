@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
-from dense_reference import apply_operator, e_mode, entry, kernel_B, mirror_deviation
+from dense_reference import (
+    apply_operator,
+    e_mode,
+    entry,
+    kernel_B,
+    mirror_deviation,
+    smooth_factor_v1,
+)
 from scipy import integrate
 
-from vortexpatch.geometry import PatchState, log_kernel_integrals, smooth_factor_v1
+from vortexpatch.geometry import PatchState, log_kernel_integrals
 from vortexpatch.linearized import (
     assemble,
     matrix_to_csv,

@@ -68,8 +68,7 @@ class TestAgainstDenseReference:
 def calls(monkeypatch):
     """Count the log-table builds and V_r evaluations, wherever they are called from."""
     tally = {}
-    for owner, name in ((geometry, "log_v1"), (geometry, "log_one_plus_P_half"),
-                        (linearized, "transport_coefficient")):
+    for owner, name in ((geometry, "smooth_log_tables"), (linearized, "transport_coefficient")):
         fn = getattr(owner, name)
         tally[name] = 0
 
@@ -85,9 +84,9 @@ def calls(monkeypatch):
 
 def test_assemble_work_count(calls):
     linearized.assemble(make_state("non_reversible", 256), 16)
-    assert calls == {"log_v1": 1, "log_one_plus_P_half": 1, "transport_coefficient": 1}
+    assert calls == {"smooth_log_tables": 1, "transport_coefficient": 1}
 
 
 def test_velocity_functional_work_count(calls):
     dynamics.velocity_functional(make_state("reversible", 64))
-    assert calls == {"log_v1": 1, "log_one_plus_P_half": 1, "transport_coefficient": 0}
+    assert calls == {"smooth_log_tables": 1, "transport_coefficient": 0}

@@ -211,8 +211,8 @@ class TestCachedTables:
         lambda: _mode_numbers(16),
         lambda: k1_multiplier_coeffs(16),
         lambda: k2_multiplier_coeffs(16, 0.5),
-        *[lambda k=k: pair_trig(16)[k] for k in range(3)],
-    ], ids=["theta_grid", "mode_numbers", "k1", "k2", "delta", "cos", "sin_half"])
+        *[lambda k=k: pair_trig(16)[k] for k in range(2)],
+    ], ids=["theta_grid", "mode_numbers", "k1", "k2", "sin_half", "log2_plus_k1"])
     def test_write_raises(self, table):
         # the tables are shared by every caller at that size
         with pytest.raises(ValueError):
