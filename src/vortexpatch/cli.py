@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical invariant
 violation (the message names the violated invariant).  All numeric CSV output
 uses 17-significant-digit scientific notation; JSON is emitted with sorted
 keys, so identical configuration and seed reproduce byte-identical artifacts
-(the manifest additionally records the wall time and is excluded from
-byte-level comparisons).
+(the manifest additionally records the wall time and the OpenBLAS thread
+setting, and is excluded from byte-level comparisons).
 
 Each subcommand is declared by one parameter table; every value resolves as
 flag > config file > default and is checked before any work starts (a float
@@ -22,6 +22,20 @@ import platform
 import sys
 import time
 from dataclasses import replace
+
+# One OpenBLAS thread unless the caller chose otherwise.  OpenBLAS reads the
+# variable once, when numpy loads, so it is set only where this module loads
+# numpy first.  On a shared 2-core host its second thread added up to 50-70 ms
+# to numpy's import (100 -> 51 ms, 167 -> 97 ms), the more the busier the
+# host, and after a BLAS call it spins on the second CPU: a pure-Python loop
+# then ran 1.7-1.8x slower.  No product in the package (the largest is
+# 256 x 256 @ 256 x 32) is big enough to gain from it.  The --curve worker
+# processes are forked from this one and inherit the setting.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+#: the OPENBLAS_NUM_THREADS value numpy loaded with (None: OpenBLAS's own
+#: default, one thread per CPU); each manifest records it as ``blas_threads``
+BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
 
 import click
 import numpy as np
@@ -278,6 +292,7 @@ def _command(name: str, table: list):
 
             def emit(artifacts: dict, profile: dict | None) -> str:
                 manifest = {"subcommand": name, "config": p, "versions": _versions(),
+                            "blas_threads": BLAS_THREADS,
                             "wall_time_s": time.time() - t0}
                 if profile is not None:
                     manifest["profile"] = profile
@@ -451,7 +466,8 @@ def kam_transport(p, emit):
     cut more than half of the modes.  Per change of variables it also lists
     the fixed-point iterations of the inverse shift and beta's Horner band,
     the theta modes per side that they sum.  The speed V0 + amp cos(theta)
-    must keep one strict sign on the grid.
+    must keep one strict sign on the grid.  The stdout line ends with
+    ``converged = False`` and the last ``delta_s0`` when the stop test failed.
     """
     th = theta_grid(p["grid"])
     f0 = PeriodicField(np.broadcast_to(p["amp"] * np.cos(th), (p["K"], p["grid"])).copy())
@@ -459,15 +475,17 @@ def kam_transport(p, emit):
                             upsilon=p["upsilon"], tau1=p["tau1"])
     res = straighten_transport(prob, steps=p["steps"])
     last = res.history[-1][1]
+    converged = last <= _STRAIGHTENED
     emit({"kam_transport_history.csv": transport_history_csv(res),
           "kam_transport_result.json": {"V_infty": res.V_infty,
                                         "reducible": res.reducible,
                                         "steps": len(res.history)}},
-         {"converged": last <= _STRAIGHTENED, "delta_s0": last,
+         {"converged": converged, "delta_s0": last,
           "inverse_shift_iterations": [k for k, _ in res.shifts],
           "horner_band": [band for _, band in res.shifts]})
+    tail = "" if converged else f", converged = False (delta_s0 = {last:.2e})"
     click.echo(f"kam-transport: V_infty = {res.V_infty:.12f}, "
-               f"reducible = {res.reducible}")
+               f"reducible = {res.reducible}{tail}")
 
 
 @_command("kam-remainder", KAM_REMAINDER)

@@ -14,7 +14,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -112,17 +111,22 @@ def nondegeneracy_test(sys: FrequencySystem) -> bool:
 
 
 def _rank(rows) -> int:
-    """Rank of an integer matrix by exact Gaussian elimination over the rationals."""
-    rows = [[Fraction(x) for x in row] for row in rows]
+    """Rank of an integer matrix by exact row reduction over the Python ints.
+
+    Below the pivot p of column c each row r becomes p r - r[c] (pivot row):
+    no division, and every entry stays an integer.
+    """
+    rows = [[int(x) for x in row] for row in rows]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank][c]
         for r in range(rank + 1, len(rows)):
-            f = rows[r][c] / rows[rank][c]
-            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+            f = rows[r][c]
+            rows[r] = [p * x - f * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 

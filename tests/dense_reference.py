@@ -639,16 +639,20 @@ def horner_shifted(c, shift):
 def inverse_shift(beta_values):
     """beta_hat = -beta(phi, theta + beta_hat) by the fixed point of
     ``kam.ChangeOfVariables``, with beta's theta FFT taken anew and summed over
-    every mode in each iteration."""
+    every mode in each iteration.  The step cap is the class's: 1 +
+    ceil(log(1e-14 / max|beta|) / log((1 + q)/2)), q = max|d_theta beta|."""
+    q = float(np.max(np.abs(spectral_derivative(beta_values))))
+    size = max(float(np.max(np.abs(beta_values))), 1e-14)
+    cap = 1 + math.ceil(math.log(1e-14 / size) / math.log(0.5 * (1.0 + q)))
     bh = -beta_values.copy()
-    for _ in range(200):
+    for _ in range(cap):
         c = np.fft.fft(beta_values, axis=-1, norm="forward")
         nxt = -horner_shifted(c, bh)
         gap = np.max(np.abs(nxt - bh))
         bh = nxt
         if gap < 1e-14:
             return bh
-    raise ValueError("the inverse shift did not converge in 200 iterations")
+    raise ValueError(f"the inverse shift did not converge in {cap} iterations")
 
 
 def compose_with(f, cov, weighted=False, inverse=False):

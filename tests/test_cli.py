@@ -243,16 +243,19 @@ class TestKamCommands:
         assert js["reducible"]
         assert abs(js["V_infty"] + np.sqrt(0.24)) < 1e-8
 
-    def test_transport_slow_inverse_shift_runs_unconverged(self, tmp_path):
+    def test_transport_slow_inverse_shift_runs_unconverged(self, tmp_path, capsys):
         # a valid speed, V0 + amp cos(theta) in [0.05, 0.95]: the first inverse
         # shift contracts at max|d_theta beta| = 0.9 and takes more than 200
         # steps within its derived cap.  The default grid of 64 is too coarse for
-        # the stop test: the run ends unconverged, V_infty about 3e-4 off sqrt(0.0475)
+        # the stop test: the run ends unconverged, V_infty about 3e-4 off
+        # sqrt(0.0475), and stdout says so
         code = run_cli(["kam-transport", "--amp", "0.45", "--output-dir", str(tmp_path)])
         assert code == 0
         profile = _read_json(tmp_path, "kam-transport_manifest.json")["profile"]
         assert profile["inverse_shift_iterations"][0] > 200
         assert not profile["converged"]
+        assert capsys.readouterr().out.endswith(
+            f", reducible = True, converged = False (delta_s0 = {profile['delta_s0']:.2e})\n")
         js = _read_json(tmp_path, "kam_transport_result.json")
         assert js["reducible"]
         assert abs(js["V_infty"] - np.sqrt(0.0475)) < 1e-3
@@ -543,8 +546,42 @@ def test_cli_import_does_not_load_sympy():
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run(
         [sys.executable, "-c", "import vortexpatch.cli, sys; assert 'sympy' not in sys.modules; "
-         "assert 'concurrent.futures.process' not in sys.modules"],
+         "assert 'concurrent.futures.process' not in sys.modules; "
+         "assert 'fractions' not in sys.modules"],
         env=env, check=True)
+
+
+@pytest.mark.parametrize("given", [None, "2"])
+def test_cli_import_sets_one_blas_thread(given, tmp_path):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads: importing
+    # the CLI first makes one thread the default and keeps a value the caller
+    # gave.  After a product large enough to wake the BLAS workers, a
+    # one-thread process still runs one thread, and the run's manifest
+    # records the setting
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = """if True:
+        import os, sys
+        import vortexpatch.cli as cli
+        import numpy as np
+        a = np.ones((400, 400))
+        a @ a
+        print(os.environ["OPENBLAS_NUM_THREADS"])
+        if os.path.exists("/proc/self/status"):
+            with open("/proc/self/status") as fh:
+                print([line.split()[1] for line in fh if line.startswith("Threads:")][0])
+        cli.main(["spectrum", "--jmax", "2", "--output-dir", sys.argv[1]])
+    """
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
+                         capture_output=True, text=True).stdout.split("\n")
+    expected = given or "1"
+    assert out[0] == expected
+    if given is None and os.path.exists("/proc/self/status"):
+        assert out[1] == "1"
+    assert _read_json(tmp_path, "spectrum_manifest.json")["blas_threads"] == expected
 
 
 def test_runs_do_not_load_numpy_ma(tmp_path):

@@ -240,12 +240,16 @@ class TestChangeOfVariables:
 
     def test_slow_contraction_converges(self):
         # slope 0.9: the steps shrink about 0.9 per iteration and pass the stop
-        # test after more than 200 of them, within the cap derived from the slope
+        # test after more than 200 of them, within the cap derived from the
+        # slope.  The full-band oracle runs to the same cap and agrees within
+        # the tolerance of test_solver_band_matches_full_band
         th = theta_grid(64)
         cov = ChangeOfVariables(PeriodicField(0.9 * np.sin(th)))
         assert cov.iterations > 200
         bh = cov.beta_hat.values
         assert np.max(np.abs(bh + evaluate_shifted(cov.beta, bh))) < 1e-13
+        ref = dense_reference.inverse_shift(cov.beta.values)
+        assert np.max(np.abs(bh - ref)) <= 1e-15 * np.max(np.abs(cov.beta.values))
 
     def test_composition_inverts(self):
         cov = self._cov(amp=0.15, M=128)
